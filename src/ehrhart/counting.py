@@ -27,6 +27,10 @@ from .geometry import HalfSpace, Polytope, dual, is_lattice, vertex_ranges
 #: Maximum number of bounding-box cells an enumeration may touch.
 DEFAULT_BUDGET = 10**8
 
+#: Memo sizes: one report needs k(n+1) + m_max counts of a single polytope.
+_COUNT_CACHE_SIZE = 1024
+_FACET_CACHE_SIZE = 16
+
 IntPoint = tuple[int, ...]
 Box = Sequence[tuple[int, int]]
 
@@ -45,7 +49,7 @@ class CountRecord:
 _ScaledFacet = tuple[tuple[int, ...], int, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACET_CACHE_SIZE)
 def _scaled_facets(P: Polytope) -> tuple[_ScaledFacet, ...]:
     out = []
     for h in P.facets:
@@ -119,7 +123,7 @@ def _walk(P: Polytope, m: int, strict: bool, box: Box) -> Iterator[tuple[IntPoin
     yield from recurse(0, (), tuple(0 for _ in facets))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COUNT_CACHE_SIZE)
 def _count(P: Polytope, m: int, strict: bool) -> int:
     box = _box_of(P, m)
     if _box_cells(box) == 0:

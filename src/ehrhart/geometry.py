@@ -5,10 +5,11 @@ derived, canonically ordered facet list (H-representation).  All coordinates
 are ``fractions.Fraction``, so every operation here is exact; there is no
 floating point anywhere in this package.
 
-The facet search is an exhaustive candidate-hyperplane scan over affinely
-independent n-subsets of the vertices, which is O(C(V, n)) hyperplane tests.
-That is perfectly fine at desk scale (tens of vertices, dimension <= 4) and
-is guarded by an ambient-dimension cap with an explicit override.
+The hull of input points scans the hyperplanes through affinely independent
+n-subsets of the vertices, O(C(V, n)) tests: fine at desk scale (tens of
+vertices, dimension <= 4) and guarded by an ambient-dimension cap with an
+explicit override.  The polar dual swaps vertices and facets, so :func:`dual`
+reads both off the input with no scan.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ def point(coords: Iterable[Coordinate]) -> RationalPoint:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HalfSpace:
-    """The half-space {v : <normal, v> <= bound}."""
+    """The half-space {v : <normal, v> <= bound}, ordered by (normal, bound)."""
 
     normal: tuple[Fraction, ...]
     bound: Fraction
@@ -177,7 +178,7 @@ def _facets_of(vertices: Sequence[RationalPoint], n: int) -> tuple[HalfSpace, ..
             found.add(HalfSpace(normal, b).primitive())
         elif side_ge:
             found.add(HalfSpace(tuple(-u for u in normal), -b).primitive())
-    return tuple(sorted(found, key=lambda h: (h.normal, h.bound)))
+    return tuple(sorted(found))
 
 
 def facet_enumeration(P: Polytope) -> list[HalfSpace]:
@@ -232,13 +233,19 @@ def dilate(P: Polytope, m: int) -> Polytope:
 def dual(P: Polytope) -> Polytope:
     """The polar dual {u : <u, v> <= 1 for all v in P}.
 
-    Its vertices are the facet normals of ``P`` scaled to bound 1; requires
-    the origin strictly inside ``P`` (otherwise the polar is unbounded).
+    Polarity swaps the face lattice: each facet <a, x> <= b of ``P`` gives
+    the vertex a / b of the dual, and each vertex v of ``P`` gives the
+    facet <v, u> <= 1.  This is exact, with no hull computation, because
+    :func:`from_vertices` guarantees that ``P.vertices`` are exactly the
+    extreme points and ``P.facets`` is the complete, irredundant, primitive
+    facet list.  Requires the origin strictly inside ``P`` (otherwise the
+    polar is unbounded).
     """
     if not origin_interior(P):
         raise OriginNotInterior("polar dual needs the origin strictly inside")
-    dual_vertices = [tuple(u / h.bound for u in h.normal) for h in P.facets]
-    return from_vertices(dual_vertices, max_dim=P.ambient_dim)
+    vertices = sorted(tuple(u / h.bound for u in h.normal) for h in P.facets)
+    facets = sorted(HalfSpace(v, Fraction(1)).primitive() for v in P.vertices)
+    return Polytope(P.ambient_dim, tuple(vertices), tuple(facets))
 
 
 def vertex_ranges(P: Polytope) -> list[tuple[Fraction, Fraction]]:

@@ -71,6 +71,8 @@ def loads_polytope(text: str, max_dim: Union[int, None] = None) -> Polytope:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON is nested too deeply") from exc
     return polytope_from_json_dict(obj, max_dim=max_dim)
 
 

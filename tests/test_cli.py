@@ -134,6 +134,16 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_deeply_nested_json_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ehrhart: error:")
+    assert err.count("\n") == 1
+
+
 def test_missing_input_exit_two(capsys):
     code, _, err = run(capsys, "info", "no_such_polytope")
     assert code == 2

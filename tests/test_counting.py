@@ -11,11 +11,12 @@ from ehrhart import (
     count_points,
     count_record,
     from_vertices,
+    full_report,
     height_profile,
     interior_shift_check,
     lattice_points,
 )
-from ehrhart.counting import interior_shift_mismatch
+from ehrhart.counting import _count, clear_count_cache, interior_shift_mismatch
 
 
 def segment(a, b):
@@ -115,6 +116,19 @@ def test_monotonicity(fixtures):
 def test_count_record():
     rec = count_record(catalog()["diamond2"], 2)
     assert (rec.m, rec.closed_count, rec.interior_count) == (2, 13, 5)
+
+
+def test_count_cache_is_bounded_and_holds_one_report(fixtures):
+    # seg_mhalf_third has n = 1 and k = 6: a report requests the k(n+1)
+    # closed counts of the fit and the series plus m_max = 6 strict ones,
+    # and must compute each of them exactly once.
+    clear_count_cache()
+    full_report(fixtures["seg_mhalf_third"], m_max=6)
+    info = _count.cache_info()
+    assert info.maxsize is not None
+    assert info.misses == 6 * 2 + 6
+    clear_count_cache()
+    assert _count.cache_info().currsize == 0
 
 
 def test_budget_guard():

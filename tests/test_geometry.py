@@ -20,6 +20,7 @@ from ehrhart import (
     facet_enumeration,
     from_vertices,
     gen_rational_control,
+    instances,
     is_lattice,
     origin_interior,
 )
@@ -189,7 +190,8 @@ def test_dual_requires_interior_origin():
 
 def test_dual_involution(fixtures):
     for P in fixtures.values():
-        assert dual(dual(P)).vertices == P.vertices
+        back = dual(dual(P))
+        assert (back.vertices, back.facets) == (P.vertices, P.facets)
 
 
 def test_dual_involution_generated():
@@ -198,7 +200,34 @@ def test_dual_involution_generated():
             cfg = GeneratorConfig(seed=300 + i, dim=dim,
                                   coordinate_bound=2 if dim < 3 else 1)
             P = gen_rational_control(cfg)
-            assert dual(dual(P)).vertices == P.vertices
+            back = dual(dual(P))
+            assert (back.vertices, back.facets) == (P.vertices, P.facets)
+
+
+def hull_dual(P):
+    """Oracle: the polar dual as the full hull of the facet points a / b."""
+    return from_vertices([tuple(u / h.bound for u in h.normal) for h in P.facets],
+                         max_dim=P.ambient_dim)
+
+
+def assert_dual_matches_hull(polytopes):
+    for P in polytopes:
+        D, expected = dual(P), hull_dual(P)
+        # Polytope equality ignores facets, so compare them explicitly.
+        assert D.vertices == expected.vertices, P
+        assert D.facets == expected.facets, P
+
+
+def test_dual_matches_hull_oracle(fixtures, theorem_pool, control_pool):
+    assert_dual_matches_hull([*fixtures.values(), *theorem_pool, *control_pool])
+
+
+def test_dual_matches_hull_oracle_4d():
+    # Only the dual-of-lattice kind fits the test-time budget in 4D: the
+    # oracle's C(F, 4) facet scan takes seconds on the lattice and rational
+    # kinds, whose polytopes have up to 25 facets.
+    cfg = GeneratorConfig(seed=41, dim=4, coordinate_bound=1)
+    assert_dual_matches_hull(instances(cfg, 10, "dual-of-lattice"))
 
 
 def test_extreme_points_match_qhull():
