@@ -27,9 +27,9 @@ from .geometry import HalfSpace, Polytope, dual, is_lattice, vertex_ranges
 #: Maximum number of bounding-box cells an enumeration may touch.
 DEFAULT_BUDGET = 10**8
 
-#: Memo sizes: one report needs k(n+1) + m_max counts of a single polytope.
-_COUNT_CACHE_SIZE = 1024
-_FACET_CACHE_SIZE = 16
+#: Memo size, in polytopes.  Each memoised polytope keeps every count asked
+#: of it, so one report's k(n+1) + m_max counts always fit, whatever k is.
+_POLYTOPE_CACHE_SIZE = 16
 
 IntPoint = tuple[int, ...]
 Box = Sequence[tuple[int, int]]
@@ -49,7 +49,7 @@ class CountRecord:
 _ScaledFacet = tuple[tuple[int, ...], int, int]
 
 
-@lru_cache(maxsize=_FACET_CACHE_SIZE)
+@lru_cache(maxsize=_POLYTOPE_CACHE_SIZE)
 def _scaled_facets(P: Polytope) -> tuple[_ScaledFacet, ...]:
     out = []
     for h in P.facets:
@@ -123,12 +123,19 @@ def _walk(P: Polytope, m: int, strict: bool, box: Box) -> Iterator[tuple[IntPoin
     yield from recurse(0, (), tuple(0 for _ in facets))
 
 
-@lru_cache(maxsize=_COUNT_CACHE_SIZE)
+@lru_cache(maxsize=_POLYTOPE_CACHE_SIZE)
+def _counts_of(P: Polytope) -> dict[tuple[int, bool], int]:
+    return {}
+
+
 def _count(P: Polytope, m: int, strict: bool) -> int:
-    box = _box_of(P, m)
-    if _box_cells(box) == 0:
-        return 0
-    return sum(zhi - zlo + 1 for _, zlo, zhi in _walk(P, m, strict, box))
+    counts = _counts_of(P)
+    key = (m, strict)
+    if key not in counts:
+        box = _box_of(P, m)
+        walked = _walk(P, m, strict, box) if _box_cells(box) else ()
+        counts[key] = sum(zhi - zlo + 1 for _, zlo, zhi in walked)
+    return counts[key]
 
 
 def count_points(P: Polytope, m: int, strict: bool = False,
@@ -211,5 +218,5 @@ def height_profile(u: Union[HalfSpace, Sequence[Union[int, Fraction]]],
 
 def clear_count_cache() -> None:
     """Drop memoised counts (used by timing-sensitive test code)."""
-    _count.cache_clear()
+    _counts_of.cache_clear()
     _scaled_facets.cache_clear()

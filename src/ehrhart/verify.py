@@ -125,16 +125,13 @@ def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
 
 
 def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
-                           budget: int = DEFAULT_BUDGET,
-                           dual_lattice: Optional[bool] = None) -> CheckResult:
+                           budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Lattice polar dual if and only if palindromic delta-vector.
 
     The forward direction is exact; a lattice dual with a non-palindromic
     delta-vector can never occur, so that outcome is flagged fatal.
-    ``dual_lattice`` (whether dual(P) is lattice) is computed if not given.
     """
-    if dual_lattice is None:
-        dual_lattice = is_lattice(dual(P))
+    dual_lattice = is_lattice(dual(P))
     if delta is None:
         delta = delta_vector_series(P, budget=budget)
     palindromic = check_palindrome(delta).passed
@@ -204,7 +201,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     checks.append(check_palindrome(d))
     checks.append(check_equivalence(qp.table, d))
     checks.append(check_non_negativity(d))
-    checks.append(check_characterization(P, delta=d, dual_lattice=dual_lattice))
+    checks.append(check_characterization(P, delta=d, budget=budget))
 
     if dual_lattice:
         # A lattice dual guarantees both symmetries; failing either here

@@ -16,7 +16,8 @@ from ehrhart import (
     interior_shift_check,
     lattice_points,
 )
-from ehrhart.counting import _count, clear_count_cache, interior_shift_mismatch
+from ehrhart import counting
+from ehrhart.counting import clear_count_cache, interior_shift_mismatch
 
 
 def segment(a, b):
@@ -118,17 +119,29 @@ def test_count_record():
     assert (rec.m, rec.closed_count, rec.interior_count) == (2, 13, 5)
 
 
-def test_count_cache_is_bounded_and_holds_one_report(fixtures):
-    # seg_mhalf_third has n = 1 and k = 6: a report requests the k(n+1)
-    # closed counts of the fit and the series plus m_max = 6 strict ones,
-    # and must compute each of them exactly once.
+def test_count_cache_holds_one_report_whatever_its_period(monkeypatch):
+    # [-2/25, 1/24] has n = 1 and k = 600, and its dual is not lattice, so
+    # every walk comes from a count.  A report requests the k(n+1) closed
+    # counts of the fit and the series plus m_max = 6 strict ones, more
+    # than any fixed per-count memo of 1024 entries would hold, and must
+    # compute each of them exactly once.
+    P = segment(F(-2, 25), F(1, 24))
+    walks = []
+    walk = counting._walk
+
+    def counted_walk(P, m, strict, box):
+        walks.append((m, strict))
+        return walk(P, m, strict, box)
+
+    monkeypatch.setattr(counting, "_walk", counted_walk)
     clear_count_cache()
-    full_report(fixtures["seg_mhalf_third"], m_max=6)
-    info = _count.cache_info()
-    assert info.maxsize is not None
-    assert info.misses == 6 * 2 + 6
+    full_report(P, m_max=6)
+    assert len(walks) == len(set(walks)) == 600 * 2 + 6
+    full_report(P, m_max=6)
+    assert len(walks) == 600 * 2 + 6
     clear_count_cache()
-    assert _count.cache_info().currsize == 0
+    full_report(P, m_max=1)
+    assert len(walks) == 2 * (600 * 2) + 6 + 1
 
 
 def test_budget_guard():

@@ -136,9 +136,6 @@ def test_characterization_examples():
     assert check_characterization(catalog()["seg_mhalf_third"]).passed
     assert check_characterization(segment(-1, 2)).passed
     assert check_characterization(catalog()["square2"]).passed
-    # A caller that already knows whether the dual is lattice passes it in.
-    assert check_characterization(segment(-1, 2), dual_lattice=False).passed
-    assert check_characterization(segment(-1, 2), dual_lattice=True).fatal
 
 
 def test_characterization_fatal_only_when_lattice_dual_fails():
