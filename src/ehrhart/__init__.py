@@ -8,10 +8,7 @@ and palindromicity of the delta-vector in that case.
 """
 
 from .counting import (
-    CountRecord,
     count_points,
-    count_record,
-    height_profile,
     interior_shift_check,
     lattice_points,
 )
@@ -25,8 +22,6 @@ from .errors import (
     EmptyInput,
     GenerationExhausted,
     InternalInconsistency,
-    NonIntegerDelta,
-    NonIntegerNormal,
     OriginNotInterior,
     ParseError,
     ZeroDilation,

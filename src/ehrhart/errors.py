@@ -38,15 +38,6 @@ class DualNotLattice(EhrhartError):
     """The polar dual is not a lattice polytope, violating a precondition."""
 
 
-class NonIntegerNormal(EhrhartError):
-    """A half-space normal was required to be integral but is not."""
-
-
-class NonIntegerDelta(EhrhartError):
-    """A delta coefficient came out non-integral.  The division-free
-    forward substitution cannot produce this; seeing it means a bug."""
-
-
 class GenerationExhausted(EhrhartError):
     """Rejection sampling failed to produce a valid instance in the
     allotted number of attempts."""

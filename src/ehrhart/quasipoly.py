@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import DEFAULT_BUDGET, count_points
-from .errors import NonIntegerDelta
 from .geometry import Polytope, denominator
 
 
@@ -127,11 +126,8 @@ def fit_qp(P: Polytope, budget: int = DEFAULT_BUDGET) -> EhrhartQP:
         counts = [count_points(P, l * k + r, budget=budget) for l in range(n + 1)]
         col: list[int] = []
         for l in range(n + 1):
-            value = counts[l] - sum(
-                col[i] * binomial(l + n - i, n) for i in range(l))
-            if not isinstance(value, int):  # structurally impossible
-                raise NonIntegerDelta(f"delta[{l}][{r}] = {value!r}")
-            col.append(value)
+            col.append(counts[l] - sum(
+                col[i] * binomial(l + n - i, n) for i in range(l)))
         columns.append(tuple(col))
     rows = tuple(tuple(columns[r][i] for r in range(k)) for i in range(n + 1))
     return EhrhartQP(n, k, ResidueDeltaTable(n, k, rows))

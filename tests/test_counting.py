@@ -2,22 +2,31 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ehrhart import (
     BudgetExceeded,
+    DimensionDeficient,
     DualNotLattice,
-    NonIntegerNormal,
+    GeneratorConfig,
     catalog,
     count_points,
-    count_record,
+    evaluate_qp,
+    fit_qp,
     from_vertices,
     full_report,
-    height_profile,
+    instances,
     interior_shift_check,
     lattice_points,
 )
 from ehrhart import counting
-from ehrhart.counting import clear_count_cache, interior_shift_mismatch
+from ehrhart.counting import (
+    _exact_count,
+    _floor_sum,
+    _section_count,
+    clear_count_cache,
+    interior_shift_mismatch,
+)
 
 
 def segment(a, b):
@@ -114,11 +123,6 @@ def test_monotonicity(fixtures):
             assert count_points(P, m, strict=True) <= closed[m]
 
 
-def test_count_record():
-    rec = count_record(catalog()["diamond2"], 2)
-    assert (rec.m, rec.closed_count, rec.interior_count) == (2, 13, 5)
-
-
 def test_count_cache_holds_one_report_whatever_its_period(monkeypatch):
     # [-2/25, 1/24] has n = 1 and k = 600, and its dual is not lattice, so
     # every walk comes from a count.  A report requests the k(n+1) closed
@@ -127,13 +131,13 @@ def test_count_cache_holds_one_report_whatever_its_period(monkeypatch):
     # compute each of them exactly once.
     P = segment(F(-2, 25), F(1, 24))
     walks = []
-    walk = counting._walk
+    exact_count = counting._exact_count
 
-    def counted_walk(P, m, strict, box):
+    def counted_exact_count(P, m, strict):
         walks.append((m, strict))
-        return walk(P, m, strict, box)
+        return exact_count(P, m, strict)
 
-    monkeypatch.setattr(counting, "_walk", counted_walk)
+    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
     clear_count_cache()
     full_report(P, m_max=6)
     assert len(walks) == len(set(walks)) == 600 * 2 + 6
@@ -149,6 +153,97 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         count_points(sq, 10, budget=100)
     assert count_points(sq, 10, budget=441) == 441
+
+
+# ------------------------------------------------- floor sums and sections
+
+def brute_floor_sum(n, m, a, b):
+    return sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_matches_brute_force_on_grid():
+    for n in range(0, 9):
+        for m in range(1, 8):
+            for a in range(-9, 10):
+                for b in range(-9, 10):
+                    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b), \
+                        (n, m, a, b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 10**6),
+       st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+def test_floor_sum_matches_brute_force_large(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+
+
+def test_count_matches_listed_points(theorem_pool, control_pool):
+    # The floor-sum count against the per-prefix walk that lists points.
+    polytopes = list(catalog().values()) + theorem_pool + control_pool
+    for kind in ("lattice", "dual-of-lattice", "rational"):
+        polytopes += instances(GeneratorConfig(seed=41, dim=4, coordinate_bound=1), 1, kind)
+    for P in polytopes:
+        for m in range(9):
+            for strict in (False, True):
+                assert _exact_count(P, m, strict) == \
+                    len(lattice_points(P, m, strict=strict)), (P, m, strict)
+
+
+def test_section_hand_cases():
+    # square2 has two facets with a zero last-axis coefficient; the
+    # parallelogram's upper edge z - y <= 1 and lower edge y - z <= 1 are
+    # parallel.  Both hold (2m+1)^2 points, (2m-1)^2 of them interior.
+    parallelogram = from_vertices([(-1, -2), (-1, 0), (1, 2), (1, 0)])
+    for P in (catalog()["square2"], parallelogram):
+        for m in range(12):
+            assert _exact_count(P, m, False) == (2 * m + 1) ** 2
+            assert _exact_count(P, m, True) == max(0, 2 * m - 1) ** 2
+
+
+def test_empty_sections():
+    # Lines are (A, B, C) for A*y + B*z <= C.
+    assert _section_count([(0, 1, 0), (0, -1, -1)], -5, 5) == 0     # z <= 0, z >= 1
+    assert _section_count([(0, 0, -1), (0, 1, 3), (0, -1, 3)], -5, 5) == 0  # 0 <= -1
+    assert _section_count([(1, 0, -1), (0, 1, 3), (0, -1, 3)], 0, 5) == 0   # y <= -1
+    # The real section 1/3 <= z <= 2/3 is non-empty but holds no lattice point.
+    assert _section_count([(0, 3, 2), (0, -3, -1)], -5, 5) == 0
+    # Upper and lower cross: only y <= 0 is feasible, z in [y, -y].
+    assert _section_count([(1, 1, 0), (1, -1, 0)], -3, 3) == 7 + 5 + 3 + 1
+    # A 4D cross-polytope at m = 2 has prefixes with |x0| + |x1| > 2.
+    cross4 = from_vertices([tuple(s if i == j else 0 for i in range(4))
+                            for j in range(4) for s in (-1, 1)])
+    assert _exact_count(cross4, 2, False) == len(lattice_points(cross4, 2)) == 41
+    # Small simplices off the origin: their first dilates have an empty
+    # bounding box or sections without lattice points.
+    third = F(1, 3)
+    for P in (segment(third, 2 * third),
+              from_vertices([(third, third), (2 * third, third), (third, 2 * third)]),
+              from_vertices([(third, 0, 0), (2 * third, 0, 0), (third, 1, 0), (third, 0, 1)])):
+        for m in range(5):
+            for strict in (False, True):
+                assert _exact_count(P, m, strict) == \
+                    len(lattice_points(P, m, strict=strict)), (P, m, strict)
+
+
+def test_count_at_huge_dilation_matches_quasi_polynomial():
+    P = from_vertices([(F(-1, 2), F(-2, 3)), (F(3, 4), F(-1, 3)), (F(1, 5), 1),
+                       (F(-3, 4), F(1, 2))])
+    m = 10**6
+    assert count_points(P, m, budget=10**13) == evaluate_qp(fit_qp(P), m)
+
+
+coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=7),
+       st.integers(1, 6), st.booleans())
+def test_count_matches_brute_force_on_random_polygons(points, m, strict):
+    try:
+        P = from_vertices(points)
+    except DimensionDeficient:  # collinear points
+        assume(False)
+    assert _exact_count(P, m, strict) == brute_force_count(P, m, strict)
 
 
 # ---------------------------------------------------------- interior shift
@@ -189,28 +284,9 @@ def test_interior_shift_on_lattice_dual_fixtures(fixtures):
 
 # ---------------------------------------------------------------- heights
 
-def test_height_profile_examples():
-    assert height_profile((1, 1), [(0, 1), (0, 1)]) == [0, 1, 1, 2]
-    assert height_profile((1, 0), [(-1, 1), (-1, 1)]) == \
-        [-1, -1, -1, 0, 0, 0, 1, 1, 1]
-    with pytest.raises(NonIntegerNormal):
-        height_profile((F(1, 2), F(0)), [(0, 1), (0, 1)])
-
-
-def test_height_profile_accepts_halfspace(fixtures):
-    sq = fixtures["square2"]
-    heights = height_profile(sq.facets[0], [(-1, 1), (-1, 1)])
-    assert len(heights) == 9
-    assert all(isinstance(h, int) for h in heights)
-
-
 def test_integer_heights_for_lattice_dual(fixtures):
     # With a lattice dual every facet in bound-1 form has an integral
     # normal, so lattice points sit at integer heights.
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "cube3"):
-        P = fixtures[name]
-        for h in P.facets:
-            unit = h.unit_bound()
-            assert unit.has_integer_normal()
-            box = [(-2, 2)] * P.ambient_dim
-            assert all(isinstance(x, int) for x in height_profile(unit, box))
+        for h in fixtures[name].facets:
+            assert h.unit_bound().has_integer_normal()

@@ -26,6 +26,7 @@ from ehrhart import (
     render_text,
     report_to_json_dict,
 )
+from ehrhart import verify
 
 
 def segment(a, b):
@@ -188,6 +189,17 @@ def test_full_report_sixth_segment_all_pass():
     report = full_report(catalog()["seg_mhalf_third"], "seg_mhalf_third")
     assert report.k == 6
     assert all(c.passed for c in report.checks)
+
+
+def test_full_report_checks_interior_shift_from_counts(monkeypatch):
+    # (m-1)P lies inside the interior of mP, so equal counts already mean
+    # equal point sets: points are listed only to name a witness.
+    def list_points(P, m, budget):
+        raise AssertionError(f"listed points at m={m} without a count mismatch")
+
+    monkeypatch.setattr(verify, "interior_shift_mismatch", list_points)
+    for name in ("square2", "halfdiamond2", "seg_mhalf_third", "octa3"):
+        assert full_report(catalog()[name], name).check("interior_shift").passed
 
 
 def test_report_fatal_flag_and_rendering():
