@@ -44,7 +44,6 @@ from .geometry import (
     denominator,
     dilate,
     dual,
-    facet_enumeration,
     from_vertices,
     is_lattice,
     origin_interior,

@@ -56,8 +56,16 @@ def _scaled_facets(P: Polytope) -> tuple[_ScaledFacet, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=_POLYTOPE_CACHE_SIZE)
+def _ranges(P: Polytope) -> tuple[tuple[int, int, int, int], ...]:
+    """Per-axis vertex (min, max) as (num, den, num, den) integer pairs."""
+    return tuple((lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                 for lo, hi in vertex_ranges(P))
+
+
 def _box_of(P: Polytope, m: int) -> list[tuple[int, int]]:
-    return [(math.ceil(m * lo), math.floor(m * hi)) for lo, hi in vertex_ranges(P)]
+    """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis."""
+    return [(-(-m * a // b), m * c // d) for a, b, c, d in _ranges(P)]
 
 
 def _box_cells(box: Box) -> int:
@@ -300,3 +308,4 @@ def clear_count_cache() -> None:
     """Drop memoised counts (used by timing-sensitive test code)."""
     _counts_of.cache_clear()
     _scaled_facets.cache_clear()
+    _ranges.cache_clear()

@@ -5,11 +5,17 @@ derived, canonically ordered facet list (H-representation).  All coordinates
 are ``fractions.Fraction``, so every operation here is exact; there is no
 floating point anywhere in this package.
 
-The hull of input points scans the hyperplanes through affinely independent
-n-subsets of the vertices, O(C(V, n)) tests: fine at desk scale (tens of
-vertices, dimension <= 4) and guarded by an ambient-dimension cap with an
-explicit override.  The polar dual swaps vertices and facets, so :func:`dual`
-reads both off the input with no scan.
+The hull of input points is one facet scan in integer arithmetic: the points
+are scaled by the lcm of their denominators, and every hyperplane through n
+of them is tested for whether it supports all the others.  The supporting
+ones are the facets, and the vertices are the points on n facets of
+independent normals, so no linear program is solved.  A pre-filter first
+takes the hull of the per-axis extreme points and drops every point inside
+it (Akl-Toussaint), so the scan costs about C(N', n) * N' integer tests for
+the N' points that survive.  That is fine at desk scale (tens of vertices,
+dimension <= 4), which an ambient-dimension cap with an explicit override
+guards.  The polar dual swaps vertices and facets, so :func:`dual` reads
+both off the input with no scan.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     AmbientDimensionCap,
@@ -28,7 +35,7 @@ from .errors import (
     OriginNotInterior,
     ZeroDilation,
 )
-from .linalg import affine_rank, hyperplane_through, in_convex_hull
+from .linalg import affine_rank, det, rank
 
 #: Exact rational scalar: arbitrary precision, always in lowest terms with a
 #: positive denominator.  The standard library type satisfies all of that.
@@ -80,15 +87,6 @@ class HalfSpace:
         factor = Fraction(scale, g)
         return HalfSpace(tuple(Fraction(i // g) for i in ints), self.bound * factor)
 
-    def unit_bound(self) -> "HalfSpace":
-        """Equivalent half-space scaled to bound 1 (needs a positive bound)."""
-        if self.bound <= 0:
-            raise ValueError("unit-bound form needs a strictly positive bound")
-        return HalfSpace(tuple(c / self.bound for c in self.normal), Fraction(1))
-
-    def has_integer_normal(self) -> bool:
-        return all(c.denominator == 1 for c in self.normal)
-
 
 @dataclass(frozen=True)
 class Polytope:
@@ -123,10 +121,17 @@ def from_vertices(points: Iterable[Iterable[Coordinate]],
                   max_dim: int | None = None) -> Polytope:
     """Convex hull of the given rational points as a Polytope.
 
-    Interior and otherwise redundant points are dropped: a point is kept
-    exactly when it is not a convex combination of the others, decided by
-    exact linear-programming feasibility.  Raises ``DimensionDeficient``
-    when the affine hull of the input is not the whole ambient space.
+    Duplicate, interior and otherwise redundant points are dropped.  The
+    points are scaled to integers by the lcm L of their denominators, which
+    keeps their order, and every hyperplane through n of them with all the
+    others on one side becomes a facet <a, x> <= b / L with a primitive
+    integer normal a.  A point is a vertex when the normals of the facets
+    through it have rank n.  No linear program is solved.  Before that
+    scan, the points in the hull of the per-axis extreme points are
+    dropped (Akl-Toussaint pre-filter), so it costs about C(N', n) * N'
+    integer tests for the N' points that survive.  Raises
+    ``DimensionDeficient`` when the affine hull of the input is not the
+    whole ambient space.
     """
     raw = [point(p) for p in points]
     if not raw:
@@ -142,48 +147,104 @@ def from_vertices(points: Iterable[Iterable[Coordinate]],
         raise AmbientDimensionCap(
             f"dimension {n} exceeds cap {cap}; pass max_dim to override")
     unique = sorted(set(raw))
-    if affine_rank(unique) < n:
+    scale = math.lcm(*(c.denominator for p in unique for c in p))
+    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in unique]
+    kept, planes = _hull_planes(ints, n)
+    if planes is None:
         raise DimensionDeficient(
             f"points span an affine subspace of dimension {affine_rank(unique)} < {n}")
-    extreme = [p for p in unique
-               if not in_convex_hull(p, [q for q in unique if q != p])]
-    vertices = tuple(sorted(extreme))
-    facets = _facets_of(vertices, n)
-    return Polytope(n, vertices, facets)
+    tight: list[list[tuple[int, ...]]] = [[] for _ in kept]
+    for a, _, on in planes:
+        for i in on:
+            tight[i].append(a)
+    vertices = sorted(unique[k] for k, normals in zip(kept, tight) if rank(normals) == n)
+    facets = sorted(HalfSpace(tuple(map(Fraction, a)), Fraction(b, scale))
+                    for a, b, _ in planes)
+    return Polytope(n, tuple(vertices), tuple(facets))
 
 
-def _facets_of(vertices: Sequence[RationalPoint], n: int) -> tuple[HalfSpace, ...]:
-    """All facet half-spaces of the hull of ``vertices``.
+# A facet of the hull of integer points: (a, b, tight) with <a, p> <= b for
+# every point p, equality exactly at the indices in tight, and a primitive.
+_Plane = tuple[tuple[int, ...], int, list[int]]
 
-    Every facet of a full-dimensional polytope contains n affinely
-    independent vertices, so scanning the hyperplanes spanned by n-subsets
-    and keeping the supporting ones finds the complete list.
+
+def _hull_planes(points: Sequence[tuple[int, ...]],
+                 n: int) -> tuple[list[int], Optional[list[_Plane]]]:
+    """The indices of the points that may be vertices, and the facets of
+    the hull of those points (None when they do not span R^n).
+
+    The per-axis minimum and maximum points are kept, and so is every point
+    strictly beyond a facet of their hull.  The others lie in that hull, so
+    each is a convex combination of other points and never a vertex, and
+    since facets are spanned by vertices none is lost.  When the extreme
+    points do not span R^n, every point is kept.  The extreme points come
+    first: they are spread out, so a plane that is no facet soon meets
+    points on both of its sides.
     """
-    found: set[HalfSpace] = set()
-    for subset in combinations(vertices, n):
-        plane = hyperplane_through(list(subset))
-        if plane is None:
+    everything = range(len(points))
+    extremes = sorted({pick(everything, key=lambda i: points[i][k])
+                       for k in range(n) for pick in (min, max)})
+    chosen = set(extremes)
+    rest = [i for i in everything if i not in chosen]
+    planes = _supporting_planes([points[i] for i in extremes], n)
+    if planes is not None:
+        rest = [i for i in rest
+                if any(sum(map(mul, a, points[i])) > b for a, b, _ in planes)]
+        if not rest:
+            return extremes, planes
+    kept = extremes + rest
+    return kept, _supporting_planes([points[i] for i in kept], n)
+
+
+def _supporting_planes(points: Sequence[tuple[int, ...]],
+                       n: int) -> Optional[list[_Plane]]:
+    """The facets of the hull of integer points, by one scan of the
+    hyperplanes through n of them, or None when the points do not span R^n.
+
+    Every facet of a full-dimensional polytope holds n affinely independent
+    points, so the scan finds each one.  Points that do not span R^n give
+    no hyperplane at all, or one that holds every point.
+    """
+    zero = (0,) * n
+    seen = set()
+    planes = []
+    for subset in combinations(points, n):
+        base = subset[0]
+        diffs = [[c - o for c, o in zip(p, base)] for p in subset[1:]]
+        # The signed (n-1)-minors are orthogonal to every difference.
+        normal = [(-1) ** j * det([row[:j] + row[j + 1:] for row in diffs])
+                  for j in range(n)]
+        g = math.gcd(*normal)
+        if g == 0:
             continue
-        normal, b = plane
-        side_le = side_ge = True
-        for v in vertices:
-            value = sum(u * c for u, c in zip(normal, v))
-            if value > b:
-                side_le = False
+        a = tuple(c // g for c in normal)
+        if a < zero:  # test each plane in one orientation only
+            a = tuple(-c for c in a)
+        b = sum(map(mul, a, base))
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        above = below = False
+        tight = []
+        for i, p in enumerate(points):
+            value = sum(map(mul, a, p))
+            if value == b:
+                tight.append(i)
             elif value < b:
-                side_ge = False
-            if not side_le and not side_ge:
-                break
-        if side_le:
-            found.add(HalfSpace(normal, b).primitive())
-        elif side_ge:
-            found.add(HalfSpace(tuple(-u for u in normal), -b).primitive())
-    return tuple(sorted(found))
-
-
-def facet_enumeration(P: Polytope) -> list[HalfSpace]:
-    """The complete, duplicate-free facet list of ``P`` (canonical order)."""
-    return list(P.facets)
+                below = True
+                if above:
+                    break
+            else:
+                above = True
+                if below:
+                    break
+        else:
+            if above:
+                a, b = tuple(-c for c in a), -b
+            elif not below:
+                return None
+            planes.append((a, b, tight))
+    return planes or None
 
 
 def contains(P: Polytope, x: Iterable[Coordinate], strict: bool = False) -> bool:

@@ -1,20 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Everything here works on tuples of ``fractions.Fraction`` and is meant for
-desk-scale problems (a handful of dimensions, tens of points).  No floating
-point is used anywhere.
+Everything here works on rows of ``int`` or ``fractions.Fraction`` and is
+meant for desk-scale problems (a handful of dimensions, tens of points).
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
+Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given as a sequence of rows, by Gaussian elimination."""
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank of a matrix given as a sequence of rows.
+
+    Gaussian elimination without division: a row is cleared by
+    ``pivot * row - entry * pivot_row``, which keeps integer rows integral.
+    """
     mat = [list(row) for row in rows]
     if not mat:
         return 0
@@ -25,11 +30,11 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col] / inv
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r][col]
+        for i in range(r + 1, len(mat)):
+            entry = mat[i][col]
+            if entry != 0:
+                mat[i] = [top * a - entry * b for a, b in zip(mat[i], mat[r])]
         r += 1
         if r == len(mat):
             break
@@ -45,129 +50,18 @@ def affine_rank(points: Sequence[Vector]) -> int:
     return rank(diffs)
 
 
-def hyperplane_through(points: Sequence[Vector]) -> Optional[tuple[Vector, Fraction]]:
-    """Normal and offset of the unique hyperplane through ``n`` points in R^n.
-
-    Returns ``(u, b)`` with ``<u, p> = b`` for every input point, or ``None``
-    when the points are affinely dependent (no unique hyperplane).
-    """
-    n = len(points[0])
-    if len(points) != n:
-        raise ValueError("need exactly n points in dimension n")
-    base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    normal = _nullspace_vector(diffs, n)
-    if normal is None:
-        return None
-    b = sum(u * x for u, x in zip(normal, base))
-    return normal, b
-
-
-def _nullspace_vector(rows: list[list[Fraction]], n: int) -> Optional[Vector]:
-    """A nonzero solution of ``rows @ x = 0`` when the nullspace is a line.
-
-    ``rows`` has ``n - 1`` rows of length ``n``; returns ``None`` if the rows
-    do not have full rank (nullspace dimension > 1).
-    """
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [a / inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    if r != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    sol = [Fraction(0)] * n
-    sol[free] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        sol[col] = -mat[row_idx][free]
-    return tuple(sol)
-
-
-def in_convex_hull(target: Vector, points: Sequence[Vector]) -> bool:
-    """Exact feasibility of expressing ``target`` as a convex combination.
-
-    Decides whether there exist lambda_j >= 0 with sum lambda_j = 1 and
-    sum lambda_j p_j = target, via a phase-one simplex with Bland's rule
-    (no cycling, hence guaranteed termination).
-    """
-    if not points:
-        return False
-    n = len(target)
-    m = len(points)
-    # Equality system A lambda = b: one row per coordinate plus the
-    # convexity row; made nonnegative on the right-hand side.
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        rows.append([Fraction(p[i]) for p in points])
-        rhs.append(Fraction(target[i]))
-    rows.append([Fraction(1)] * m)
-    rhs.append(Fraction(1))
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-    return _phase_one_feasible(rows, rhs)
-
-
-def _phase_one_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Phase-one simplex: is ``rows @ x = rhs, x >= 0`` feasible?
-
-    Minimises the sum of one artificial variable per row; feasible iff the
-    optimum is zero.  ``rhs`` must be nonnegative.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0])
-    # Tableau columns: original variables, then artificials, then rhs.
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(nrows)] + [rhs[i]]
-           for i in range(nrows)]
-    basis = [ncols + i for i in range(nrows)]
-    # Reduced-cost row for minimising the artificial sum.
-    obj = [Fraction(0)] * (ncols + nrows + 1)
-    for i in range(nrows):
-        for j in range(ncols + nrows + 1):
-            obj[j] -= tab[i][j]
-    for i in range(nrows):
-        obj[ncols + i] += Fraction(1)
-
-    total = ncols + nrows
-    while True:
-        entering = next((j for j in range(total) if obj[j] < 0), None)
-        if entering is None:
-            break
-        # Ratio test with Bland's tie-break on the basic variable index.
-        leaving = None
-        best: Optional[Fraction] = None
-        for i in range(nrows):
-            coef = tab[i][entering]
-            if coef > 0:
-                ratio = tab[i][total] / coef
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            # Unbounded phase-one objective cannot happen; defensive only.
-            raise ArithmeticError("phase-one simplex became unbounded")
-        pivot = tab[leaving][entering]
-        tab[leaving] = [a / pivot for a in tab[leaving]]
-        for i in range(nrows):
-            if i != leaving and tab[i][entering] != 0:
-                factor = tab[i][entering]
-                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[leaving])]
-        factor = obj[entering]
-        obj = [a - factor * b for a, b in zip(obj, tab[leaving])]
-        basis[leaving] = entering
-    return -obj[total] == 0
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row (the empty matrix has determinant 1)."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    first, rest = rows[0], rows[1:]
+    total = 0
+    for j, c in enumerate(first):
+        if c:
+            minor = det([row[:j] + row[j + 1:] for row in rest])
+            total += -c * minor if j % 2 else c * minor
+    return total

@@ -155,6 +155,21 @@ def test_budget_guard():
     assert count_points(sq, 10, budget=441) == 441
 
 
+def test_budget_is_the_box_of_the_rational_vertex_ranges(fixtures, control_pool):
+    # The budget admits exactly the dilations whose box, from ceil(m*min)
+    # to floor(m*max) per axis, fits; also on a memo hit.
+    from ehrhart.geometry import vertex_ranges
+
+    for P in [*fixtures.values(), *control_pool[::5]]:
+        for m in range(1, 5):
+            cells = math.prod(max(0, math.floor(m * hi) - math.ceil(m * lo) + 1)
+                              for lo, hi in vertex_ranges(P))
+            count = count_points(P, m, budget=cells)
+            assert count_points(P, m, budget=cells) == count
+            with pytest.raises(BudgetExceeded):
+                count_points(P, m, budget=cells - 1)
+
+
 # ------------------------------------------------- floor sums and sections
 
 def brute_floor_sum(n, m, a, b):
@@ -289,4 +304,4 @@ def test_integer_heights_for_lattice_dual(fixtures):
     # normal, so lattice points sit at integer heights.
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "cube3"):
         for h in fixtures[name].facets:
-            assert h.unit_bound().has_integer_normal()
+            assert all((c / h.bound).denominator == 1 for c in h.normal)

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehrhart import (
     AmbientDimensionCap,
@@ -11,13 +12,13 @@ from ehrhart import (
     GeneratorConfig,
     HalfSpace,
     OriginNotInterior,
+    SplitMix64,
     ZeroDilation,
     catalog,
     contains,
     denominator,
     dilate,
     dual,
-    facet_enumeration,
     from_vertices,
     gen_lattice_with_interior_origin,
     gen_rational_control,
@@ -27,7 +28,7 @@ from ehrhart import (
 )
 from ehrhart.geometry import vertex_ranges
 from conftest import THEOREM_POOL_SPEC
-from ehrhart.linalg import in_convex_hull
+from hull_oracle import in_convex_hull, oracle_hull
 
 
 def segment(a, b):
@@ -208,8 +209,8 @@ def test_dual_involution_generated():
 
 def hull_dual(P):
     """Oracle: the polar dual as the full hull of the facet points a / b."""
-    return from_vertices([tuple(u / h.bound for u in h.normal) for h in P.facets],
-                         max_dim=P.ambient_dim)
+    return oracle_hull([tuple(u / h.bound for u in h.normal) for h in P.facets],
+                       max_dim=P.ambient_dim)
 
 
 def assert_dual_matches_hull(polytopes):
@@ -237,13 +238,12 @@ def test_dual_matches_hull_oracle_4d():
 
 
 def test_extreme_points_match_qhull():
-    # Cross-check the exact LP extremeness test against an entirely
-    # independent floating-point hull; reliable on small integer inputs.
+    # Cross-check the exact vertex test against an entirely independent
+    # floating-point hull; reliable on small integer inputs.
     spatial = pytest.importorskip("scipy.spatial")
-    from ehrhart import SplitMix64
 
     rng = SplitMix64(2024)
-    for dim in (2, 3):
+    for dim in (2, 3, 4):
         trials = 0
         while trials < 10:
             pts = [tuple(rng.integer(-3, 3) for _ in range(dim))
@@ -258,9 +258,74 @@ def test_extreme_points_match_qhull():
             assert set(P.vertices) == expected
 
 
+# ------------------------------------------ from_vertices against the oracle
+
+def hull_outcome(build, points, **kwargs):
+    """(vertices, facets) of the hull, or the type of the error it raised."""
+    try:
+        P = build(points, **kwargs)
+    except Exception as exc:  # the oracle must raise the same type
+        return type(exc)
+    return P.vertices, P.facets
+
+
+def assert_matches_oracle(points, **kwargs):
+    expected = hull_outcome(oracle_hull, points, **kwargs)
+    assert hull_outcome(from_vertices, points, **kwargs) == expected, points
+
+
+def random_cloud(rng, dim):
+    """Rational points with an edge midpoint, an interior point and a
+    duplicate; about one cloud in six is flat in its last axis."""
+    pts = [tuple(F(rng.integer(-3, 3), rng.integer(1, 3)) for _ in range(dim))
+           for _ in range(rng.integer(1, dim + 6))]
+    pts.append(tuple((x + y) / 2 for x, y in zip(pts[0], pts[-1])))
+    pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    pts.append(pts[rng.integer(0, len(pts) - 1)])
+    if rng.integer(0, 5) == 0:
+        pts = [p[:-1] + (F(1, 2),) for p in pts]
+    return pts
+
+
+def test_from_vertices_matches_oracle_on_random_clouds():
+    rng = SplitMix64(4040)
+    for dim in (1, 2, 3, 4):
+        for _ in range(40):
+            assert_matches_oracle(random_cloud(rng, dim))
+
+
+def test_from_vertices_matches_oracle_on_dense_cloud():
+    rng = SplitMix64(4041)
+    assert_matches_oracle([tuple(rng.integer(-6, 6) for _ in range(3))
+                           for _ in range(40)])
+
+
+def test_from_vertices_matches_oracle_on_hand_cases():
+    # The per-axis extreme points are only (0, 0) and (2, 2), or the 3D
+    # analogue, so the pre-filter has no hull to filter by.
+    for points in ([(0, 0), (2, 2), (1, 0)],
+                   [(0, 0, 0), (2, 2, 2), (1, 0, 0), (0, 1, 0)]):
+        assert_matches_oracle(points)
+        assert len(from_vertices(points).vertices) == len(points)
+    assert_matches_oracle([(3,)])
+    simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    assert_matches_oracle(simplex5 + [(-1,) * 5], max_dim=5)
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda dim: st.lists(st.tuples(*[small] * dim), min_size=1, max_size=8)))
+def test_from_vertices_matches_oracle_hypothesis(points):
+    assert_matches_oracle(points)
+
+
 def test_dual_lattice_iff_unit_bound_normals_integral(fixtures):
     for P in fixtures.values():
-        integral = all(h.unit_bound().has_integer_normal() for h in P.facets)
+        integral = all((c / h.bound).denominator == 1
+                       for h in P.facets for c in h.normal)
         assert integral == is_lattice(dual(P))
 
 

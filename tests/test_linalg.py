@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from ehrhart.linalg import affine_rank, hyperplane_through, in_convex_hull, rank
+from ehrhart.linalg import affine_rank, det, rank
+from hull_oracle import hyperplane_through, in_convex_hull
 
 
 def pt(*coords):
@@ -15,6 +16,17 @@ def test_rank_basics():
     assert rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert rank([[F(1, 3), F(1)], [F(1), F(3)], [F(2), F(7)]]) == 2
+    assert rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+    assert rank([[3, 1, 0], [0, 2, 7], [5, 0, 1]]) == 3
+
+
+def test_det_basics():
+    assert det([]) == 1
+    assert det([[-4]]) == -4
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[2, 0, 1], [1, 3, 2], [1, 1, 2]]) == 6
+    assert det([[0, 1, 2, 0], [3, 0, 0, 1], [1, 1, 0, 2], [0, 2, 1, 1]]) == -9
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
 
 def test_affine_rank():
@@ -22,6 +34,8 @@ def test_affine_rank():
     assert affine_rank([pt(0, 0), pt(1, 0), pt(2, 0)]) == 1
     assert affine_rank([pt(0, 0), pt(1, 0), pt(0, 1)]) == 2
 
+
+# The rest tests the helpers of the hull oracle in tests/hull_oracle.py.
 
 def test_hyperplane_through_segment_endpoint():
     normal, b = hyperplane_through([pt(F(1, 2))])
