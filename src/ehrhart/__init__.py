@@ -45,6 +45,7 @@ from .geometry import (
     dilate,
     dual,
     from_vertices,
+    has_lattice_dual,
     is_lattice,
     origin_interior,
     point,

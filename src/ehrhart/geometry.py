@@ -111,6 +111,11 @@ class Polytope:
             if len(v) != self.ambient_dim:
                 raise DimensionMismatch(
                     f"vertex {v} does not live in dimension {self.ambient_dim}")
+        # Immutable, so hashed once, on the key of __eq__.
+        object.__setattr__(self, "_hash", hash((self.ambient_dim, self.vertices)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -302,11 +307,22 @@ def dual(P: Polytope) -> Polytope:
     facet list.  Requires the origin strictly inside ``P`` (otherwise the
     polar is unbounded).
     """
-    if not origin_interior(P):
-        raise OriginNotInterior("polar dual needs the origin strictly inside")
-    vertices = sorted(tuple(u / h.bound for u in h.normal) for h in P.facets)
+    vertices = sorted(_polar_vertices(P))
     facets = sorted(HalfSpace(v, Fraction(1)).primitive() for v in P.vertices)
     return Polytope(P.ambient_dim, tuple(vertices), tuple(facets))
+
+
+def has_lattice_dual(P: Polytope) -> bool:
+    """Whether the polar dual of ``P`` is a lattice polytope, read off the
+    facets of ``P``; raises ``OriginNotInterior`` where :func:`dual` does."""
+    return all(c.denominator == 1 for v in _polar_vertices(P) for c in v)
+
+
+def _polar_vertices(P: Polytope) -> list[RationalPoint]:
+    """The vertex a / b of the polar dual for each facet <a, x> <= b."""
+    if not origin_interior(P):
+        raise OriginNotInterior("polar dual needs the origin strictly inside")
+    return [tuple(u / h.bound for u in h.normal) for h in P.facets]
 
 
 def vertex_ranges(P: Polytope) -> list[tuple[Fraction, Fraction]]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .counting import DEFAULT_BUDGET, count_points, interior_shift_mismatch
 from .errors import InternalInconsistency
-from .geometry import Polytope, denominator, dual, is_lattice
+from .geometry import Polytope, denominator, dual, has_lattice_dual
 from .quasipoly import (
     DeltaVector,
     EhrhartQP,
@@ -131,7 +131,7 @@ def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
     The forward direction is exact; a lattice dual with a non-palindromic
     delta-vector can never occur, so that outcome is flagged fatal.
     """
-    dual_lattice = is_lattice(dual(P))
+    dual_lattice = has_lattice_dual(P)
     if delta is None:
         delta = delta_vector_series(P, budget=budget)
     palindromic = check_palindrome(delta).passed
@@ -185,7 +185,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     if d != d_series:
         raise InternalInconsistency(
             f"fit gives {d.entries}, series gives {d_series.entries}")
-    dual_lattice = is_lattice(dual(P))
+    dual_lattice = has_lattice_dual(P)
 
     checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget)]
     if dual_lattice:

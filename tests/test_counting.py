@@ -11,6 +11,7 @@ from ehrhart import (
     GeneratorConfig,
     catalog,
     count_points,
+    dumps_polytope,
     evaluate_qp,
     fit_qp,
     from_vertices,
@@ -18,15 +19,30 @@ from ehrhart import (
     instances,
     interior_shift_check,
     lattice_points,
+    loads_polytope,
 )
 from ehrhart import counting
 from ehrhart.counting import (
     _exact_count,
     _floor_sum,
+    _kernel,
     _section_count,
+    _section_plan,
     clear_count_cache,
     interior_shift_mismatch,
 )
+
+
+def exact_count(P, m, strict):
+    """The uncached count behind count_points."""
+    return _exact_count(_kernel(P), m, strict)
+
+
+def section_count(lines, y0, y1):
+    """Lattice points (y, z) with y0 <= y <= y1 and A*y + B*z <= C for
+    every line (A, B, C)."""
+    return _section_count(_section_plan([(A, B) for A, B, _ in lines]),
+                          [C for _, _, C in lines], y0, y1)
 
 
 def segment(a, b):
@@ -123,22 +139,28 @@ def test_monotonicity(fixtures):
             assert count_points(P, m, strict=True) <= closed[m]
 
 
-def test_count_cache_holds_one_report_whatever_its_period(monkeypatch):
+@pytest.fixture
+def walks(monkeypatch):
+    """The (m, strict) of every uncached count, from an empty memo on."""
+    calls = []
+    exact_count = counting._exact_count
+
+    def counted_exact_count(K, m, strict):  # K is the polytope's count kernel
+        calls.append((m, strict))
+        return exact_count(K, m, strict)
+
+    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
+    clear_count_cache()
+    return calls
+
+
+def test_count_cache_holds_one_report_whatever_its_period(walks):
     # [-2/25, 1/24] has n = 1 and k = 600, and its dual is not lattice, so
     # every walk comes from a count.  A report requests the k(n+1) closed
     # counts of the fit and the series plus m_max = 6 strict ones, more
     # than any fixed per-count memo of 1024 entries would hold, and must
     # compute each of them exactly once.
     P = segment(F(-2, 25), F(1, 24))
-    walks = []
-    exact_count = counting._exact_count
-
-    def counted_exact_count(P, m, strict):
-        walks.append((m, strict))
-        return exact_count(P, m, strict)
-
-    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
-    clear_count_cache()
     full_report(P, m_max=6)
     assert len(walks) == len(set(walks)) == 600 * 2 + 6
     full_report(P, m_max=6)
@@ -200,8 +222,33 @@ def test_count_matches_listed_points(theorem_pool, control_pool):
     for P in polytopes:
         for m in range(9):
             for strict in (False, True):
-                assert _exact_count(P, m, strict) == \
+                assert exact_count(P, m, strict) == \
                     len(lattice_points(P, m, strict=strict)), (P, m, strict)
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]),
+       st.sampled_from(["lattice", "dual-of-lattice", "rational"]))
+def test_count_matches_listed_points_generated(seed, dim, kind):
+    # The section count against the listing walk, which the count kernel
+    # does not use, on seeded 3D and 4D polytopes of every kind.
+    P, = instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)
+    for m in range(7):
+        for strict in (False, True):
+            assert count_points(P, m, strict=strict) == \
+                len(lattice_points(P, m, strict=strict)), (P, m, strict)
+
+
+def test_equal_polytopes_share_one_kernel(walks):
+    # A JSON round trip builds an equal polytope anew: it hashes equal, so
+    # its counts come from the same memo entry.
+    P = catalog()["halfdiamond2"]
+    Q = loads_polytope(dumps_polytope(P))
+    assert Q is not P and Q == P and hash(Q) == hash(P)
+    assert count_points(P, 5) == count_points(Q, 5)
+    assert walks == [(5, False)]
+    assert _kernel(Q) is _kernel(P)
+    assert _kernel.cache_info().currsize == 1
 
 
 def test_section_hand_cases():
@@ -211,23 +258,23 @@ def test_section_hand_cases():
     parallelogram = from_vertices([(-1, -2), (-1, 0), (1, 2), (1, 0)])
     for P in (catalog()["square2"], parallelogram):
         for m in range(12):
-            assert _exact_count(P, m, False) == (2 * m + 1) ** 2
-            assert _exact_count(P, m, True) == max(0, 2 * m - 1) ** 2
+            assert exact_count(P, m, False) == (2 * m + 1) ** 2
+            assert exact_count(P, m, True) == max(0, 2 * m - 1) ** 2
 
 
 def test_empty_sections():
     # Lines are (A, B, C) for A*y + B*z <= C.
-    assert _section_count([(0, 1, 0), (0, -1, -1)], -5, 5) == 0     # z <= 0, z >= 1
-    assert _section_count([(0, 0, -1), (0, 1, 3), (0, -1, 3)], -5, 5) == 0  # 0 <= -1
-    assert _section_count([(1, 0, -1), (0, 1, 3), (0, -1, 3)], 0, 5) == 0   # y <= -1
+    assert section_count([(0, 1, 0), (0, -1, -1)], -5, 5) == 0     # z <= 0, z >= 1
+    assert section_count([(0, 0, -1), (0, 1, 3), (0, -1, 3)], -5, 5) == 0  # 0 <= -1
+    assert section_count([(1, 0, -1), (0, 1, 3), (0, -1, 3)], 0, 5) == 0   # y <= -1
     # The real section 1/3 <= z <= 2/3 is non-empty but holds no lattice point.
-    assert _section_count([(0, 3, 2), (0, -3, -1)], -5, 5) == 0
+    assert section_count([(0, 3, 2), (0, -3, -1)], -5, 5) == 0
     # Upper and lower cross: only y <= 0 is feasible, z in [y, -y].
-    assert _section_count([(1, 1, 0), (1, -1, 0)], -3, 3) == 7 + 5 + 3 + 1
+    assert section_count([(1, 1, 0), (1, -1, 0)], -3, 3) == 7 + 5 + 3 + 1
     # A 4D cross-polytope at m = 2 has prefixes with |x0| + |x1| > 2.
     cross4 = from_vertices([tuple(s if i == j else 0 for i in range(4))
                             for j in range(4) for s in (-1, 1)])
-    assert _exact_count(cross4, 2, False) == len(lattice_points(cross4, 2)) == 41
+    assert exact_count(cross4, 2, False) == len(lattice_points(cross4, 2)) == 41
     # Small simplices off the origin: their first dilates have an empty
     # bounding box or sections without lattice points.
     third = F(1, 3)
@@ -236,7 +283,7 @@ def test_empty_sections():
               from_vertices([(third, 0, 0), (2 * third, 0, 0), (third, 1, 0), (third, 0, 1)])):
         for m in range(5):
             for strict in (False, True):
-                assert _exact_count(P, m, strict) == \
+                assert exact_count(P, m, strict) == \
                     len(lattice_points(P, m, strict=strict)), (P, m, strict)
 
 
@@ -258,7 +305,7 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
         P = from_vertices(points)
     except DimensionDeficient:  # collinear points
         assume(False)
-    assert _exact_count(P, m, strict) == brute_force_count(P, m, strict)
+    assert exact_count(P, m, strict) == brute_force_count(P, m, strict)
 
 
 # ---------------------------------------------------------- interior shift

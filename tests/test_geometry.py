@@ -22,6 +22,7 @@ from ehrhart import (
     from_vertices,
     gen_lattice_with_interior_origin,
     gen_rational_control,
+    has_lattice_dual,
     instances,
     is_lattice,
     origin_interior,
@@ -185,10 +186,12 @@ def test_dual_segment_direct_solve():
 
 
 def test_dual_requires_interior_origin():
-    with pytest.raises(OriginNotInterior):
-        dual(segment(1, 2))
-    with pytest.raises(OriginNotInterior):
-        dual(segment(0, 1))  # origin on the boundary
+    for P in (segment(1, 2), segment(0, 1),  # origin outside, on the boundary
+              from_vertices([(0, 0), (1, 0), (0, 1)])):
+        with pytest.raises(OriginNotInterior):
+            dual(P)
+        with pytest.raises(OriginNotInterior):
+            has_lattice_dual(P)
 
 
 def test_dual_involution(fixtures):
@@ -322,11 +325,17 @@ def test_from_vertices_matches_oracle_hypothesis(points):
     assert_matches_oracle(points)
 
 
-def test_dual_lattice_iff_unit_bound_normals_integral(fixtures):
-    for P in fixtures.values():
+def test_dual_lattice_iff_unit_bound_normals_integral(fixtures, theorem_pool,
+                                                     control_pool):
+    # The predicate reads the dual's latticeness off P's facets; building
+    # the dual is the oracle.
+    lattice_duals = set()
+    for P in [*fixtures.values(), *theorem_pool, *control_pool]:
         integral = all((c / h.bound).denominator == 1
                        for h in P.facets for c in h.normal)
-        assert integral == is_lattice(dual(P))
+        assert has_lattice_dual(P) == integral == is_lattice(dual(P)), P
+        lattice_duals.add(integral)
+    assert lattice_duals == {False, True}
 
 
 # ------------------------------------------------------- denominator, dilate
