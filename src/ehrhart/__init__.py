@@ -7,24 +7,18 @@ reciprocity, the interior-shift identity for polytopes with lattice duals,
 and palindromicity of the delta-vector in that case.
 """
 
-from .counting import (
-    count_points,
-    interior_shift_check,
-    lattice_points,
-)
+from .counting import count_points, interior_shift_mismatch
 from .errors import (
     AmbientDimensionCap,
     BudgetExceeded,
     DimensionDeficient,
     DimensionMismatch,
-    DualNotLattice,
     EhrhartError,
     EmptyInput,
     GenerationExhausted,
     InternalInconsistency,
     OriginNotInterior,
     ParseError,
-    ZeroDilation,
 )
 from .generators import (
     GeneratorConfig,
@@ -42,7 +36,6 @@ from .geometry import (
     RationalPoint,
     contains,
     denominator,
-    dilate,
     dual,
     from_vertices,
     has_lattice_dual,
@@ -55,12 +48,12 @@ from .quasipoly import (
     EhrhartQP,
     ResidueDeltaTable,
     binomial,
+    checked_delta,
     delta_vector,
     delta_vector_series,
     evaluate_qp,
     fit_qp,
     negative_binomial_reflect,
-    residue_monomial_coefficients,
 )
 from .serialization import (
     dumps_polytope,

@@ -18,16 +18,11 @@ from typing import Optional, Sequence
 from .counting import DEFAULT_BUDGET, count_points
 from .errors import EhrhartError, InternalInconsistency
 from .generators import GeneratorConfig, catalog, instances
-from .geometry import (
-    Polytope,
-    denominator,
-    dual,
-    is_lattice,
-    origin_interior,
-)
-from .quasipoly import delta_vector, delta_vector_series, fit_qp
+from .geometry import Polytope, denominator, dual, is_lattice, origin_interior
+from .quasipoly import checked_delta
 from .serialization import dumps_polytope, load_polytope
-from .verify import check_palindrome, full_report, render_text, report_to_json_dict
+from .verify import (check_palindrome, full_report, render_delta, render_text,
+                     report_to_json_dict)
 
 
 def _resolve_input(name: str) -> tuple[str, Polytope]:
@@ -61,17 +56,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "origin_interior": origin_interior(P),
         "facet_count": len(P.facets),
     }
-    text = "\n".join([
-        f"polytope: {name}",
-        f"dim: {P.ambient_dim}",
-        f"vertices: {len(P.vertices)}",
-        f"denominator: {denominator(P)}",
-        f"lattice: {'yes' if is_lattice(P) else 'no'}",
-        f"origin interior: {'yes' if origin_interior(P) else 'no'}",
-        f"facets: {len(P.facets)}",
-    ])
+    labels = ("polytope", "dim", "vertices", "denominator", "lattice",
+              "origin interior", "facets")
+    text = "\n".join(f"{label}: {_yes_no(value)}"
+                     for label, value in zip(labels, doc.values()))
     _emit(doc, text, args.format)
     return 0
+
+
+def _yes_no(value: object) -> object:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return value
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -87,30 +83,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     name, P = _resolve_input(args.input)
-    qp = fit_qp(P, budget=args.budget)
-    fitted = delta_vector(qp)
-    series = delta_vector_series(P, budget=args.budget)
-    if fitted != series:
-        raise InternalInconsistency(
-            f"fit gives {fitted.entries}, series gives {series.entries}")
-    palindromic = check_palindrome(fitted).passed
-    doc = {
-        "polytope": name,
-        "n": qp.n,
-        "k": str(qp.k),
-        "delta": [str(v) for v in fitted],
-        "residue_table": [[str(v) for v in row] for row in qp.table.delta],
-        "palindromic": palindromic,
-    }
-    lines = [
-        f"polytope: {name}",
-        f"n = {qp.n}, k = {qp.k}",
-        "delta-vector: (" + ", ".join(str(v) for v in fitted) + ")",
-        "residue table (row i, column r):",
-    ]
-    for i, row in enumerate(qp.table.delta):
-        lines.append(f"  i={i}: " + " ".join(str(v) for v in row))
-    lines.append(f"palindromic: {'yes' if palindromic else 'no'}")
+    qp, delta = checked_delta(P, budget=args.budget)
+    palindromic = check_palindrome(delta).passed
+    fields, lines = render_delta(delta, qp.table)
+    doc = {"polytope": name, "n": qp.n, "k": str(qp.k), **fields,
+           "palindromic": palindromic}
+    lines = [f"polytope: {name}", f"n = {qp.n}, k = {qp.k}", *lines,
+             f"palindromic: {_yes_no(palindromic)}"]
     _emit(doc, "\n".join(lines), args.format)
     return 0
 

@@ -20,10 +20,13 @@ their Fourier-Motzkin pairs) is derived once per polytope, in one kernel
 that also holds the polytope's counts; a bounded memo keeps the kernels
 of the last few polytopes, so each count costs one lookup.
 
-Listing the points themselves (:func:`lattice_points`) still walks the
-first n-1 axes and solves the final one per prefix.  Strict counts use
-q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact because both sides are
-integers.
+The interior shift is decided by counts too.  With the origin strictly
+inside P every facet bound is positive, so (m-1)P lies inside int(mP) and
+the two have the same lattice points exactly when they have as many.  Only
+on a count mismatch are points looked at, to name the least one of int(mP)
+outside (m-1)P: the same prefixes and sections, one column y at a time.
+Strict counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact because
+both sides are integers.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import math
 from functools import lru_cache
 from itertools import product
 from operator import mul, sub
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, DualNotLattice
-from .geometry import Polytope, has_lattice_dual, vertex_ranges
+from .errors import BudgetExceeded, OriginNotInterior
+from .geometry import Polytope, vertex_ranges
 
 #: Maximum number of bounding-box cells an enumeration may touch.
 DEFAULT_BUDGET = 10**8
@@ -45,7 +48,6 @@ DEFAULT_BUDGET = 10**8
 _POLYTOPE_CACHE_SIZE = 16
 
 IntPoint = tuple[int, ...]
-Box = Sequence[tuple[int, int]]
 
 
 # One scaled facet: (normal ints a, bound numerator p, bound denominator q),
@@ -96,48 +98,20 @@ def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
     return box
 
 
-def _last_axis_interval(facets: Sequence[_ScaledFacet], partials: Sequence[int],
-                        m: int, strict: bool, lo: int, hi: int) -> tuple[int, int]:
-    """Feasible integer range of the last coordinate given the first n-1.
+def _last_axis_interval(facets: Sequence[_ScaledFacet], m: int, strict: bool,
+                        lo: int, hi: int) -> tuple[int, int]:
+    """The integers of [lo, hi] in mP (strict: in its interior) for a
+    one-dimensional P, as (lo, hi), or (1, 0) when there are none.
 
-    ``partials[i]`` is the inner product of facet i's normal with the fixed
-    prefix.  Returns (lo, hi) with lo > hi when empty.
+    Facet (a, p, q) reads q*a*z <= m*p - strict, with a = 1 or a = -1.
     """
-    for (a, p, q), partial in zip(facets, partials):
-        rhs = m * p - q * partial
-        if strict:
-            rhs -= 1
-        an = a[-1]
-        if an == 0:
-            if rhs < 0:
-                return 1, 0
-        elif an > 0:
-            d = q * an
-            hi = min(hi, rhs // d)
+    for (a,), p, q in facets:
+        rhs = m * p - strict
+        if a > 0:
+            hi = min(hi, rhs // q)
         else:
-            d = -q * an
-            lo = max(lo, -(rhs // d))
-        if lo > hi:
-            return 1, 0
-    return lo, hi
-
-
-def _prefixes(facets: Sequence[_ScaledFacet], box: Box,
-              depth: int) -> Iterator[tuple[IntPoint, tuple[int, ...]]]:
-    """Yield (prefix, partials) for every integer point of the first
-    ``depth`` box axes, where ``partials[i]`` is facet i's normal dotted
-    with the prefix."""
-
-    def recurse(axis: int, prefix: tuple[int, ...], partials: tuple[int, ...]):
-        if axis == depth:
-            yield prefix, partials
-            return
-        lo, hi = box[axis]
-        for x in range(lo, hi + 1):
-            updated = tuple(pp + f[0][axis] * x for pp, f in zip(partials, facets))
-            yield from recurse(axis + 1, prefix + (x,), updated)
-
-    yield from recurse(0, (), tuple(0 for _ in facets))
+            lo = max(lo, -(rhs // q))
+    return (lo, hi) if lo <= hi else (1, 0)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -246,8 +220,10 @@ def _section_count(plan: tuple, C: Sequence[int], y0: int, y1: int) -> int:
 def _exact_count(K: _Kernel, m: int, strict: bool) -> int:
     """Lattice points of mP (strict: of its interior), uncached."""
     box = K.box(m)
+    if any(lo > hi for lo, hi in box):
+        return 0
     if K.n == 1:
-        lo, hi = _last_axis_interval(K.facets, (0,) * len(K.facets), m, strict, *box[0])
+        lo, hi = _last_axis_interval(K.facets, m, strict, *box[0])
         return hi - lo + 1  # (1, 0) when empty
     rhs = [m * p - int(strict) for _, p, _ in K.facets]
     y0, y1 = box[-2]
@@ -281,51 +257,63 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     return K.counts[m, strict]
 
 
-def lattice_points(P: Polytope, m: int, strict: bool = False,
-                   budget: int = DEFAULT_BUDGET) -> list[IntPoint]:
-    """The lattice points themselves, in lexicographic order."""
-    K = _kernel(P)
-    box = _check_budget(K, m, budget)
-    if any(lo > hi for lo, hi in box):
-        return []
-    pts = []
-    for prefix, partials in _prefixes(K.facets, box, K.n - 1):
-        lo, hi = _last_axis_interval(K.facets, partials, m, strict, *box[-1])
-        pts.extend(prefix + (z,) for z in range(lo, hi + 1))
-    return pts
-
-
 def interior_shift_mismatch(P: Polytope, m: int,
                             budget: int = DEFAULT_BUDGET) -> Optional[IntPoint]:
-    """First witness against (mP interior) and (m-1)P having equal point sets.
+    """The least lattice point in exactly one of int(mP) and (m-1)P, or
+    None when they have the same lattice points (for every m when the
+    polar dual of P is a lattice polytope).
 
-    Returns the lexicographically smallest lattice point lying in exactly
-    one of the two sets, or None when the sets coincide.  Makes no
-    assumption about the dual of P.
+    Requires the origin strictly inside P, so that every facet bound b is
+    positive and <a, x> <= (m-1)b < mb puts (m-1)P inside int(mP): the two
+    are equal exactly when their counts are, and differ in int(mP) only.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    inner = set(lattice_points(P, m, strict=True, budget=budget))
-    outer = set(lattice_points(P, m - 1, strict=False, budget=budget))
-    difference = inner.symmetric_difference(outer)
-    if not difference:
+    K = _kernel(P)
+    if not all(p > 0 for _, p, _ in K.facets):
+        raise OriginNotInterior("the interior shift needs the origin strictly inside")
+    if (count_points(P, m, strict=True, budget=budget)
+            == count_points(P, m - 1, budget=budget)):
         return None
-    return min(difference)
+    return _shift_witness(K, m)
 
 
-def interior_shift_check(P: Polytope, m: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether the interior lattice points of mP are exactly those of (m-1)P.
+def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
+    """The least lattice point of int(mP) outside (m-1)P, or None.
 
-    Requires the polar dual of P to be a lattice polytope, the hypothesis
-    under which the identity is guaranteed.  Then the origin is strictly
-    inside P, so every facet bound b is positive and <a, x> <= (m-1)b < mb
-    puts (m-1)P inside the interior of mP: the point sets are equal
-    exactly when their counts are, and the counts are what is compared.
+    Walks the count's prefixes in lexicographic order and, within a
+    prefix whose two section counts differ, its columns y = y0..y1.  Each
+    column of (m-1)P lies in that of int(mP), so the first column whose
+    counts differ holds the witness: the inner column's least point, or
+    the one just above the outer column when both start there.
     """
-    if not has_lattice_dual(P):
-        raise DualNotLattice("the polar dual of P is not a lattice polytope")
-    return (count_points(P, m, strict=True, budget=budget)
-            == count_points(P, m - 1, budget=budget))
+    box = K.box(m)
+    if any(lo > hi for lo, hi in box):
+        return None
+    if K.n == 1:
+        lo, hi = _last_axis_interval(K.facets, m, True, *box[0])
+        olo, ohi = _last_axis_interval(K.facets, m - 1, False, *box[0])
+        z = lo if olo > ohi or lo < olo else ohi + 1
+        return (z,) if z <= hi else None
+    def bottom(C: list[int], y: int) -> int:  # the least z of column y
+        return -_envelope_sum([(A, B, C[i]) for A, B, i in K.plan[1]], y, y)
+
+    bounds = [p for _, p, _ in K.facets]
+    y0, y1 = box[-2]
+    for prefix in product(*(range(a, b + 1) for a, b in box[:-2])):
+        dots = [sum(map(mul, w, prefix)) for w in K.weights]
+        inner = [m * p - 1 - d for p, d in zip(bounds, dots)]
+        outer = [(m - 1) * p - d for p, d in zip(bounds, dots)]
+        if _section_count(K.plan, inner, y0, y1) == _section_count(K.plan, outer, y0, y1):
+            continue
+        for y in range(y0, y1 + 1):
+            shared = _section_count(K.plan, outer, y, y)
+            if _section_count(K.plan, inner, y, y) != shared:
+                z = bottom(inner, y)
+                if shared and z == bottom(outer, y):
+                    z += shared
+                return (*prefix, y, z)
+    return None
 
 
 def clear_count_cache() -> None:

@@ -26,16 +26,8 @@ class OriginNotInterior(EhrhartError):
     """The origin is not strictly interior, so the polar dual is unbounded."""
 
 
-class ZeroDilation(EhrhartError):
-    """Dilation by zero does not yield a polytope."""
-
-
 class BudgetExceeded(EhrhartError):
     """The bounding box of the requested enumeration is too large."""
-
-
-class DualNotLattice(EhrhartError):
-    """The polar dual is not a lattice polytope, violating a precondition."""
 
 
 class GenerationExhausted(EhrhartError):

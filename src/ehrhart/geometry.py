@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     OriginNotInterior,
-    ZeroDilation,
 )
 from .linalg import affine_rank, det, rank
 
@@ -279,23 +278,6 @@ def denominator(P: Polytope) -> int:
     return math.lcm(*(c.denominator for v in P.vertices for c in v))
 
 
-def dilate(P: Polytope, m: int) -> Polytope:
-    """The dilation mP for a positive integer m.
-
-    Positive scaling preserves which points are vertices and scales each
-    facet bound, so no hull recomputation is needed.
-    """
-    if m == 0:
-        raise ZeroDilation("0P is a single point, not a polytope")
-    if m < 0:
-        raise ValueError("dilation factor must be a positive integer")
-    if m == 1:
-        return P
-    vertices = tuple(tuple(m * c for c in v) for v in P.vertices)
-    facets = tuple(HalfSpace(h.normal, m * h.bound) for h in P.facets)
-    return Polytope(P.ambient_dim, vertices, facets)
-
-
 def dual(P: Polytope) -> Polytope:
     """The polar dual {u : <u, v> <= 1 for all v in P}.
 
@@ -315,7 +297,13 @@ def dual(P: Polytope) -> Polytope:
 def has_lattice_dual(P: Polytope) -> bool:
     """Whether the polar dual of ``P`` is a lattice polytope, read off the
     facets of ``P``; raises ``OriginNotInterior`` where :func:`dual` does."""
-    return all(c.denominator == 1 for v in _polar_vertices(P) for c in v)
+    return dual_denominator(P) == 1
+
+
+def dual_denominator(P: Polytope) -> int:
+    """The denominator of the polar dual of ``P``, read off the facets of
+    ``P``; raises ``OriginNotInterior`` where :func:`dual` does."""
+    return math.lcm(*(c.denominator for v in _polar_vertices(P) for c in v))
 
 
 def _polar_vertices(P: Polytope) -> list[RationalPoint]:

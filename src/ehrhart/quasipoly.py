@@ -15,16 +15,17 @@ so the integrality of every entry is structural, not numerical.
 Two independent extraction routes are provided: forward substitution on the
 fitted counts (:func:`fit_qp` + :func:`delta_vector`) and the truncated
 series product of the counting series with (1 - t^k)^(n+1)
-(:func:`delta_vector_series`).  They must agree entry for entry.
+(:func:`delta_vector_series`).  They must agree entry for entry, which
+:func:`checked_delta` enforces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import DEFAULT_BUDGET, count_points
+from .errors import InternalInconsistency
 from .geometry import Polytope, denominator
 
 
@@ -182,27 +183,15 @@ def delta_vector_series(P: Polytope, budget: int = DEFAULT_BUDGET) -> DeltaVecto
     return DeltaVector(tuple(entries))
 
 
-def residue_monomial_coefficients(qp: EhrhartQP, r: int) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_n) of L_{P,r}(l) in the monomial basis.
-
-    Derived on demand from the binomial-basis table; the periodic
-    coefficients of the quasi-polynomial in m are these, reindexed by the
-    substitution l = (m - r)/k.
-    """
-    n = qp.n
-    coeffs = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        weight = qp.table.entry(i, r)
-        if weight == 0:
-            continue
-        # Expand C(l + n - i, n) = prod_{j=0}^{n-1} (l + n - i - j) / n!
-        poly = [Fraction(1)]
-        for j in range(n):
-            shift = n - i - j
-            poly = [Fraction(0)] + poly  # multiply by l
-            for d in range(len(poly) - 1):
-                poly[d] += shift * poly[d + 1]
-        fact = math.factorial(n)
-        for d in range(n + 1):
-            coeffs[d] += weight * poly[d] / fact
-    return tuple(coeffs)
+def checked_delta(P: Polytope,
+                  budget: int = DEFAULT_BUDGET) -> tuple[EhrhartQP, DeltaVector]:
+    """The fitted quasi-polynomial and its delta-vector, which the series
+    route must reproduce, or everything built on it is void: raises
+    ``InternalInconsistency`` when the two routes disagree."""
+    qp = fit_qp(P, budget=budget)
+    fitted = delta_vector(qp)
+    series = delta_vector_series(P, budget=budget)
+    if fitted != series:
+        raise InternalInconsistency(
+            f"fit gives {fitted.entries}, series gives {series.entries}")
+    return qp, fitted

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import DEFAULT_BUDGET, count_points, interior_shift_mismatch
-from .errors import InternalInconsistency
-from .geometry import Polytope, denominator, dual, has_lattice_dual
+from .geometry import Polytope, dual_denominator, has_lattice_dual
 from .quasipoly import (
     DeltaVector,
     EhrhartQP,
     ResidueDeltaTable,
-    delta_vector,
+    checked_delta,
     delta_vector_series,
     evaluate_qp,
     fit_qp,
@@ -132,8 +131,11 @@ def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
     delta-vector can never occur, so that outcome is flagged fatal.
     """
     dual_lattice = has_lattice_dual(P)
-    if delta is None:
-        delta = delta_vector_series(P, budget=budget)
+    return _characterization(dual_lattice, delta if delta is not None
+                             else delta_vector_series(P, budget=budget))
+
+
+def _characterization(dual_lattice: bool, delta: DeltaVector) -> CheckResult:
     palindromic = check_palindrome(delta).passed
     if dual_lattice == palindromic:
         return CheckResult("characterization", True)
@@ -158,10 +160,11 @@ def find_interior_shift_violation(
 
     For a polytope whose dual is not a lattice polytope a violation shows
     up by m <= denominator(dual) + n; returns (m, witness point), or None
-    if no violation exists up to the limit.
+    if no violation exists up to the limit.  Requires the origin strictly
+    inside P, as :func:`interior_shift_mismatch` does.
     """
     if m_limit is None:
-        m_limit = denominator(dual(P)) + P.ambient_dim
+        m_limit = dual_denominator(P) + P.ambient_dim
     for m in range(1, m_limit + 1):
         witness = interior_shift_mismatch(P, m, budget=budget)
         if witness is not None:
@@ -173,42 +176,23 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                 budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every check on one polytope and aggregate the outcomes.
 
-    The delta-vector is computed by both extraction routes first; their
-    disagreement would invalidate everything downstream and raises
-    ``InternalInconsistency`` instead of producing a report.
+    Raises ``InternalInconsistency`` instead of producing a report when the
+    two delta-vector routes disagree (:func:`checked_delta`).
     """
-    n = P.ambient_dim
-    k = denominator(P)
-    qp = fit_qp(P, budget=budget)
-    d = delta_vector(qp)
-    d_series = delta_vector_series(P, budget=budget)
-    if d != d_series:
-        raise InternalInconsistency(
-            f"fit gives {d.entries}, series gives {d_series.entries}")
+    qp, d = checked_delta(P, budget=budget)
     dual_lattice = has_lattice_dual(P)
 
     checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget)]
     if dual_lattice:
-        # The dual exists, so the origin is strictly inside P and every
-        # facet bound b is positive: <a, x> <= (m-1)b < mb puts (m-1)P
-        # inside the interior of mP.  The point sets are therefore equal
-        # exactly when the counts are, and reciprocity, the fit and the
-        # series have already asked for nearly all of these counts.  Points
-        # are listed only to name the witness of a mismatch.
-        shift = CheckResult("interior_shift", True)
-        for m in range(1, m_max + 1):
-            if (count_points(P, m, strict=True, budget=budget)
-                    != count_points(P, m - 1, budget=budget)):
-                witness = interior_shift_mismatch(P, m, budget=budget)
-                shift = CheckResult("interior_shift", False,
-                                    {"m": m, "point": witness})
-                break
-        checks.append(shift)
+        violation = find_interior_shift_violation(P, m_limit=m_max, budget=budget)
+        checks.append(CheckResult("interior_shift", True) if violation is None else
+                      CheckResult("interior_shift", False,
+                                  {"m": violation[0], "point": violation[1]}))
     checks.append(check_theorem(qp.table))
     checks.append(check_palindrome(d))
     checks.append(check_equivalence(qp.table, d))
     checks.append(check_non_negativity(d))
-    checks.append(check_characterization(P, delta=d, budget=budget))
+    checks.append(_characterization(dual_lattice, d))
 
     if dual_lattice:
         # A lattice dual guarantees both symmetries; failing either here
@@ -219,7 +203,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
             else c
             for c in checks
         ]
-    return VerificationReport(polytope_id, n, k, dual_lattice, d, qp.table,
+    return VerificationReport(polytope_id, qp.n, qp.k, dual_lattice, d, qp.table,
                               tuple(checks))
 
 
@@ -230,8 +214,7 @@ def report_to_json_dict(report: VerificationReport) -> dict:
         "n": report.n,
         "k": str(report.k),
         "dual_is_lattice": report.dual_is_lattice,
-        "delta": [str(v) for v in report.delta],
-        "residue_table": [[str(v) for v in row] for row in report.residue_table.delta],
+        **render_delta(report.delta, report.residue_table)[0],
         "fatal": report.fatal,
         "checks": [
             {
@@ -267,12 +250,9 @@ def render_text(report: VerificationReport) -> str:
         f"polytope: {report.polytope_id}",
         f"n = {report.n}, k = {report.k}",
         f"dual is lattice: {'yes' if report.dual_is_lattice else 'no'}",
-        "delta-vector: (" + ", ".join(str(v) for v in report.delta) + ")",
-        "residue table (row i, column r):",
+        *render_delta(report.delta, report.residue_table)[1],
+        "checks:",
     ]
-    for i, row in enumerate(report.residue_table.delta):
-        lines.append(f"  i={i}: " + " ".join(str(v) for v in row))
-    lines.append("checks:")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         suffix = ""
@@ -284,3 +264,14 @@ def render_text(report: VerificationReport) -> str:
         lines.append(f"  {status} {c.name}{suffix}")
     lines.append("FATAL: inconsistency detected" if report.fatal else "result: ok")
     return "\n".join(lines)
+
+
+def render_delta(d: DeltaVector, table: ResidueDeltaTable) -> tuple[dict, list[str]]:
+    """A delta-vector and its residue table as JSON fields, every entry a
+    string, and as text lines."""
+    doc = {"delta": [str(v) for v in d],
+           "residue_table": [[str(v) for v in row] for row in table.delta]}
+    lines = ["delta-vector: (" + ", ".join(doc["delta"]) + ")",
+             "residue table (row i, column r):"]
+    lines += [f"  i={i}: " + " ".join(row) for i, row in enumerate(doc["residue_table"])]
+    return doc, lines

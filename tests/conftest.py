@@ -1,12 +1,23 @@
 import pytest
 
-from ehrhart import GeneratorConfig, catalog, gen_dual_of_lattice, gen_rational_control
+from ehrhart import (
+    GeneratorConfig,
+    catalog,
+    from_vertices,
+    gen_dual_of_lattice,
+    gen_rational_control,
+)
 
 # (dimension, instance count, coordinate bound): 100 lattice-dual instances
 # and 50 rational controls, spread over dimensions 1..3.  Bounds shrink with
 # dimension to keep the hulls and their denominators at desk scale.
 THEOREM_POOL_SPEC = ((1, 34, 3), (2, 33, 2), (3, 33, 1))
 CONTROL_POOL_SPEC = ((1, 17, 2), (2, 17, 2), (3, 16, 1))
+
+
+def dilate(P, m):
+    """mP for a positive integer m, by a hull of the scaled vertices."""
+    return from_vertices([[m * c for c in v] for v in P.vertices])
 
 
 def build_theorem_pool():

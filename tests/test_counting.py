@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ehrhart import (
     BudgetExceeded,
     DimensionDeficient,
-    DualNotLattice,
     GeneratorConfig,
+    OriginNotInterior,
     catalog,
     count_points,
     dumps_polytope,
@@ -17,9 +17,8 @@ from ehrhart import (
     from_vertices,
     full_report,
     instances,
-    interior_shift_check,
-    lattice_points,
     loads_polytope,
+    origin_interior,
 )
 from ehrhart import counting
 from ehrhart.counting import (
@@ -31,6 +30,8 @@ from ehrhart.counting import (
     clear_count_cache,
     interior_shift_mismatch,
 )
+from conftest import dilate
+from listing_oracle import lattice_points
 
 
 def exact_count(P, m, strict):
@@ -100,7 +101,7 @@ def brute_force_count(P, m, strict):
     """Independent oracle: dilate, then test every box point with Fractions."""
     from itertools import product
 
-    from ehrhart import contains, dilate
+    from ehrhart import contains
     from ehrhart.geometry import vertex_ranges
 
     Q = dilate(P, m)
@@ -312,7 +313,7 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
 
 def test_interior_shift_square():
     sq = catalog()["square2"]
-    assert interior_shift_check(sq, 2)
+    assert interior_shift_mismatch(sq, 2) is None
     inner = set(lattice_points(sq, 2, strict=True))
     outer = set(lattice_points(sq, 1))
     grid = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
@@ -320,12 +321,13 @@ def test_interior_shift_square():
 
 
 def test_interior_shift_halfdiamond():
-    assert interior_shift_check(catalog()["halfdiamond2"], 3)
+    assert interior_shift_mismatch(catalog()["halfdiamond2"], 3) is None
 
 
-def test_interior_shift_requires_lattice_dual():
-    with pytest.raises(DualNotLattice):
-        interior_shift_check(segment(-1, 2), 1)
+def test_interior_shift_requires_interior_origin():
+    for P in (segment(1, 2), segment(0, 1)):  # origin outside, on the boundary
+        with pytest.raises(OriginNotInterior):
+            interior_shift_mismatch(P, 1)
 
 
 def test_interior_shift_witnesses():
@@ -341,7 +343,55 @@ def test_interior_shift_on_lattice_dual_fixtures(fixtures):
     for name in ("square2", "diamond2", "halfdiamond2", "seg_mhalf_1",
                  "seg_mhalf_third", "cube3", "octa3"):
         for m in range(1, 7):
-            assert interior_shift_check(fixtures[name], m), (name, m)
+            assert interior_shift_mismatch(fixtures[name], m) is None, (name, m)
+
+
+def least_listed_difference(P, m):
+    """The least point in exactly one of int(mP) and (m-1)P, by listing."""
+    inner = set(lattice_points(P, m, strict=True))
+    outer = set(lattice_points(P, m - 1))
+    return min(inner ^ outer, default=None)
+
+
+def test_interior_shift_witness_is_least_listed_difference(fixtures, theorem_pool,
+                                                           control_pool):
+    polytopes = [P for P in [*fixtures.values(), *theorem_pool, *control_pool]
+                 if origin_interior(P)]
+    mismatches = 0
+    for P in polytopes:
+        for m in range(1, 7):
+            witness = interior_shift_mismatch(P, m)
+            assert witness == least_listed_difference(P, m), (P, m)
+            mismatches += witness is not None
+    assert mismatches > 100
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]),
+       st.sampled_from(["lattice", "dual-of-lattice", "rational"]))
+def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, kind):
+    P, = instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)
+    assume(origin_interior(P))
+    for m in range(1, 7):
+        assert interior_shift_mismatch(P, m) == least_listed_difference(P, m), (P, m)
+
+
+def test_empty_box_makes_no_sections(monkeypatch):
+    # The box of this slab at m = 1 is empty on its last axis: the count
+    # and the witness walk return before the 6001 prefixes of its first.
+    calls = []
+    section_count = counting._section_count
+
+    def counted_section_count(*args):
+        calls.append(args)
+        return section_count(*args)
+
+    monkeypatch.setattr(counting, "_section_count", counted_section_count)
+    clear_count_cache()
+    P = box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(1, 3), F(2, 3)))
+    assert count_points(P, 1, budget=1) == 0
+    assert counting._shift_witness(_kernel(P), 1) is None
+    assert calls == []
 
 
 # ---------------------------------------------------------------- heights

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +15,6 @@ from ehrhart import (
     gen_dual_of_lattice,
     gen_rational_control,
     negative_binomial_reflect,
-    residue_monomial_coefficients,
 )
 
 
@@ -173,21 +170,6 @@ def test_delta_structure(fixtures):
         assert sums[0] > 0
 
 
-# ---------------------------------------------------- monomial coefficients
-
-def test_monomial_coefficients_square():
-    qp = fit_qp(catalog()["square2"])
-    # L(l) = (2l + 1)^2 = 4l^2 + 4l + 1
-    assert residue_monomial_coefficients(qp, 0) == (F(1), F(4), F(4))
-
-
-def test_monomial_coefficients_half_segment():
-    qp = fit_qp(catalog()["seg_mhalf_1"])
-    # L(2l) = 3l + 1 and L(2l + 1) = 3l + 2.
-    assert residue_monomial_coefficients(qp, 0) == (F(1), F(3))
-    assert residue_monomial_coefficients(qp, 1) == (F(2), F(3))
-
-
 def test_dimension_four_tesseract():
     # L(m) = (2m+1)^4, so the numerator coefficients follow from the
     # series product with (1-t)^5: (1, 76, 230, 76, 1).
@@ -200,12 +182,3 @@ def test_dimension_four_tesseract():
     assert delta_vector(qp).entries == (1, 76, 230, 76, 1)
     assert delta_vector_series(P).entries == (1, 76, 230, 76, 1)
     assert evaluate_qp(qp, -1) == 1  # reciprocity: one interior point
-
-
-@given(st.integers(min_value=-6, max_value=12))
-def test_monomial_and_binomial_forms_agree(l):
-    qp = fit_qp(catalog()["seg_m23_1"])
-    for r in range(qp.k):
-        coeffs = residue_monomial_coefficients(qp, r)
-        direct = sum(c * l**d for d, c in enumerate(coeffs))
-        assert direct == evaluate_qp(qp, l * qp.k + r)

@@ -26,7 +26,7 @@ from ehrhart import (
     render_text,
     report_to_json_dict,
 )
-from ehrhart import verify
+from ehrhart import counting, geometry, verify
 
 
 def segment(a, b):
@@ -193,13 +193,33 @@ def test_full_report_sixth_segment_all_pass():
 
 def test_full_report_checks_interior_shift_from_counts(monkeypatch):
     # (m-1)P lies inside the interior of mP, so equal counts already mean
-    # equal point sets: points are listed only to name a witness.
-    def list_points(P, m, budget):
-        raise AssertionError(f"listed points at m={m} without a count mismatch")
+    # equal point sets: the witness walk runs only on a count mismatch.
+    def walk(K, m):
+        raise AssertionError(f"walked for a witness at m={m} without a count mismatch")
 
-    monkeypatch.setattr(verify, "interior_shift_mismatch", list_points)
+    monkeypatch.setattr(counting, "_shift_witness", walk)
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "octa3"):
         assert full_report(catalog()[name], name).check("interior_shift").passed
+
+
+def test_full_report_reads_the_dual_once_and_never_builds_it(monkeypatch):
+    calls = []
+    has_lattice_dual = verify.has_lattice_dual
+
+    def counted_has_lattice_dual(P):
+        calls.append(P)
+        return has_lattice_dual(P)
+
+    def no_dual(P):
+        raise AssertionError("built the dual")
+
+    monkeypatch.setattr(verify, "has_lattice_dual", counted_has_lattice_dual)
+    monkeypatch.setattr(geometry, "dual", no_dual)
+    monkeypatch.setattr(verify, "dual", no_dual, raising=False)
+    for name in ("square2", "seg_m1_2", "seg_mhalf_third", "octa3"):
+        calls.clear()
+        full_report(catalog()[name], name)
+        assert calls == [catalog()[name]], name
 
 
 def test_report_fatal_flag_and_rendering():
