@@ -4,7 +4,11 @@ One JSON document on stdout in json mode, human-readable text otherwise;
 diagnostics go to stderr.  Exit codes: 0 success, 1 fatal inconsistency
 (a lattice-dual polytope failing a guaranteed symmetry, or the two
 delta-vector extraction routes disagreeing), 2 usage, parse, input, or
-budget errors.
+budget errors, 3 any other (unexpected) error.
+
+A command imports the serialization, delta-vector, verification and
+generator modules only when it runs and needs them, so a ``count`` never
+loads the last three.
 """
 
 from __future__ import annotations
@@ -15,30 +19,28 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .counting import DEFAULT_BUDGET, count_points
+from ._catalog import VERTICES
+from .counting import DEFAULT_BUDGET
 from .errors import EhrhartError, InternalInconsistency
-from .generators import GeneratorConfig, catalog, instances
-from .geometry import Polytope, denominator, dual, is_lattice, origin_interior
-from .quasipoly import checked_delta
-from .serialization import dumps_polytope, load_polytope
-from .verify import (check_palindrome, full_report, render_delta, render_text,
-                     report_to_json_dict)
+from .geometry import (Polytope, denominator, dual, from_vertices, is_lattice,
+                       origin_interior)
 
 
 def _resolve_input(name: str) -> tuple[str, Polytope]:
-    """Resolve a catalog name or a file path; ambiguity is an error."""
-    named = catalog()
+    """Resolve a catalog name or a file path; ambiguity is an error.
+    Builds the hull of the named entry only."""
     path = Path(name)
-    if name in named:
+    if name in VERTICES:
         if path.exists():
             raise EhrhartError(
                 f"{name!r} is both a catalog entry and an existing file; "
                 "rename the file or use an explicit path like ./" + name)
-        return name, named[name]
+        return name, from_vertices(VERTICES[name])
     if path.exists():
+        from .serialization import load_polytope
         return name, load_polytope(path)
     raise EhrhartError(f"{name!r} is neither a catalog entry nor an existing file "
-                       f"(catalog: {', '.join(sorted(named))})")
+                       f"(catalog: {', '.join(sorted(VERTICES))})")
 
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
@@ -71,6 +73,7 @@ def _yes_no(value: object) -> object:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .counting import count_points
     name, P = _resolve_input(args.input)
     closed = count_points(P, args.m, budget=args.budget)
     interior = count_points(P, args.m, strict=True, budget=args.budget)
@@ -82,6 +85,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
+    from .quasipoly import checked_delta
+    from .verify import check_palindrome, render_delta
     name, P = _resolve_input(args.input)
     qp, delta = checked_delta(P, budget=args.budget)
     palindromic = check_palindrome(delta).passed
@@ -95,6 +100,7 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
+    from .serialization import dumps_polytope
     name, P = _resolve_input(args.input)
     D = dual(P)
     if args.format == "json":
@@ -106,6 +112,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import full_report, render_text, report_to_json_dict
     name, P = _resolve_input(args.input)
     report = full_report(P, polytope_id=name, m_max=args.m_max, budget=args.budget)
     _emit(report_to_json_dict(report), render_text(report), args.format)
@@ -113,6 +120,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import GeneratorConfig, instances
+    from .serialization import dumps_polytope
     cfg = GeneratorConfig(seed=args.seed, dim=args.dim,
                           coordinate_bound=args.bound,
                           denominator_bound=args.denominator_bound)
@@ -189,6 +198,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EhrhartError, ValueError, OSError) as exc:
         print(f"ehrhart: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a fault of the input
+        print(f"ehrhart: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -88,6 +88,7 @@ _kernel = lru_cache(maxsize=_POLYTOPE_CACHE_SIZE)(_Kernel)
 
 
 def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
+    """The box of mP, once m and its cell count are checked."""
     if m < 0:
         raise ValueError("dilation factor must be non-negative")
     box = K.box(m)
@@ -217,9 +218,9 @@ def _section_count(plan: tuple, C: Sequence[int], y0: int, y1: int) -> int:
             + (y1 - y0 + 1))
 
 
-def _exact_count(K: _Kernel, m: int, strict: bool) -> int:
-    """Lattice points of mP (strict: of its interior), uncached."""
-    box = K.box(m)
+def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
+    """Lattice points of mP (strict: of its interior), uncached; ``box``
+    is ``K.box(m)``."""
     if any(lo > hi for lo, hi in box):
         return 0
     if K.n == 1:
@@ -251,9 +252,9 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     origin for the closed count and the empty set for the strict one.
     """
     K = _kernel(P)
-    _check_budget(K, m, budget)
+    box = _check_budget(K, m, budget)
     if (m, strict) not in K.counts:
-        K.counts[m, strict] = _exact_count(K, m, strict)
+        K.counts[m, strict] = _exact_count(K, m, strict, box)
     return K.counts[m, strict]
 
 

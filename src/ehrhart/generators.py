@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from ._catalog import VERTICES
 from .errors import DimensionDeficient, EmptyInput, GenerationExhausted
 from .geometry import Polytope, contains, dual, from_vertices
 
@@ -141,20 +142,15 @@ def instances(cfg: GeneratorConfig, count: int,
 
 
 @lru_cache(maxsize=1)
+def _catalog_entries() -> tuple[tuple[str, Polytope], ...]:
+    return tuple((name, from_vertices(pts)) for name, pts in VERTICES.items())
+
+
 def catalog() -> dict[str, Polytope]:
-    """The named fixture polytopes used across the test suite and CLI."""
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
-    entries = {
-        "square2": [(-1, -1), (1, -1), (1, 1), (-1, 1)],
-        "diamond2": [(1, 0), (-1, 0), (0, 1), (0, -1)],
-        "halfdiamond2": [(half, 0), (-half, 0), (0, half), (0, -half)],
-        "seg_m1_2": [(-1,), (2,)],
-        "seg_mhalf_1": [(-half,), (1,)],
-        "seg_mhalf_third": [(-half,), (third,)],
-        "seg_m23_1": [(-two_thirds,), (1,)],
-        "cube3": [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        "octa3": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-    }
-    return {name: from_vertices(pts) for name, pts in entries.items()}
+    """The named fixture polytopes used across the test suite and CLI
+    (which builds only the one it is given, from the same vertex table).
+
+    The polytopes are built once, and each call returns a new dict of
+    them, so a caller that edits its dict leaves the catalog as it was.
+    """
+    return dict(_catalog_entries())

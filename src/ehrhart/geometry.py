@@ -21,7 +21,7 @@ both off the input with no scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -55,16 +55,19 @@ def point(coords: Iterable[Coordinate]) -> RationalPoint:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True, order=True)
-class HalfSpace:
-    """The half-space {v : <normal, v> <= bound}, ordered by (normal, bound)."""
+class HalfSpace(namedtuple("HalfSpace", "normal bound")):
+    """The half-space {v : <normal, v> <= bound}, ordered by (normal, bound).
 
-    normal: tuple[Fraction, ...]
-    bound: Fraction
+    A named tuple (normal, bound), so equality, hashing and order are those
+    of the tuple; the normal must be nonzero.
+    """
 
-    def __post_init__(self) -> None:
-        if all(c == 0 for c in self.normal):
+    __slots__ = ()
+
+    def __new__(cls, normal: tuple[Fraction, ...], bound: Fraction) -> "HalfSpace":
+        if all(c == 0 for c in normal):
             raise ValueError("half-space normal must be nonzero")
+        return super().__new__(cls, normal, bound)
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         """Inner product <normal, x>."""
@@ -87,34 +90,54 @@ class HalfSpace:
         return HalfSpace(tuple(Fraction(i // g) for i in ints), self.bound * factor)
 
 
-@dataclass(frozen=True)
 class Polytope:
     """A full-dimensional rational polytope with irredundant vertices.
 
     Instances should be produced by :func:`from_vertices` (or by operations
     derived from it), which establishes the invariants: vertices are extreme
     and lexicographically sorted, and ``facets`` is the complete canonical
-    facet list in primitive integer-normal form.
+    facet list in primitive integer-normal form.  Immutable; two polytopes
+    are equal when their ambient dimensions and vertices are.
     """
 
-    ambient_dim: int
-    vertices: tuple[RationalPoint, ...]
-    facets: tuple[HalfSpace, ...] = field(compare=False)
+    __slots__ = ("ambient_dim", "vertices", "facets", "_hash")
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, vertices: tuple[RationalPoint, ...],
+                 facets: tuple[HalfSpace, ...]) -> None:
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if not self.vertices:
+        if not vertices:
             raise ValueError("polytope must have vertices")
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
+        for v in vertices:
+            if len(v) != ambient_dim:
                 raise DimensionMismatch(
-                    f"vertex {v} does not live in dimension {self.ambient_dim}")
+                    f"vertex {v} does not live in dimension {ambient_dim}")
         # Immutable, so hashed once, on the key of __eq__.
-        object.__setattr__(self, "_hash", hash((self.ambient_dim, self.vertices)))
+        for name, value in (("ambient_dim", ambient_dim), ("vertices", vertices),
+                            ("facets", facets),
+                            ("_hash", hash((ambient_dim, vertices)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.vertices) == (other.ambient_dim, other.vertices)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"Polytope(ambient_dim={self.ambient_dim!r}, "
+                f"vertices={self.vertices!r}, facets={self.facets!r})")
+
+    def __reduce__(self) -> tuple:
+        return Polytope, (self.ambient_dim, self.vertices, self.facets)
 
     @property
     def n(self) -> int:

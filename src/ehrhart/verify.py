@@ -63,8 +63,11 @@ def check_reciprocity(P: Polytope, m_max: int = 6, qp: Optional[EhrhartQP] = Non
 
     Evaluating the fitted quasi-polynomial at -m must equal (-1)^n times
     the strict-interior count of mP.  Holds for every rational polytope,
-    whether or not its dual is a lattice polytope.
+    whether or not its dual is a lattice polytope.  Raises ``ValueError``
+    when m_max < 1, which would check nothing.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     if qp is None:
         qp = fit_qp(P, budget=budget)
     sign = (-1) ** P.ambient_dim
@@ -177,8 +180,11 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     """Run every check on one polytope and aggregate the outcomes.
 
     Raises ``InternalInconsistency`` instead of producing a report when the
-    two delta-vector routes disagree (:func:`checked_delta`).
+    two delta-vector routes disagree (:func:`checked_delta`), and
+    ``ValueError`` when m_max < 1, before any count.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     qp, d = checked_delta(P, budget=budget)
     dual_lattice = has_lattice_dual(P)
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehrhart
 from ehrhart import catalog, dumps_polytope
 from ehrhart.cli import main
-import ehrhart.cli as cli_module
+import ehrhart.counting as counting_module
 import ehrhart.verify as verify_module
 
 
@@ -112,10 +117,49 @@ def test_verify_fatal_exit_one(capsys, monkeypatch):
                        for c in report.checks)
         return dataclasses.replace(report, checks=checks)
 
-    monkeypatch.setattr(cli_module, "full_report", poisoned)
+    monkeypatch.setattr(verify_module, "full_report", poisoned)
     code, out, _ = run(capsys, "verify", "square2")
     assert code == 1
     assert "FATAL" in out
+
+
+@pytest.mark.parametrize("m_max", ["0", "-2"])
+def test_verify_without_dilations_exit_two(capsys, m_max):
+    code, out, err = run(capsys, "verify", "square2", "--m-max", m_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"ehrhart: error: m_max must be at least 1, got {m_max}\n"
+
+
+def test_unexpected_error_exit_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(counting_module, "count_points", broken)
+    code, out, err = run(capsys, "count", "square2", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "ehrhart: internal error: RuntimeError('boom')\n"
+
+
+def test_count_of_a_file_imports_only_what_it_runs(tmp_path):
+    # A child interpreter, so that the modules this test session already
+    # holds do not hide what one count loads.
+    path = tmp_path / "cube.json"
+    path.write_text(dumps_polytope(catalog()["cube3"]))
+    src = str(Path(ehrhart.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ehrhart", "count", str(path),
+         "--m", "2"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{path}: |2P| = 125 lattice points, interior 27\n"
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "ehrhart.counting" in loaded and "ehrhart.serialization" in loaded
+    for name in ("dataclasses", "inspect", "ehrhart.generators",
+                 "ehrhart.quasipoly", "ehrhart.verify"):
+        assert name not in loaded, name
 
 
 def test_file_input(tmp_path, capsys):

@@ -36,7 +36,8 @@ from listing_oracle import lattice_points
 
 def exact_count(P, m, strict):
     """The uncached count behind count_points."""
-    return _exact_count(_kernel(P), m, strict)
+    K = _kernel(P)
+    return _exact_count(K, m, strict, K.box(m))
 
 
 def section_count(lines, y0, y1):
@@ -146,9 +147,9 @@ def walks(monkeypatch):
     calls = []
     exact_count = counting._exact_count
 
-    def counted_exact_count(K, m, strict):  # K is the polytope's count kernel
+    def counted_exact_count(K, m, strict, box):  # K is the polytope's count kernel
         calls.append((m, strict))
-        return exact_count(K, m, strict)
+        return exact_count(K, m, strict, box)
 
     monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
     clear_count_cache()

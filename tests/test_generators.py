@@ -100,6 +100,16 @@ def test_catalog_names():
         "seg_mhalf_third", "seg_m23_1", "cube3", "octa3"}
 
 
+def test_catalog_returns_a_fresh_dict_of_shared_polytopes():
+    first = catalog()
+    first.pop("cube3")
+    first["square2"] = None
+    again = catalog()
+    assert again is not first
+    assert "cube3" in again and again["square2"] is not None
+    assert all(P is catalog()[name] for name, P in again.items())
+
+
 def test_catalog_denominators():
     ks = {name: denominator(P) for name, P in catalog().items()}
     assert ks == {

@@ -63,6 +63,15 @@ def test_reciprocity_witness_reports_first_failure():
 
 # -------------------------------------------------------------- palindrome
 
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_reciprocity_and_report_need_a_dilation(m_max):
+    P = catalog()["square2"]
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        check_reciprocity(P, m_max=m_max)
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        full_report(P, m_max=m_max)
+
+
 def test_palindrome_examples():
     assert check_palindrome(DeltaVector((1, 6, 1))).passed
     twelve = DeltaVector((1, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 1))
