@@ -9,16 +9,31 @@ Counting walks the integer bounding box on the first n-2 axes only.  For
 each such prefix the rest of mP is a convex polygon on the last two axes,
 counted in closed form: each column of it runs from the upper envelope of
 the lower facet lines to the lower envelope of the upper ones, each
-envelope has at most F linear pieces, and the lattice points under one
-piece are a single Euclid-style floor sum (Beck-Robins, *Computing the
-Continuous Discretely*).  A count therefore costs about M^(n-2) prefixes
-times a polynomial in F and log M, for a box of width M, instead of the
-M^(n-1) prefixes of a walk.  One-dimensional counts solve their single
-axis directly.  All that does not depend on m or the prefix (the scaled
-facets, the vertex ranges, the upper/lower split of the facet lines and
-their Fourier-Motzkin pairs) is derived once per polytope, in one kernel
-that also holds the polytope's counts; a bounded memo keeps the kernels
-of the last few polytopes, so each count costs one lookup.
+envelope is a chain of at most F linear pieces, and the lattice points
+under one piece are a single Euclid-style floor sum (Beck-Robins,
+*Computing the Continuous Discretely*).  A count therefore costs about
+M^(n-2) prefixes times a polynomial in F and log M, for a box of width M,
+instead of the M^(n-1) prefixes of a walk.  One-dimensional counts solve
+their single axis directly.
+
+A section found by a scan over all cuts and lines costs O(F) per piece.  A
+closed three-dimensional count needs no scan: it is homogeneous, the
+section of mP at first coordinate x being m times the section of P at
+x/m, so which cuts bound y and which lines make up each envelope chain
+depend only on the chamber (the interval between consecutive distinct
+vertex first coordinates of P) that holds x/m.  This is the chamber
+decomposition of parametric counting (Clauss-Loechner, "Parametric
+analysis of polyhedral iteration spaces", 1998).  At a chamber's end the
+chains of both neighbouring chambers stay exact by continuity, some of
+their pieces empty.  Strict counts, whose right-hand sides m*p - 1 are not
+homogeneous, counts in the other dimensions and the witness walk keep the
+scan.
+
+All that does not depend on m or the prefix (the scaled facets, the vertex
+ranges, the upper/lower split of the facet lines, their Fourier-Motzkin
+pairs and the chamber table) is derived once per polytope, in one kernel
+that also holds the polytope's counts; a bounded memo keeps the kernels of
+the last few polytopes, so each count costs one lookup.
 
 The interior shift is decided by counts too.  With the origin strictly
 inside P every facet bound is positive, so (m-1)P lies inside int(mP) and
@@ -32,7 +47,7 @@ both sides are integers.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import product
 from operator import mul, sub
 from typing import Optional, Sequence
@@ -43,8 +58,9 @@ from .geometry import Polytope, vertex_ranges
 #: Maximum number of bounding-box cells an enumeration may touch.
 DEFAULT_BUDGET = 10**8
 
-#: Memo size, in polytopes.  Each memoised polytope keeps every count asked
-#: of it, so one report's k(n+1) + m_max counts always fit, whatever k is.
+#: Memo size, in polytopes.  Each memoised polytope keeps its chamber table
+#: (3D only) and every count asked of it, so one report's k(n+1) + m_max
+#: counts always fit, whatever k is.
 _POLYTOPE_CACHE_SIZE = 16
 
 IntPoint = tuple[int, ...]
@@ -64,7 +80,10 @@ class _Kernel:
     first n-2 fixed to a prefix x, facet i is the line
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where (A_i, B_i) and
     ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
-    ``plan`` is the :func:`_section_plan` of those lines.
+    ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
+    ``levels`` holds the distinct vertex first coordinates of P and
+    ``chambers`` the :func:`_chamber_table` between them, built on the
+    first closed count that walks a section (None until then).
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -77,6 +96,8 @@ class _Kernel:
         scaled = [[q * c for c in a] for a, _, q in self.facets]
         self.weights = [row[:-2] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
+        self.levels = sorted({v[0] for v in P.vertices}) if self.n == 3 else None
+        self.chambers: Optional[list[tuple]] = None
 
     def box(self, m: int) -> list[tuple[int, int]]:
         """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis."""
@@ -92,7 +113,8 @@ def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
     if m < 0:
         raise ValueError("dilation factor must be non-negative")
     box = K.box(m)
-    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box)
+    # A one-dimensional count solves its axis directly, whatever the box.
+    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box) if K.n > 1 else 0
     if cells > budget:
         raise BudgetExceeded(
             f"bounding box of {m}P has {cells} cells, budget is {budget}")
@@ -135,41 +157,65 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-# One facet line on the last two axes, A*y + B*z <= C.
+# One facet line on the last two axes, A*y + B*z <= C[i], as (A, B, i).
 _Line = tuple[int, int, int]
 
 
-def _envelope_sum(lines: Sequence[_Line], y0: int, y1: int) -> int:
-    """Sum over y = y0..y1 of min_i floor((C_i - A_i*y) / B_i), all B_i > 0.
+def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
+                    y1: int) -> list[_Line]:
+    """The lines lowest at some integer of y..y1 in min_i (C[i] - A_i*y) / B_i,
+    all B_i > 0, left to right.
 
-    Walks the lower envelope of the lines left to right.  Each piece ends
-    where a faster-falling line passes below, so slopes only fall, only
-    the faster-falling lines stay candidates for the next piece, and there
-    are at most as many pieces as lines, each summed by one
-    :func:`_floor_sum`.  Comparisons are cross-multiplied, so exact.
+    Scans the lower envelope.  Each piece ends where a faster-falling line
+    passes below, so slopes only fall, and only the faster-falling lines
+    stay candidates for the next piece.  Comparisons are cross-multiplied,
+    so exact.
     """
-    total = 0
-    y = y0
+    chain = []
     while y <= y1:
         # A line lowest at y.  It stays lowest until a faster-falling line
         # passes below it, which a line tied with it at y does at y + 1.
-        A, B, C = lines[0]
-        for a, b, c in lines:
-            if (c - a * y) * B < (C - A * y) * b:
-                A, B, C = a, b, c
+        A, B, i = lines[0]
+        for a, b, j in lines:
+            if (C[j] - a * y) * B < (C[i] - A * y) * b:
+                A, B, i = a, b, j
+        chain.append((A, B, i))
         end = y1
         faster = []
-        for a, b, c in lines:
+        for a, b, j in lines:
             steeper = a * B - A * b
             if steeper > 0:
-                faster.append((a, b, c))
-                cut = (c * B - C * b) // steeper
+                faster.append((a, b, j))
+                cut = (C[j] * B - C[i] * b) // steeper
                 if cut < end:
                     end = cut
-        total += _floor_sum(end - y + 1, B, -A, C - A * y)
         y = end + 1
         lines = faster
-    return total
+    return chain
+
+
+def _chain_sum(chain: Sequence[_Line], C: Sequence[int], y: int, y1: int) -> int:
+    """Sum over y..y1 (y <= y1) of min_i floor((C[i] - A_i*y) / B_i) along a
+    chain of the lower envelope, each line of which is lowest until the
+    next, falling faster, passes below it: one division for where a line
+    meets the next and one :func:`_floor_sum` per line.  A line lowest at
+    no integer of y..y1 adds nothing."""
+    total = 0
+    A, B, i = chain[0]
+    for a, b, j in chain[1:]:
+        end = (C[j] * B - C[i] * b) // (a * B - A * b)
+        if end > y1:
+            end = y1
+        if end >= y:
+            total += _floor_sum(end - y + 1, B, -A, C[i] - A * y)
+            y = end + 1
+        A, B, i = a, b, j
+    return total + _floor_sum(y1 - y + 1, B, -A, C[i] - A * y)
+
+
+def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y0: int, y1: int) -> int:
+    """Sum over y = y0..y1 of min_i floor((C[i] - A_i*y) / B_i), all B_i > 0."""
+    return _chain_sum(_envelope_chain(lines, C, y0, y1), C, y0, y1)
 
 
 def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
@@ -213,9 +259,89 @@ def _section_count(plan: tuple, C: Sequence[int], y0: int, y1: int) -> int:
         return 0
     # Column y holds floor(upper) - ceil(lower) + 1 >= 0 points, and
     # -ceil(lower) is the same min-of-floors form as the upper envelope.
-    return (_envelope_sum([(A, B, C[i]) for A, B, i in uppers], y0, y1)
-            + _envelope_sum([(A, B, C[i]) for A, B, i in lowers], y0, y1)
+    return (_envelope_sum(uppers, C, y0, y1) + _envelope_sum(lowers, C, y0, y1)
             + (y1 - y0 + 1))
+
+
+def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
+                y1: tuple[int, int]) -> list[_Line]:
+    """The lines lowest on an interval of positive length in
+    min_i (c[i] - A_i*y) / B_i over the real y0 < y1, left to right.  The
+    ends are (numerator, denominator) pairs, denominators positive."""
+    chain = []
+    for A, B, i in lines:
+        (p, q), (r, s) = y0, y1  # line i is lowest on p/q < y < r/s at most
+        for a, b, j in lines:  # line i is at or below line j where e*y <= f
+            e, f = a * B - A * b, c[j] * B - c[i] * b
+            if e > 0 and f * s < r * e:
+                r, s = f, e
+            elif e < 0 and f * q < p * e:
+                p, q = -f, -e
+            elif e == 0 and f < 0:  # line j is parallel and lower everywhere
+                r, s = p, q
+        if p * s < r * q:
+            chain.append((A, B, i))
+    return sorted(chain, key=cmp_to_key(lambda k, l: k[0] * l[1] - l[0] * k[1]))
+
+
+def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
+    """The cut D*y <= s*c[i] + u*c[j] with the least (s*c[i] + u*c[j]) / D,
+    followed by that numerator and D."""
+    best = None
+    for cut in cuts:
+        D, i, s, j, u = cut
+        v = s * c[i] + u * c[j]
+        if best is None or v * best[2] < best[1] * D:
+            best = cut, v, D
+    return best
+
+
+def _chamber_table(K: _Kernel) -> list[tuple]:
+    """For each chamber [t, t'] between consecutive ``levels`` of a 3D
+    kernel: t' as (numerator, denominator), the cuts of the plan that bind
+    y from above and from below, and the chains of the upper and lower
+    envelopes.  All are read off the section of P at the chamber's
+    midpoint, where no two cuts or lines tie, and hold on all of [t, t'].
+    """
+    uppers, lowers, _, above, below = K.plan
+    table = []
+    for t0, t1 in zip(K.levels, K.levels[1:]):
+        # The lines A*y + B*z <= c[i] of the section of mP at x, for x/m the
+        # midpoint: the section of P there, scaled by m.
+        t = (t0 + t1) / 2
+        x, m = t.numerator, t.denominator
+        c = [m * p - w * x for (_, p, _), (w,) in zip(K.facets, K.weights)]
+        top, v1, d1 = _least_cut(above, c)
+        bottom, v0, d0 = _least_cut(below, c)
+        y0, y1 = (-v0, d0), (v1, d1)
+        table.append((t1.numerator, t1.denominator, top, bottom,
+                      _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)))
+    return table
+
+
+def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
+    """Lattice points of mP for a 3D kernel, m >= 1 and a non-empty ``box``:
+    each section takes its cuts and chains from the chamber holding x/m."""
+    if K.chambers is None:
+        K.chambers = _chamber_table(K)
+    chambers = iter(K.chambers)
+    num, den, top, bottom, upper, lower = next(chambers)
+    lo, hi = box[0]
+    step = [w for w, in K.weights]
+    C = [m * p - s * lo for (_, p, _), s in zip(K.facets, step)]
+    total = 0
+    for x in range(lo, hi + 1):
+        while x * den > m * num:  # x/m lies past this chamber
+            num, den, top, bottom, upper, lower = next(chambers)
+        D, i, s, j, t = top
+        y1 = (s * C[i] + t * C[j]) // D
+        D, i, s, j, t = bottom
+        y0 = -((s * C[i] + t * C[j]) // D)
+        if y0 <= y1:
+            total += (_chain_sum(upper, C, y0, y1) + _chain_sum(lower, C, y0, y1)
+                      + (y1 - y0 + 1))
+        C = list(map(sub, C, step))
+    return total
 
 
 def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
@@ -223,6 +349,13 @@ def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -
     is ``K.box(m)``."""
     if any(lo > hi for lo, hi in box):
         return 0
+    if K.n == 3 and m and not strict:
+        return _chamber_count(K, m, box)
+    return _scan_count(K, m, strict, box)
+
+
+def _scan_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
+    """:func:`_exact_count` for a non-empty ``box``, each section by a scan."""
     if K.n == 1:
         lo, hi = _last_axis_interval(K.facets, m, strict, *box[0])
         return hi - lo + 1  # (1, 0) when empty
@@ -297,7 +430,7 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
         z = lo if olo > ohi or lo < olo else ohi + 1
         return (z,) if z <= hi else None
     def bottom(C: list[int], y: int) -> int:  # the least z of column y
-        return -_envelope_sum([(A, B, C[i]) for A, B, i in K.plan[1]], y, y)
+        return -_envelope_sum(K.plan[1], C, y, y)
 
     bounds = [p for _, p, _ in K.facets]
     y0, y1 = box[-2]

@@ -55,6 +55,14 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= 4:
             raise ValueError("dimension must be between 1 and 4")
+        for name in ("coordinate_bound", "denominator_bound", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.vertex_count_range is not None:
+            lo, hi = self.vertex_count_range
+            if not self.dim + 1 <= lo <= hi:
+                raise ValueError(f"vertex_count_range must have {self.dim + 1} <= lo <= hi, "
+                                 f"got {self.vertex_count_range}")
 
     def counts(self) -> tuple[int, int]:
         if self.vertex_count_range is not None:

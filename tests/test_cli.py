@@ -215,6 +215,15 @@ def test_budget_exceeded_exit_two(capsys):
     assert "budget" in err
 
 
+def test_one_dimensional_count_has_no_box_budget(capsys):
+    # A 1D count solves its axis directly, so a box of 3m + 1 cells far
+    # beyond the default budget costs nothing.
+    m = 10**20
+    code, out, err = run(capsys, "count", "seg_m1_2", "--m", str(m))
+    assert (code, err) == (0, "")
+    assert out == f"seg_m1_2: |{m}P| = {3 * m + 1} lattice points, interior {3 * m - 1}\n"
+
+
 def test_unknown_flag_exit_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["info", "square2", "--frobnicate"])
@@ -246,3 +255,14 @@ def test_gen_rational_kind(capsys):
                        "--kind", "rational")
     assert code == 0
     assert "generated" in out
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--kind", "rational", "--denominator-bound", "0"], "denominator_bound"),
+    (["--bound", "-1"], "coordinate_bound"),
+    (["--bound", "0"], "coordinate_bound"),
+])
+def test_gen_rejects_a_bound_below_one(capsys, flags, field):
+    code, out, err = run(capsys, "gen", "--dim", "2", *flags)
+    assert (code, out) == (2, "")
+    assert field in err

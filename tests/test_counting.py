@@ -22,9 +22,11 @@ from ehrhart import (
 )
 from ehrhart import counting
 from ehrhart.counting import (
+    _chamber_count,
     _exact_count,
     _floor_sum,
     _kernel,
+    _scan_count,
     _section_count,
     _section_plan,
     clear_count_cache,
@@ -180,11 +182,13 @@ def test_budget_guard():
 
 
 def test_budget_is_the_box_of_the_rational_vertex_ranges(fixtures, control_pool):
-    # The budget admits exactly the dilations whose box, from ceil(m*min)
-    # to floor(m*max) per axis, fits; also on a memo hit.
+    # For n >= 2 the budget admits exactly the dilations whose box, from
+    # ceil(m*min) to floor(m*max) per axis, fits; also on a memo hit.
     from ehrhart.geometry import vertex_ranges
 
     for P in [*fixtures.values(), *control_pool[::5]]:
+        if P.ambient_dim < 2:
+            continue
         for m in range(1, 5):
             cells = math.prod(max(0, math.floor(m * hi) - math.ceil(m * lo) + 1)
                               for lo, hi in vertex_ranges(P))
@@ -192,6 +196,15 @@ def test_budget_is_the_box_of_the_rational_vertex_ranges(fixtures, control_pool)
             assert count_points(P, m, budget=cells) == count
             with pytest.raises(BudgetExceeded):
                 count_points(P, m, budget=cells - 1)
+
+
+def test_one_dimensional_counts_are_charged_no_cells():
+    # A 1D count solves its single axis directly, whatever the box.
+    m = 10**20
+    P = segment(-1, 2)
+    assert count_points(P, m, budget=0) == 3 * m + 1
+    assert count_points(P, m, strict=True, budget=0) == 3 * m - 1
+    assert interior_shift_mismatch(P, m, budget=0) == (2 * m - 1,)
 
 
 # ------------------------------------------------- floor sums and sections
@@ -310,6 +323,73 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
     assert exact_count(P, m, strict) == brute_force_count(P, m, strict)
 
 
+# ------------------------------------------------------------ chamber walk
+
+def assert_chambers_match_scan(polytopes, dilations=range(1, 41)):
+    # The closed 3D count through the chamber table against the scan of
+    # every section, on every dilation with a non-empty box.
+    for P in polytopes:
+        K = _kernel(P)
+        for m in dilations:
+            box = K.box(m)
+            if all(lo <= hi for lo, hi in box):
+                assert _chamber_count(K, m, box) == _scan_count(K, m, False, box), (P, m)
+
+
+def test_chamber_walk_matches_scan_on_pools(fixtures, theorem_pool, control_pool):
+    polytopes = [P for P in [*fixtures.values(), *theorem_pool, *control_pool]
+                 if P.ambient_dim == 3]
+    assert len(polytopes) == 2 + 33 + 16
+    assert_chambers_match_scan(polytopes)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("kind", ["lattice", "dual-of-lattice", "rational"])
+def test_chamber_walk_matches_scan_on_generated(kind, bound):
+    assert_chambers_match_scan(
+        instances(GeneratorConfig(seed=8100 + bound, dim=3, coordinate_bound=bound), 2, kind))
+
+
+third = F(1, 3)
+CHAMBER_HAND_CASES = {
+    # Vertices at first coordinate 1/3, where x/m lands for m = 3, 6, ...
+    "thirds": [(-1, 0, 0), (third, 1, 1), (third, -1, 1), (third, 0, -1), (1, 0, 0)],
+    # End slices: whole facets (with zero (y, z) part), single vertices,
+    # and a triangular facet at x = -1 against an edge at x = 1.
+    "cube3": catalog()["cube3"].vertices,
+    "octa3": catalog()["octa3"].vertices,
+    "wedge": [(-1, 0, 1), (-1, -1, -1), (-1, 1, -1), (1, -1, 0), (1, 1, 0)],
+    # The origin outside P, with a square facet at x = 1/3 and an apex at x = 1.
+    "pyramid": [(third, 1, 1), (third, 1, -1), (third, -1, 1), (third, -1, -1), (1, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAMBER_HAND_CASES))
+def test_chamber_walk_hand_cases(name):
+    P = from_vertices(CHAMBER_HAND_CASES[name])
+    assert_chambers_match_scan([P], range(1, 61))
+    for m in range(1, 10):
+        assert exact_count(P, m, False) == len(lattice_points(P, m)), (name, m)
+    if name == "cube3":  # x = m and x = -m are whole facets
+        assert all(exact_count(P, m, False) == (2 * m + 1) ** 3 for m in range(1, 20))
+
+
+def test_report_builds_the_chamber_table_once(monkeypatch):
+    builds = []
+    chamber_table = counting._chamber_table
+
+    def counted_chamber_table(K):
+        builds.append(K)
+        return chamber_table(K)
+
+    monkeypatch.setattr(counting, "_chamber_table", counted_chamber_table)
+    clear_count_cache()
+    P, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1, "rational")
+    report = full_report(P)
+    assert report.k > 1
+    assert builds == [_kernel(P)]
+
+
 # ---------------------------------------------------------- interior shift
 
 def test_interior_shift_square():
@@ -379,15 +459,15 @@ def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, 
 
 def test_empty_box_makes_no_sections(monkeypatch):
     # The box of this slab at m = 1 is empty on its last axis: the count
-    # and the witness walk return before the 6001 prefixes of its first.
+    # and the witness walk return before the 6001 prefixes of its first,
+    # and the closed count builds no chamber table and sums no chain.
     calls = []
-    section_count = counting._section_count
+    for name in ("_section_count", "_chamber_table", "_chain_sum"):
+        def counted(*args, real=getattr(counting, name)):
+            calls.append(args)
+            return real(*args)
 
-    def counted_section_count(*args):
-        calls.append(args)
-        return section_count(*args)
-
-    monkeypatch.setattr(counting, "_section_count", counted_section_count)
+        monkeypatch.setattr(counting, name, counted)
     clear_count_cache()
     P = box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(1, 3), F(2, 3)))
     assert count_points(P, 1, budget=1) == 0

@@ -80,7 +80,10 @@ def test_rational_controls_cover_both_dual_branches():
 
 
 def test_generation_exhausted():
-    cfg = GeneratorConfig(seed=1, dim=2, coordinate_bound=0, max_attempts=40)
+    # Seed 1 draws no tetrahedron of {-1, 0, 1}^3 around the origin in its
+    # first five attempts.
+    cfg = GeneratorConfig(seed=1, dim=3, coordinate_bound=1, vertex_count_range=(4, 4),
+                          max_attempts=5)
     with pytest.raises(GenerationExhausted):
         gen_lattice_with_interior_origin(cfg)
 
@@ -90,6 +93,29 @@ def test_config_validation():
         GeneratorConfig(seed=0, dim=0)
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, dim=5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coordinate_bound", 0), ("coordinate_bound", -1), ("denominator_bound", 0),
+    ("max_attempts", 0), ("vertex_count_range", (2, 5)), ("vertex_count_range", (5, 4)),
+])
+def test_config_rejects_a_field_that_draws_nothing(field, value):
+    with pytest.raises(ValueError, match=field):
+        GeneratorConfig(seed=0, dim=2, **{field: value})
+
+
+def test_valid_configs_draw_as_before():
+    # Validation draws nothing: these configs give the vertices they gave
+    # before it, so every seeded corpus stays as it was.
+    def first(kind, **knobs):
+        P, = instances(GeneratorConfig(seed=7, dim=2, coordinate_bound=1, **knobs), 1, kind)
+        return [tuple(map(str, v)) for v in P.vertices]
+
+    assert first("lattice") == [("-1", "-1"), ("-1", "1"), ("0", "-1"), ("1", "0")]
+    assert first("rational") == [("-1", "0"), ("0", "-1"), ("0", "1"), ("1", "-1"),
+                                 ("1", "1/2")]
+    assert first("lattice", vertex_count_range=(3, 3)) == [("-1", "1"), ("0", "-1"),
+                                                           ("1", "1")]
 
 
 # ----------------------------------------------------------------- catalog
