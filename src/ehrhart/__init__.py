@@ -22,9 +22,8 @@ _EXPORTS = {name: module for module, names in {
               "InternalInconsistency OriginNotInterior ParseError",
     "generators": "GeneratorConfig SplitMix64 catalog gen_dual_of_lattice "
                   "gen_lattice_with_interior_origin gen_rational_control instances",
-    "geometry": "ExactRational HalfSpace Polytope RationalPoint contains "
-                "denominator dual from_vertices has_lattice_dual is_lattice "
-                "origin_interior point",
+    "geometry": "HalfSpace Polytope RationalPoint contains denominator dual "
+                "from_vertices has_lattice_dual is_lattice origin_interior point",
     "linalg": "",
     "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial checked_delta "
                  "delta_vector delta_vector_series evaluate_qp fit_qp "

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._catalog import VERTICES
 from .errors import DimensionDeficient, EmptyInput, GenerationExhausted
-from .geometry import Polytope, contains, dual, from_vertices
+from .geometry import Polytope, dual, from_vertices, origin_interior
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,10 +70,6 @@ class GeneratorConfig:
         return self.dim + 1, 2 * self.dim + 2
 
 
-def _origin(dim: int) -> tuple[int, ...]:
-    return (0,) * dim
-
-
 def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
     lo, hi = cfg.counts()
     bound = cfg.coordinate_bound
@@ -93,7 +89,7 @@ def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
             P = from_vertices(pts)
         except (DimensionDeficient, EmptyInput):
             continue
-        if contains(P, _origin(cfg.dim), strict=True):
+        if origin_interior(P):
             return P
     raise GenerationExhausted(
         f"no valid instance in {cfg.max_attempts} attempts for {cfg}")

@@ -9,13 +9,13 @@ The hull of input points is one facet scan in integer arithmetic: the points
 are scaled by the lcm of their denominators, and every hyperplane through n
 of them is tested for whether it supports all the others.  The supporting
 ones are the facets, and the vertices are the points on n facets of
-independent normals, so no linear program is solved.  A pre-filter first
-takes the hull of the per-axis extreme points and drops every point inside
-it (Akl-Toussaint), so the scan costs about C(N', n) * N' integer tests for
-the N' points that survive.  That is fine at desk scale (tens of vertices,
-dimension <= 4), which an ambient-dimension cap with an explicit override
-guards.  The polar dual swaps vertices and facets, so :func:`dual` reads
-both off the input with no scan.
+independent normals, so no linear program is solved.  The scan runs over
+the C(N, n) n-subsets of the N unique points and tests each plane against
+all N, with the per-axis extreme points first only so that a plane that is
+no facet meets points on both of its sides early.  That is fine at desk
+scale (tens of vertices, dimension <= 4), which an ambient-dimension cap
+with an explicit override guards.  The polar dual swaps vertices and
+facets, so :func:`dual` reads both off the input with no scan.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -35,10 +35,6 @@ from .errors import (
     OriginNotInterior,
 )
 from .linalg import affine_rank, det, rank
-
-#: Exact rational scalar: arbitrary precision, always in lowest terms with a
-#: positive denominator.  The standard library type satisfies all of that.
-ExactRational = Fraction
 
 #: A point of Q^n, stored as an immutable coordinate tuple.
 RationalPoint = tuple[Fraction, ...]
@@ -139,10 +135,6 @@ class Polytope:
     def __reduce__(self) -> tuple:
         return Polytope, (self.ambient_dim, self.vertices, self.facets)
 
-    @property
-    def n(self) -> int:
-        return self.ambient_dim
-
 
 def from_vertices(points: Iterable[Iterable[Coordinate]],
                   max_dim: int | None = None) -> Polytope:
@@ -153,12 +145,12 @@ def from_vertices(points: Iterable[Iterable[Coordinate]],
     keeps their order, and every hyperplane through n of them with all the
     others on one side becomes a facet <a, x> <= b / L with a primitive
     integer normal a.  A point is a vertex when the normals of the facets
-    through it have rank n.  No linear program is solved.  Before that
-    scan, the points in the hull of the per-axis extreme points are
-    dropped (Akl-Toussaint pre-filter), so it costs about C(N', n) * N'
-    integer tests for the N' points that survive.  Raises
-    ``DimensionDeficient`` when the affine hull of the input is not the
-    whole ambient space.
+    through it have rank n.  No linear program is solved: one scan tests
+    the planes through the C(N, n) n-subsets of the N unique points against
+    all of them.  The per-axis extreme points come first; they are spread
+    out, so a plane that is no facet soon meets points on both of its
+    sides.  Raises ``DimensionDeficient`` when the affine hull of the input
+    is not the whole ambient space.
     """
     raw = [point(p) for p in points]
     if not raw:
@@ -176,15 +168,18 @@ def from_vertices(points: Iterable[Iterable[Coordinate]],
     unique = sorted(set(raw))
     scale = math.lcm(*(c.denominator for p in unique for c in p))
     ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in unique]
-    kept, planes = _hull_planes(ints, n)
+    extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
+    ints = sorted(extremes) + [p for p in ints if p not in extremes]
+    planes = _supporting_planes(ints, n)
     if planes is None:
         raise DimensionDeficient(
             f"points span an affine subspace of dimension {affine_rank(unique)} < {n}")
-    tight: list[list[tuple[int, ...]]] = [[] for _ in kept]
+    tight: list[list[tuple[int, ...]]] = [[] for _ in ints]
     for a, _, on in planes:
         for i in on:
             tight[i].append(a)
-    vertices = sorted(unique[k] for k, normals in zip(kept, tight) if rank(normals) == n)
+    vertices = sorted(tuple(Fraction(c, scale) for c in p)
+                      for p, normals in zip(ints, tight) if rank(normals) == n)
     facets = sorted(HalfSpace(tuple(map(Fraction, a)), Fraction(b, scale))
                     for a, b, _ in planes)
     return Polytope(n, tuple(vertices), tuple(facets))
@@ -193,34 +188,6 @@ def from_vertices(points: Iterable[Iterable[Coordinate]],
 # A facet of the hull of integer points: (a, b, tight) with <a, p> <= b for
 # every point p, equality exactly at the indices in tight, and a primitive.
 _Plane = tuple[tuple[int, ...], int, list[int]]
-
-
-def _hull_planes(points: Sequence[tuple[int, ...]],
-                 n: int) -> tuple[list[int], Optional[list[_Plane]]]:
-    """The indices of the points that may be vertices, and the facets of
-    the hull of those points (None when they do not span R^n).
-
-    The per-axis minimum and maximum points are kept, and so is every point
-    strictly beyond a facet of their hull.  The others lie in that hull, so
-    each is a convex combination of other points and never a vertex, and
-    since facets are spanned by vertices none is lost.  When the extreme
-    points do not span R^n, every point is kept.  The extreme points come
-    first: they are spread out, so a plane that is no facet soon meets
-    points on both of its sides.
-    """
-    everything = range(len(points))
-    extremes = sorted({pick(everything, key=lambda i: points[i][k])
-                       for k in range(n) for pick in (min, max)})
-    chosen = set(extremes)
-    rest = [i for i in everything if i not in chosen]
-    planes = _supporting_planes([points[i] for i in extremes], n)
-    if planes is not None:
-        rest = [i for i in rest
-                if any(sum(map(mul, a, points[i])) > b for a, b, _ in planes)]
-        if not rest:
-            return extremes, planes
-    kept = extremes + rest
-    return kept, _supporting_planes([points[i] for i in kept], n)
 
 
 def _supporting_planes(points: Sequence[tuple[int, ...]],
@@ -312,7 +279,9 @@ def dual(P: Polytope) -> Polytope:
     facet list.  Requires the origin strictly inside ``P`` (otherwise the
     polar is unbounded).
     """
-    vertices = sorted(_polar_vertices(P))
+    if not origin_interior(P):
+        raise OriginNotInterior("polar dual needs the origin strictly inside")
+    vertices = sorted(tuple(u / h.bound for u in h.normal) for h in P.facets)
     facets = sorted(HalfSpace(v, Fraction(1)).primitive() for v in P.vertices)
     return Polytope(P.ambient_dim, tuple(vertices), tuple(facets))
 
@@ -324,16 +293,15 @@ def has_lattice_dual(P: Polytope) -> bool:
 
 
 def dual_denominator(P: Polytope) -> int:
-    """The denominator of the polar dual of ``P``, read off the facets of
-    ``P``; raises ``OriginNotInterior`` where :func:`dual` does."""
-    return math.lcm(*(c.denominator for v in _polar_vertices(P) for c in v))
+    """The denominator of the polar dual of ``P``, read off the facet
+    bounds of ``P``; raises ``OriginNotInterior`` where :func:`dual` does.
 
-
-def _polar_vertices(P: Polytope) -> list[RationalPoint]:
-    """The vertex a / b of the polar dual for each facet <a, x> <= b."""
+    A facet <a, x> <= p/q with a primitive integer normal a gives the dual
+    vertex (q/p) * a, whose denominator is p since gcd(a) = gcd(p, q) = 1.
+    """
     if not origin_interior(P):
         raise OriginNotInterior("polar dual needs the origin strictly inside")
-    return [tuple(u / h.bound for u in h.normal) for h in P.facets]
+    return math.lcm(*(h.bound.numerator for h in P.facets))
 
 
 def vertex_ranges(P: Polytope) -> list[tuple[Fraction, Fraction]]:

@@ -134,11 +134,8 @@ def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
     delta-vector can never occur, so that outcome is flagged fatal.
     """
     dual_lattice = has_lattice_dual(P)
-    return _characterization(dual_lattice, delta if delta is not None
-                             else delta_vector_series(P, budget=budget))
-
-
-def _characterization(dual_lattice: bool, delta: DeltaVector) -> CheckResult:
+    if delta is None:
+        delta = delta_vector_series(P, budget=budget)
     palindromic = check_palindrome(delta).passed
     if dual_lattice == palindromic:
         return CheckResult("characterization", True)
@@ -186,7 +183,12 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     qp, d = checked_delta(P, budget=budget)
-    dual_lattice = has_lattice_dual(P)
+    palindrome = check_palindrome(d)
+    characterization = check_characterization(P, d, budget=budget)
+    # The characterization passes exactly when the dual is a lattice
+    # polytope iff d is palindromic, so its outcome gives the dual's
+    # latticeness without a second read of the facets.
+    dual_lattice = characterization.passed == palindrome.passed
 
     checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget)]
     if dual_lattice:
@@ -195,10 +197,10 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                       CheckResult("interior_shift", False,
                                   {"m": violation[0], "point": violation[1]}))
     checks.append(check_theorem(qp.table))
-    checks.append(check_palindrome(d))
+    checks.append(palindrome)
     checks.append(check_equivalence(qp.table, d))
     checks.append(check_non_negativity(d))
-    checks.append(_characterization(dual_lattice, d))
+    checks.append(characterization)
 
     if dual_lattice:
         # A lattice dual guarantees both symmetries; failing either here

@@ -25,7 +25,7 @@ from ehrhart import (
     is_lattice,
     origin_interior,
 )
-from ehrhart.geometry import vertex_ranges
+from ehrhart.geometry import dual_denominator, vertex_ranges
 from conftest import THEOREM_POOL_SPEC, dilate
 from hull_oracle import in_convex_hull, oracle_hull
 
@@ -303,7 +303,8 @@ def test_from_vertices_matches_oracle_on_dense_cloud():
 
 def test_from_vertices_matches_oracle_on_hand_cases():
     # The per-axis extreme points are only (0, 0) and (2, 2), or the 3D
-    # analogue, so the pre-filter has no hull to filter by.
+    # analogue: they do not span R^n, so the scan that starts with them
+    # needs the other points to find any facet.
     for points in ([(0, 0), (2, 2), (1, 0)],
                    [(0, 0, 0), (2, 2, 2), (1, 0, 0), (0, 1, 0)]):
         assert_matches_oracle(points)
@@ -325,13 +326,18 @@ def test_from_vertices_matches_oracle_hypothesis(points):
 
 def test_dual_lattice_iff_unit_bound_normals_integral(fixtures, theorem_pool,
                                                      control_pool):
-    # The predicate reads the dual's latticeness off P's facets; building
-    # the dual is the oracle.
+    # The predicate and the dual's denominator are read off P's facet
+    # bounds; building the dual is the oracle.  The 4D polytopes are those
+    # of test_dual_matches_hull_oracle_4d.
+    lattice_4d = instances(GeneratorConfig(seed=41, dim=4, coordinate_bound=1), 4,
+                           "lattice")
     lattice_duals = set()
-    for P in [*fixtures.values(), *theorem_pool, *control_pool]:
+    for P in [*fixtures.values(), *theorem_pool, *control_pool, *lattice_4d]:
+        D = dual(P)
         integral = all((c / h.bound).denominator == 1
                        for h in P.facets for c in h.normal)
-        assert has_lattice_dual(P) == integral == is_lattice(dual(P)), P
+        assert has_lattice_dual(P) == integral == is_lattice(D), P
+        assert dual_denominator(P) == denominator(D), P
         lattice_duals.add(integral)
     assert lattice_duals == {False, True}
 
