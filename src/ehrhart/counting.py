@@ -25,15 +25,18 @@ vertex first coordinates of P) that holds x/m.  This is the chamber
 decomposition of parametric counting (Clauss-Loechner, "Parametric
 analysis of polyhedral iteration spaces", 1998).  At a chamber's end the
 chains of both neighbouring chambers stay exact by continuity, some of
-their pieces empty.  Strict counts, whose right-hand sides m*p - 1 are not
-homogeneous, counts in the other dimensions and the witness walk keep the
-scan.
+their pieces empty.  What such a section divides (its cuts, where chain
+lines cross, each line's floor-sum offset) is affine in (m, x) with
+integer coefficients fixed by P, so the table holds those and the walk
+rebuilds no right-hand side.  Strict counts, whose right-hand sides
+m*p - 1 are not homogeneous, counts in the other dimensions and the
+witness walk keep the scan.
 
 All that does not depend on m or the prefix (the scaled facets, the vertex
-ranges, the upper/lower split of the facet lines, their Fourier-Motzkin
-pairs and the chamber table) is derived once per polytope, in one kernel
-that also holds the polytope's counts; a bounded memo keeps the kernels of
-the last few polytopes, so each count costs one lookup.
+ranges, the upper/lower split of the facet lines and the Euclid steps of
+their slopes, their Fourier-Motzkin pairs, the chamber table) is derived
+once per polytope, in one kernel that also holds the polytope's counts; a
+bounded memo keeps the kernels of the last few polytopes.
 
 The interior shift is decided by counts too.  With the origin strictly
 inside P every facet bound is positive, so (m-1)P lies inside int(mP) and
@@ -82,8 +85,8 @@ class _Kernel:
     ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
     ``levels`` holds the distinct vertex first coordinates of P and
-    ``chambers`` the :func:`_chamber_table` between them, built on the
-    first closed count that walks a section (None until then).
+    ``chambers`` the :func:`_chamber_table` between them, as affine forms
+    in (m, x), built on the first closed count that walks a section.
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -137,28 +140,38 @@ def _last_axis_interval(facets: Sequence[_ScaledFacet], m: int, strict: bool,
     return (lo, hi) if lo <= hi else (1, 0)
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0 and m > 0.
+def _euclid_steps(a: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """Euclid's (modulus, quotient, remainder) steps on a / m, m > 0."""
+    steps = []
+    while m:
+        q, r = divmod(a, m)
+        steps.append((m, q, r))
+        a, m = m, r
+    return tuple(steps)
+
+
+def _floor_sum(n: int, b: int, steps: Sequence[tuple[int, int, int]]) -> int:
+    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0, where
+    ``steps`` is ``_euclid_steps(a, m)``.
 
     The Euclid-style recurrence of the AtCoder Library's ``floor_sum``:
     reduce a and b mod m, then swap the roles of a and m, in O(log m)
-    steps.  Python's floor ``divmod`` makes negative a and b work as-is.
+    steps.  The (a, m) pairs depend on the slope alone; Python's floor
+    division makes negative a and b work as-is.
     """
     total = 0
-    while n:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
+    for m, qa, a in steps:
+        qb, b = b // m, b % m
         total += qa * (n * (n - 1) // 2) + qb * n
         top = a * n + b
-        if top < m:
+        if top < m:  # always so at the last step, where a = 0
             break
-        n, b = divmod(top, m)
-        m, a = a, m
+        n, b = top // m, top % m
     return total
 
 
-# One facet line on the last two axes, A*y + B*z <= C[i], as (A, B, i).
-_Line = tuple[int, int, int]
+# A facet line A*y + B*z <= C[i] on the last two axes, B > 0, as (A, B, i, steps).
+_Line = tuple[int, int, int, tuple]
 
 
 def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
@@ -175,17 +188,17 @@ def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
     while y <= y1:
         # A line lowest at y.  It stays lowest until a faster-falling line
         # passes below it, which a line tied with it at y does at y + 1.
-        A, B, i = lines[0]
-        for a, b, j in lines:
+        A, B, i, steps = lines[0]
+        for a, b, j, s in lines:
             if (C[j] - a * y) * B < (C[i] - A * y) * b:
-                A, B, i = a, b, j
-        chain.append((A, B, i))
+                A, B, i, steps = a, b, j, s
+        chain.append((A, B, i, steps))
         end = y1
         faster = []
-        for a, b, j in lines:
+        for a, b, j, s in lines:
             steeper = a * B - A * b
             if steeper > 0:
-                faster.append((a, b, j))
+                faster.append((a, b, j, s))
                 cut = (C[j] * B - C[i] * b) // steeper
                 if cut < end:
                     end = cut
@@ -201,16 +214,16 @@ def _chain_sum(chain: Sequence[_Line], C: Sequence[int], y: int, y1: int) -> int
     meets the next and one :func:`_floor_sum` per line.  A line lowest at
     no integer of y..y1 adds nothing."""
     total = 0
-    A, B, i = chain[0]
-    for a, b, j in chain[1:]:
+    A, B, i, steps = chain[0]
+    for a, b, j, following in chain[1:]:
         end = (C[j] * B - C[i] * b) // (a * B - A * b)
         if end > y1:
             end = y1
         if end >= y:
-            total += _floor_sum(end - y + 1, B, -A, C[i] - A * y)
+            total += _floor_sum(end - y + 1, C[i] - A * y, steps)
             y = end + 1
-        A, B, i = a, b, j
-    return total + _floor_sum(y1 - y + 1, B, -A, C[i] - A * y)
+        A, B, i, steps = a, b, j, following
+    return total + _floor_sum(y1 - y + 1, C[i] - A * y, steps)
 
 
 def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y0: int, y1: int) -> int:
@@ -220,8 +233,9 @@ def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y0: int, y1: int) ->
 
 def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
     """What a section count of the lines A*y + B*z <= C[i] needs of their
-    (A, B) alone.  Returns the uppers (A, B, i) with B > 0, the lowers (A, -B, i) with
-    B < 0 (z >= (A*y - C[i]) / -B), and the cuts (D, i, s, j, t), each
+    (A, B) alone.  Returns the uppers (A, B, i, steps) with B > 0, the lowers
+    (A, -B, i, steps) with B < 0 (z >= (A*y - C[i]) / -B), steps the
+    :func:`_euclid_steps` of the slope, and the cuts (D, i, s, j, t), each
     D*y <= s*C[i] + t*C[j], in three lists by the sign of D, negative D
     negated.  By Fourier-Motzkin the section is non-empty over the reals
     exactly where the B = 0 rows and every lower-below-upper pair hold.
@@ -229,13 +243,13 @@ def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
     uppers, lowers, cuts = [], [], []
     for i, (A, B) in enumerate(lines):
         if B > 0:
-            uppers.append((A, B, i))
+            uppers.append((A, B, i, _euclid_steps(-A, B)))
         elif B < 0:
-            lowers.append((A, -B, i))
+            lowers.append((A, -B, i, _euclid_steps(-A, -B)))
         else:
             cuts.append((A, i, 1, i, 0))
     cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
-             for Au, Bu, i in uppers for Al, Bl, j in lowers]
+             for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
     return (uppers, lowers, [c for c in cuts if c[0] == 0], [c for c in cuts if c[0] > 0],
             [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0])
 
@@ -269,9 +283,9 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
     min_i (c[i] - A_i*y) / B_i over the real y0 < y1, left to right.  The
     ends are (numerator, denominator) pairs, denominators positive."""
     chain = []
-    for A, B, i in lines:
+    for A, B, i, steps in lines:
         (p, q), (r, s) = y0, y1  # line i is lowest on p/q < y < r/s at most
-        for a, b, j in lines:  # line i is at or below line j where e*y <= f
+        for a, b, j, _ in lines:  # line i is at or below line j where e*y <= f
             e, f = a * B - A * b, c[j] * B - c[i] * b
             if e > 0 and f * s < r * e:
                 r, s = f, e
@@ -280,7 +294,7 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
             elif e == 0 and f < 0:  # line j is parallel and lower everywhere
                 r, s = p, q
         if p * s < r * q:
-            chain.append((A, B, i))
+            chain.append((A, B, i, steps))
     return sorted(chain, key=cmp_to_key(lambda k, l: k[0] * l[1] - l[0] * k[1]))
 
 
@@ -298,49 +312,76 @@ def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
 
 def _chamber_table(K: _Kernel) -> list[tuple]:
     """For each chamber [t, t'] between consecutive ``levels`` of a 3D
-    kernel: t' as (numerator, denominator), the cuts of the plan that bind
-    y from above and from below, and the chains of the upper and lower
-    envelopes.  All are read off the section of P at the chamber's
-    midpoint, where no two cuts or lines tie, and hold on all of [t, t'].
+    kernel: t' as (numerator, denominator), the cuts that bind y from above
+    and from below, and the chains of the upper and lower envelopes.  They
+    are read off the section of P at the chamber's midpoint, where no two
+    cuts or lines tie, and hold on all of [t, t'].  With C_i = m*p_i - w_i*x
+    on line i of the section of mP at x, a cut D*y <= s*C_i + t*C_j is held
+    as (s*p_i + t*p_j, s*w_i + t*w_j, D), and a chain line (A, B, i) as
+    (p_i, w_i, A, steps) and where the next line (a, b, j) passes below it,
+    y <= (C_j*B - C_i*b) / (a*B - A*b), as (p_j*B - p_i*b, w_j*B - w_i*b,
+    a*B - A*b), or (0, 0, 0) for the last line.
     """
     uppers, lowers, _, above, below = K.plan
+    p = [bound for _, bound, _ in K.facets]
+    w = [weight for weight, in K.weights]
+
+    def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int]:
+        return s * p[i] + t * p[j], s * w[i] + t * w[j], D
+
+    def forms(chain: list[_Line]) -> list[tuple]:
+        ends = [(p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
+                for (A, B, i, _), (a, b, j, _) in zip(chain, chain[1:])]
+        return [(p[i], w[i], A, steps, *end)
+                for (A, _, i, steps), end in zip(chain, ends + [(0, 0, 0)])]
+
     table = []
     for t0, t1 in zip(K.levels, K.levels[1:]):
         # The lines A*y + B*z <= c[i] of the section of mP at x, for x/m the
         # midpoint: the section of P there, scaled by m.
         t = (t0 + t1) / 2
         x, m = t.numerator, t.denominator
-        c = [m * p - w * x for (_, p, _), (w,) in zip(K.facets, K.weights)]
+        c = [m * pi - wi * x for pi, wi in zip(p, w)]
         top, v1, d1 = _least_cut(above, c)
         bottom, v0, d0 = _least_cut(below, c)
         y0, y1 = (-v0, d0), (v1, d1)
-        table.append((t1.numerator, t1.denominator, top, bottom,
-                      _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)))
+        table.append((t1.numerator, t1.denominator, cut(*top), cut(*bottom),
+                      forms(_real_chain(uppers, c, y0, y1)),
+                      forms(_real_chain(lowers, c, y0, y1))))
     return table
 
 
 def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
     """Lattice points of mP for a 3D kernel, m >= 1 and a non-empty ``box``:
-    each section takes its cuts and chains from the chamber holding x/m."""
+    per chamber its forms times m, per section x with x/m in it two cut
+    divisions, and per chain piece one division and one floor sum."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
-    chambers = iter(K.chambers)
-    num, den, top, bottom, upper, lower = next(chambers)
     lo, hi = box[0]
-    step = [w for w, in K.weights]
-    C = [m * p - s * lo for (_, p, _), s in zip(K.facets, step)]
     total = 0
-    for x in range(lo, hi + 1):
-        while x * den > m * num:  # x/m lies past this chamber
-            num, den, top, bottom, upper, lower = next(chambers)
-        D, i, s, j, t = top
-        y1 = (s * C[i] + t * C[j]) // D
-        D, i, s, j, t = bottom
-        y0 = -((s * C[i] + t * C[j]) // D)
-        if y0 <= y1:
-            total += (_chain_sum(upper, C, y0, y1) + _chain_sum(lower, C, y0, y1)
-                      + (y1 - y0 + 1))
-        C = list(map(sub, C, step))
+    for num, den, (tp, tw, td), (bp, bw, bd), upper, lower in K.chambers:
+        last = min(hi, m * num // den)  # the last x with x/m in the chamber
+        if lo > last:
+            continue
+        tp, bp = m * tp, m * bp
+        chains = [[(m * p, w, A, steps, m * c, cw, e)
+                   for p, w, A, steps, c, cw, e in chain] for chain in (upper, lower)]
+        for x in range(lo, last + 1):
+            y1 = (tp - tw * x) // td
+            y0 = -((bp - bw * x) // bd)
+            if y0 > y1:
+                continue
+            total += y1 - y0 + 1
+            for chain in chains:
+                y = y0
+                for mp, w, A, steps, c, cw, e in chain:  # lowest from y to end
+                    end = (c - cw * x) // e if e else y1
+                    if end > y1:
+                        end = y1
+                    if end >= y:
+                        total += _floor_sum(end - y + 1, mp - w * x - A * y, steps)
+                        y = end + 1
+        lo = last + 1
     return total
 
 

@@ -23,6 +23,7 @@ from ehrhart import (
 from ehrhart import counting
 from ehrhart.counting import (
     _chamber_count,
+    _euclid_steps,
     _exact_count,
     _floor_sum,
     _kernel,
@@ -217,8 +218,9 @@ def test_floor_sum_matches_brute_force_on_grid():
     for n in range(0, 9):
         for m in range(1, 8):
             for a in range(-9, 10):
+                steps = _euclid_steps(a, m)
                 for b in range(-9, 10):
-                    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b), \
+                    assert _floor_sum(n, b, steps) == brute_floor_sum(n, m, a, b), \
                         (n, m, a, b)
 
 
@@ -226,7 +228,7 @@ def test_floor_sum_matches_brute_force_on_grid():
 @given(st.integers(0, 200), st.integers(1, 10**6),
        st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_floor_sum_matches_brute_force_large(n, m, a, b):
-    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
+    assert _floor_sum(n, b, _euclid_steps(a, m)) == brute_floor_sum(n, m, a, b)
 
 
 def test_count_matches_listed_points(theorem_pool, control_pool):
@@ -327,10 +329,12 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
 
 def assert_chambers_match_scan(polytopes, dilations=range(1, 41)):
     # The closed 3D count through the chamber table against the scan of
-    # every section, on every dilation with a non-empty box.
+    # every section, on every dilation with a non-empty box, and on one
+    # large prime dilation, where the numerators of the chamber forms grow
+    # like m*p.
     for P in polytopes:
         K = _kernel(P)
-        for m in dilations:
+        for m in [*dilations, 997]:
             box = K.box(m)
             if all(lo <= hi for lo, hi in box):
                 assert _chamber_count(K, m, box) == _scan_count(K, m, False, box), (P, m)
@@ -388,6 +392,36 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
     report = full_report(P)
     assert report.k > 1
     assert builds == [_kernel(P)]
+
+
+# The floor sums made by the closed counts m = 1..40, as counted on the
+# chamber walk that still rebuilt every right-hand side per section and
+# summed each chain's last line even when it held no integer.  The walk on
+# precomputed affine forms makes 6560 on each.
+FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679}
+
+
+def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
+    # A deterministic guard on the walk's work.  A scan of every section
+    # makes about as many floor sums (6560 and 6542 here), so the scan's
+    # envelope and cut helpers are watched too: none may run.
+    calls = {"_floor_sum": [], "_envelope_chain": [], "_section_count": []}
+    for name, seen in calls.items():
+        def counted(*args, real=getattr(counting, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1,
+                          "rational")
+    for name, P in (("octa3", catalog()["octa3"]), ("rational 3D, seed 8200", rational)):
+        clear_count_cache()
+        for seen in calls.values():
+            seen.clear()
+        for m in range(1, 41):
+            count_points(P, m)
+        assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST[name], name
+        assert calls["_envelope_chain"] == calls["_section_count"] == [], name
 
 
 # ---------------------------------------------------------- interior shift
@@ -460,9 +494,10 @@ def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, 
 def test_empty_box_makes_no_sections(monkeypatch):
     # The box of this slab at m = 1 is empty on its last axis: the count
     # and the witness walk return before the 6001 prefixes of its first,
-    # and the closed count builds no chamber table and sums no chain.
+    # and the closed count builds no chamber table and makes no floor sum,
+    # the kernel of the scan and of the chamber walk alike.
     calls = []
-    for name in ("_section_count", "_chamber_table", "_chain_sum"):
+    for name in ("_section_count", "_chamber_table", "_floor_sum"):
         def counted(*args, real=getattr(counting, name)):
             calls.append(args)
             return real(*args)
