@@ -52,11 +52,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     doc = {
         "polytope": name,
         "dim": P.ambient_dim,
-        "vertex_count": len(P.vertices),
+        "vertex_count": len(P.rows),
         "denominator": str(denominator(P)),
         "lattice": is_lattice(P),
         "origin_interior": origin_interior(P),
-        "facet_count": len(P.facets),
+        "facet_count": len(P.facet_rows),
     }
     labels = ("polytope", "dim", "vertices", "denominator", "lattice",
               "origin interior", "facets")
@@ -85,10 +85,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
-    from .quasipoly import checked_delta
+    from .quasipoly import checked_delta, closed_counts
     from .verify import check_palindrome, render_delta
     name, P = _resolve_input(args.input)
-    qp, delta = checked_delta(P, budget=args.budget)
+    qp, delta = checked_delta(*closed_counts(P, budget=args.budget))
     palindromic = check_palindrome(delta).passed
     fields, lines = render_delta(delta, qp.table)
     doc = {"polytope": name, "n": qp.n, "k": str(qp.k), **fields,
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="maximum bounding-box cells per enumeration")
+                       help="maximum box cells per count, and counts per request")
 
     p = sub.add_parser("info", help="basic facts about a polytope")
     p.add_argument("input", help="catalog name or JSON file")

@@ -1,50 +1,32 @@
 """Exact enumeration of lattice points in dilations of a rational polytope.
 
-Counting never constructs the dilated polytope: for a dilation factor m the
-facet system of mP is the system of P with every bound scaled by m.  Each
-facet <u, x> <= m * p/q is cleared of denominators once, after which all
-point tests are pure integer arithmetic.
+Counting never constructs the dilated polytope: the facet system of mP is
+that of P with every bound scaled by m, and each facet <u, x> <= m * p/q is
+cleared of denominators once, so every test is integer arithmetic.  Strict
+counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
-Counting walks the integer bounding box on the first n-2 axes only.  For
-each such prefix the rest of mP is a convex polygon on the last two axes,
-counted in closed form: each column of it runs from the upper envelope of
-the lower facet lines to the lower envelope of the upper ones, each
-envelope is a chain of at most F linear pieces, and the lattice points
-under one piece are a single Euclid-style floor sum (Beck-Robins,
-*Computing the Continuous Discretely*).  A count therefore costs about
-M^(n-2) prefixes times a polynomial in F and log M, for a box of width M,
-instead of the M^(n-1) prefixes of a walk.  One-dimensional counts solve
-their single axis directly.
-
-A section found by a scan over all cuts and lines costs O(F) per piece.  A
-closed three-dimensional count needs no scan: it is homogeneous, the
-section of mP at first coordinate x being m times the section of P at
-x/m, so which cuts bound y and which lines make up each envelope chain
-depend only on the chamber (the interval between consecutive distinct
-vertex first coordinates of P) that holds x/m.  This is the chamber
-decomposition of parametric counting (Clauss-Loechner, "Parametric
-analysis of polyhedral iteration spaces", 1998).  At a chamber's end the
-chains of both neighbouring chambers stay exact by continuity, some of
-their pieces empty.  What such a section divides (its cuts, where chain
-lines cross, each line's floor-sum offset) is affine in (m, x) with
-integer coefficients fixed by P, so the table holds those and the walk
-rebuilds no right-hand side.  Strict counts, whose right-hand sides
-m*p - 1 are not homogeneous, counts in the other dimensions and the
-witness walk keep the scan.
-
-All that does not depend on m or the prefix (the scaled facets, the vertex
-ranges, the upper/lower split of the facet lines and the Euclid steps of
-their slopes, their Fourier-Motzkin pairs, the chamber table) is derived
-once per polytope, in one kernel that also holds the polytope's counts; a
+A count walks the integer bounding box on the first n-2 axes only, and
+counts each section, a convex polygon on the last two axes, in closed
+form: a column runs between the envelopes of the lower and the upper facet
+lines, and the lattice points under one envelope piece are one Euclid-style
+floor sum (Beck-Robins, *Computing the Continuous Discretely*).  A closed
+three-dimensional count is homogeneous, so the cuts and envelope chains of
+its sections depend only on the chamber, between consecutive vertex first
+coordinates of P, that holds x/m (Clauss-Loechner, "Parametric analysis of
+polyhedral iteration spaces", 1998), and are looked up in a chamber table
+instead of scanned.  All that does not depend on m is derived once per
+polytope from its integer rows, in one kernel that also holds its counts; a
 bounded memo keeps the kernels of the last few polytopes.
 
-The interior shift is decided by counts too.  With the origin strictly
-inside P every facet bound is positive, so (m-1)P lies inside int(mP) and
-the two have the same lattice points exactly when they have as many.  Only
-on a count mismatch are points looked at, to name the least one of int(mP)
-outside (m-1)P: the same prefixes and sections, one column y at a time.
-Strict counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact because
-both sides are integers.
+A delta-vector or a report asks for its counts in one request,
+:func:`count_vector`.  A vector of more counts than the budget is refused
+before any count, as many cheap counts (the 2k of a segment whose k is near
+10^12) add up to unbounded work; then each m is counted once by
+:func:`count_points`, whose box of mP may hold at most ``budget`` cells
+(none are charged in 1D).
+
+The interior shift is decided by counts too (:func:`interior_shift_mismatch`):
+only on a count mismatch are points looked at, to name a witness.
 """
 
 from __future__ import annotations
@@ -56,9 +38,10 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
-from .geometry import Polytope, vertex_ranges
+from .geometry import Polytope
 
-#: Maximum number of bounding-box cells an enumeration may touch.
+#: Maximum number of bounding-box cells a count may touch, and of counts a
+#: vector request may hold.
 DEFAULT_BUDGET = 10**8
 
 #: Memo size, in polytopes.  Each memoised polytope keeps its chamber table
@@ -77,34 +60,34 @@ _ScaledFacet = tuple[tuple[int, ...], int, int]
 class _Kernel:
     """What counting derives from one polytope, and the counts made of it.
 
-    ``facets`` holds the scaled facets; ``ranges`` the per-axis vertex
-    (min, max) as (num, den, num, den) integer pairs; ``counts`` every
-    count made so far, by (m, strict).  On the last two axes, with the
-    first n-2 fixed to a prefix x, facet i is the line
+    ``facets`` holds the scaled facets; ``ranges`` the per-axis (min, max)
+    of the vertex rows, over ``scale``; ``counts`` the counts by (m, strict).
+    On the last two axes, with the first n-2 fixed to a prefix x, facet i is
+    the line
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where (A_i, B_i) and
     ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
-    ``levels`` holds the distinct vertex first coordinates of P and
+    ``levels`` holds the distinct first coordinates of the vertex rows and
     ``chambers`` the :func:`_chamber_table` between them, as affine forms
     in (m, x), built on the first closed count that walks a section.
     """
 
     def __init__(self, P: Polytope) -> None:
-        self.n = P.ambient_dim
-        self.facets = [(tuple(int(c) for c in h.normal),  # stored primitive
-                        h.bound.numerator, h.bound.denominator) for h in P.facets]
-        self.ranges = [(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-                       for lo, hi in vertex_ranges(P)]
+        self.n, self.scale = P.ambient_dim, P.scale
+        self.facets = [(a, b // g, P.scale // g)  # p/q = b/L in lowest terms
+                       for a, b in P.facet_rows for g in [math.gcd(b, P.scale)]]
+        self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
         self.counts: dict[tuple[int, bool], int] = {}
         scaled = [[q * c for c in a] for a, _, q in self.facets]
         self.weights = [row[:-2] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
-        self.levels = sorted({v[0] for v in P.vertices}) if self.n == 3 else None
+        self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else None
         self.chambers: Optional[list[tuple]] = None
 
     def box(self, m: int) -> list[tuple[int, int]]:
         """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis."""
-        return [(-(-m * a // b), m * c // d) for a, b, c, d in self.ranges]
+        L = self.scale
+        return [(-(-m * lo // L), m * hi // L) for lo, hi in self.ranges]
 
 
 #: The kernel of a polytope, built on its first count.
@@ -338,14 +321,13 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     table = []
     for t0, t1 in zip(K.levels, K.levels[1:]):
         # The lines A*y + B*z <= c[i] of the section of mP at x, for x/m the
-        # midpoint: the section of P there, scaled by m.
-        t = (t0 + t1) / 2
-        x, m = t.numerator, t.denominator
+        # midpoint (t0 + t1) / 2L: the section of P there, scaled by m.
+        x, m = t0 + t1, 2 * K.scale
         c = [m * pi - wi * x for pi, wi in zip(p, w)]
         top, v1, d1 = _least_cut(above, c)
         bottom, v0, d0 = _least_cut(below, c)
         y0, y1 = (-v0, d0), (v1, d1)
-        table.append((t1.numerator, t1.denominator, cut(*top), cut(*bottom),
+        table.append((t1, K.scale, cut(*top), cut(*bottom),
                       forms(_real_chain(uppers, c, y0, y1)),
                       forms(_real_chain(lowers, c, y0, y1))))
     return table
@@ -430,6 +412,16 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     if (m, strict) not in K.counts:
         K.counts[m, strict] = _exact_count(K, m, strict, box)
     return K.counts[m, strict]
+
+
+def count_vector(P: Polytope, dilations: Sequence[int], strict: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> list[int]:
+    """The counts of mP (strict: of its interior) for the distinct m of
+    ``dilations``, one :func:`count_points` each, once ``BudgetExceeded``
+    has refused them all, before any count, if they are more than ``budget``."""
+    if len(dilations) > budget:
+        raise BudgetExceeded(f"{len(dilations)} counts requested, budget is {budget}")
+    return [count_points(P, m, strict, budget) for m in dilations]
 
 
 def interior_shift_mismatch(P: Polytope, m: int,

@@ -10,13 +10,12 @@ generation and keeps the draw rule one line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from ._catalog import VERTICES
 from .errors import DimensionDeficient, EmptyInput, GenerationExhausted
-from .geometry import Polytope, dual, from_vertices, origin_interior
+from .geometry import Polytope, dual, from_ratios, from_vertices, origin_interior
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,12 +80,12 @@ def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
             for _ in range(cfg.dim):
                 if rational:
                     q = rng.integer(1, cfg.denominator_bound)
-                    coords.append(Fraction(rng.integer(-bound * q, bound * q), q))
+                    coords.append((rng.integer(-bound * q, bound * q), q))
                 else:
-                    coords.append(Fraction(rng.integer(-bound, bound)))
-            pts.append(tuple(coords))
+                    coords.append((rng.integer(-bound, bound), 1))
+            pts.append(coords)
         try:
-            P = from_vertices(pts)
+            P = from_ratios(pts)
         except (DimensionDeficient, EmptyInput):
             continue
         if origin_interior(P):

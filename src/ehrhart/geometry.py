@@ -1,21 +1,16 @@
 """Exact geometry of full-dimensional rational convex polytopes.
 
-Polytopes are stored by their vertices (V-representation) together with a
-derived, canonically ordered facet list (H-representation).  All coordinates
-are ``fractions.Fraction``, so every operation here is exact; there is no
-floating point anywhere in this package.
-
-The hull of input points is one facet scan in integer arithmetic: the points
-are scaled by the lcm of their denominators, and every hyperplane through n
-of them is tested for whether it supports all the others.  The supporting
-ones are the facets, and the vertices are the points on n facets of
-independent normals, so no linear program is solved.  The scan runs over
-the C(N, n) n-subsets of the N unique points and tests each plane against
-all N, with the per-axis extreme points first only so that a plane that is
-no facet meets points on both of its sides early.  That is fine at desk
-scale (tens of vertices, dimension <= 4), which an ambient-dimension cap
-with an explicit override guards.  The polar dual swaps vertices and
-facets, so :func:`dual` reads both off the input with no scan.
+A polytope is held in one canonical integer form: its scale L, the least
+positive integer with LP a lattice polytope; the vertices of LP as sorted
+integer rows; and its facets as sorted rows (a, b) with a primitive integer
+normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, one
+integer facet scan with no linear program) builds that form from the input
+without a ``fractions.Fraction``; the denominator, the vertex ranges and
+the polar dual (vertices and facets swapped, no scan) are read off it.
+``Fraction`` vertices and :class:`HalfSpace` facets are only views of the
+rows, built on first use.  There is no floating point anywhere in this
+package.  The scan suits desk scale (tens of vertices, dimension <= 4),
+which an ambient-dimension cap with an explicit override guards.
 """
 
 from __future__ import annotations
@@ -23,8 +18,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -34,7 +30,7 @@ from .errors import (
     EmptyInput,
     OriginNotInterior,
 )
-from .linalg import affine_rank, det, rank
+from .linalg import det, rank
 
 #: A point of Q^n, stored as an immutable coordinate tuple.
 RationalPoint = tuple[Fraction, ...]
@@ -65,54 +61,46 @@ class HalfSpace(namedtuple("HalfSpace", "normal bound")):
             raise ValueError("half-space normal must be nonzero")
         return super().__new__(cls, normal, bound)
 
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        """Inner product <normal, x>."""
-        return sum((u * c for u, c in zip(self.normal, x)), Fraction(0))
-
-    def holds(self, x: Sequence[Fraction], strict: bool = False) -> bool:
-        value = self.evaluate(x)
-        return value < self.bound if strict else value <= self.bound
-
-    def primitive(self) -> "HalfSpace":
-        """Equivalent half-space with an integer normal of gcd 1.
-
-        Scaling is by a positive rational only, so the inequality keeps its
-        direction and the result is a canonical representative.
-        """
-        scale = math.lcm(*(c.denominator for c in self.normal))
-        ints = [int(c * scale) for c in self.normal]
-        g = math.gcd(*ints)
-        factor = Fraction(scale, g)
-        return HalfSpace(tuple(Fraction(i // g) for i in ints), self.bound * factor)
-
 
 class Polytope:
-    """A full-dimensional rational polytope with irredundant vertices.
-
-    Instances should be produced by :func:`from_vertices` (or by operations
-    derived from it), which establishes the invariants: vertices are extreme
-    and lexicographically sorted, and ``facets`` is the complete canonical
-    facet list in primitive integer-normal form.  Immutable; two polytopes
-    are equal when their ambient dimensions and vertices are.
+    """A full-dimensional rational polytope in canonical integer form: the
+    ``scale`` L, the lcm of its vertex denominators; the vertices of LP as
+    sorted integer ``rows``; and the complete facet list as sorted
+    ``facet_rows`` (a, b), each <a, x> <= b / L with a primitive.  Build
+    instances with :func:`from_vertices`, which establishes these
+    invariants.  ``vertices`` and ``facets`` are views, built on first use.
+    Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
     """
 
-    __slots__ = ("ambient_dim", "vertices", "facets", "_hash")
+    # The views are cached in __dict__, which cached_property fills directly.
+    __slots__ = ("ambient_dim", "scale", "rows", "facet_rows", "_hash", "__dict__")
 
-    def __init__(self, ambient_dim: int, vertices: tuple[RationalPoint, ...],
-                 facets: tuple[HalfSpace, ...]) -> None:
+    def __init__(self, ambient_dim: int, scale: int, rows: tuple,
+                 facet_rows: tuple) -> None:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if not vertices:
+        if not rows:
             raise ValueError("polytope must have vertices")
-        for v in vertices:
-            if len(v) != ambient_dim:
+        for row in rows:
+            if len(row) != ambient_dim:
                 raise DimensionMismatch(
-                    f"vertex {v} does not live in dimension {ambient_dim}")
+                    f"vertex row {row} does not live in dimension {ambient_dim}")
         # Immutable, so hashed once, on the key of __eq__.
-        for name, value in (("ambient_dim", ambient_dim), ("vertices", vertices),
-                            ("facets", facets),
-                            ("_hash", hash((ambient_dim, vertices)))):
+        for name, value in (("ambient_dim", ambient_dim), ("scale", scale),
+                            ("rows", rows), ("facet_rows", facet_rows),
+                            ("_hash", hash((ambient_dim, scale, rows)))):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def vertices(self) -> tuple[RationalPoint, ...]:
+        """The vertices as ``Fraction`` points, lexicographically sorted."""
+        return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.rows)
+
+    @cached_property
+    def facets(self) -> tuple[HalfSpace, ...]:
+        """The facets as half-spaces with primitive integer normals, sorted."""
+        return tuple(HalfSpace(tuple(map(Fraction, a)), Fraction(b, self.scale))
+                     for a, b in self.facet_rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -123,7 +111,8 @@ class Polytope:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ambient_dim, self.vertices) == (other.ambient_dim, other.vertices)
+        return ((self.ambient_dim, self.scale, self.rows)
+                == (other.ambient_dim, other.scale, other.rows))
 
     def __hash__(self) -> int:
         return self._hash
@@ -133,56 +122,61 @@ class Polytope:
                 f"vertices={self.vertices!r}, facets={self.facets!r})")
 
     def __reduce__(self) -> tuple:
-        return Polytope, (self.ambient_dim, self.vertices, self.facets)
+        return Polytope, (self.ambient_dim, self.scale, self.rows, self.facet_rows)
 
 
 def from_vertices(points: Iterable[Iterable[Coordinate]],
                   max_dim: int | None = None) -> Polytope:
-    """Convex hull of the given rational points as a Polytope.
+    """Convex hull of the given rational points: :func:`from_ratios` of
+    their exact coordinates."""
+    return from_ratios([[(c.numerator, c.denominator) for c in point(p)]
+                        for p in points], max_dim)
 
-    Duplicate, interior and otherwise redundant points are dropped.  The
-    points are scaled to integers by the lcm L of their denominators, which
-    keeps their order, and every hyperplane through n of them with all the
-    others on one side becomes a facet <a, x> <= b / L with a primitive
-    integer normal a.  A point is a vertex when the normals of the facets
-    through it have rank n.  No linear program is solved: one scan tests
-    the planes through the C(N, n) n-subsets of the N unique points against
-    all of them.  The per-axis extreme points come first; they are spread
-    out, so a plane that is no facet soon meets points on both of its
-    sides.  Raises ``DimensionDeficient`` when the affine hull of the input
-    is not the whole ambient space.
+
+def from_ratios(points: Sequence[Sequence[tuple[int, int]]],
+                max_dim: int | None = None) -> Polytope:
+    """Convex hull of points given by (numerator, denominator) coordinate
+    pairs, denominators positive.
+
+    The points are scaled to integers by the lcm L of their denominators,
+    and every hyperplane through n of them with all the others on one side
+    is a facet <a, x> <= b / L, a primitive.  A point is a vertex when the
+    normals of the facets through it have rank n.  One scan tests the planes
+    through the C(N, n) n-subsets of the N unique points against all of
+    them, the per-axis extreme points first, so that a plane that is no
+    facet soon meets points on both of its sides.  L then drops the factor
+    the vertices do not need.  Raises ``DimensionDeficient`` when the points
+    do not span the ambient space.
     """
-    raw = [point(p) for p in points]
-    if not raw:
+    if not points:
         raise EmptyInput("need at least one point")
-    n = len(raw[0])
+    n = len(points[0])
     if n < 1:
         raise EmptyInput("points must have at least one coordinate")
-    for p in raw:
-        if len(p) != n:
-            raise DimensionMismatch("points of mixed dimensions")
+    if any(len(p) != n for p in points):
+        raise DimensionMismatch("points of mixed dimensions")
     cap = DEFAULT_MAX_DIM if max_dim is None else max_dim
     if n > cap:
         raise AmbientDimensionCap(
             f"dimension {n} exceeds cap {cap}; pass max_dim to override")
-    unique = sorted(set(raw))
-    scale = math.lcm(*(c.denominator for p in unique for c in p))
-    ints = [tuple(c.numerator * (scale // c.denominator) for c in p) for p in unique]
+    scale = math.lcm(*(q for p in points for _, q in p))
+    ints = sorted({tuple(c * (scale // q) for c, q in p) for p in points})
     extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
     ints = sorted(extremes) + [p for p in ints if p not in extremes]
     planes = _supporting_planes(ints, n)
     if planes is None:
+        span = rank([tuple(map(sub, p, ints[0])) for p in ints])
         raise DimensionDeficient(
-            f"points span an affine subspace of dimension {affine_rank(unique)} < {n}")
+            f"points span an affine subspace of dimension {span} < {n}")
     tight: list[list[tuple[int, ...]]] = [[] for _ in ints]
     for a, _, on in planes:
         for i in on:
             tight[i].append(a)
-    vertices = sorted(tuple(Fraction(c, scale) for c in p)
-                      for p, normals in zip(ints, tight) if rank(normals) == n)
-    facets = sorted(HalfSpace(tuple(map(Fraction, a)), Fraction(b, scale))
-                    for a, b, _ in planes)
-    return Polytope(n, tuple(vertices), tuple(facets))
+    rows = sorted(p for p, normals in zip(ints, tight) if rank(normals) == n)
+    # Every facet holds a vertex, so g divides each facet bound too.
+    g = math.gcd(scale, *(c for row in rows for c in row))
+    return Polytope(n, scale // g, tuple(tuple(c // g for c in row) for row in rows),
+                    tuple(sorted((a, b // g) for a, b, _ in planes)))
 
 
 # A facet of the hull of integer points: (a, b, tight) with <a, p> <= b for
@@ -194,10 +188,9 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
                        n: int) -> Optional[list[_Plane]]:
     """The facets of the hull of integer points, by one scan of the
     hyperplanes through n of them, or None when the points do not span R^n.
-
     Every facet of a full-dimensional polytope holds n affinely independent
-    points, so the scan finds each one.  Points that do not span R^n give
-    no hyperplane at all, or one that holds every point.
+    points, so the scan finds each one; points that do not span R^n give no
+    hyperplane at all, or one that holds every point.
     """
     zero = (0,) * n
     seen = set()
@@ -205,9 +198,13 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
     for subset in combinations(points, n):
         base = subset[0]
         diffs = [[c - o for c, o in zip(p, base)] for p in subset[1:]]
-        # The signed (n-1)-minors are orthogonal to every difference.
-        normal = [(-1) ** j * det([row[:j] + row[j + 1:] for row in diffs])
-                  for j in range(n)]
+        if n == 3:
+            (p1, p2, p3), (q1, q2, q3) = diffs
+            normal = [p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1]
+        else:
+            # The signed (n-1)-minors are orthogonal to every difference.
+            normal = [(-1) ** j * det([row[:j] + row[j + 1:] for row in diffs])
+                      for j in range(n)]
         g = math.gcd(*normal)
         if g == 0:
             continue
@@ -247,43 +244,46 @@ def contains(P: Polytope, x: Iterable[Coordinate], strict: bool = False) -> bool
     if len(px) != P.ambient_dim:
         raise DimensionMismatch(
             f"point of dimension {len(px)} in polytope of dimension {P.ambient_dim}")
-    return all(h.holds(px, strict=strict) for h in P.facets)
+    slack = [b - P.scale * sum(map(mul, a, px)) for a, b in P.facet_rows]
+    return all(s > 0 for s in slack) if strict else all(s >= 0 for s in slack)
 
 
 def origin_interior(P: Polytope) -> bool:
     """True when the origin is strictly interior to ``P``."""
-    return all(h.bound > 0 for h in P.facets)
+    return all(b > 0 for _, b in P.facet_rows)
 
 
 def is_lattice(P: Polytope) -> bool:
     """True when every vertex has integer coordinates."""
-    return all(c.denominator == 1 for v in P.vertices for c in v)
+    return P.scale == 1
 
 
 def denominator(P: Polytope) -> int:
-    """Smallest positive k such that the dilation kP is a lattice polytope.
-
-    Equals the lcm of the reduced denominators of all vertex coordinates.
-    """
-    return math.lcm(*(c.denominator for v in P.vertices for c in v))
+    """Smallest positive k such that the dilation kP is a lattice polytope:
+    the scale of ``P``, the lcm of its vertex denominators."""
+    return P.scale
 
 
 def dual(P: Polytope) -> Polytope:
     """The polar dual {u : <u, v> <= 1 for all v in P}.
 
-    Polarity swaps the face lattice: each facet <a, x> <= b of ``P`` gives
-    the vertex a / b of the dual, and each vertex v of ``P`` gives the
-    facet <v, u> <= 1.  This is exact, with no hull computation, because
-    :func:`from_vertices` guarantees that ``P.vertices`` are exactly the
-    extreme points and ``P.facets`` is the complete, irredundant, primitive
-    facet list.  Requires the origin strictly inside ``P`` (otherwise the
-    polar is unbounded).
+    Polarity swaps the face lattice: each facet <a, x> <= b / L of ``P``
+    gives the vertex (L / b) * a of the dual, and each vertex r / L the
+    facet <r, u> <= L, made primitive, all in integers.  No hull is needed,
+    because :func:`from_vertices` gives exactly the extreme points and the
+    complete, irredundant, primitive facet list.  Requires the origin
+    strictly inside ``P`` (otherwise the polar is unbounded).
     """
-    if not origin_interior(P):
-        raise OriginNotInterior("polar dual needs the origin strictly inside")
-    vertices = sorted(tuple(u / h.bound for u in h.normal) for h in P.facets)
-    facets = sorted(HalfSpace(v, Fraction(1)).primitive() for v in P.vertices)
-    return Polytope(P.ambient_dim, tuple(vertices), tuple(facets))
+    L, M = P.scale, dual_denominator(P)
+    rows = []
+    for a, b in P.facet_rows:
+        g = math.gcd(b, L)  # the vertex is (L/g) * a / (b/g), in lowest terms
+        rows.append(tuple(c * (L // g) * (M // (b // g)) for c in a))
+    facets = []
+    for row in P.rows:
+        g = math.gcd(*row)
+        facets.append((tuple(c // g for c in row), M * L // g))
+    return Polytope(P.ambient_dim, M, tuple(sorted(rows)), tuple(sorted(facets)))
 
 
 def has_lattice_dual(P: Polytope) -> bool:
@@ -296,15 +296,15 @@ def dual_denominator(P: Polytope) -> int:
     """The denominator of the polar dual of ``P``, read off the facet
     bounds of ``P``; raises ``OriginNotInterior`` where :func:`dual` does.
 
-    A facet <a, x> <= p/q with a primitive integer normal a gives the dual
-    vertex (q/p) * a, whose denominator is p since gcd(a) = gcd(p, q) = 1.
+    A facet <a, x> <= b / L gives the dual vertex (L / b) * a, whose
+    denominator is b / gcd(b, L) since a is primitive.
     """
     if not origin_interior(P):
         raise OriginNotInterior("polar dual needs the origin strictly inside")
-    return math.lcm(*(h.bound.numerator for h in P.facets))
+    return math.lcm(*(b // math.gcd(b, P.scale) for _, b in P.facet_rows))
 
 
 def vertex_ranges(P: Polytope) -> list[tuple[Fraction, Fraction]]:
     """Per-axis (min, max) over the vertices: the exact bounding box."""
-    return [(min(v[i] for v in P.vertices), max(v[i] for v in P.vertices))
-            for i in range(P.ambient_dim)]
+    return [(Fraction(min(column), P.scale), Fraction(max(column), P.scale))
+            for column in zip(*P.rows)]

@@ -11,7 +11,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
-Vector = tuple[Fraction, ...]
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -39,15 +38,6 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
         if r == len(mat):
             break
     return r
-
-
-def affine_rank(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull of the given points."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    return rank(diffs)
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:

@@ -12,19 +12,23 @@ whose coefficient table is exactly the delta-vector of P read off k columns
 at a time.  Fitting is division-free (the basis is triangular at l = 0..n),
 so the integrality of every entry is structural, not numerical.
 
-Two independent extraction routes are provided: forward substitution on the
-fitted counts (:func:`fit_qp` + :func:`delta_vector`) and the truncated
-series product of the counting series with (1 - t^k)^(n+1)
-(:func:`delta_vector_series`).  They must agree entry for entry, which
-:func:`checked_delta` enforces.
+Two extraction routes are provided: forward substitution on the fitted
+counts (:func:`fit_qp` + :func:`delta_vector`) and the truncated series
+product of the counting series with (1 - t^k)^(n+1)
+(:func:`delta_vector_series`), which :func:`checked_delta` holds equal.
+Both are linear maps of one count vector L(0..k(n+1)-1), so their agreement
+checks the maps, not the counts: a counting bug that shifts some L(m) moves
+both routes alike and passes.  Catching one needs a route that reads no count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
-from .counting import DEFAULT_BUDGET, count_points
+from .counting import DEFAULT_BUDGET, count_vector
 from .errors import InternalInconsistency
 from .geometry import Polytope, denominator
 
@@ -112,26 +116,34 @@ class DeltaVector:
         return iter(self.entries)
 
 
-def fit_qp(P: Polytope, budget: int = DEFAULT_BUDGET) -> EhrhartQP:
-    """Fit the quasi-polynomial of P from exact counts.
+def closed_counts(P: Polytope,
+                  budget: int = DEFAULT_BUDGET) -> tuple[list[int], int, int]:
+    """(counts, n, k): the closed counts L(0..k(n+1)-1) of P, which both
+    delta-vector routes map, in one :func:`count_vector` request."""
+    n, k = P.ambient_dim, denominator(P)
+    return count_vector(P, range(k * (n + 1)), budget=budget), n, k
 
-    For each residue r the counts L_P(l*k + r), l = 0..n, determine the
-    degree-n polynomial uniquely.  In the binomial basis the system is unit
-    triangular (C(l + n - i, n) vanishes for i > l and equals 1 at i = l),
-    so forward substitution needs no division at all.
+
+def fit_qp(P: Polytope, budget: int = DEFAULT_BUDGET) -> EhrhartQP:
+    """Fit the quasi-polynomial of P from exact counts."""
+    return fit_counts(*closed_counts(P, budget))
+
+
+def fit_counts(counts: Sequence[int], n: int, k: int) -> EhrhartQP:
+    """The quasi-polynomial of dimension n and period k through the closed
+    counts L(0..k(n+1)-1): for each residue r the counts L(l*k + r),
+    l = 0..n, determine the degree-n polynomial uniquely.  In the binomial
+    basis the system is unit triangular (C(l + n - i, n) vanishes for i > l
+    and equals 1 at i = l), so forward substitution needs no division.
     """
-    n = P.ambient_dim
-    k = denominator(P)
-    columns: list[tuple[int, ...]] = []
+    weights = [[binomial(l + n - i, n) for i in range(l)] for l in range(n + 1)]
+    columns = []
     for r in range(k):
-        counts = [count_points(P, l * k + r, budget=budget) for l in range(n + 1)]
         col: list[int] = []
-        for l in range(n + 1):
-            col.append(counts[l] - sum(
-                col[i] * binomial(l + n - i, n) for i in range(l)))
-        columns.append(tuple(col))
-    rows = tuple(tuple(columns[r][i] for r in range(k)) for i in range(n + 1))
-    return EhrhartQP(n, k, ResidueDeltaTable(n, k, rows))
+        for l, row in enumerate(weights):
+            col.append(counts[l * k + r] - sum(map(mul, col, row)))
+        columns.append(col)
+    return EhrhartQP(n, k, ResidueDeltaTable(n, k, tuple(zip(*columns))))
 
 
 def evaluate_qp(qp: EhrhartQP, m: int) -> int:
@@ -152,45 +164,39 @@ def delta_vector(qp: EhrhartQP) -> DeltaVector:
     Entry i*k + r of the delta-vector is delta[i][r]: the k residue series
     in t^k, shifted by t^r, tile the full counting series.
     """
-    n, k = qp.n, qp.k
-    entries = [0] * (k * (n + 1))
-    for i in range(n + 1):
-        for r in range(k):
-            entries[i * k + r] = qp.table.entry(i, r)
-    return DeltaVector(tuple(entries))
+    return DeltaVector(tuple(v for row in qp.table.delta for v in row))
 
 
 def delta_vector_series(P: Polytope, budget: int = DEFAULT_BUDGET) -> DeltaVector:
-    """Independent delta-vector extraction via the truncated series product.
+    """The delta-vector of P by the truncated series product."""
+    return series_counts(*closed_counts(P, budget))
 
-    Multiplies the counting series sum_m L_P(m) t^m by (1 - t^k)^(n+1) and
-    reads off coefficients 0 .. k(n+1)-1:
+
+def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
+    """The delta-vector of the closed counts L(0..k(n+1)-1) by the truncated
+    series product: multiplies the counting series sum_m L_P(m) t^m by
+    (1 - t^k)^(n+1) and reads off coefficients 0 .. k(n+1)-1:
 
         delta_j = sum_s (-1)^s * C(n+1, s) * L_P(j - s*k),
 
     with negative-argument counts contributing nothing.  This route never
     touches the fitted polynomial and serves as its oracle.
     """
-    n = P.ambient_dim
-    k = denominator(P)
-    length = k * (n + 1)
-    counts = [count_points(P, m, budget=budget) for m in range(length)]
-    entries = []
-    for j in range(length):
-        value = sum((-1) ** s * math.comb(n + 1, s) * counts[j - s * k]
-                    for s in range(j // k + 1) if s <= n + 1)
-        entries.append(value)
-    return DeltaVector(tuple(entries))
+    signed = [(-1) ** s * math.comb(n + 1, s) for s in range(n + 2)]
+    return DeltaVector(tuple(
+        sum(c * counts[j - s * k] for s, c in enumerate(signed[:j // k + 1]))
+        for j in range(k * (n + 1))))
 
 
-def checked_delta(P: Polytope,
-                  budget: int = DEFAULT_BUDGET) -> tuple[EhrhartQP, DeltaVector]:
-    """The fitted quasi-polynomial and its delta-vector, which the series
-    route must reproduce, or everything built on it is void: raises
+def checked_delta(counts: Sequence[int], n: int,
+                  k: int) -> tuple[EhrhartQP, DeltaVector]:
+    """The quasi-polynomial fitted to the closed counts L(0..k(n+1)-1) and
+    its delta-vector, which the series route must reproduce from the same
+    counts, or everything built on it is void: raises
     ``InternalInconsistency`` when the two routes disagree."""
-    qp = fit_qp(P, budget=budget)
+    qp = fit_counts(counts, n, k)
     fitted = delta_vector(qp)
-    series = delta_vector_series(P, budget=budget)
+    series = series_counts(counts, n, k)
     if fitted != series:
         raise InternalInconsistency(
             f"fit gives {fitted.entries}, series gives {series.entries}")

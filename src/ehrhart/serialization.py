@@ -14,9 +14,10 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ParseError
-from .geometry import Polytope, from_vertices
+from .geometry import Polytope, from_ratios
 
-_COORD = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+# A coordinate "p" or "p/q", parsed straight to the integers p and q.
+_COORD = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
 
 def polytope_to_json_dict(P: Polytope) -> dict:
@@ -54,13 +55,14 @@ def polytope_from_json_dict(obj: object, max_dim: Union[int, None] = None) -> Po
             raise ParseError(f"vertex {row} must be a list of {dim} coordinates")
         coords = []
         for col, coord in enumerate(vertex):
-            if not isinstance(coord, str) or not _COORD.match(coord):
+            match = _COORD.match(coord) if isinstance(coord, str) else None
+            if match is None:
                 raise ParseError(
                     f"vertex {row} coordinate {col}: {coord!r} is not a "
                     f'"p" or "p/q" integer string')
-            coords.append(coord)
+            coords.append((int(match[1]), int(match[2] or 1)))
         parsed.append(coords)
-    return from_vertices(parsed, max_dim=max_dim)
+    return from_ratios(parsed, max_dim=max_dim)
 
 
 def loads_polytope(text: str, max_dim: Union[int, None] = None) -> Polytope:

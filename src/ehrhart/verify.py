@@ -15,13 +15,14 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import DEFAULT_BUDGET, count_points, interior_shift_mismatch
+from .counting import DEFAULT_BUDGET, count_vector, interior_shift_mismatch
 from .geometry import Polytope, dual_denominator, has_lattice_dual
 from .quasipoly import (
     DeltaVector,
     EhrhartQP,
     ResidueDeltaTable,
     checked_delta,
+    closed_counts,
     delta_vector_series,
     evaluate_qp,
     fit_qp,
@@ -58,25 +59,27 @@ class VerificationReport:
 
 
 def check_reciprocity(P: Polytope, m_max: int = 6, qp: Optional[EhrhartQP] = None,
-                      budget: int = DEFAULT_BUDGET) -> CheckResult:
+                      budget: int = DEFAULT_BUDGET,
+                      interior: Optional[list[int]] = None) -> CheckResult:
     """Ehrhart-Macdonald reciprocity on dilations 1..m_max.
 
     Evaluating the fitted quasi-polynomial at -m must equal (-1)^n times
-    the strict-interior count of mP.  Holds for every rational polytope,
-    whether or not its dual is a lattice polytope.  Raises ``ValueError``
-    when m_max < 1, which would check nothing.
+    the strict-interior count of mP (``interior[m-1]``, counted here when
+    not given).  Holds for every rational polytope, whether or not its dual
+    is a lattice polytope.  Raises ``ValueError`` when m_max < 1.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     if qp is None:
         qp = fit_qp(P, budget=budget)
+    if interior is None:
+        interior = count_vector(P, range(1, m_max + 1), strict=True, budget=budget)
     sign = (-1) ** P.ambient_dim
-    for m in range(1, m_max + 1):
+    for m, count in enumerate(interior, 1):
         negative = evaluate_qp(qp, -m)
-        interior = count_points(P, m, strict=True, budget=budget)
-        if negative != sign * interior:
+        if negative != sign * count:
             return CheckResult("reciprocity", False, {
-                "m": m, "evaluated": negative, "expected": sign * interior})
+                "m": m, "evaluated": negative, "expected": sign * count})
     return CheckResult("reciprocity", True)
 
 
@@ -176,13 +179,16 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                 budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every check on one polytope and aggregate the outcomes.
 
-    Raises ``InternalInconsistency`` instead of producing a report when the
-    two delta-vector routes disagree (:func:`checked_delta`), and
-    ``ValueError`` when m_max < 1, before any count.
+    Each count is requested once: the strict ones in one vector, the closed
+    ones in another (and their tail in a third when the interior shift reads
+    past k(n+1)).  Raises ``InternalInconsistency`` instead of producing a
+    report when the two delta-vector routes disagree (:func:`checked_delta`),
+    and ``ValueError`` when m_max < 1, before any count.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    qp, d = checked_delta(P, budget=budget)
+    closed, n, k = closed_counts(P, budget=budget)
+    qp, d = checked_delta(closed, n, k)
     palindrome = check_palindrome(d)
     characterization = check_characterization(P, d, budget=budget)
     # The characterization passes exactly when the dual is a lattice
@@ -190,12 +196,16 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     # latticeness without a second read of the facets.
     dual_lattice = characterization.passed == palindrome.passed
 
-    checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget)]
+    interior = count_vector(P, range(1, m_max + 1), strict=True, budget=budget)
+    checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget, interior=interior)]
     if dual_lattice:
-        violation = find_interior_shift_violation(P, m_limit=m_max, budget=budget)
-        checks.append(CheckResult("interior_shift", True) if violation is None else
-                      CheckResult("interior_shift", False,
-                                  {"m": violation[0], "point": violation[1]}))
+        # The interior shift compares the strict count of mP with the closed
+        # count of (m-1)P, m = 1..m_max, which may run past k(n+1).
+        closed += count_vector(P, range(len(closed), m_max), budget=budget)
+        m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
+        checks.append(CheckResult("interior_shift", True) if m is None else
+                      CheckResult("interior_shift", False, {
+                          "m": m, "point": interior_shift_mismatch(P, m, budget=budget)}))
     checks.append(check_theorem(qp.table))
     checks.append(palindrome)
     checks.append(check_equivalence(qp.table, d))
@@ -211,7 +221,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
             else c
             for c in checks
         ]
-    return VerificationReport(polytope_id, qp.n, qp.k, dual_lattice, d, qp.table,
+    return VerificationReport(polytope_id, n, k, dual_lattice, d, qp.table,
                               tuple(checks))
 
 

@@ -6,11 +6,15 @@ a convex combination of the other points, and the facets are the supporting
 hyperplanes through n-subsets of those vertices, solved by Gaussian
 elimination over the rationals.  It shares no code with
 ``ehrhart.geometry.from_vertices`` beyond input coercion, the error classes
-and ``HalfSpace``, and it is slow: one LP per input point.
+and ``HalfSpace``, and it is slow: one LP per input point.  It returns the
+vertices and facets as ``Fraction`` points and ``HalfSpace`` objects, to be
+compared with the views of a ``Polytope``.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -21,13 +25,32 @@ from ehrhart.errors import (
     DimensionMismatch,
     EmptyInput,
 )
-from ehrhart.geometry import DEFAULT_MAX_DIM, HalfSpace, Polytope, point
-from ehrhart.linalg import affine_rank
+from ehrhart.geometry import DEFAULT_MAX_DIM, HalfSpace, point
+from ehrhart.linalg import rank
 
 Vector = tuple[Fraction, ...]
 
+Hull = namedtuple("Hull", "ambient_dim vertices facets")
 
-def oracle_hull(points, max_dim: int | None = None) -> Polytope:
+
+def affine_rank(points: Sequence[Vector]) -> int:
+    """Dimension of the affine hull of the given points."""
+    if not points:
+        return -1
+    base = points[0]
+    return rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
+
+
+def primitive(normal: Sequence[Fraction], bound: Fraction) -> HalfSpace:
+    """The half-space <normal, x> <= bound with its normal scaled, by a
+    positive rational, to integers of gcd 1: a canonical representative."""
+    scale = math.lcm(*(Fraction(c).denominator for c in normal))
+    ints = [int(c * scale) for c in normal]
+    g = math.gcd(*ints)
+    return HalfSpace(tuple(Fraction(i // g) for i in ints), bound * Fraction(scale, g))
+
+
+def oracle_hull(points, max_dim: int | None = None) -> Hull:
     """The convex hull of ``points``, with the checks and errors of
     ``from_vertices``."""
     raw = [point(p) for p in points]
@@ -48,7 +71,7 @@ def oracle_hull(points, max_dim: int | None = None) -> Polytope:
     extreme = [p for p in unique
                if not in_convex_hull(p, [q for q in unique if q != p])]
     vertices = tuple(sorted(extreme))
-    return Polytope(n, vertices, facets_of(vertices, n))
+    return Hull(n, vertices, facets_of(vertices, n))
 
 
 def facets_of(vertices: Sequence[Vector], n: int) -> tuple[HalfSpace, ...]:
@@ -74,9 +97,9 @@ def facets_of(vertices: Sequence[Vector], n: int) -> tuple[HalfSpace, ...]:
             if not side_le and not side_ge:
                 break
         if side_le:
-            found.add(HalfSpace(normal, b).primitive())
+            found.add(primitive(normal, b))
         elif side_ge:
-            found.add(HalfSpace(tuple(-u for u in normal), -b).primitive())
+            found.add(primitive(tuple(-u for u in normal), -b))
     return tuple(sorted(found))
 
 

@@ -215,6 +215,21 @@ def test_budget_exceeded_exit_two(capsys):
     assert "budget" in err
 
 
+def test_delta_refuses_an_over_long_count_vector(tmp_path):
+    # k = 999983 * 999979, so the delta-vector needs about 2 * 10^12 cheap
+    # 1D counts: the request must exit 2 before counting, not grind.
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps({"dim": 1, "vertices": [["-1/999983"], ["1/999979"]]}))
+    src = str(Path(ehrhart.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "ehrhart", "delta", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("ehrhart: error: 1999924000714 counts requested, "
+                           "budget is 100000000\n")
+
+
 def test_one_dimensional_count_has_no_box_budget(capsys):
     # A 1D count solves its axis directly, so a box of 3m + 1 cells far
     # beyond the default budget costs nothing.

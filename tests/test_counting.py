@@ -31,6 +31,7 @@ from ehrhart.counting import (
     _section_count,
     _section_plan,
     clear_count_cache,
+    count_vector,
     interior_shift_mismatch,
 )
 from conftest import dilate
@@ -173,6 +174,48 @@ def test_count_cache_holds_one_report_whatever_its_period(walks):
     clear_count_cache()
     full_report(P, m_max=1)
     assert len(walks) == 2 * (600 * 2) + 6 + 1
+
+
+def rational_3d():
+    P, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1, "rational")
+    return P
+
+
+@pytest.mark.parametrize("build", [lambda: catalog()["octa3"],
+                                   lambda: catalog()["halfdiamond2"], rational_3d],
+                         ids=["octa3", "halfdiamond2", "rational 3D, seed 8200"])
+def test_report_counts_each_dilation_once(walks, monkeypatch, build):
+    # A report asks for its closed counts and its strict ones in one vector
+    # each.  Every (m, strict) it needs is computed exactly once, and the
+    # budget is checked once per count computed, never on a repeated lookup.
+    checks = []
+    check_budget = counting._check_budget
+
+    def counted_check_budget(K, m, budget):
+        checks.append(m)
+        return check_budget(K, m, budget)
+
+    monkeypatch.setattr(counting, "_check_budget", counted_check_budget)
+    report = full_report(build())
+    n, k = report.n, report.k
+    closed = range(max(k * (n + 1), 6 if report.dual_is_lattice else 0))
+    expected = [(m, False) for m in closed] + [(m, True) for m in range(1, 7)]
+    assert sorted(walks) == sorted(expected)
+    assert sorted(checks) == sorted(m for m, _ in walks)
+
+
+def test_an_over_long_count_vector_is_refused_before_any_count(walks):
+    # k = 999983 * 999979 gives a delta-vector of about 2 * 10^12 counts,
+    # each of them cheap: the request is refused before the first.
+    P = segment(F(-1, 999983), F(1, 999979))
+    with pytest.raises(BudgetExceeded, match="counts requested"):
+        fit_qp(P)
+    with pytest.raises(BudgetExceeded, match="5 counts requested, budget is 4"):
+        count_vector(segment(-1, 2), range(5), budget=4)
+    assert walks == []
+    # A vector within the budget, whose 1D counts are charged no cells.
+    assert count_vector(segment(-1, 2), range(4), budget=4) == [1, 4, 7, 10]
+    assert count_vector(segment(-1, 2), [2, 1], strict=True, budget=2) == [5, 2]
 
 
 def test_budget_guard():

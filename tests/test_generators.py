@@ -14,7 +14,7 @@ from ehrhart import (
     instances,
     is_lattice,
 )
-from ehrhart.linalg import affine_rank
+from hull_oracle import affine_rank
 
 
 def test_splitmix64_is_the_reference_sequence():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pickle
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -10,7 +13,6 @@ from ehrhart import (
     DimensionMismatch,
     EmptyInput,
     GeneratorConfig,
-    HalfSpace,
     OriginNotInterior,
     SplitMix64,
     catalog,
@@ -24,10 +26,11 @@ from ehrhart import (
     instances,
     is_lattice,
     origin_interior,
+    polytope_to_json_dict,
 )
 from ehrhart.geometry import dual_denominator, vertex_ranges
 from conftest import THEOREM_POOL_SPEC, dilate
-from hull_oracle import in_convex_hull, oracle_hull
+from hull_oracle import affine_rank, in_convex_hull, oracle_hull, primitive
 
 
 def segment(a, b):
@@ -36,6 +39,11 @@ def segment(a, b):
 
 def facet_set(P):
     return {(h.normal, h.bound) for h in P.facets}
+
+
+def value(h, x):
+    """<normal, x> for the half-space h."""
+    return sum(u * c for u, c in zip(h.normal, x))
 
 
 # ---------------------------------------------------------------- vertices
@@ -124,10 +132,9 @@ def brute_force_facets(P):
         bound = normal[0] * a[0] + normal[1] * a[1]
         values = [normal[0] * v[0] + normal[1] * v[1] for v in P.vertices]
         if all(v <= bound for v in values):
-            supporting.add(HalfSpace(normal, bound).primitive())
+            supporting.add(primitive(normal, bound))
         elif all(v >= bound for v in values):
-            supporting.add(
-                HalfSpace((-normal[0], -normal[1]), -bound).primitive())
+            supporting.add(primitive((-normal[0], -normal[1]), -bound))
     return {(h.normal, h.bound) for h in supporting}
 
 
@@ -145,23 +152,21 @@ def test_facet_enumeration_reproduces_membership(fixtures):
     # agreement on every vertex and on exterior probes past each vertex.
     for P in fixtures.values():
         for v in P.vertices:
-            assert all(h.holds(v) for h in P.facets)
+            assert all(value(h, v) <= h.bound for h in P.facets)
             outside = tuple(2 * c if c != 0 else F(0) for c in v)
             if outside != v:
-                assert not all(h.holds(outside, strict=True) for h in P.facets)
+                assert not all(value(h, outside) < h.bound for h in P.facets)
 
 
 def test_facets_are_primitive_and_supporting(fixtures):
     from math import gcd
-
-    from ehrhart.linalg import affine_rank
 
     for P in fixtures.values():
         n = P.ambient_dim
         for h in P.facets:
             assert all(c.denominator == 1 for c in h.normal)
             assert gcd(*(int(c) for c in h.normal)) == 1
-            active = [v for v in P.vertices if h.evaluate(v) == h.bound]
+            active = [v for v in P.vertices if value(h, v) == h.bound]
             # A facet carries n affinely independent vertices.
             assert affine_rank(active) == n - 1
 
@@ -196,6 +201,32 @@ def test_dual_involution(fixtures):
     for P in fixtures.values():
         back = dual(dual(P))
         assert (back.vertices, back.facets) == (P.vertices, P.facets)
+
+
+# The sha256 of [polytope_to_json_dict(P), polytope_to_json_dict(dual(P))]
+# over the polytopes of test_integer_form, as written when a Polytope still
+# stored Fraction vertices and HalfSpace facets.
+INTEGER_FORM_JSON_SHA256 = "ed463d87dde5f0b8d2f82087772aed7262cb68745a645bcc1f21336b95e22f7a"
+
+
+def test_integer_form(fixtures, theorem_pool, control_pool):
+    # The Fraction views of the integer rows against the hull oracle, the
+    # dual built in integers as an involution, identity and pickling, and
+    # the JSON of each polytope and its dual as before.
+    cfg = GeneratorConfig(seed=41, dim=4, coordinate_bound=1)
+    four = [*instances(cfg, 1, "rational"), *instances(cfg, 1, "dual-of-lattice")]
+    docs = []
+    for P in [*fixtures.values(), *theorem_pool, *control_pool, *four]:
+        expected = oracle_hull(P.vertices, max_dim=P.ambient_dim)
+        assert (P.vertices, P.facets) == (expected.vertices, expected.facets), P
+        D = dual(P)
+        assert dual(D) == P and dual(D).facet_rows == P.facet_rows, P
+        for Q in (pickle.loads(pickle.dumps(P)), from_vertices(P.vertices)):
+            assert Q is not P and Q == P and hash(Q) == hash(P), P
+            assert (Q.scale, Q.rows, Q.facet_rows) == (P.scale, P.rows, P.facet_rows), P
+        docs.append([polytope_to_json_dict(P), polytope_to_json_dict(D)])
+    text = json.dumps(docs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == INTEGER_FORM_JSON_SHA256
 
 
 def test_dual_involution_generated():

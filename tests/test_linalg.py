@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from ehrhart.linalg import affine_rank, det, rank
-from hull_oracle import hyperplane_through, in_convex_hull
+from ehrhart.linalg import det, rank
+from hull_oracle import affine_rank, hyperplane_through, in_convex_hull
 
 
 def pt(*coords):

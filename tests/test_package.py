@@ -35,8 +35,8 @@ def test_half_space_is_an_ordered_tuple_with_a_nonzero_normal():
 
 def test_polytope_is_immutable_and_compared_by_its_vertices():
     P = catalog()["square2"]
-    same = type(P)(P.ambient_dim, P.vertices, ())
-    assert P == same and hash(P) == hash(same)
+    same = type(P)(P.ambient_dim, P.scale, P.rows, ())
+    assert P == same and hash(P) == hash(same) and same.vertices == P.vertices
     assert P != catalog()["diamond2"] and P != (P.ambient_dim, P.vertices)
     assert pickle.loads(pickle.dumps(P)).facets == P.facets
     for name in ("vertices", "facets", "other"):
@@ -45,4 +45,4 @@ def test_polytope_is_immutable_and_compared_by_its_vertices():
     with pytest.raises(AttributeError):
         del P.vertices
     with pytest.raises(ValueError):
-        type(P)(0, P.vertices, P.facets)
+        type(P)(0, P.scale, P.rows, P.facet_rows)
