@@ -2,7 +2,8 @@
 
 One JSON document on stdout in json mode, human-readable text otherwise;
 diagnostics go to stderr.  Exit codes: 0 success, 1 fatal inconsistency
-(a lattice-dual polytope failing a guaranteed symmetry, or the two
+(a negative delta-vector entry; a lattice-dual polytope failing the theorem,
+palindrome, interior-shift or characterization check; or the two
 delta-vector extraction routes disagreeing), 2 usage, parse, input, or
 budget errors, 3 any other (unexpected) error.
 

@@ -14,16 +14,16 @@ three-dimensional count is homogeneous, so the cuts and envelope chains of
 its sections depend only on the chamber, between consecutive vertex first
 coordinates of P, that holds x/m (Clauss-Loechner, "Parametric analysis of
 polyhedral iteration spaces", 1998), and are looked up in a chamber table
-instead of scanned.  All that does not depend on m is derived once per
-polytope from its integer rows, in one kernel that also holds its counts; a
-bounded memo keeps the kernels of the last few polytopes.
+instead of scanned.  All that does not depend on m is derived from the
+integer rows of P into one kernel, which each request builds for itself and
+drops when it returns: nothing is kept between calls.
 
 A delta-vector or a report asks for its counts in one request,
 :func:`count_vector`.  A vector of more counts than the budget is refused
 before any count, as many cheap counts (the 2k of a segment whose k is near
-10^12) add up to unbounded work; then each m is counted once by
-:func:`count_points`, whose box of mP may hold at most ``budget`` cells
-(none are charged in 1D).
+10^12) add up to unbounded work; then each m is counted on the request's
+kernel, once its box of mP, like that of a single :func:`count_points`,
+is found to hold at most ``budget`` cells (none are charged in 1D).
 
 The interior shift is decided by counts too (:func:`interior_shift_mismatch`):
 only on a count mismatch are points looked at, to name a witness.
@@ -32,7 +32,7 @@ only on a count mismatch are points looked at, to name a witness.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from itertools import product
 from operator import mul, sub
 from typing import Optional, Sequence
@@ -44,11 +44,6 @@ from .geometry import Polytope
 #: vector request may hold.
 DEFAULT_BUDGET = 10**8
 
-#: Memo size, in polytopes.  Each memoised polytope keeps its chamber table
-#: (3D only) and every count asked of it, so one report's k(n+1) + m_max
-#: counts always fit, whatever k is.
-_POLYTOPE_CACHE_SIZE = 16
-
 IntPoint = tuple[int, ...]
 
 
@@ -58,12 +53,11 @@ _ScaledFacet = tuple[tuple[int, ...], int, int]
 
 
 class _Kernel:
-    """What counting derives from one polytope, and the counts made of it.
+    """What counting derives from one polytope, for the counts of one request.
 
     ``facets`` holds the scaled facets; ``ranges`` the per-axis (min, max)
-    of the vertex rows, over ``scale``; ``counts`` the counts by (m, strict).
-    On the last two axes, with the first n-2 fixed to a prefix x, facet i is
-    the line
+    of the vertex rows, over ``scale``.  On the last two axes, with the
+    first n-2 fixed to a prefix x, facet i is the line
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where (A_i, B_i) and
     ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
@@ -77,7 +71,6 @@ class _Kernel:
         self.facets = [(a, b // g, P.scale // g)  # p/q = b/L in lowest terms
                        for a, b in P.facet_rows for g in [math.gcd(b, P.scale)]]
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
-        self.counts: dict[tuple[int, bool], int] = {}
         scaled = [[q * c for c in a] for a, _, q in self.facets]
         self.weights = [row[:-2] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
@@ -88,10 +81,6 @@ class _Kernel:
         """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis."""
         L = self.scale
         return [(-(-m * lo // L), m * hi // L) for lo, hi in self.ranges]
-
-
-#: The kernel of a polytope, built on its first count.
-_kernel = lru_cache(maxsize=_POLYTOPE_CACHE_SIZE)(_Kernel)
 
 
 def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
@@ -368,8 +357,7 @@ def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
 
 
 def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
-    """Lattice points of mP (strict: of its interior), uncached; ``box``
-    is ``K.box(m)``."""
+    """Lattice points of mP (strict: of its interior); ``box`` is ``K.box(m)``."""
     if any(lo > hi for lo, hi in box):
         return 0
     if K.n == 3 and m and not strict:
@@ -407,21 +395,20 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     m = 0 falls out of the facet arithmetic as the single point at the
     origin for the closed count and the empty set for the strict one.
     """
-    K = _kernel(P)
-    box = _check_budget(K, m, budget)
-    if (m, strict) not in K.counts:
-        K.counts[m, strict] = _exact_count(K, m, strict, box)
-    return K.counts[m, strict]
+    K = _Kernel(P)
+    return _exact_count(K, m, strict, _check_budget(K, m, budget))
 
 
 def count_vector(P: Polytope, dilations: Sequence[int], strict: bool = False,
                  budget: int = DEFAULT_BUDGET) -> list[int]:
-    """The counts of mP (strict: of its interior) for the distinct m of
-    ``dilations``, one :func:`count_points` each, once ``BudgetExceeded``
-    has refused them all, before any count, if they are more than ``budget``."""
+    """The counts of mP (strict: of its interior) for each m of ``dilations``
+    in order, a repeated m counted again, all on one kernel.  Raises
+    ``BudgetExceeded`` before any count if they are more than ``budget``,
+    and at the first m whose box of mP holds more than ``budget`` cells."""
     if len(dilations) > budget:
         raise BudgetExceeded(f"{len(dilations)} counts requested, budget is {budget}")
-    return [count_points(P, m, strict, budget) for m in dilations]
+    K = _Kernel(P)
+    return [_exact_count(K, m, strict, _check_budget(K, m, budget)) for m in dilations]
 
 
 def interior_shift_mismatch(P: Polytope, m: int,
@@ -436,11 +423,11 @@ def interior_shift_mismatch(P: Polytope, m: int,
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    K = _kernel(P)
+    K = _Kernel(P)
     if not all(p > 0 for _, p, _ in K.facets):
         raise OriginNotInterior("the interior shift needs the origin strictly inside")
-    if (count_points(P, m, strict=True, budget=budget)
-            == count_points(P, m - 1, budget=budget)):
+    if (_exact_count(K, m, True, _check_budget(K, m, budget))
+            == _exact_count(K, m - 1, False, _check_budget(K, m - 1, budget))):
         return None
     return _shift_witness(K, m)
 
@@ -481,8 +468,3 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
                     z += shared
                 return (*prefix, y, z)
     return None
-
-
-def clear_count_cache() -> None:
-    """Drop the memoised kernels and counts (used by timing-sensitive test code)."""
-    _kernel.cache_clear()

@@ -35,7 +35,7 @@ def _reject_float(text: str) -> None:
     raise ParseError(f"floating-point literal {text!r} is not allowed")
 
 
-def polytope_from_json_dict(obj: object, max_dim: Union[int, None] = None) -> Polytope:
+def polytope_from_json_dict(obj: object) -> Polytope:
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     extra = set(obj) - {"dim", "vertices"}
@@ -62,10 +62,10 @@ def polytope_from_json_dict(obj: object, max_dim: Union[int, None] = None) -> Po
                     f'"p" or "p/q" integer string')
             coords.append((int(match[1]), int(match[2] or 1)))
         parsed.append(coords)
-    return from_ratios(parsed, max_dim=max_dim)
+    return from_ratios(parsed)
 
 
-def loads_polytope(text: str, max_dim: Union[int, None] = None) -> Polytope:
+def loads_polytope(text: str) -> Polytope:
     try:
         obj = json.loads(text, parse_float=_reject_float,
                          parse_constant=_reject_float)
@@ -75,8 +75,8 @@ def loads_polytope(text: str, max_dim: Union[int, None] = None) -> Polytope:
         ) from exc
     except RecursionError as exc:
         raise ParseError("JSON is nested too deeply") from exc
-    return polytope_from_json_dict(obj, max_dim=max_dim)
+    return polytope_from_json_dict(obj)
 
 
-def load_polytope(path: Union[str, Path], max_dim: Union[int, None] = None) -> Polytope:
-    return loads_polytope(Path(path).read_text(), max_dim=max_dim)
+def load_polytope(path: Union[str, Path]) -> Polytope:
+    return loads_polytope(Path(path).read_text())

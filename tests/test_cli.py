@@ -203,10 +203,16 @@ def test_ambiguous_input_exit_two(tmp_path, capsys, monkeypatch):
 
 
 def test_origin_not_interior_exit_two(tmp_path, capsys):
-    path = tmp_path / "shifted.json"
-    path.write_text(json.dumps({"dim": 1, "vertices": [["1"], ["2"]]}))
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
+    # The second polytope's fit, k = 97, would reach a box beyond the
+    # default budget: the origin must be named before any count.
+    for vertices in ([["1"], ["2"]],
+                     [["1/97", "0", "0"], ["2", "0", "0"], ["0", "2", "0"],
+                      ["0", "0", "2"], ["1", "1", "1"]]):
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2, vertices
+        assert "origin strictly inside" in err, err
 
 
 def test_budget_exceeded_exit_two(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,26 +12,24 @@ from ehrhart import (
     OriginNotInterior,
     catalog,
     count_points,
-    dumps_polytope,
     evaluate_qp,
     fit_qp,
     from_vertices,
     full_report,
     instances,
-    loads_polytope,
     origin_interior,
 )
 from ehrhart import counting
+from ehrhart._catalog import VERTICES
 from ehrhart.counting import (
+    _Kernel,
     _chamber_count,
     _euclid_steps,
     _exact_count,
     _floor_sum,
-    _kernel,
     _scan_count,
     _section_count,
     _section_plan,
-    clear_count_cache,
     count_vector,
     interior_shift_mismatch,
 )
@@ -39,8 +38,8 @@ from listing_oracle import lattice_points
 
 
 def exact_count(P, m, strict):
-    """The uncached count behind count_points."""
-    K = _kernel(P)
+    """The count behind count_points, with no budget check."""
+    K = _Kernel(P)
     return _exact_count(K, m, strict, K.box(m))
 
 
@@ -147,7 +146,7 @@ def test_monotonicity(fixtures):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The (m, strict) of every uncached count, from an empty memo on."""
+    """The (m, strict) of every count walked."""
     calls = []
     exact_count = counting._exact_count
 
@@ -156,24 +155,27 @@ def walks(monkeypatch):
         return exact_count(K, m, strict, box)
 
     monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
-    clear_count_cache()
     return calls
 
 
-def test_count_cache_holds_one_report_whatever_its_period(walks):
+def test_report_walks_each_count_once_whatever_its_period(walks):
     # [-2/25, 1/24] has n = 1 and k = 600, and its dual is not lattice, so
     # every walk comes from a count.  A report requests the k(n+1) closed
-    # counts of the fit and the series plus m_max = 6 strict ones, more
-    # than any fixed per-count memo of 1024 entries would hold, and must
+    # counts of the fit and the series plus m_max = 6 strict ones, and must
     # compute each of them exactly once.
     P = segment(F(-2, 25), F(1, 24))
     full_report(P, m_max=6)
     assert len(walks) == len(set(walks)) == 600 * 2 + 6
-    full_report(P, m_max=6)
-    assert len(walks) == 600 * 2 + 6
-    clear_count_cache()
-    full_report(P, m_max=1)
-    assert len(walks) == 2 * (600 * 2) + 6 + 1
+
+
+def test_counts_keep_no_reference_to_the_polytope():
+    # Each request builds its own kernel and drops it on return, so no count
+    # or report keeps the polytope alive.
+    P = from_vertices(VERTICES["octa3"])
+    before = sys.getrefcount(P)
+    full_report(P)
+    count_points(P, 3)
+    assert sys.getrefcount(P) == before
 
 
 def rational_3d():
@@ -227,7 +229,7 @@ def test_budget_guard():
 
 def test_budget_is_the_box_of_the_rational_vertex_ranges(fixtures, control_pool):
     # For n >= 2 the budget admits exactly the dilations whose box, from
-    # ceil(m*min) to floor(m*max) per axis, fits; also on a memo hit.
+    # ceil(m*min) to floor(m*max) per axis, fits.
     from ehrhart.geometry import vertex_ranges
 
     for P in [*fixtures.values(), *control_pool[::5]]:
@@ -236,8 +238,7 @@ def test_budget_is_the_box_of_the_rational_vertex_ranges(fixtures, control_pool)
         for m in range(1, 5):
             cells = math.prod(max(0, math.floor(m * hi) - math.ceil(m * lo) + 1)
                               for lo, hi in vertex_ranges(P))
-            count = count_points(P, m, budget=cells)
-            assert count_points(P, m, budget=cells) == count
+            count_points(P, m, budget=cells)
             with pytest.raises(BudgetExceeded):
                 count_points(P, m, budget=cells - 1)
 
@@ -297,18 +298,6 @@ def test_count_matches_listed_points_generated(seed, dim, kind):
         for strict in (False, True):
             assert count_points(P, m, strict=strict) == \
                 len(lattice_points(P, m, strict=strict)), (P, m, strict)
-
-
-def test_equal_polytopes_share_one_kernel(walks):
-    # A JSON round trip builds an equal polytope anew: it hashes equal, so
-    # its counts come from the same memo entry.
-    P = catalog()["halfdiamond2"]
-    Q = loads_polytope(dumps_polytope(P))
-    assert Q is not P and Q == P and hash(Q) == hash(P)
-    assert count_points(P, 5) == count_points(Q, 5)
-    assert walks == [(5, False)]
-    assert _kernel(Q) is _kernel(P)
-    assert _kernel.cache_info().currsize == 1
 
 
 def test_section_hand_cases():
@@ -376,7 +365,7 @@ def assert_chambers_match_scan(polytopes, dilations=range(1, 41)):
     # large prime dilation, where the numerators of the chamber forms grow
     # like m*p.
     for P in polytopes:
-        K = _kernel(P)
+        K = _Kernel(P)
         for m in [*dilations, 997]:
             box = K.box(m)
             if all(lo <= hi for lo, hi in box):
@@ -430,11 +419,10 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
         return chamber_table(K)
 
     monkeypatch.setattr(counting, "_chamber_table", counted_chamber_table)
-    clear_count_cache()
     P, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1, "rational")
     report = full_report(P)
     assert report.k > 1
-    assert builds == [_kernel(P)]
+    assert len(builds) == 1
 
 
 # The floor sums made by the closed counts m = 1..40, as counted on the
@@ -458,7 +446,6 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
     rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1,
                           "rational")
     for name, P in (("octa3", catalog()["octa3"]), ("rational 3D, seed 8200", rational)):
-        clear_count_cache()
         for seen in calls.values():
             seen.clear()
         for m in range(1, 41):
@@ -546,10 +533,9 @@ def test_empty_box_makes_no_sections(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(counting, name, counted)
-    clear_count_cache()
     P = box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(1, 3), F(2, 3)))
     assert count_points(P, 1, budget=1) == 0
-    assert counting._shift_witness(_kernel(P), 1) is None
+    assert counting._shift_witness(_Kernel(P), 1) is None
     assert calls == []
 
 
