@@ -100,15 +100,19 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
-    from .serialization import dumps_polytope
-    name, P = _resolve_input(args.input)
-    D = dual(P)
-    if args.format == "json":
-        print(dumps_polytope(D))
+def _show_polytope(P: Polytope, title: str, fmt: str) -> None:
+    """Print ``P`` as one JSON document, or as one line of its vertices."""
+    if fmt == "json":
+        from .serialization import dumps_polytope
+        print(dumps_polytope(P))
     else:
-        pts = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in D.vertices)
-        print(f"dual of {name}: dim {D.ambient_dim}, vertices {pts}")
+        pts = ", ".join("(" + ", ".join(map(str, v)) + ")" for v in P.vertices)
+        print(f"{title}: dim {P.ambient_dim}, vertices {pts}")
+
+
+def _cmd_dual(args: argparse.Namespace) -> int:
+    name, P = _resolve_input(args.input)
+    _show_polytope(dual(P), f"dual of {name}", args.format)
     return 0
 
 
@@ -122,17 +126,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import GeneratorConfig, instances
-    from .serialization import dumps_polytope
     cfg = GeneratorConfig(seed=args.seed, dim=args.dim,
                           coordinate_bound=args.bound,
                           denominator_bound=args.denominator_bound)
-    P = instances(cfg, 1, kind=args.kind)[0]
-    if args.format == "json":
-        print(dumps_polytope(P))
-    else:
-        pts = ", ".join("(" + ", ".join(str(c) for c in v) + ")" for v in P.vertices)
-        print(f"generated ({args.kind}, seed {args.seed}): dim {P.ambient_dim}, "
-              f"vertices {pts}")
+    _show_polytope(instances(cfg, 1, kind=args.kind)[0],
+                   f"generated ({args.kind}, seed {args.seed})", args.format)
     return 0
 
 

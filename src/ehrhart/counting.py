@@ -5,7 +5,8 @@ that of P with every bound scaled by m, and each facet <u, x> <= m * p/q is
 cleared of denominators once, so every test is integer arithmetic.  Strict
 counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
-A count walks the integer bounding box on the first n-2 axes only, and
+A segment's count is its integer box, closed or open.  A count of higher
+dimension walks the integer bounding box on the first n-2 axes only, and
 counts each section, a convex polygon on the last two axes, in closed
 form: a column runs between the envelopes of the lower and the upper facet
 lines, and the lattice points under one envelope piece are one Euclid-style
@@ -18,11 +19,11 @@ instead of scanned.  All that does not depend on m is derived from the
 integer rows of P into one kernel, which each request builds for itself and
 drops when it returns: nothing is kept between calls.
 
-A delta-vector or a report asks for its counts in one request,
-:func:`count_vector`.  A vector of more counts than the budget is refused
-before any count, as many cheap counts (the 2k of a segment whose k is near
-10^12) add up to unbounded work; then each m is counted on the request's
-kernel, once its box of mP, like that of a single :func:`count_points`,
+A delta-vector or a report asks for all its counts, closed and strict, in
+one request, :func:`count_vector`, on one kernel.  A request of more counts
+than the budget is refused before any count, as many cheap counts (the 2k
+of a segment whose k is near 10^12) add up to unbounded work; then each m
+is counted once its box of mP, like that of a single :func:`count_points`,
 is found to hold at most ``budget`` cells (none are charged in 1D).
 
 The interior shift is decided by counts too (:func:`interior_shift_mismatch`):
@@ -38,7 +39,7 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
-from .geometry import Polytope
+from .geometry import Polytope, origin_interior
 
 #: Maximum number of bounding-box cells a count may touch, and of counts a
 #: vector request may hold.
@@ -47,17 +48,13 @@ DEFAULT_BUDGET = 10**8
 IntPoint = tuple[int, ...]
 
 
-# One scaled facet: (normal ints a, bound numerator p, bound denominator q),
-# encoding q*<a, x> <= m*p for the dilation m.
-_ScaledFacet = tuple[tuple[int, ...], int, int]
-
-
 class _Kernel:
     """What counting derives from one polytope, for the counts of one request.
 
-    ``facets`` holds the scaled facets; ``ranges`` the per-axis (min, max)
-    of the vertex rows, over ``scale``.  On the last two axes, with the
-    first n-2 fixed to a prefix x, facet i is the line
+    ``facets`` holds the scaled facets (a, p, q), each q*<a, x> <= m*p for
+    the dilation m; ``ranges`` the per-axis (min, max) of the vertex rows,
+    over ``scale``.  On the last two axes, with the first n-2 fixed to a
+    prefix x, facet i is the line
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where (A_i, B_i) and
     ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
@@ -77,10 +74,11 @@ class _Kernel:
         self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else None
         self.chambers: Optional[list[tuple]] = None
 
-    def box(self, m: int) -> list[tuple[int, int]]:
-        """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis."""
-        L = self.scale
-        return [(-(-m * lo // L), m * hi // L) for lo, hi in self.ranges]
+    def box(self, m: int, strict: bool = False) -> list[tuple[int, int]]:
+        """The integer bounding box of mP: ceil(m*lo) to floor(m*hi) per axis
+        (strict: floor(m*lo) + 1 to ceil(m*hi) - 1, the open box)."""
+        L, s = self.scale, int(strict)
+        return [(-((-m * lo - s) // L), (m * hi - s) // L) for lo, hi in self.ranges]
 
 
 def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
@@ -94,22 +92,6 @@ def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
         raise BudgetExceeded(
             f"bounding box of {m}P has {cells} cells, budget is {budget}")
     return box
-
-
-def _last_axis_interval(facets: Sequence[_ScaledFacet], m: int, strict: bool,
-                        lo: int, hi: int) -> tuple[int, int]:
-    """The integers of [lo, hi] in mP (strict: in its interior) for a
-    one-dimensional P, as (lo, hi), or (1, 0) when there are none.
-
-    Facet (a, p, q) reads q*a*z <= m*p - strict, with a = 1 or a = -1.
-    """
-    for (a,), p, q in facets:
-        rhs = m * p - strict
-        if a > 0:
-            hi = min(hi, rhs // q)
-        else:
-            lo = max(lo, -(rhs // q))
-    return (lo, hi) if lo <= hi else (1, 0)
 
 
 def _euclid_steps(a: int, m: int) -> tuple[tuple[int, int, int], ...]:
@@ -146,17 +128,15 @@ def _floor_sum(n: int, b: int, steps: Sequence[tuple[int, int, int]]) -> int:
 _Line = tuple[int, int, int, tuple]
 
 
-def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
-                    y1: int) -> list[_Line]:
-    """The lines lowest at some integer of y..y1 in min_i (C[i] - A_i*y) / B_i,
-    all B_i > 0, left to right.
+def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y: int, y1: int) -> int:
+    """Sum over y..y1 of min_i floor((C[i] - A_i*y) / B_i), all B_i > 0.
 
-    Scans the lower envelope.  Each piece ends where a faster-falling line
-    passes below, so slopes only fall, and only the faster-falling lines
-    stay candidates for the next piece.  Comparisons are cross-multiplied,
-    so exact.
+    Walks the lower envelope left to right, one :func:`_floor_sum` per
+    piece.  Each piece ends where a faster-falling line passes below, so
+    slopes only fall, and only the faster-falling lines stay candidates for
+    the next piece.  Comparisons are cross-multiplied, so exact.
     """
-    chain = []
+    total = 0
     while y <= y1:
         # A line lowest at y.  It stays lowest until a faster-falling line
         # passes below it, which a line tied with it at y does at y + 1.
@@ -164,7 +144,6 @@ def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
         for a, b, j, s in lines:
             if (C[j] - a * y) * B < (C[i] - A * y) * b:
                 A, B, i, steps = a, b, j, s
-        chain.append((A, B, i, steps))
         end = y1
         faster = []
         for a, b, j, s in lines:
@@ -174,33 +153,10 @@ def _envelope_chain(lines: Sequence[_Line], C: Sequence[int], y: int,
                 cut = (C[j] * B - C[i] * b) // steeper
                 if cut < end:
                     end = cut
+        total += _floor_sum(end - y + 1, C[i] - A * y, steps)
         y = end + 1
         lines = faster
-    return chain
-
-
-def _chain_sum(chain: Sequence[_Line], C: Sequence[int], y: int, y1: int) -> int:
-    """Sum over y..y1 (y <= y1) of min_i floor((C[i] - A_i*y) / B_i) along a
-    chain of the lower envelope, each line of which is lowest until the
-    next, falling faster, passes below it: one division for where a line
-    meets the next and one :func:`_floor_sum` per line.  A line lowest at
-    no integer of y..y1 adds nothing."""
-    total = 0
-    A, B, i, steps = chain[0]
-    for a, b, j, following in chain[1:]:
-        end = (C[j] * B - C[i] * b) // (a * B - A * b)
-        if end > y1:
-            end = y1
-        if end >= y:
-            total += _floor_sum(end - y + 1, C[i] - A * y, steps)
-            y = end + 1
-        A, B, i, steps = a, b, j, following
-    return total + _floor_sum(y1 - y + 1, C[i] - A * y, steps)
-
-
-def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y0: int, y1: int) -> int:
-    """Sum over y = y0..y1 of min_i floor((C[i] - A_i*y) / B_i), all B_i > 0."""
-    return _chain_sum(_envelope_chain(lines, C, y0, y1), C, y0, y1)
+    return total
 
 
 def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
@@ -358,6 +314,9 @@ def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
 
 def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
     """Lattice points of mP (strict: of its interior); ``box`` is ``K.box(m)``."""
+    if K.n == 1:  # the box of a segment is its lattice points
+        (lo, hi), = K.box(m, strict)
+        return max(0, hi - lo + 1)
     if any(lo > hi for lo, hi in box):
         return 0
     if K.n == 3 and m and not strict:
@@ -366,10 +325,8 @@ def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -
 
 
 def _scan_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
-    """:func:`_exact_count` for a non-empty ``box``, each section by a scan."""
-    if K.n == 1:
-        lo, hi = _last_axis_interval(K.facets, m, strict, *box[0])
-        return hi - lo + 1  # (1, 0) when empty
+    """:func:`_exact_count` for n >= 2 and a non-empty ``box``, each section
+    by a scan."""
     rhs = [m * p - int(strict) for _, p, _ in K.facets]
     y0, y1 = box[-2]
     if K.n == 2:
@@ -399,16 +356,19 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     return _exact_count(K, m, strict, _check_budget(K, m, budget))
 
 
-def count_vector(P: Polytope, dilations: Sequence[int], strict: bool = False,
+def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (),
                  budget: int = DEFAULT_BUDGET) -> list[int]:
-    """The counts of mP (strict: of its interior) for each m of ``dilations``
-    in order, a repeated m counted again, all on one kernel.  Raises
-    ``BudgetExceeded`` before any count if they are more than ``budget``,
-    and at the first m whose box of mP holds more than ``budget`` cells."""
-    if len(dilations) > budget:
-        raise BudgetExceeded(f"{len(dilations)} counts requested, budget is {budget}")
+    """The counts of mP for each m of ``closed``, then those of the interior
+    of mP for each m of ``interior``, in order, a repeated m counted again,
+    all on one kernel.  Raises ``BudgetExceeded`` before any count if they
+    are more than ``budget`` together, and at the first m whose box of mP
+    holds more than ``budget`` cells."""
+    requested = len(closed) + len(interior)
+    if requested > budget:
+        raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
     K = _Kernel(P)
-    return [_exact_count(K, m, strict, _check_budget(K, m, budget)) for m in dilations]
+    return [_exact_count(K, m, strict, _check_budget(K, m, budget))
+            for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
 
 
 def interior_shift_mismatch(P: Polytope, m: int,
@@ -423,9 +383,9 @@ def interior_shift_mismatch(P: Polytope, m: int,
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    K = _Kernel(P)
-    if not all(p > 0 for _, p, _ in K.facets):
+    if not origin_interior(P):
         raise OriginNotInterior("the interior shift needs the origin strictly inside")
+    K = _Kernel(P)
     if (_exact_count(K, m, True, _check_budget(K, m, budget))
             == _exact_count(K, m - 1, False, _check_budget(K, m - 1, budget))):
         return None
@@ -445,8 +405,8 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     if any(lo > hi for lo, hi in box):
         return None
     if K.n == 1:
-        lo, hi = _last_axis_interval(K.facets, m, True, *box[0])
-        olo, ohi = _last_axis_interval(K.facets, m - 1, False, *box[0])
+        (lo, hi), = K.box(m, True)
+        (olo, ohi), = K.box(m - 1)
         z = lo if olo > ohi or lo < olo else ohi + 1
         return (z,) if z <= hi else None
     def bottom(C: list[int], y: int) -> int:  # the least z of column y

@@ -19,13 +19,13 @@ from typing import Optional
 
 from .counting import DEFAULT_BUDGET, count_vector, interior_shift_mismatch
 from .errors import OriginNotInterior
-from .geometry import Polytope, dual_denominator, has_lattice_dual, origin_interior
+from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
+                       origin_interior)
 from .quasipoly import (
     DeltaVector,
     EhrhartQP,
     ResidueDeltaTable,
     checked_delta,
-    closed_counts,
     delta_vector_series,
     evaluate_qp,
     fit_qp,
@@ -76,7 +76,7 @@ def check_reciprocity(P: Polytope, m_max: int = 6, qp: Optional[EhrhartQP] = Non
     if qp is None:
         qp = fit_qp(P, budget=budget)
     if interior is None:
-        interior = count_vector(P, range(1, m_max + 1), strict=True, budget=budget)
+        interior = count_vector(P, (), range(1, m_max + 1), budget=budget)
     sign = (-1) ** P.ambient_dim
     for m, count in enumerate(interior, 1):
         negative = evaluate_qp(qp, -m)
@@ -142,7 +142,10 @@ def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
     dual_lattice = has_lattice_dual(P)
     if delta is None:
         delta = delta_vector_series(P, budget=budget)
-    palindromic = check_palindrome(delta).passed
+    return _characterization(dual_lattice, check_palindrome(delta).passed)
+
+
+def _characterization(dual_lattice: bool, palindromic: bool) -> CheckResult:
     if dual_lattice == palindromic:
         return CheckResult("characterization", True)
     return CheckResult("characterization", False, {
@@ -182,9 +185,10 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                 budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every check on one polytope and aggregate the outcomes.
 
-    Each count is requested once: the strict ones in one vector, the closed
-    ones in another (and their tail in a third when the interior shift reads
-    past k(n+1)).  Raises ``InternalInconsistency`` instead of producing a
+    All counts are one request on one kernel: the closed L(0..k(n+1)-1) of
+    both delta-vector routes, run on to L(m_max - 1) for the interior shift
+    when the dual is a lattice polytope, then the strict counts of mP for
+    m = 1..m_max.  Raises ``InternalInconsistency`` instead of producing a
     report when the two delta-vector routes disagree (:func:`checked_delta`);
     before any count, ``ValueError`` when m_max < 1 and
     ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
@@ -194,21 +198,18 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     if not origin_interior(P):
         raise OriginNotInterior("a report needs the origin strictly inside")
-    closed, n, k = closed_counts(P, budget=budget)
-    qp, d = checked_delta(closed, n, k)
+    n, k, dual_lattice = P.ambient_dim, denominator(P), has_lattice_dual(P)
+    # The interior shift compares the strict count of mP with the closed
+    # count of (m-1)P, m = 1..m_max, which may run past k(n+1).
+    counts = count_vector(P, range(max(k * (n + 1), m_max if dual_lattice else 0)),
+                          range(1, m_max + 1), budget=budget)
+    closed, interior = counts[:-m_max], counts[-m_max:]
+    qp, d = checked_delta(closed[:k * (n + 1)], n, k)
     palindrome = check_palindrome(d)
-    characterization = check_characterization(P, d, budget=budget)
-    # The characterization passes exactly when the dual is a lattice
-    # polytope iff d is palindromic, so its outcome gives the dual's
-    # latticeness without a second read of the facets.
-    dual_lattice = characterization.passed == palindrome.passed
+    characterization = _characterization(dual_lattice, palindrome.passed)
 
-    interior = count_vector(P, range(1, m_max + 1), strict=True, budget=budget)
     checks = [check_reciprocity(P, m_max=m_max, qp=qp, budget=budget, interior=interior)]
     if dual_lattice:
-        # The interior shift compares the strict count of mP with the closed
-        # count of (m-1)P, m = 1..m_max, which may run past k(n+1).
-        closed += count_vector(P, range(len(closed), m_max), budget=budget)
         m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
         checks.append(CheckResult("interior_shift", True) if m is None else
                       CheckResult("interior_shift", False, {

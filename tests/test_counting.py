@@ -183,22 +183,29 @@ def rational_3d():
     return P
 
 
-@pytest.mark.parametrize("build", [lambda: catalog()["octa3"],
+@pytest.mark.parametrize("build", [lambda: catalog()["octa3"], lambda: catalog()["cube3"],
                                    lambda: catalog()["halfdiamond2"], rational_3d],
-                         ids=["octa3", "halfdiamond2", "rational 3D, seed 8200"])
+                         ids=["octa3", "cube3", "halfdiamond2", "rational 3D, seed 8200"])
 def test_report_counts_each_dilation_once(walks, monkeypatch, build):
-    # A report asks for its closed counts and its strict ones in one vector
-    # each.  Every (m, strict) it needs is computed exactly once, and the
-    # budget is checked once per count computed, never on a repeated lookup.
-    checks = []
-    check_budget = counting._check_budget
+    # A report asks for its closed counts and its strict ones, those of the
+    # interior shift included, in one request on one kernel.  Every
+    # (m, strict) it needs is computed exactly once, and the budget is
+    # checked once per count computed, never on a repeated lookup.
+    checks, kernels = [], []
+    check_budget, kernel = counting._check_budget, counting._Kernel
 
     def counted_check_budget(K, m, budget):
         checks.append(m)
         return check_budget(K, m, budget)
 
+    def counted_kernel(P):
+        kernels.append(P)
+        return kernel(P)
+
     monkeypatch.setattr(counting, "_check_budget", counted_check_budget)
+    monkeypatch.setattr(counting, "_Kernel", counted_kernel)
     report = full_report(build())
+    assert len(kernels) == 1
     n, k = report.n, report.k
     closed = range(max(k * (n + 1), 6 if report.dual_is_lattice else 0))
     expected = [(m, False) for m in closed] + [(m, True) for m in range(1, 7)]
@@ -217,7 +224,19 @@ def test_an_over_long_count_vector_is_refused_before_any_count(walks):
     assert walks == []
     # A vector within the budget, whose 1D counts are charged no cells.
     assert count_vector(segment(-1, 2), range(4), budget=4) == [1, 4, 7, 10]
-    assert count_vector(segment(-1, 2), [2, 1], strict=True, budget=2) == [5, 2]
+    assert count_vector(segment(-1, 2), (), [2, 1], budget=2) == [5, 2]
+
+
+def test_closed_and_interior_counts_share_one_budget(walks):
+    # Each list alone fits the budget; together they are one request too many.
+    with pytest.raises(BudgetExceeded, match="5 counts requested, budget is 4"):
+        count_vector(segment(-1, 2), range(3), [1, 2], budget=4)
+    # [-1/2, 1/3] has k = 6 and a lattice dual: a report asks for 12 closed
+    # and 6 strict counts, so a budget of 12 refuses it.
+    with pytest.raises(BudgetExceeded, match="18 counts requested, budget is 12"):
+        full_report(catalog()["seg_mhalf_third"], budget=12)
+    assert walks == []
+    assert count_vector(segment(-1, 2), range(3), [1, 2], budget=5) == [1, 4, 7, 2, 5]
 
 
 def test_budget_guard():
@@ -423,6 +442,12 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
     report = full_report(P)
     assert report.k > 1
     assert len(builds) == 1
+    # A lattice dual's report runs its closed counts on to the interior
+    # shift's L(m_max - 1) on the same table.
+    for name in ("octa3", "cube3"):
+        builds.clear()
+        full_report(catalog()[name])
+        assert len(builds) == 1, name
 
 
 # The floor sums made by the closed counts m = 1..40, as counted on the
@@ -436,7 +461,7 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
     # A deterministic guard on the walk's work.  A scan of every section
     # makes about as many floor sums (6560 and 6542 here), so the scan's
     # envelope and cut helpers are watched too: none may run.
-    calls = {"_floor_sum": [], "_envelope_chain": [], "_section_count": []}
+    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": []}
     for name, seen in calls.items():
         def counted(*args, real=getattr(counting, name), seen=seen):
             seen.append(args)
@@ -451,7 +476,7 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
         for m in range(1, 41):
             count_points(P, m)
         assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST[name], name
-        assert calls["_envelope_chain"] == calls["_section_count"] == [], name
+        assert calls["_envelope_sum"] == calls["_section_count"] == [], name
 
 
 # ---------------------------------------------------------- interior shift

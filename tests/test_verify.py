@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -258,3 +260,20 @@ def test_render_text_mentions_every_check():
     text = render_text(report)
     for c in report.checks:
         assert c.name in text
+
+
+# The sha256 of every report over the catalog and both pools, each as its
+# JSON dict with sorted keys and as its text.  A change to the counts or
+# checks under a report must leave it byte-identical.
+REPORTS_SHA256 = "c3fcefecd5d3d4492f9e34b03d9ec37a49ea73449bab683f1ff37bae497a203c"
+
+
+def test_reports_stay_byte_identical(fixtures, theorem_pool, control_pool):
+    named = [*fixtures.items(), *((f"theorem#{i}", P) for i, P in enumerate(theorem_pool)),
+             *((f"control#{i}", P) for i, P in enumerate(control_pool))]
+    digest = hashlib.sha256()
+    for name, P in named:
+        report = full_report(P, name)
+        digest.update(json.dumps(report_to_json_dict(report), sort_keys=True).encode())
+        digest.update(render_text(report).encode())
+    assert digest.hexdigest() == REPORTS_SHA256
