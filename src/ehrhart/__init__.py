@@ -20,8 +20,7 @@ _EXPORTS = {name: module for module, names in {
     "errors": "AmbientDimensionCap BudgetExceeded DimensionDeficient "
               "DimensionMismatch EhrhartError EmptyInput GenerationExhausted "
               "InternalInconsistency OriginNotInterior ParseError",
-    "generators": "GeneratorConfig SplitMix64 catalog gen_dual_of_lattice "
-                  "gen_lattice_with_interior_origin gen_rational_control instances",
+    "generators": "GeneratorConfig SplitMix64 catalog instances",
     "geometry": "HalfSpace Polytope RationalPoint contains denominator dual "
                 "from_vertices has_lattice_dual is_lattice origin_interior point",
     "linalg": "",

@@ -81,19 +81,6 @@ class _Kernel:
         return [(-((-m * lo - s) // L), (m * hi - s) // L) for lo, hi in self.ranges]
 
 
-def _check_budget(K: _Kernel, m: int, budget: int) -> list[tuple[int, int]]:
-    """The box of mP, once m and its cell count are checked."""
-    if m < 0:
-        raise ValueError("dilation factor must be non-negative")
-    box = K.box(m)
-    # A one-dimensional count solves its axis directly, whatever the box.
-    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box) if K.n > 1 else 0
-    if cells > budget:
-        raise BudgetExceeded(
-            f"bounding box of {m}P has {cells} cells, budget is {budget}")
-    return box
-
-
 def _euclid_steps(a: int, m: int) -> tuple[tuple[int, int, int], ...]:
     """Euclid's (modulus, quotient, remainder) steps on a / m, m > 0."""
     steps = []
@@ -303,8 +290,6 @@ def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
                 y = y0
                 for mp, w, A, steps, c, cw, e in chain:  # lowest from y to end
                     end = (c - cw * x) // e if e else y1
-                    if end > y1:
-                        end = y1
                     if end >= y:
                         total += _floor_sum(end - y + 1, mp - w * x - A * y, steps)
                         y = end + 1
@@ -312,12 +297,20 @@ def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
     return total
 
 
-def _exact_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
-    """Lattice points of mP (strict: of its interior); ``box`` is ``K.box(m)``."""
-    if K.n == 1:  # the box of a segment is its lattice points
+def _exact_count(K: _Kernel, m: int, strict: bool, budget: int) -> int:
+    """Lattice points of mP (strict: of its interior), once m >= 0 is
+    checked and the box of mP is found to hold at most ``budget`` cells."""
+    if m < 0:
+        raise ValueError("dilation factor must be non-negative")
+    if K.n == 1:  # the box of a segment is its lattice points: no cells charged
         (lo, hi), = K.box(m, strict)
         return max(0, hi - lo + 1)
-    if any(lo > hi for lo, hi in box):
+    box = K.box(m)
+    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box)
+    if cells > budget:
+        raise BudgetExceeded(
+            f"bounding box of {m}P has {cells} cells, budget is {budget}")
+    if not cells:
         return 0
     if K.n == 3 and m and not strict:
         return _chamber_count(K, m, box)
@@ -352,8 +345,7 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     m = 0 falls out of the facet arithmetic as the single point at the
     origin for the closed count and the empty set for the strict one.
     """
-    K = _Kernel(P)
-    return _exact_count(K, m, strict, _check_budget(K, m, budget))
+    return _exact_count(_Kernel(P), m, strict, budget)
 
 
 def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (),
@@ -367,7 +359,7 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
     K = _Kernel(P)
-    return [_exact_count(K, m, strict, _check_budget(K, m, budget))
+    return [_exact_count(K, m, strict, budget)
             for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
 
 
@@ -386,8 +378,7 @@ def interior_shift_mismatch(P: Polytope, m: int,
     if not origin_interior(P):
         raise OriginNotInterior("the interior shift needs the origin strictly inside")
     K = _Kernel(P)
-    if (_exact_count(K, m, True, _check_budget(K, m, budget))
-            == _exact_count(K, m - 1, False, _check_budget(K, m - 1, budget))):
+    if _exact_count(K, m, True, budget) == _exact_count(K, m - 1, False, budget):
         return None
     return _shift_witness(K, m)
 

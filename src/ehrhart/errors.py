@@ -18,8 +18,8 @@ class DimensionDeficient(EhrhartError):
 
 
 class AmbientDimensionCap(EhrhartError):
-    """Ambient dimension exceeds the configured cap (exhaustive algorithms
-    blow up beyond desk scale; pass a larger max_dim to override)."""
+    """Ambient dimension exceeds the fixed cap ``geometry.MAX_DIM``
+    (exhaustive algorithms blow up beyond desk scale)."""
 
 
 class OriginNotInterior(EhrhartError):

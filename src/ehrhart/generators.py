@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from ._catalog import VERTICES
 from .errors import DimensionDeficient, EmptyInput, GenerationExhausted
-from .geometry import Polytope, dual, from_ratios, from_vertices, origin_interior
+from .geometry import (MAX_DIM, Polytope, dual, from_ratios, from_vertices,
+                       origin_interior)
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,49 +40,39 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+#: Draws each instance may take before ``GenerationExhausted``.
+ATTEMPTS = 1000
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the rejection samplers; equal configs give equal output."""
+    """Knobs for the rejection sampler; equal configs give equal output."""
 
     seed: int
     dim: int
-    vertex_count_range: Optional[tuple[int, int]] = None
     coordinate_bound: int = 2
     denominator_bound: int = 3
-    max_attempts: int = 1000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 4:
-            raise ValueError("dimension must be between 1 and 4")
-        for name in ("coordinate_bound", "denominator_bound", "max_attempts"):
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
+        for name in ("coordinate_bound", "denominator_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.vertex_count_range is not None:
-            lo, hi = self.vertex_count_range
-            if not self.dim + 1 <= lo <= hi:
-                raise ValueError(f"vertex_count_range must have {self.dim + 1} <= lo <= hi, "
-                                 f"got {self.vertex_count_range}")
-
-    def counts(self) -> tuple[int, int]:
-        if self.vertex_count_range is not None:
-            return self.vertex_count_range
-        return self.dim + 1, 2 * self.dim + 2
 
 
 def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
-    lo, hi = cfg.counts()
+    """Rejection sampling: draw dim+1 to 2*dim+2 points in the coordinate
+    box (rational: with denominators up to the bound), take the hull, and
+    retry until it is full-dimensional with the origin strictly inside."""
     bound = cfg.coordinate_bound
-    for _ in range(cfg.max_attempts):
-        npts = rng.integer(lo, hi)
+    for _ in range(ATTEMPTS):
         pts = []
-        for _ in range(npts):
+        for _ in range(rng.integer(cfg.dim + 1, 2 * cfg.dim + 2)):
             coords = []
             for _ in range(cfg.dim):
-                if rational:
-                    q = rng.integer(1, cfg.denominator_bound)
-                    coords.append((rng.integer(-bound * q, bound * q), q))
-                else:
-                    coords.append((rng.integer(-bound, bound), 1))
+                q = rng.integer(1, cfg.denominator_bound) if rational else 1
+                coords.append((rng.integer(-bound * q, bound * q), q))
             pts.append(coords)
         try:
             P = from_ratios(pts)
@@ -90,52 +80,24 @@ def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
             continue
         if origin_interior(P):
             return P
-    raise GenerationExhausted(
-        f"no valid instance in {cfg.max_attempts} attempts for {cfg}")
-
-
-def gen_lattice_with_interior_origin(cfg: GeneratorConfig,
-                                     rng: Optional[SplitMix64] = None) -> Polytope:
-    """A full-dimensional lattice polytope with the origin strictly inside.
-
-    Rejection sampling: draw integer points in the coordinate box, take the
-    hull, retry until full-dimensional with interior origin.
-    """
-    return _sample(cfg, rng or SplitMix64(cfg.seed), rational=False)
-
-
-def gen_dual_of_lattice(cfg: GeneratorConfig,
-                        rng: Optional[SplitMix64] = None) -> Polytope:
-    """A rational polytope whose polar dual is a lattice polytope.
-
-    Returns the dual of a generated lattice polytope; by the involution of
-    polarity the dual of the result is that lattice polytope again, so the
-    lattice-dual hypothesis holds by construction.
-    """
-    return dual(gen_lattice_with_interior_origin(cfg, rng))
-
-
-def gen_rational_control(cfg: GeneratorConfig,
-                         rng: Optional[SplitMix64] = None) -> Polytope:
-    """A rational polytope with interior origin and unconstrained dual.
-
-    Coordinates are fractions with denominators up to the configured bound;
-    the dual may or may not be a lattice polytope, which is the point: these
-    exercise both branches of the characterization check.
-    """
-    return _sample(cfg, rng or SplitMix64(cfg.seed), rational=True)
+    raise GenerationExhausted(f"no valid instance in {ATTEMPTS} attempts for {cfg}")
 
 
 _KINDS = {
-    "lattice": gen_lattice_with_interior_origin,
-    "dual-of-lattice": gen_dual_of_lattice,
-    "rational": gen_rational_control,
+    "lattice": lambda cfg, rng: _sample(cfg, rng, rational=False),
+    "dual-of-lattice": lambda cfg, rng: dual(_sample(cfg, rng, rational=False)),
+    "rational": lambda cfg, rng: _sample(cfg, rng, rational=True),
 }
 
 
 def instances(cfg: GeneratorConfig, count: int,
               kind: str = "dual-of-lattice") -> list[Polytope]:
-    """A deterministic sequence of ``count`` instances from one seed."""
+    """``count`` instances of one ``kind``, drawn in turn from one SplitMix64
+    stream seeded by ``cfg.seed``: "lattice" polytopes with the origin
+    strictly inside; "dual-of-lattice", their polar duals, which have
+    lattice duals by the involution of polarity; or "rational" controls,
+    whose duals may or may not be lattice, for both branches of the
+    characterization check."""
     try:
         gen = _KINDS[kind]
     except KeyError:

@@ -10,7 +10,7 @@ the polar dual (vertices and facets swapped, no scan) are read off it.
 ``Fraction`` vertices and :class:`HalfSpace` facets are only views of the
 rows, built on first use.  There is no floating point anywhere in this
 package.  The scan suits desk scale (tens of vertices, dimension <= 4),
-which an ambient-dimension cap with an explicit override guards.
+which a fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ RationalPoint = tuple[Fraction, ...]
 
 Coordinate = Union[Fraction, int, str]
 
-#: Exhaustive facet search and box enumeration blow up beyond desk scale;
-#: pass ``max_dim`` explicitly to go higher anyway.
-DEFAULT_MAX_DIM = 4
+#: Exhaustive facet search and box enumeration blow up beyond desk scale,
+#: so no hull is built in a higher dimension.
+MAX_DIM = 4
 
 
 def point(coords: Iterable[Coordinate]) -> RationalPoint:
@@ -125,16 +125,14 @@ class Polytope:
         return Polytope, (self.ambient_dim, self.scale, self.rows, self.facet_rows)
 
 
-def from_vertices(points: Iterable[Iterable[Coordinate]],
-                  max_dim: int | None = None) -> Polytope:
+def from_vertices(points: Iterable[Iterable[Coordinate]]) -> Polytope:
     """Convex hull of the given rational points: :func:`from_ratios` of
     their exact coordinates."""
     return from_ratios([[(c.numerator, c.denominator) for c in point(p)]
-                        for p in points], max_dim)
+                        for p in points])
 
 
-def from_ratios(points: Sequence[Sequence[tuple[int, int]]],
-                max_dim: int | None = None) -> Polytope:
+def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     """Convex hull of points given by (numerator, denominator) coordinate
     pairs, denominators positive.
 
@@ -146,7 +144,8 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]],
     them, the per-axis extreme points first, so that a plane that is no
     facet soon meets points on both of its sides.  L then drops the factor
     the vertices do not need.  Raises ``DimensionDeficient`` when the points
-    do not span the ambient space.
+    do not span the ambient space, and ``AmbientDimensionCap`` when it has
+    more than ``MAX_DIM`` dimensions.
     """
     if not points:
         raise EmptyInput("need at least one point")
@@ -155,10 +154,8 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]],
         raise EmptyInput("points must have at least one coordinate")
     if any(len(p) != n for p in points):
         raise DimensionMismatch("points of mixed dimensions")
-    cap = DEFAULT_MAX_DIM if max_dim is None else max_dim
-    if n > cap:
-        raise AmbientDimensionCap(
-            f"dimension {n} exceeds cap {cap}; pass max_dim to override")
+    if n > MAX_DIM:
+        raise AmbientDimensionCap(f"dimension {n} exceeds cap {MAX_DIM}")
     scale = math.lcm(*(q for p in points for _, q in p))
     ints = sorted({tuple(c * (scale // q) for c, q in p) for p in points})
     extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}

@@ -132,16 +132,14 @@ def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
     return CheckResult("equivalence", True)
 
 
-def check_characterization(P: Polytope, delta: Optional[DeltaVector] = None,
-                           budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_characterization(P: Polytope, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Lattice polar dual if and only if palindromic delta-vector.
 
     The forward direction is exact; a lattice dual with a non-palindromic
     delta-vector can never occur, so that outcome is flagged fatal.
     """
     dual_lattice = has_lattice_dual(P)
-    if delta is None:
-        delta = delta_vector_series(P, budget=budget)
+    delta = delta_vector_series(P, budget=budget)
     return _characterization(dual_lattice, check_palindrome(delta).passed)
 
 
@@ -163,18 +161,15 @@ def check_non_negativity(d: DeltaVector) -> CheckResult:
 
 
 def find_interior_shift_violation(
-        P: Polytope, m_limit: Optional[int] = None,
-        budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, tuple[int, ...]]]:
+        P: Polytope, budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, tuple[int, ...]]]:
     """Smallest dilation where interior(mP) and (m-1)P disagree on points.
 
     For a polytope whose dual is not a lattice polytope a violation shows
-    up by m <= denominator(dual) + n; returns (m, witness point), or None
-    if no violation exists up to the limit.  Requires the origin strictly
-    inside P, as :func:`interior_shift_mismatch` does.
+    up by m <= denominator(dual) + n, the limit of the search; returns
+    (m, witness point), or None if no violation exists up to it.  Requires
+    the origin strictly inside P, as :func:`interior_shift_mismatch` does.
     """
-    if m_limit is None:
-        m_limit = dual_denominator(P) + P.ambient_dim
-    for m in range(1, m_limit + 1):
+    for m in range(1, dual_denominator(P) + P.ambient_dim + 1):
         witness = interior_shift_mismatch(P, m, budget=budget)
         if witness is not None:
             return m, witness

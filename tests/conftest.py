@@ -4,8 +4,7 @@ from ehrhart import (
     GeneratorConfig,
     catalog,
     from_vertices,
-    gen_dual_of_lattice,
-    gen_rational_control,
+    instances,
 )
 
 # (dimension, instance count, coordinate bound): 100 lattice-dual instances
@@ -25,7 +24,7 @@ def build_theorem_pool():
     for dim, count, bound in THEOREM_POOL_SPEC:
         for i in range(count):
             cfg = GeneratorConfig(seed=1000 * dim + i, dim=dim, coordinate_bound=bound)
-            pool.append(gen_dual_of_lattice(cfg))
+            pool.append(instances(cfg, 1, "dual-of-lattice")[0])
     return pool
 
 
@@ -34,7 +33,7 @@ def build_control_pool():
     for dim, count, bound in CONTROL_POOL_SPEC:
         for i in range(count):
             cfg = GeneratorConfig(seed=5000 * dim + i, dim=dim, coordinate_bound=bound)
-            pool.append(gen_rational_control(cfg))
+            pool.append(instances(cfg, 1, "rational")[0])
     return pool
 
 

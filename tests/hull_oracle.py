@@ -25,7 +25,7 @@ from ehrhart.errors import (
     DimensionMismatch,
     EmptyInput,
 )
-from ehrhart.geometry import DEFAULT_MAX_DIM, HalfSpace, point
+from ehrhart.geometry import MAX_DIM, HalfSpace, point
 from ehrhart.linalg import rank
 
 Vector = tuple[Fraction, ...]
@@ -50,7 +50,7 @@ def primitive(normal: Sequence[Fraction], bound: Fraction) -> HalfSpace:
     return HalfSpace(tuple(Fraction(i // g) for i in ints), bound * Fraction(scale, g))
 
 
-def oracle_hull(points, max_dim: int | None = None) -> Hull:
+def oracle_hull(points) -> Hull:
     """The convex hull of ``points``, with the checks and errors of
     ``from_vertices``."""
     raw = [point(p) for p in points]
@@ -62,9 +62,8 @@ def oracle_hull(points, max_dim: int | None = None) -> Hull:
     for p in raw:
         if len(p) != n:
             raise DimensionMismatch("points of mixed dimensions")
-    cap = DEFAULT_MAX_DIM if max_dim is None else max_dim
-    if n > cap:
-        raise AmbientDimensionCap(f"dimension {n} exceeds cap {cap}")
+    if n > MAX_DIM:
+        raise AmbientDimensionCap(f"dimension {n} exceeds cap {MAX_DIM}")
     unique = sorted(set(raw))
     if affine_rank(unique) < n:
         raise DimensionDeficient(f"points span fewer than {n} dimensions")

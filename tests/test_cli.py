@@ -178,6 +178,15 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_dimension_over_the_cap_exit_two(tmp_path, capsys):
+    path = tmp_path / "simplex5.json"
+    rows = [[str(int(i == j)) for j in range(5)] for i in range(5)] + [["-1"] * 5]
+    path.write_text(json.dumps({"dim": 5, "vertices": rows}))
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err == "ehrhart: error: dimension 5 exceeds cap 4\n"
+
+
 def test_deeply_nested_json_exit_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

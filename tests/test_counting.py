@@ -12,6 +12,7 @@ from ehrhart import (
     OriginNotInterior,
     catalog,
     count_points,
+    dual,
     evaluate_qp,
     fit_qp,
     from_vertices,
@@ -38,9 +39,8 @@ from listing_oracle import lattice_points
 
 
 def exact_count(P, m, strict):
-    """The count behind count_points, with no budget check."""
-    K = _Kernel(P)
-    return _exact_count(K, m, strict, K.box(m))
+    """The count behind count_points, with no budget to exceed."""
+    return _exact_count(_Kernel(P), m, strict, math.inf)
 
 
 def section_count(lines, y0, y1):
@@ -114,14 +114,11 @@ def brute_force_count(P, m, strict):
 
 
 def test_walk_matches_brute_force_on_generated():
-    from ehrhart import GeneratorConfig, gen_dual_of_lattice, gen_rational_control
-
     polytopes = [catalog()["octa3"], catalog()["seg_m23_1"]]
     for i in range(6):
-        polytopes.append(gen_rational_control(
-            GeneratorConfig(seed=9000 + i, dim=1 + i % 2)))
-    polytopes.append(gen_dual_of_lattice(
-        GeneratorConfig(seed=9100, dim=3, coordinate_bound=1)))
+        polytopes += instances(GeneratorConfig(seed=9000 + i, dim=1 + i % 2), 1, "rational")
+    polytopes += instances(GeneratorConfig(seed=9100, dim=3, coordinate_bound=1), 1,
+                           "dual-of-lattice")
     for P in polytopes:
         for m in range(1, 4):
             for strict in (False, True):
@@ -150,9 +147,9 @@ def walks(monkeypatch):
     calls = []
     exact_count = counting._exact_count
 
-    def counted_exact_count(K, m, strict, box):  # K is the polytope's count kernel
+    def counted_exact_count(K, m, strict, budget):  # K is the polytope's count kernel
         calls.append((m, strict))
-        return exact_count(K, m, strict, box)
+        return exact_count(K, m, strict, budget)
 
     monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
     return calls
@@ -189,20 +186,14 @@ def rational_3d():
 def test_report_counts_each_dilation_once(walks, monkeypatch, build):
     # A report asks for its closed counts and its strict ones, those of the
     # interior shift included, in one request on one kernel.  Every
-    # (m, strict) it needs is computed exactly once, and the budget is
-    # checked once per count computed, never on a repeated lookup.
-    checks, kernels = [], []
-    check_budget, kernel = counting._check_budget, counting._Kernel
-
-    def counted_check_budget(K, m, budget):
-        checks.append(m)
-        return check_budget(K, m, budget)
+    # (m, strict) it needs is computed exactly once.
+    kernels = []
+    kernel = counting._Kernel
 
     def counted_kernel(P):
         kernels.append(P)
         return kernel(P)
 
-    monkeypatch.setattr(counting, "_check_budget", counted_check_budget)
     monkeypatch.setattr(counting, "_Kernel", counted_kernel)
     report = full_report(build())
     assert len(kernels) == 1
@@ -210,7 +201,6 @@ def test_report_counts_each_dilation_once(walks, monkeypatch, build):
     closed = range(max(k * (n + 1), 6 if report.dual_is_lattice else 0))
     expected = [(m, False) for m in closed] + [(m, True) for m in range(1, 7)]
     assert sorted(walks) == sorted(expected)
-    assert sorted(checks) == sorted(m for m, _ in walks)
 
 
 def test_an_over_long_count_vector_is_refused_before_any_count(walks):
@@ -562,6 +552,56 @@ def test_empty_box_makes_no_sections(monkeypatch):
     assert count_points(P, 1, budget=1) == 0
     assert counting._shift_witness(_Kernel(P), 1) is None
     assert calls == []
+
+
+# ------------------------------------------------------ unimodular images
+
+@st.composite
+def unimodular(draw, dim):
+    """A product A of one to four elementary integer matrices (row
+    additions, swaps and negations), with its inverse."""
+    A = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inverse = [row[:] for row in A]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2, "swap", "negate"]))
+        # A becomes E*A and its inverse A^{-1}*E^{-1}: E acts on rows i and
+        # j of A, and E^{-1} on columns i and j of the inverse.
+        if c == "swap":
+            A[i], A[j] = A[j], A[i]
+            for row in inverse:
+                row[i], row[j] = row[j], row[i]
+        elif c == "negate":
+            A[i] = [-a for a in A[i]]
+            for row in inverse:
+                row[i] = -row[i]
+        else:
+            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+            for row in inverse:
+                row[j] -= c * row[i]
+    return A, inverse
+
+
+def apply(A, v):
+    return tuple(sum(a * c for a, c in zip(row, v)) for row in A)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]),
+       st.sampled_from(["lattice", "dual-of-lattice", "rational"]), st.data())
+def test_counts_and_dual_commute_with_unimodular_maps(seed, dim, kind, data):
+    # A in GL_n(Z) maps the lattice onto itself, so AP has the closed and
+    # strict counts of P, yet AP is walked in another frame, through other
+    # sections and chambers.  And <A^{-T}u, Av> = <u, v>, so the polar dual
+    # of AP is A^{-T} dual(P).
+    P, = instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)
+    A, inverse = data.draw(unimodular(dim))
+    AP = from_vertices([apply(A, v) for v in P.vertices])
+    ms = range(1, 5)
+    assert count_vector(AP, ms, ms) == count_vector(P, ms, ms), (P, A)
+    inverse_transpose = list(zip(*inverse))
+    image = from_vertices([apply(inverse_transpose, u) for u in dual(P).vertices])
+    assert (dual(AP), dual(AP).facet_rows) == (image, image.facet_rows), (P, A)
 
 
 # ---------------------------------------------------------------- heights

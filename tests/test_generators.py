@@ -8,9 +8,7 @@ from ehrhart import (
     contains,
     denominator,
     dual,
-    gen_dual_of_lattice,
-    gen_lattice_with_interior_origin,
-    gen_rational_control,
+    generators,
     instances,
     is_lattice,
 )
@@ -30,10 +28,14 @@ def test_splitmix64_bounded_draws():
     assert set(draws) <= set(range(-3, 4))
 
 
+def draw(cfg, kind):
+    return instances(cfg, 1, kind)[0]
+
+
 def test_determinism_single():
     cfg = GeneratorConfig(seed=7, dim=2)
-    assert gen_dual_of_lattice(cfg) == gen_dual_of_lattice(cfg)
-    assert gen_rational_control(cfg) == gen_rational_control(cfg)
+    assert draw(cfg, "dual-of-lattice") == draw(cfg, "dual-of-lattice")
+    assert draw(cfg, "rational") == draw(cfg, "rational")
 
 
 def test_determinism_sequences():
@@ -41,8 +43,6 @@ def test_determinism_sequences():
     first = instances(cfg, 5, kind="rational")
     second = instances(cfg, 5, kind="rational")
     assert [p.vertices for p in first] == [p.vertices for p in second]
-    # Streamed generation and one-shot generation share the first draw.
-    assert first[0] == gen_rational_control(cfg)
 
 
 def test_unknown_kind_rejected():
@@ -55,7 +55,7 @@ def test_lattice_generator_postconditions(dim):
     for i in range(10):
         cfg = GeneratorConfig(seed=i, dim=dim,
                               coordinate_bound=2 if dim < 3 else 1)
-        P = gen_lattice_with_interior_origin(cfg)
+        P = draw(cfg, "lattice")
         assert is_lattice(P)
         assert contains(P, (0,) * dim, strict=True)
         assert affine_rank(list(P.vertices)) == dim
@@ -66,7 +66,7 @@ def test_dual_of_lattice_guarantee(dim):
     for i in range(10):
         cfg = GeneratorConfig(seed=100 + i, dim=dim,
                               coordinate_bound=2 if dim < 3 else 1)
-        P = gen_dual_of_lattice(cfg)
+        P = draw(cfg, "dual-of-lattice")
         assert is_lattice(dual(P))
         assert contains(P, (0,) * dim, strict=True)
 
@@ -74,18 +74,17 @@ def test_dual_of_lattice_guarantee(dim):
 def test_rational_controls_cover_both_dual_branches():
     lattice_duals = set()
     for i in range(40):
-        P = gen_rational_control(GeneratorConfig(seed=200 + i, dim=1))
+        P = draw(GeneratorConfig(seed=200 + i, dim=1), "rational")
         lattice_duals.add(is_lattice(dual(P)))
     assert lattice_duals == {True, False}
 
 
-def test_generation_exhausted():
-    # Seed 1 draws no tetrahedron of {-1, 0, 1}^3 around the origin in its
+def test_generation_exhausted(monkeypatch):
+    # Seed 3 draws no polytope of {-1, 0, 1}^3 around the origin in its
     # first five attempts.
-    cfg = GeneratorConfig(seed=1, dim=3, coordinate_bound=1, vertex_count_range=(4, 4),
-                          max_attempts=5)
-    with pytest.raises(GenerationExhausted):
-        gen_lattice_with_interior_origin(cfg)
+    monkeypatch.setattr(generators, "ATTEMPTS", 5)
+    with pytest.raises(GenerationExhausted, match="no valid instance in 5 attempts"):
+        instances(GeneratorConfig(seed=3, dim=3, coordinate_bound=1), 1, "lattice")
 
 
 def test_config_validation():
@@ -97,7 +96,6 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("coordinate_bound", 0), ("coordinate_bound", -1), ("denominator_bound", 0),
-    ("max_attempts", 0), ("vertex_count_range", (2, 5)), ("vertex_count_range", (5, 4)),
 ])
 def test_config_rejects_a_field_that_draws_nothing(field, value):
     with pytest.raises(ValueError, match=field):
@@ -107,15 +105,13 @@ def test_config_rejects_a_field_that_draws_nothing(field, value):
 def test_valid_configs_draw_as_before():
     # Validation draws nothing: these configs give the vertices they gave
     # before it, so every seeded corpus stays as it was.
-    def first(kind, **knobs):
-        P, = instances(GeneratorConfig(seed=7, dim=2, coordinate_bound=1, **knobs), 1, kind)
+    def vertices(kind):
+        P = draw(GeneratorConfig(seed=7, dim=2, coordinate_bound=1), kind)
         return [tuple(map(str, v)) for v in P.vertices]
 
-    assert first("lattice") == [("-1", "-1"), ("-1", "1"), ("0", "-1"), ("1", "0")]
-    assert first("rational") == [("-1", "0"), ("0", "-1"), ("0", "1"), ("1", "-1"),
-                                 ("1", "1/2")]
-    assert first("lattice", vertex_count_range=(3, 3)) == [("-1", "1"), ("0", "-1"),
-                                                           ("1", "1")]
+    assert vertices("lattice") == [("-1", "-1"), ("-1", "1"), ("0", "-1"), ("1", "0")]
+    assert vertices("rational") == [("-1", "0"), ("0", "-1"), ("0", "1"), ("1", "-1"),
+                                    ("1", "1/2")]
 
 
 # ----------------------------------------------------------------- catalog

@@ -20,8 +20,6 @@ from ehrhart import (
     denominator,
     dual,
     from_vertices,
-    gen_lattice_with_interior_origin,
-    gen_rational_control,
     has_lattice_dual,
     instances,
     is_lattice,
@@ -89,14 +87,11 @@ def test_mixed_dimensions_rejected():
         from_vertices([(0, 0), (1,)])
 
 
-def test_dimension_cap_with_override():
+def test_dimension_cap():
     simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
     simplex5.append((-1, -1, -1, -1, -1))
-    with pytest.raises(AmbientDimensionCap):
+    with pytest.raises(AmbientDimensionCap, match="dimension 5 exceeds cap 4"):
         from_vertices(simplex5)
-    P = from_vertices(simplex5, max_dim=5)
-    assert P.ambient_dim == 5
-    assert len(P.facets) == 6
 
 
 def test_string_coordinates_accepted():
@@ -217,7 +212,7 @@ def test_integer_form(fixtures, theorem_pool, control_pool):
     four = [*instances(cfg, 1, "rational"), *instances(cfg, 1, "dual-of-lattice")]
     docs = []
     for P in [*fixtures.values(), *theorem_pool, *control_pool, *four]:
-        expected = oracle_hull(P.vertices, max_dim=P.ambient_dim)
+        expected = oracle_hull(P.vertices)
         assert (P.vertices, P.facets) == (expected.vertices, expected.facets), P
         D = dual(P)
         assert dual(D) == P and dual(D).facet_rows == P.facet_rows, P
@@ -234,15 +229,14 @@ def test_dual_involution_generated():
         for i in range(6):
             cfg = GeneratorConfig(seed=300 + i, dim=dim,
                                   coordinate_bound=2 if dim < 3 else 1)
-            P = gen_rational_control(cfg)
+            P = instances(cfg, 1, "rational")[0]
             back = dual(dual(P))
             assert (back.vertices, back.facets) == (P.vertices, P.facets)
 
 
 def hull_dual(P):
     """Oracle: the polar dual as the full hull of the facet points a / b."""
-    return oracle_hull([tuple(u / h.bound for u in h.normal) for h in P.facets],
-                       max_dim=P.ambient_dim)
+    return oracle_hull([tuple(u / h.bound for u in h.normal) for h in P.facets])
 
 
 def assert_dual_matches_hull(polytopes):
@@ -256,9 +250,9 @@ def assert_dual_matches_hull(polytopes):
 def test_dual_matches_hull_oracle(fixtures, control_pool):
     # The theorem pool is dual(L) for these lattice polytopes L, so its
     # duals are L again; run the oracle on L itself instead.
-    lattice = [gen_lattice_with_interior_origin(
-        GeneratorConfig(seed=1000 * dim + i, dim=dim, coordinate_bound=bound))
-        for dim, count, bound in THEOREM_POOL_SPEC for i in range(count)]
+    lattice = [instances(GeneratorConfig(seed=1000 * dim + i, dim=dim,
+                                         coordinate_bound=bound), 1, "lattice")[0]
+               for dim, count, bound in THEOREM_POOL_SPEC for i in range(count)]
     assert_dual_matches_hull([*fixtures.values(), *lattice, *control_pool])
 
 
@@ -292,18 +286,18 @@ def test_extreme_points_match_qhull():
 
 # ------------------------------------------ from_vertices against the oracle
 
-def hull_outcome(build, points, **kwargs):
+def hull_outcome(build, points):
     """(vertices, facets) of the hull, or the type of the error it raised."""
     try:
-        P = build(points, **kwargs)
+        P = build(points)
     except Exception as exc:  # the oracle must raise the same type
         return type(exc)
     return P.vertices, P.facets
 
 
-def assert_matches_oracle(points, **kwargs):
-    expected = hull_outcome(oracle_hull, points, **kwargs)
-    assert hull_outcome(from_vertices, points, **kwargs) == expected, points
+def assert_matches_oracle(points):
+    expected = hull_outcome(oracle_hull, points)
+    assert hull_outcome(from_vertices, points) == expected, points
 
 
 def random_cloud(rng, dim):
@@ -342,7 +336,7 @@ def test_from_vertices_matches_oracle_on_hand_cases():
         assert len(from_vertices(points).vertices) == len(points)
     assert_matches_oracle([(3,)])
     simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    assert_matches_oracle(simplex5 + [(-1,) * 5], max_dim=5)
+    assert_matches_oracle(simplex5 + [(-1,) * 5])  # both refuse it: over the cap
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)

@@ -15,6 +15,27 @@ def test_every_public_name_resolves_and_is_listed():
     assert ehrhart.linalg.__name__ == "ehrhart.linalg"
 
 
+def test_public_names_are_pinned():
+    # Any change to the exports shows up as a diff of this list.
+    assert ehrhart.__all__ == [
+        "AmbientDimensionCap", "BudgetExceeded", "CheckResult", "DeltaVector",
+        "DimensionDeficient", "DimensionMismatch", "EhrhartError", "EhrhartQP",
+        "EmptyInput", "GenerationExhausted", "GeneratorConfig", "HalfSpace",
+        "InternalInconsistency", "OriginNotInterior", "ParseError", "Polytope",
+        "RationalPoint", "ResidueDeltaTable", "SplitMix64", "VerificationReport",
+        "binomial", "catalog", "check_characterization", "check_equivalence",
+        "check_palindrome", "check_reciprocity", "check_theorem", "checked_delta",
+        "contains", "count_points", "counting", "delta_vector", "delta_vector_series",
+        "denominator", "dual", "dumps_polytope", "errors", "evaluate_qp",
+        "find_interior_shift_violation", "fit_qp", "from_vertices", "full_report",
+        "generators", "geometry", "has_lattice_dual", "instances",
+        "interior_shift_mismatch", "is_lattice", "linalg", "load_polytope",
+        "loads_polytope", "negative_binomial_reflect", "origin_interior", "point",
+        "polytope_from_json_dict", "polytope_to_json_dict", "quasipoly", "render_text",
+        "report_to_json_dict", "serialization", "verify",
+    ]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ehrhart.no_such_name

@@ -12,8 +12,7 @@ from ehrhart import (
     evaluate_qp,
     fit_qp,
     from_vertices,
-    gen_dual_of_lattice,
-    gen_rational_control,
+    instances,
     negative_binomial_reflect,
 )
 
@@ -147,9 +146,9 @@ def test_fit_and_series_agree_on_fixtures(fixtures):
 
 def test_fit_and_series_agree_on_generated():
     for i in range(8):
-        P = gen_dual_of_lattice(GeneratorConfig(seed=700 + i, dim=2))
+        P = instances(GeneratorConfig(seed=700 + i, dim=2), 1, "dual-of-lattice")[0]
         assert delta_vector(fit_qp(P)) == delta_vector_series(P)
-        Q = gen_rational_control(GeneratorConfig(seed=800 + i, dim=2))
+        Q = instances(GeneratorConfig(seed=800 + i, dim=2), 1, "rational")[0]
         assert delta_vector(fit_qp(Q)) == delta_vector_series(Q)
 
 

@@ -153,12 +153,13 @@ def test_characterization_examples():
 def test_characterization_fatal_only_when_lattice_dual_fails():
     # Force the impossible branch with a fake non-palindromic delta for a
     # lattice-dual polytope: must be flagged fatal.
-    result = check_characterization(catalog()["square2"],
-                                    delta=DeltaVector((1, 6, 2)))
+    result = verify._characterization(geometry.has_lattice_dual(catalog()["square2"]),
+                                      check_palindrome(DeltaVector((1, 6, 2))).passed)
     assert not result.passed
     assert result.fatal
     # The other disagreement direction is a plain failure, not fatal.
-    result = check_characterization(segment(-1, 2), delta=DeltaVector((1, 1)))
+    result = verify._characterization(geometry.has_lattice_dual(segment(-1, 2)),
+                                      check_palindrome(DeltaVector((1, 1))).passed)
     assert not result.passed
     assert not result.fatal
 
@@ -168,7 +169,10 @@ def test_characterization_fatal_only_when_lattice_dual_fails():
 def test_find_interior_shift_violation():
     assert find_interior_shift_violation(segment(-1, 2)) == (1, (1,))
     assert find_interior_shift_violation(segment(F(-2, 3), 1)) == (2, (-1,))
-    assert find_interior_shift_violation(catalog()["square2"], m_limit=6) is None
+    # The search stops at denominator(dual) + n = 3; the shift holds beyond.
+    square = catalog()["square2"]
+    assert find_interior_shift_violation(square) is None
+    assert all(counting.interior_shift_mismatch(square, m) is None for m in range(1, 7))
 
 
 # -------------------------------------------------------------- full report
