@@ -141,10 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "polytope duality for rational convex polytopes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="maximum box cells per count, and counts per request")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="maximum box cells per count, and counts per request")
 
     p = sub.add_parser("info", help="basic facts about a polytope")
     p.add_argument("input", help="catalog name or JSON file")
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=2,
                    help="coordinate bound of the underlying lattice draw")
     p.add_argument("--denominator-bound", type=int, default=3)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_gen)
     return parser
 

@@ -138,8 +138,8 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
 
     The points are scaled to integers by the lcm L of their denominators,
     and every hyperplane through n of them with all the others on one side
-    is a facet <a, x> <= b / L, a primitive.  A point is a vertex when the
-    normals of the facets through it have rank n.  One scan tests the planes
+    is a facet <a, x> <= b / L, a primitive.  A point is a vertex when no
+    other point lies on every facet through it.  One scan tests the planes
     through the C(N, n) n-subsets of the N unique points against all of
     them, the per-axis extreme points first, so that a plane that is no
     facet soon meets points on both of its sides.  L then drops the factor
@@ -165,11 +165,14 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
         span = rank([tuple(map(sub, p, ints[0])) for p in ints])
         raise DimensionDeficient(
             f"points span an affine subspace of dimension {span} < {n}")
-    tight: list[list[tuple[int, ...]]] = [[] for _ in ints]
-    for a, _, on in planes:
+    # The points on every facet through point i: i alone for a vertex, and
+    # for any other point also each vertex of the least face that holds it.
+    common: list[Optional[set[int]]] = [None] * len(ints)
+    for _, _, on in planes:
+        on = set(on)
         for i in on:
-            tight[i].append(a)
-    rows = sorted(p for p, normals in zip(ints, tight) if rank(normals) == n)
+            common[i] = on if common[i] is None else common[i] & on
+    rows = sorted(p for p, c in zip(ints, common) if c is not None and len(c) == 1)
     # Every facet holds a vertex, so g divides each facet bound too.
     g = math.gcd(scale, *(c for row in rows for c in row))
     return Polytope(n, scale // g, tuple(tuple(c // g for c in row) for row in rows),
@@ -233,16 +236,6 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
                 return None
             planes.append((a, b, tight))
     return planes or None
-
-
-def contains(P: Polytope, x: Iterable[Coordinate], strict: bool = False) -> bool:
-    """Membership test against the facet inequalities of ``P``."""
-    px = point(x)
-    if len(px) != P.ambient_dim:
-        raise DimensionMismatch(
-            f"point of dimension {len(px)} in polytope of dimension {P.ambient_dim}")
-    slack = [b - P.scale * sum(map(mul, a, px)) for a, b in P.facet_rows]
-    return all(s > 0 for s in slack) if strict else all(s >= 0 for s in slack)
 
 
 def origin_interior(P: Polytope) -> bool:

@@ -124,9 +124,9 @@ def closed_counts(P: Polytope,
     return count_vector(P, range(k * (n + 1)), budget=budget), n, k
 
 
-def fit_qp(P: Polytope, budget: int = DEFAULT_BUDGET) -> EhrhartQP:
+def fit_qp(P: Polytope) -> EhrhartQP:
     """Fit the quasi-polynomial of P from exact counts."""
-    return fit_counts(*closed_counts(P, budget))
+    return fit_counts(*closed_counts(P))
 
 
 def fit_counts(counts: Sequence[int], n: int, k: int) -> EhrhartQP:
@@ -167,9 +167,9 @@ def delta_vector(qp: EhrhartQP) -> DeltaVector:
     return DeltaVector(tuple(v for row in qp.table.delta for v in row))
 
 
-def delta_vector_series(P: Polytope, budget: int = DEFAULT_BUDGET) -> DeltaVector:
+def delta_vector_series(P: Polytope) -> DeltaVector:
     """The delta-vector of P by the truncated series product."""
-    return series_counts(*closed_counts(P, budget))
+    return series_counts(*closed_counts(P))
 
 
 def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:

@@ -16,6 +16,9 @@ from typing import Union
 from .errors import ParseError
 from .geometry import Polytope, from_ratios
 
+#: The most bytes :func:`load_polytope` reads, far above any file whose hull can finish.
+MAX_FILE_BYTES = 16 * 2**20
+
 # A coordinate "p" or "p/q", parsed straight to the integers p and q.
 _COORD = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
@@ -79,4 +82,8 @@ def loads_polytope(text: str) -> Polytope:
 
 
 def load_polytope(path: Union[str, Path]) -> Polytope:
-    return loads_polytope(Path(path).read_text())
+    with open(path, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ParseError(f"file holds more than {MAX_FILE_BYTES} bytes")
+    return loads_polytope(data.decode())

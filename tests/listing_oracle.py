@@ -1,4 +1,5 @@
-"""Independent lattice-point listing for the tests: a recursive walk.
+"""Independent lattice-point listing for the tests: a recursive walk, and
+a membership test of one point against the facet inequalities.
 
 The walk fixes the first n-1 coordinates one axis at a time over the
 integer bounding box of mP and solves the last one per prefix.  It derives
@@ -11,11 +12,23 @@ about M^(n-1) prefixes for a box of width M.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from operator import mul
+from typing import Iterable, Iterator
 
-from ehrhart.geometry import Polytope
+from ehrhart.errors import DimensionMismatch
+from ehrhart.geometry import Coordinate, Polytope, point
 
 IntPoint = tuple[int, ...]
+
+
+def contains(P: Polytope, x: Iterable[Coordinate], strict: bool = False) -> bool:
+    """Membership test against the facet inequalities of ``P``."""
+    px = point(x)
+    if len(px) != P.ambient_dim:
+        raise DimensionMismatch(
+            f"point of dimension {len(px)} in polytope of dimension {P.ambient_dim}")
+    slack = [b - P.scale * sum(map(mul, a, px)) for a, b in P.facet_rows]
+    return all(s > 0 for s in slack) if strict else all(s >= 0 for s in slack)
 
 
 def lattice_points(P: Polytope, m: int, strict: bool = False) -> list[IntPoint]:

@@ -187,6 +187,16 @@ def test_dimension_over_the_cap_exit_two(tmp_path, capsys):
     assert err == "ehrhart: error: dimension 5 exceeds cap 4\n"
 
 
+def test_oversized_file_exit_two(tmp_path, capsys, monkeypatch):
+    from ehrhart import serialization
+    monkeypatch.setattr(serialization, "MAX_FILE_BYTES", 100)
+    path = tmp_path / "big.json"
+    path.write_text(dumps_polytope(catalog()["square2"]) + " " * 100)
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err == "ehrhart: error: file holds more than 100 bytes\n"
+
+
 def test_deeply_nested_json_exit_two(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -257,6 +267,16 @@ def test_one_dimensional_count_has_no_box_budget(capsys):
 def test_unknown_flag_exit_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["info", "square2", "--frobnicate"])
+    assert excinfo.value.code == 2
+
+
+def test_gen_takes_no_budget(capsys):
+    # The commands that take an input keep --budget; gen has none.
+    for command in ("info", "count", "delta", "dual", "verify"):
+        code, _, _ = run(capsys, command, "square2", "--budget", "1000")
+        assert code == 0, command
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--budget", "5"])
     assert excinfo.value.code == 2
 
 

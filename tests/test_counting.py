@@ -12,6 +12,7 @@ from ehrhart import (
     OriginNotInterior,
     catalog,
     count_points,
+    delta_vector,
     dual,
     evaluate_qp,
     fit_qp,
@@ -35,7 +36,7 @@ from ehrhart.counting import (
     interior_shift_mismatch,
 )
 from conftest import dilate
-from listing_oracle import lattice_points
+from listing_oracle import contains, lattice_points
 
 
 def exact_count(P, m, strict):
@@ -105,7 +106,6 @@ def brute_force_count(P, m, strict):
     """Independent oracle: dilate, then test every box point with Fractions."""
     from itertools import product
 
-    from ehrhart import contains
     from ehrhart.geometry import vertex_ranges
 
     Q = dilate(P, m)
@@ -592,13 +592,15 @@ def apply(A, v):
 def test_counts_and_dual_commute_with_unimodular_maps(seed, dim, kind, data):
     # A in GL_n(Z) maps the lattice onto itself, so AP has the closed and
     # strict counts of P, yet AP is walked in another frame, through other
-    # sections and chambers.  And <A^{-T}u, Av> = <u, v>, so the polar dual
-    # of AP is A^{-T} dual(P).
+    # sections and chambers, and so has its delta-vector, which reads the
+    # counts of mP up to m = k(n+1)-1.  And <A^{-T}u, Av> = <u, v>, so the
+    # polar dual of AP is A^{-T} dual(P).
     P, = instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)
     A, inverse = data.draw(unimodular(dim))
     AP = from_vertices([apply(A, v) for v in P.vertices])
     ms = range(1, 5)
     assert count_vector(AP, ms, ms) == count_vector(P, ms, ms), (P, A)
+    assert delta_vector(fit_qp(AP)) == delta_vector(fit_qp(P)), (P, A)
     inverse_transpose = list(zip(*inverse))
     image = from_vertices([apply(inverse_transpose, u) for u in dual(P).vertices])
     assert (dual(AP), dual(AP).facet_rows) == (image, image.facet_rows), (P, A)

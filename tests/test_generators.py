@@ -5,7 +5,6 @@ from ehrhart import (
     GeneratorConfig,
     SplitMix64,
     catalog,
-    contains,
     denominator,
     dual,
     generators,
@@ -13,6 +12,7 @@ from ehrhart import (
     is_lattice,
 )
 from hull_oracle import affine_rank
+from listing_oracle import contains
 
 
 def test_splitmix64_is_the_reference_sequence():

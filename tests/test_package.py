@@ -1,3 +1,4 @@
+import inspect
 import pickle
 
 import pytest
@@ -25,7 +26,7 @@ def test_public_names_are_pinned():
         "RationalPoint", "ResidueDeltaTable", "SplitMix64", "VerificationReport",
         "binomial", "catalog", "check_characterization", "check_equivalence",
         "check_palindrome", "check_reciprocity", "check_theorem", "checked_delta",
-        "contains", "count_points", "counting", "delta_vector", "delta_vector_series",
+        "count_points", "counting", "delta_vector", "delta_vector_series",
         "denominator", "dual", "dumps_polytope", "errors", "evaluate_qp",
         "find_interior_shift_violation", "fit_qp", "from_vertices", "full_report",
         "generators", "geometry", "has_lattice_dual", "instances",
@@ -34,6 +35,48 @@ def test_public_names_are_pinned():
         "polytope_from_json_dict", "polytope_to_json_dict", "quasipoly", "render_text",
         "report_to_json_dict", "serialization", "verify",
     ]
+
+
+def test_public_signatures_are_pinned():
+    # The parameter names of every exported function: a setting added or
+    # removed shows up as a diff of this table.
+    signatures = {name: " ".join(inspect.signature(getattr(ehrhart, name)).parameters)
+                  for name in ehrhart.__all__
+                  if inspect.isfunction(getattr(ehrhart, name))}
+    assert signatures == {
+        "binomial": "x n",
+        "catalog": "",
+        "check_characterization": "P",
+        "check_equivalence": "t d",
+        "check_palindrome": "d",
+        "check_reciprocity": "P m_max qp interior",
+        "check_theorem": "t",
+        "checked_delta": "counts n k",
+        "count_points": "P m strict budget",
+        "delta_vector": "qp",
+        "delta_vector_series": "P",
+        "denominator": "P",
+        "dual": "P",
+        "dumps_polytope": "P",
+        "evaluate_qp": "qp m",
+        "find_interior_shift_violation": "P",
+        "fit_qp": "P",
+        "from_vertices": "points",
+        "full_report": "P polytope_id m_max budget",
+        "has_lattice_dual": "P",
+        "instances": "cfg count kind",
+        "interior_shift_mismatch": "P m budget",
+        "is_lattice": "P",
+        "load_polytope": "path",
+        "loads_polytope": "text",
+        "negative_binomial_reflect": "x n",
+        "origin_interior": "P",
+        "point": "coords",
+        "polytope_from_json_dict": "obj",
+        "polytope_to_json_dict": "P",
+        "render_text": "report",
+        "report_to_json_dict": "report",
+    }
 
 
 def test_unknown_name_raises_attribute_error():

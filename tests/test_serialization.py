@@ -9,6 +9,7 @@ from ehrhart import (
     load_polytope,
     loads_polytope,
     polytope_to_json_dict,
+    serialization,
 )
 
 
@@ -31,6 +32,18 @@ def test_load_path(tmp_path):
     path = tmp_path / "poly.json"
     path.write_text(dumps_polytope(catalog()["diamond2"]))
     assert load_polytope(path) == catalog()["diamond2"]
+
+
+def test_load_reads_no_more_than_the_cap(tmp_path, monkeypatch):
+    # Trailing blanks pad the document to exactly the cap, then one over.
+    text = dumps_polytope(catalog()["diamond2"])
+    monkeypatch.setattr(serialization, "MAX_FILE_BYTES", len(text) + 10)
+    path = tmp_path / "poly.json"
+    path.write_text(text + " " * 10)
+    assert load_polytope(path) == catalog()["diamond2"]
+    path.write_text(text + " " * 11)
+    with pytest.raises(ParseError, match=f"more than {len(text) + 10} bytes"):
+        load_polytope(path)
 
 
 def test_redundant_points_are_dropped_on_load():

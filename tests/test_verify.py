@@ -237,6 +237,21 @@ def test_full_report_reads_the_dual_once_and_never_builds_it(monkeypatch):
         assert calls == [catalog()[name]], name
 
 
+def test_report_runs_each_symmetry_check_once(monkeypatch):
+    # The equivalence check compares entries only: once they interleave,
+    # the theorem and palindrome checks agree, so neither runs twice.
+    calls = []
+    for name in ("check_theorem", "check_palindrome"):
+        def counted(x, check=getattr(verify, name), name=name):
+            calls.append(name)
+            return check(x)
+        monkeypatch.setattr(verify, name, counted)
+    for name in ("octa3", "seg_mhalf_third"):
+        calls.clear()
+        full_report(catalog()[name], name)
+        assert sorted(calls) == ["check_palindrome", "check_theorem"], name
+
+
 def test_report_fatal_flag_and_rendering():
     base = full_report(catalog()["square2"], "square2")
     poisoned = VerificationReport(
