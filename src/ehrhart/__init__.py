@@ -23,7 +23,6 @@ _EXPORTS = {name: module for module, names in {
     "generators": "GeneratorConfig SplitMix64 catalog instances",
     "geometry": "HalfSpace Polytope RationalPoint denominator dual from_vertices "
                 "has_lattice_dual is_lattice origin_interior point",
-    "linalg": "",
     "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial checked_delta "
                  "delta_vector delta_vector_series evaluate_qp fit_qp "
                  "negative_binomial_reflect",

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="basic facts about a polytope")
     p.add_argument("input", help="catalog name or JSON file")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("count", help="lattice points of a dilation")
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="polar dual polytope")
     p.add_argument("input")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("verify", help="run all consistency checks")

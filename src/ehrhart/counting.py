@@ -355,7 +355,10 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
     all on one kernel.  Raises ``BudgetExceeded`` before any count if they
     are more than ``budget`` together, and at the first m whose box of mP
     holds more than ``budget`` cells."""
-    requested = len(closed) + len(interior)
+    # len() overflows on a range past sys.maxsize, so a range is sized
+    # from its ends, as ceil((stop - start) / step).
+    requested = sum(max(0, -((d.start - d.stop) // d.step)) if isinstance(d, range)
+                    else len(d) for d in (closed, interior))
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
     K = _Kernel(P)

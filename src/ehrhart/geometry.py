@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     EmptyInput,
     OriginNotInterior,
 )
-from .linalg import det, rank
 
 #: A point of Q^n, stored as an immutable coordinate tuple.
 RationalPoint = tuple[Fraction, ...]
@@ -162,9 +161,7 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     ints = sorted(extremes) + [p for p in ints if p not in extremes]
     planes = _supporting_planes(ints, n)
     if planes is None:
-        span = rank([tuple(map(sub, p, ints[0])) for p in ints])
-        raise DimensionDeficient(
-            f"points span an affine subspace of dimension {span} < {n}")
+        raise DimensionDeficient(f"points span fewer than {n} dimensions")
     # The points on every facet through point i: i alone for a vertex, and
     # for any other point also each vertex of the least face that holds it.
     common: list[Optional[set[int]]] = [None] * len(ints)
@@ -203,7 +200,7 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
             normal = [p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1]
         else:
             # The signed (n-1)-minors are orthogonal to every difference.
-            normal = [(-1) ** j * det([row[:j] + row[j + 1:] for row in diffs])
+            normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs])
                       for j in range(n)]
         g = math.gcd(*normal)
         if g == 0:
@@ -236,6 +233,23 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
                 return None
             planes.append((a, b, tight))
     return planes or None
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row (the empty matrix has determinant 1)."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    first, rest = rows[0], rows[1:]
+    total = 0
+    for j, c in enumerate(first):
+        if c:
+            minor = _det([row[:j] + row[j + 1:] for row in rest])
+            total += -c * minor if j % 2 else c * minor
+    return total
 
 
 def origin_interior(P: Polytope) -> bool:

@@ -61,22 +61,24 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def check_reciprocity(P: Polytope, m_max: int = 6, qp: Optional[EhrhartQP] = None,
-                      interior: Optional[list[int]] = None) -> CheckResult:
+def check_reciprocity(P: Polytope, m_max: int = 6,
+                      qp: Optional[EhrhartQP] = None) -> CheckResult:
     """Ehrhart-Macdonald reciprocity on dilations 1..m_max.
 
     Evaluating the fitted quasi-polynomial at -m must equal (-1)^n times
-    the strict-interior count of mP (``interior[m-1]``, counted here when
-    not given).  Holds for every rational polytope, whether or not its dual
-    is a lattice polytope.  Raises ``ValueError`` when m_max < 1.
+    the strict-interior count of mP.  Holds for every rational polytope,
+    whether or not its dual is a lattice polytope.  Raises ``ValueError``
+    when m_max < 1.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     if qp is None:
         qp = fit_qp(P)
-    if interior is None:
-        interior = count_vector(P, (), range(1, m_max + 1))
-    sign = (-1) ** P.ambient_dim
+    return _reciprocity(P.ambient_dim, qp, count_vector(P, (), range(1, m_max + 1)))
+
+
+def _reciprocity(n: int, qp: EhrhartQP, interior: list[int]) -> CheckResult:
+    sign = (-1) ** n
     for m, count in enumerate(interior, 1):
         negative = evaluate_qp(qp, -m)
         if negative != sign * count:
@@ -197,7 +199,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     palindrome = check_palindrome(d)
     characterization = _characterization(dual_lattice, palindrome.passed)
 
-    checks = [check_reciprocity(P, m_max=m_max, qp=qp, interior=interior)]
+    checks = [_reciprocity(n, qp, interior)]
     if dual_lattice:
         m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
         checks.append(CheckResult("interior_shift", True) if m is None else

@@ -26,11 +26,27 @@ from ehrhart.errors import (
     EmptyInput,
 )
 from ehrhart.geometry import MAX_DIM, HalfSpace, point
-from ehrhart.linalg import rank
 
 Vector = tuple[Fraction, ...]
 
 Hull = namedtuple("Hull", "ambient_dim vertices facets")
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix given as a sequence of rows, by Gaussian elimination
+    over the rationals."""
+    mat = [[Fraction(c) for c in row] for row in rows]
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(r + 1, len(mat)):
+            factor = mat[i][col] / mat[r][col]
+            mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
 
 
 def affine_rank(points: Sequence[Vector]) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import ehrhart
 from ehrhart import catalog, dumps_polytope
-from ehrhart.cli import main
+from ehrhart.cli import build_parser, main
 import ehrhart.counting as counting_module
 import ehrhart.verify as verify_module
 
@@ -271,13 +272,110 @@ def test_unknown_flag_exit_two(capsys):
 
 
 def test_gen_takes_no_budget(capsys):
-    # The commands that take an input keep --budget; gen has none.
-    for command in ("info", "count", "delta", "dual", "verify"):
+    # Only the commands that count take --budget.
+    for command in ("count", "delta", "verify"):
         code, _, _ = run(capsys, command, "square2", "--budget", "1000")
         assert code == 0, command
-    with pytest.raises(SystemExit) as excinfo:
-        main(["gen", "--budget", "5"])
-    assert excinfo.value.code == 2
+    for argv in (["info", "square2"], ["dual", "square2"], ["gen"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--budget", "5"])
+        assert excinfo.value.code == 2, argv
+
+
+def test_options_are_pinned():
+    # The option strings of every subcommand: a flag added or removed shows
+    # up as a diff of this table.
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: " ".join(sorted(s for a in p._actions for s in a.option_strings))
+               for name, p in sub.choices.items()}
+    assert options == {
+        "info": "--format --help -h",
+        "count": "--budget --format --help --m -h",
+        "delta": "--budget --format --help -h",
+        "dual": "--format --help -h",
+        "verify": "--budget --format --help --m-max -h",
+        "gen": "--bound --denominator-bound --dim --format --help --kind --seed -h",
+    }
+
+
+def _doc(dim, *vertices):
+    return json.dumps({"dim": dim, "vertices": [list(v) for v in vertices]})
+
+
+_D2100 = 10**2099 + 1  # d, d + 2 and d + 4 are odd, so pairwise coprime
+
+# Hostile input files, each written to a temporary directory and named on
+# a command line by its key in braces.
+HOSTILE_FILES = {
+    # The delta-vector of [-1, 1/10^19] has 2 * 10^19 counts.
+    "seg19": _doc(1, ["-1"], [f"1/{10**19}"]),
+    "den4000": _doc(2, ["-1", "-1"], [f"1/{10**3999 + 7}", "1"], ["1", "0"]),
+    # Three 2100-digit denominators whose lcm has more than 4300 digits.
+    "lcm": _doc(2, ["-1", f"-1/{_D2100}"], [f"1/{_D2100 + 2}", "1"],
+                ["1", f"1/{_D2100 + 4}"]),
+    "den2000": _doc(3, ["-1", "-1", "-1"], [f"1/{10**1999 + 3}", "1", "0"],
+                    ["1", "0", "0"], ["0", "0", "1"]),
+    "utf8": b'\xff{"dim": 1, "vertices": [["-1"], ["1"]]}',
+    "digits4400": _doc(1, ["-1"], ["1" + "0" * 4400]),
+    "dim0": '{"dim": 0, "vertices": [[]]}',
+    "dim5": _doc(5, *[[str(int(i == j)) for j in range(5)] for i in range(5)], ["-1"] * 5),
+    "duplicate": _doc(2, *[["-1", "-1"], ["1", "-1"], ["1", "1"], ["-1", "1"]] * 2),
+    "collinear": _doc(2, ["0", "0"], ["1", "1"], ["2", "2"]),
+}
+
+
+def run_hostile(tmp_path, capsys, argv):
+    """``run`` on argv with each {key} replaced by the path of its
+    HOSTILE_FILES entry; an argparse exit counts as a return."""
+    paths = {}
+    for key, content in HOSTILE_FILES.items():
+        paths[key] = tmp_path / f"{key}.json"
+        if isinstance(content, bytes):
+            paths[key].write_bytes(content)
+        else:
+            paths[key].write_text(content)
+    try:
+        return run(capsys, *(a.format(**paths) for a in argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+REFUSED = " counts requested, budget is "
+
+# (argv, exit code, a fragment of stderr).  The first rows are requests
+# whose count vector is longer than len() of a range can report.
+HOSTILE = [
+    (["delta", "{seg19}"], 2, REFUSED),
+    (["verify", "{seg19}"], 2, REFUSED),
+    (["delta", "{den4000}"], 2, REFUSED),
+    (["verify", "{den4000}"], 2, REFUSED),
+    (["verify", "{lcm}"], 2, "ehrhart: error: "),  # a count too long to print
+    (["delta", "{den2000}", "--budget", str(10**30)], 2, REFUSED),
+    (["verify", "square2", "--m-max", str(10**22)], 2, REFUSED),
+    *[([command, "{" + key + "}"], 2, "error: ")
+      for key in ("utf8", "digits4400", "dim0", "dim5", "collinear")
+      for command in ("info", "count", "delta", "dual", "verify")],
+    *[([command, "{duplicate}"], 0, "")
+      for command in ("info", "count", "delta", "dual", "verify")],
+    (["count", "square2", "--m", "-1"], 2, "error: "),
+    (["verify", "square2", "--m-max", "0"], 2, "error: "),
+    *[([command, "square2", "--budget", budget], 2, "error: ")
+      for command in ("info", "count", "delta", "dual", "verify")
+      for budget in ("0", "-1")],
+]
+
+
+@pytest.mark.parametrize("argv, expected, message", HOSTILE,
+                         ids=[" ".join(argv) for argv, _, _ in HOSTILE])
+def test_hostile_input_exits_zero_one_or_two(tmp_path, capsys, argv, expected, message):
+    code, out, err = run_hostile(tmp_path, capsys, [*argv, "--format", "json"])
+    assert code == expected and message in err, err[:200]
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 or err.startswith("usage:"), err[:200]
+    else:
+        json.loads(out)  # exactly one JSON document, nothing after it
 
 
 def test_unknown_command_exit_two(capsys):

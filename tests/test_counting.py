@@ -211,10 +211,24 @@ def test_an_over_long_count_vector_is_refused_before_any_count(walks):
         fit_qp(P)
     with pytest.raises(BudgetExceeded, match="5 counts requested, budget is 4"):
         count_vector(segment(-1, 2), range(5), budget=4)
+    # len() of a range past sys.maxsize overflows, so a request is sized
+    # from the ends of its ranges, steps included.
+    with pytest.raises(BudgetExceeded, match=f"^{2**64} counts requested"):
+        count_vector(segment(-1, 2), range(2**64))
+    with pytest.raises(BudgetExceeded, match=f"^{2**63 + 3} counts requested"):
+        count_vector(segment(-1, 2), range(3), range(1, 2**63 + 1))
+    with pytest.raises(BudgetExceeded, match="^20000000000000000000 counts requested"):
+        fit_qp(segment(-1, F(1, 10**19)))
+    with pytest.raises(BudgetExceeded, match=f"^{2 * 10**22} counts requested"):
+        full_report(catalog()["square2"], m_max=10**22)
+    with pytest.raises(BudgetExceeded, match="^4 counts requested, budget is 3$"):
+        count_vector(segment(-1, 2), range(0, 10, 3), budget=3)
     assert walks == []
     # A vector within the budget, whose 1D counts are charged no cells.
     assert count_vector(segment(-1, 2), range(4), budget=4) == [1, 4, 7, 10]
     assert count_vector(segment(-1, 2), (), [2, 1], budget=2) == [5, 2]
+    assert count_vector(segment(-1, 2), range(0, 10, 3), range(3, 0, -2),
+                        budget=6) == [1, 10, 19, 28, 8, 2]
 
 
 def test_closed_and_interior_counts_share_one_budget(walks):

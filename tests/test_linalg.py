@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from ehrhart.linalg import det, rank
-from hull_oracle import affine_rank, hyperplane_through, in_convex_hull
+from ehrhart.geometry import _det as det
+from hull_oracle import affine_rank, hyperplane_through, in_convex_hull, rank
 
 
 def pt(*coords):
