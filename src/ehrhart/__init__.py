@@ -21,8 +21,8 @@ _EXPORTS = {name: module for module, names in {
               "DimensionMismatch EhrhartError EmptyInput GenerationExhausted "
               "InternalInconsistency OriginNotInterior ParseError",
     "generators": "GeneratorConfig SplitMix64 catalog instances",
-    "geometry": "HalfSpace Polytope RationalPoint denominator dual from_vertices "
-                "has_lattice_dual is_lattice origin_interior point",
+    "geometry": "Polytope denominator dual from_vertices has_lattice_dual "
+                "is_lattice origin_interior point",
     "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial checked_delta "
                  "delta_vector delta_vector_series evaluate_qp fit_qp "
                  "negative_binomial_reflect",

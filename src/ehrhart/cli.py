@@ -126,9 +126,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import GeneratorConfig, instances
-    cfg = GeneratorConfig(seed=args.seed, dim=args.dim,
-                          coordinate_bound=args.bound,
-                          denominator_bound=args.denominator_bound)
+    cfg = GeneratorConfig(seed=args.seed, dim=args.dim, coordinate_bound=args.bound)
     _show_polytope(instances(cfg, 1, kind=args.kind)[0],
                    f"generated ({args.kind}, seed {args.seed})", args.format)
     return 0
@@ -182,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dual-of-lattice")
     p.add_argument("--bound", type=int, default=2,
                    help="coordinate bound of the underlying lattice draw")
-    p.add_argument("--denominator-bound", type=int, default=3)
     common(p, budget=False)
     p.set_defaults(func=_cmd_gen)
     return parser

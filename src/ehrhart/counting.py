@@ -51,12 +51,13 @@ IntPoint = tuple[int, ...]
 class _Kernel:
     """What counting derives from one polytope, for the counts of one request.
 
-    ``facets`` holds the scaled facets (a, p, q), each q*<a, x> <= m*p for
-    the dilation m; ``ranges`` the per-axis (min, max) of the vertex rows,
-    over ``scale``.  On the last two axes, with the first n-2 fixed to a
-    prefix x, facet i is the line
-    A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where (A_i, B_i) and
-    ``weights[i]`` are the last two and the other coefficients of q_i*a_i.
+    Facet <a_i, x> <= b_i/L of P, with p_i/q_i = b_i/L in lowest terms, is
+    q_i*<a_i, x> <= m*p_i on mP; ``bounds`` holds the p_i, and ``ranges``
+    the per-axis (min, max) of the vertex rows, over ``scale``.  On the
+    last two axes, with the first n-2 fixed to a prefix x, facet i is the
+    line A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where
+    (A_i, B_i) and ``weights[i]`` are the last two and the other
+    coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
     ``levels`` holds the distinct first coordinates of the vertex rows and
     ``chambers`` the :func:`_chamber_table` between them, as affine forms
@@ -65,10 +66,10 @@ class _Kernel:
 
     def __init__(self, P: Polytope) -> None:
         self.n, self.scale = P.ambient_dim, P.scale
-        self.facets = [(a, b // g, P.scale // g)  # p/q = b/L in lowest terms
-                       for a, b in P.facet_rows for g in [math.gcd(b, P.scale)]]
+        gcds = [math.gcd(b, P.scale) for _, b in P.facet_rows]
+        self.bounds = [b // g for (_, b), g in zip(P.facet_rows, gcds)]
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
-        scaled = [[q * c for c in a] for a, _, q in self.facets]
+        scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
         self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else None
@@ -238,8 +239,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     a*B - A*b), or (0, 0, 0) for the last line.
     """
     uppers, lowers, _, above, below = K.plan
-    p = [bound for _, bound, _ in K.facets]
-    w = [weight for weight, in K.weights]
+    p, w = K.bounds, [weight for weight, in K.weights]
 
     def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int]:
         return s * p[i] + t * p[j], s * w[i] + t * w[j], D
@@ -320,7 +320,7 @@ def _exact_count(K: _Kernel, m: int, strict: bool, budget: int) -> int:
 def _scan_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
     """:func:`_exact_count` for n >= 2 and a non-empty ``box``, each section
     by a scan."""
-    rhs = [m * p - int(strict) for _, p, _ in K.facets]
+    rhs = [m * p - int(strict) for p in K.bounds]
     y0, y1 = box[-2]
     if K.n == 2:
         return _section_count(K.plan, rhs, y0, y1)
@@ -406,12 +406,11 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     def bottom(C: list[int], y: int) -> int:  # the least z of column y
         return -_envelope_sum(K.plan[1], C, y, y)
 
-    bounds = [p for _, p, _ in K.facets]
     y0, y1 = box[-2]
     for prefix in product(*(range(a, b + 1) for a, b in box[:-2])):
         dots = [sum(map(mul, w, prefix)) for w in K.weights]
-        inner = [m * p - 1 - d for p, d in zip(bounds, dots)]
-        outer = [(m - 1) * p - d for p, d in zip(bounds, dots)]
+        inner = [m * p - 1 - d for p, d in zip(K.bounds, dots)]
+        outer = [(m - 1) * p - d for p, d in zip(K.bounds, dots)]
         if _section_count(K.plan, inner, y0, y1) == _section_count(K.plan, outer, y0, y1):
             continue
         for y in range(y0, y1 + 1):

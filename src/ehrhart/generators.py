@@ -43,6 +43,9 @@ class SplitMix64:
 #: Draws each instance may take before ``GenerationExhausted``.
 ATTEMPTS = 1000
 
+#: Largest coordinate denominator of a "rational" draw.
+DENOMINATOR_BOUND = 3
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -51,27 +54,26 @@ class GeneratorConfig:
     seed: int
     dim: int
     coordinate_bound: int = 2
-    denominator_bound: int = 3
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= MAX_DIM:
             raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
-        for name in ("coordinate_bound", "denominator_bound"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.coordinate_bound < 1:
+            raise ValueError(
+                f"coordinate_bound must be at least 1, got {self.coordinate_bound}")
 
 
 def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
     """Rejection sampling: draw dim+1 to 2*dim+2 points in the coordinate
-    box (rational: with denominators up to the bound), take the hull, and
-    retry until it is full-dimensional with the origin strictly inside."""
+    box (rational: denominators up to ``DENOMINATOR_BOUND``), take the hull,
+    and retry until it is full-dimensional with the origin strictly inside."""
     bound = cfg.coordinate_bound
     for _ in range(ATTEMPTS):
         pts = []
         for _ in range(rng.integer(cfg.dim + 1, 2 * cfg.dim + 2)):
             coords = []
             for _ in range(cfg.dim):
-                q = rng.integer(1, cfg.denominator_bound) if rational else 1
+                q = rng.integer(1, DENOMINATOR_BOUND) if rational else 1
                 coords.append((rng.integer(-bound * q, bound * q), q))
             pts.append(coords)
         try:

@@ -7,16 +7,15 @@ normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, one
 integer facet scan with no linear program) builds that form from the input
 without a ``fractions.Fraction``; the denominator, the vertex ranges and
 the polar dual (vertices and facets swapped, no scan) are read off it.
-``Fraction`` vertices and :class:`HalfSpace` facets are only views of the
-rows, built on first use.  There is no floating point anywhere in this
-package.  The scan suits desk scale (tens of vertices, dimension <= 4),
-which a fixed ambient-dimension cap guards.
+``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
+only views of the rows, built on first use.  There is no floating point
+anywhere in this package.  The scan suits desk scale (tens of vertices,
+dimension <= 4), which a fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -31,9 +30,6 @@ from .errors import (
     OriginNotInterior,
 )
 
-#: A point of Q^n, stored as an immutable coordinate tuple.
-RationalPoint = tuple[Fraction, ...]
-
 Coordinate = Union[Fraction, int, str]
 
 #: Exhaustive facet search and box enumeration blow up beyond desk scale,
@@ -41,24 +37,9 @@ Coordinate = Union[Fraction, int, str]
 MAX_DIM = 4
 
 
-def point(coords: Iterable[Coordinate]) -> RationalPoint:
+def point(coords: Iterable[Coordinate]) -> tuple[Fraction, ...]:
     """Build a rational point, coercing ints and 'p/q' strings exactly."""
     return tuple(Fraction(c) for c in coords)
-
-
-class HalfSpace(namedtuple("HalfSpace", "normal bound")):
-    """The half-space {v : <normal, v> <= bound}, ordered by (normal, bound).
-
-    A named tuple (normal, bound), so equality, hashing and order are those
-    of the tuple; the normal must be nonzero.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, normal: tuple[Fraction, ...], bound: Fraction) -> "HalfSpace":
-        if all(c == 0 for c in normal):
-            raise ValueError("half-space normal must be nonzero")
-        return super().__new__(cls, normal, bound)
 
 
 class Polytope:
@@ -91,14 +72,15 @@ class Polytope:
             object.__setattr__(self, name, value)
 
     @cached_property
-    def vertices(self) -> tuple[RationalPoint, ...]:
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         """The vertices as ``Fraction`` points, lexicographically sorted."""
         return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.rows)
 
     @cached_property
-    def facets(self) -> tuple[HalfSpace, ...]:
-        """The facets as half-spaces with primitive integer normals, sorted."""
-        return tuple(HalfSpace(tuple(map(Fraction, a)), Fraction(b, self.scale))
+    def facets(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        """The facets as sorted (normal, bound) pairs, each the half-space
+        <normal, x> <= bound with a primitive integer normal."""
+        return tuple((tuple(map(Fraction, a)), Fraction(b, self.scale))
                      for a, b in self.facet_rows)
 
     def __setattr__(self, name: str, value: object) -> None:

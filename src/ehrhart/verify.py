@@ -54,12 +54,6 @@ class VerificationReport:
     def fatal(self) -> bool:
         return any(c.fatal for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def check_reciprocity(P: Polytope, m_max: int = 6,
                       qp: Optional[EhrhartQP] = None) -> CheckResult:

@@ -5,10 +5,10 @@ A point is kept as a vertex exactly when a phase-one simplex finds it is not
 a convex combination of the other points, and the facets are the supporting
 hyperplanes through n-subsets of those vertices, solved by Gaussian
 elimination over the rationals.  It shares no code with
-``ehrhart.geometry.from_vertices`` beyond input coercion, the error classes
-and ``HalfSpace``, and it is slow: one LP per input point.  It returns the
-vertices and facets as ``Fraction`` points and ``HalfSpace`` objects, to be
-compared with the views of a ``Polytope``.
+``ehrhart.geometry.from_vertices`` beyond input coercion and the error
+classes, and it is slow: one LP per input point.  It returns the vertices
+and facets as ``Fraction`` points and (normal, bound) ``Fraction`` pairs,
+to be compared with the views of a ``Polytope``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from ehrhart.errors import (
     DimensionMismatch,
     EmptyInput,
 )
-from ehrhart.geometry import MAX_DIM, HalfSpace, point
+from ehrhart.geometry import MAX_DIM, point
 
 Vector = tuple[Fraction, ...]
+Facet = tuple[Vector, Fraction]  # (normal, bound): <normal, x> <= bound
 
 Hull = namedtuple("Hull", "ambient_dim vertices facets")
 
@@ -57,13 +58,13 @@ def affine_rank(points: Sequence[Vector]) -> int:
     return rank([tuple(a - b for a, b in zip(p, base)) for p in points[1:]])
 
 
-def primitive(normal: Sequence[Fraction], bound: Fraction) -> HalfSpace:
+def primitive(normal: Sequence[Fraction], bound: Fraction) -> Facet:
     """The half-space <normal, x> <= bound with its normal scaled, by a
     positive rational, to integers of gcd 1: a canonical representative."""
     scale = math.lcm(*(Fraction(c).denominator for c in normal))
     ints = [int(c * scale) for c in normal]
     g = math.gcd(*ints)
-    return HalfSpace(tuple(Fraction(i // g) for i in ints), bound * Fraction(scale, g))
+    return tuple(Fraction(i // g) for i in ints), bound * Fraction(scale, g)
 
 
 def oracle_hull(points) -> Hull:
@@ -89,14 +90,14 @@ def oracle_hull(points) -> Hull:
     return Hull(n, vertices, facets_of(vertices, n))
 
 
-def facets_of(vertices: Sequence[Vector], n: int) -> tuple[HalfSpace, ...]:
+def facets_of(vertices: Sequence[Vector], n: int) -> tuple[Facet, ...]:
     """All facet half-spaces of the hull of ``vertices``.
 
     Every facet of a full-dimensional polytope contains n affinely
     independent vertices, so scanning the hyperplanes spanned by n-subsets
     and keeping the supporting ones finds the complete list.
     """
-    found: set[HalfSpace] = set()
+    found: set[Facet] = set()
     for subset in combinations(vertices, n):
         plane = hyperplane_through(list(subset))
         if plane is None:

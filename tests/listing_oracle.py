@@ -37,10 +37,9 @@ def lattice_points(P: Polytope, m: int, strict: bool = False) -> list[IntPoint]:
     n = P.ambient_dim
     # Facet <a, x> <= p/q with integer a, as q*<a, x> <= m*p - strict.
     rows = []
-    for h in P.facets:
-        a = [int(c) for c in h.normal]
-        q = h.bound.denominator
-        rows.append(([q * c for c in a], m * h.bound.numerator - int(strict)))
+    for normal, bound in P.facets:
+        q = bound.denominator
+        rows.append(([q * int(c) for c in normal], m * bound.numerator - int(strict)))
     box = [(math.ceil(m * min(v[i] for v in P.vertices)),
             math.floor(m * max(v[i] for v in P.vertices))) for i in range(n)]
     points = []

@@ -626,5 +626,5 @@ def test_integer_heights_for_lattice_dual(fixtures):
     # With a lattice dual every facet in bound-1 form has an integral
     # normal, so lattice points sit at integer heights.
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "cube3"):
-        for h in fixtures[name].facets:
-            assert all((c / h.bound).denominator == 1 for c in h.normal)
+        for a, b in fixtures[name].facets:
+            assert all((c / b).denominator == 1 for c in a)

@@ -95,7 +95,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("coordinate_bound", 0), ("coordinate_bound", -1), ("denominator_bound", 0),
+    ("coordinate_bound", 0), ("coordinate_bound", -1),
 ])
 def test_config_rejects_a_field_that_draws_nothing(field, value):
     with pytest.raises(ValueError, match=field):

@@ -36,12 +36,12 @@ def segment(a, b):
 
 
 def facet_set(P):
-    return {(h.normal, h.bound) for h in P.facets}
+    return set(P.facets)
 
 
-def value(h, x):
-    """<normal, x> for the half-space h."""
-    return sum(u * c for u, c in zip(h.normal, x))
+def value(normal, x):
+    """<normal, x>."""
+    return sum(u * c for u, c in zip(normal, x))
 
 
 # ---------------------------------------------------------------- vertices
@@ -141,7 +141,7 @@ def brute_force_facets(P):
             supporting.add(primitive(normal, bound))
         elif all(v >= bound for v in values):
             supporting.add(primitive((-normal[0], -normal[1]), -bound))
-    return {(h.normal, h.bound) for h in supporting}
+    return supporting
 
 
 def test_halfdiamond_facets_against_brute_force():
@@ -158,10 +158,10 @@ def test_facet_enumeration_reproduces_membership(fixtures):
     # agreement on every vertex and on exterior probes past each vertex.
     for P in fixtures.values():
         for v in P.vertices:
-            assert all(value(h, v) <= h.bound for h in P.facets)
+            assert all(value(a, v) <= b for a, b in P.facets)
             outside = tuple(2 * c if c != 0 else F(0) for c in v)
             if outside != v:
-                assert not all(value(h, outside) < h.bound for h in P.facets)
+                assert not all(value(a, outside) < b for a, b in P.facets)
 
 
 def test_facets_are_primitive_and_supporting(fixtures):
@@ -169,10 +169,10 @@ def test_facets_are_primitive_and_supporting(fixtures):
 
     for P in fixtures.values():
         n = P.ambient_dim
-        for h in P.facets:
-            assert all(c.denominator == 1 for c in h.normal)
-            assert gcd(*(int(c) for c in h.normal)) == 1
-            active = [v for v in P.vertices if value(h, v) == h.bound]
+        for a, b in P.facets:
+            assert all(c.denominator == 1 for c in a)
+            assert gcd(*(int(c) for c in a)) == 1
+            active = [v for v in P.vertices if value(a, v) == b]
             # A facet carries n affinely independent vertices.
             assert affine_rank(active) == n - 1
 
@@ -211,7 +211,7 @@ def test_dual_involution(fixtures):
 
 # The sha256 of [polytope_to_json_dict(P), polytope_to_json_dict(dual(P))]
 # over the polytopes of test_integer_form, as written when a Polytope still
-# stored Fraction vertices and HalfSpace facets.
+# stored Fraction vertices and facets.
 INTEGER_FORM_JSON_SHA256 = "ed463d87dde5f0b8d2f82087772aed7262cb68745a645bcc1f21336b95e22f7a"
 
 
@@ -247,7 +247,7 @@ def test_dual_involution_generated():
 
 def hull_dual(P):
     """Oracle: the polar dual as the full hull of the facet points a / b."""
-    return oracle_hull([tuple(u / h.bound for u in h.normal) for h in P.facets])
+    return oracle_hull([tuple(u / b for u in a) for a, b in P.facets])
 
 
 def assert_dual_matches_hull(polytopes):
@@ -370,8 +370,7 @@ def test_dual_lattice_iff_unit_bound_normals_integral(fixtures, theorem_pool,
     lattice_duals = set()
     for P in [*fixtures.values(), *theorem_pool, *control_pool, *lattice_4d]:
         D = dual(P)
-        integral = all((c / h.bound).denominator == 1
-                       for h in P.facets for c in h.normal)
+        integral = all((c / b).denominator == 1 for a, b in P.facets for c in a)
         assert has_lattice_dual(P) == integral == is_lattice(D), P
         assert dual_denominator(P) == denominator(D), P
         lattice_duals.add(integral)
