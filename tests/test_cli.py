@@ -480,6 +480,7 @@ def test_gen_rational_kind(capsys):
 
 
 @pytest.mark.parametrize("flags, field", [
+    (["--kind", "rational", "--bound", "0"], "coordinate_bound"),
     (["--bound", "-1"], "coordinate_bound"),
     (["--bound", "0"], "coordinate_bound"),
 ])
