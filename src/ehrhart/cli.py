@@ -74,10 +74,9 @@ def _yes_no(value: object) -> object:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from .counting import count_points
+    from .counting import count_vector
     name, P = _resolve_input(args.input)
-    closed = count_points(P, args.m, budget=args.budget)
-    interior = count_points(P, args.m, strict=True, budget=args.budget)
+    closed, interior = count_vector(P, (args.m,), (args.m,), args.budget)
     doc = {"polytope": name, "m": args.m,
            "closed": str(closed), "interior": str(interior)}
     text = f"{name}: |{args.m}P| = {closed} lattice points, interior {interior}"

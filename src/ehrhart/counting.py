@@ -6,18 +6,25 @@ cleared of denominators once, so every test is integer arithmetic.  Strict
 counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
 A segment's count is its integer box, closed or open.  A count of higher
-dimension walks the integer bounding box on the first n-2 axes only, and
-counts each section, a convex polygon on the last two axes, in closed
-form: a column runs between the envelopes of the lower and the upper facet
-lines, and the lattice points under one envelope piece are one Euclid-style
-floor sum (Beck-Robins, *Computing the Continuous Discretely*).  A closed
-three-dimensional count is homogeneous, so the cuts and envelope chains of
-its sections depend only on the chamber, between consecutive vertex first
-coordinates of P, that holds x/m (Clauss-Loechner, "Parametric analysis of
-polyhedral iteration spaces", 1998), and are looked up in a chamber table
-instead of scanned.  All that does not depend on m is derived from the
-integer rows of P into one kernel, which each request builds for itself and
-drops when it returns: nothing is kept between calls.
+dimension walks the integer bounding box on the first d = n-2 axes only,
+the prefix, and counts each section, a convex polygon on the last two
+axes, in closed form: a column runs between the envelopes of the lower and
+the upper facet lines, and the lattice points under one envelope piece are
+one Euclid-style floor sum (Beck-Robins, *Computing the Continuous
+Discretely*).  Sections are homogeneous, so for d <= 1 the cuts and
+envelope chains of a section depend only on the chamber, between
+consecutive vertex first coordinates of P, that holds x/m
+(Clauss-Loechner, "Parametric analysis of polyhedral iteration spaces",
+1998), and are looked up in one chamber table instead of scanned; a
+polygon (d = 0) is one chamber with no prefix axis.  A strict count walks
+the same table over the open box: over a prefix strictly inside the
+projection of mP, the interior holds the points of the open section, which
+has the cuts and chains of the closed one, with each right-hand side and
+cut numerator lowered by one.  In both, a chain piece ends at ceil(e) - 1
+for its crossing e with the next line.  Only a 4D count scans its
+sections.  All that does not depend on m is derived from the integer rows
+of P into one kernel, which each request builds for itself and drops when
+it returns: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  A request of more counts
@@ -61,7 +68,9 @@ class _Kernel:
     ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
     ``levels`` holds the distinct first coordinates of the vertex rows and
     ``chambers`` the :func:`_chamber_table` between them, as affine forms
-    in (m, x), built on the first closed count that walks a section.
+    in (m, x), built on the first count, closed or strict, that walks a
+    section.  A 2D kernel has no prefix: its one section, mP itself, is at
+    x = 0 on an axis of zero weights, in the one chamber of levels [0, 0].
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -70,9 +79,9 @@ class _Kernel:
         self.bounds = [b // g for (_, b), g in zip(P.facet_rows, gcds)]
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
-        self.weights = [row[:-2] for row in scaled]
+        self.weights = [row[:-2] or [0] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
-        self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else None
+        self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else [0, 0]
         self.chambers: Optional[list[tuple]] = None
 
     def box(self, m: int, strict: bool = False) -> list[tuple[int, int]]:
@@ -227,7 +236,7 @@ def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
 
 
 def _chamber_table(K: _Kernel) -> list[tuple]:
-    """For each chamber [t, t'] between consecutive ``levels`` of a 3D
+    """For each chamber [t, t'] between consecutive ``levels`` of a 2D or 3D
     kernel: t' as (numerator, denominator), the cuts that bind y from above
     and from below, and the chains of the upper and lower envelopes.  They
     are read off the section of P at the chamber's midpoint, where no two
@@ -265,33 +274,38 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, box: list[tuple[int, int]]) -> int:
-    """Lattice points of mP for a 3D kernel, m >= 1 and a non-empty ``box``:
-    per chamber its forms times m, per section x with x/m in it two cut
-    divisions, and per chain piece one division and one floor sum."""
+def _chamber_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
+    """Lattice points of mP (strict: of its interior) for a 2D or 3D kernel,
+    m >= 1 and ``box`` the closed (strict: open) box of mP: per section x,
+    on the forms of the chamber that holds x/m, two cut divisions, and per
+    chain piece one division and one floor sum."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
-    lo, hi = box[0]
+    lo, hi = box[0] if K.n == 3 else (0, 0)
+    s = int(strict)
     total = 0
     for num, den, (tp, tw, td), (bp, bw, bd), upper, lower in K.chambers:
         last = min(hi, m * num // den)  # the last x with x/m in the chamber
         if lo > last:
             continue
-        tp, bp = m * tp, m * bp
-        chains = [[(m * p, w, A, steps, m * c, cw, e)
-                   for p, w, A, steps, c, cw, e in chain] for chain in (upper, lower)]
+        # A strict count lowers each right-hand side and cut numerator by
+        # one, as ceil(v/D) - 1 = floor((v - 1)/D).  A piece ends at
+        # ceil(e) - 1 for the crossing e with the next line, where an
+        # integer e gives both lines one floor and a strict piece stays
+        # below the open top cut, which e may reach at a vertex level.
+        tp, bp = m * tp - s, m * bp - s
         for x in range(lo, last + 1):
             y1 = (tp - tw * x) // td
             y0 = -((bp - bw * x) // bd)
             if y0 > y1:
                 continue
             total += y1 - y0 + 1
-            for chain in chains:
+            for chain in (upper, lower):
                 y = y0
-                for mp, w, A, steps, c, cw, e in chain:  # lowest from y to end
-                    end = (c - cw * x) // e if e else y1
+                for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
+                    end = (m * c - 1 - cw * x) // e if e else y1
                     if end >= y:
-                        total += _floor_sum(end - y + 1, mp - w * x - A * y, steps)
+                        total += _floor_sum(end - y + 1, m * p - s - w * x - A * y, steps)
                         y = end + 1
         lo = last + 1
     return total
@@ -312,8 +326,10 @@ def _exact_count(K: _Kernel, m: int, strict: bool, budget: int) -> int:
             f"bounding box of {m}P has {cells} cells, budget is {budget}")
     if not cells:
         return 0
-    if K.n == 3 and m and not strict:
-        return _chamber_count(K, m, box)
+    if not m:  # 0P is the origin, and its interior is empty
+        return int(not strict)
+    if K.n < 4:
+        return _chamber_count(K, m, strict, K.box(m, True) if strict else box)
     return _scan_count(K, m, strict, box)
 
 
@@ -322,11 +338,10 @@ def _scan_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) ->
     by a scan."""
     rhs = [m * p - int(strict) for p in K.bounds]
     y0, y1 = box[-2]
-    if K.n == 2:
-        return _section_count(K.plan, rhs, y0, y1)
     # Fix the prefix but its last coordinate, which then steps C by the
-    # last weight column from one section to the next.
-    *outer, (lo, hi) = box[:-2]
+    # last weight column from one section to the next; a 2D kernel's one
+    # section is at x = 0 on its axis of zero weights.
+    *outer, (lo, hi) = box[:-2] or [(0, 0)]
     step = [w[-1] for w in K.weights]
     total = 0
     for prefix in product(*(range(a, b + 1) for a, b in outer)):
@@ -342,8 +357,8 @@ def count_points(P: Polytope, m: int, strict: bool = False,
                  budget: int = DEFAULT_BUDGET) -> int:
     """Number of lattice points of mP (strict: of the interior of mP).
 
-    m = 0 falls out of the facet arithmetic as the single point at the
-    origin for the closed count and the empty set for the strict one.
+    m = 0 gives the single point at the origin for the closed count and the
+    empty set for the strict one, once its one-cell box is charged.
     """
     return _exact_count(_Kernel(P), m, strict, budget)
 

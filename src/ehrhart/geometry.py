@@ -8,7 +8,8 @@ integer facet scan with no linear program) builds that form from the input
 without a ``fractions.Fraction``; the denominator, the vertex ranges and
 the polar dual (vertices and facets swapped, no scan) are read off it.
 ``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
-only views of the rows, built on first use.  There is no floating point
+only views of the rows, built on first use, and :mod:`fractions` is
+imported only where a point or a view is built.  There is no floating point
 anywhere in this package.  The scan suits desk scale (tens of vertices,
 dimension <= 4), which a fixed ambient-dimension cap guards.
 """
@@ -16,11 +17,10 @@ dimension <= 4), which a fixed ambient-dimension cap guards.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter, mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import (
     AmbientDimensionCap,
@@ -30,7 +30,10 @@ from .errors import (
     OriginNotInterior,
 )
 
-Coordinate = Union[Fraction, int, str]
+if TYPE_CHECKING:  # imported where a point or a view is built, not before
+    from fractions import Fraction
+
+Coordinate = Union["Fraction", int, str]
 
 #: Exhaustive facet search and box enumeration blow up beyond desk scale,
 #: so no hull is built in a higher dimension.
@@ -39,6 +42,7 @@ MAX_DIM = 4
 
 def point(coords: Iterable[Coordinate]) -> tuple[Fraction, ...]:
     """Build a rational point, coercing ints and 'p/q' strings exactly."""
+    from fractions import Fraction
     return tuple(Fraction(c) for c in coords)
 
 
@@ -74,12 +78,14 @@ class Polytope:
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         """The vertices as ``Fraction`` points, lexicographically sorted."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(c, self.scale) for c in row) for row in self.rows)
 
     @cached_property
     def facets(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
         """The facets as sorted (normal, bound) pairs, each the half-space
         <normal, x> <= bound with a primitive integer normal."""
+        from fractions import Fraction
         return tuple((tuple(map(Fraction, a)), Fraction(b, self.scale))
                      for a, b in self.facet_rows)
 
@@ -292,5 +298,6 @@ def dual_denominator(P: Polytope) -> int:
 
 def vertex_ranges(P: Polytope) -> list[tuple[Fraction, Fraction]]:
     """Per-axis (min, max) over the vertices: the exact bounding box."""
+    from fractions import Fraction
     return [(Fraction(min(column), P.scale), Fraction(max(column), P.scale))
             for column in zip(*P.rows)]

@@ -136,31 +136,45 @@ def test_unexpected_error_exit_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(counting_module, "count_points", broken)
+    monkeypatch.setattr(counting_module, "count_vector", broken)
     code, out, err = run(capsys, "count", "square2", "--m", "2")
     assert code == 3
     assert out == ""
     assert err == "ehrhart: internal error: RuntimeError('boom')\n"
 
 
-def test_count_of_a_file_imports_only_what_it_runs(tmp_path):
-    # A child interpreter, so that the modules this test session already
-    # holds do not hide what one count loads.
-    path = tmp_path / "cube.json"
-    path.write_text(dumps_polytope(catalog()["cube3"]))
+def child_imports(*argv):
+    """The stdout of one ``ehrhart`` command and the modules it loads, in a
+    child interpreter, so that the modules this test session already holds
+    do not hide them."""
     src = str(Path(ehrhart.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ehrhart", "count", str(path),
-         "--m", "2"], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ehrhart", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{path}: |2P| = 125 lattice points, interior 27\n"
-    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-              if line.startswith("import time:") and "|" in line}
+    return proc.stdout, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                         if line.startswith("import time:") and "|" in line}
+
+
+def test_count_of_a_file_imports_only_what_it_runs(tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(dumps_polytope(catalog()["cube3"]))
+    out, loaded = child_imports("count", str(path), "--m", "2")
+    assert out == f"{path}: |2P| = 125 lattice points, interior 27\n"
     assert "ehrhart.counting" in loaded and "ehrhart.serialization" in loaded
-    for name in ("dataclasses", "inspect", "ehrhart.generators",
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "ehrhart.generators",
                  "ehrhart.quasipoly", "ehrhart.verify"):
         assert name not in loaded, name
+
+
+def test_info_of_a_rational_file_builds_no_fraction(tmp_path):
+    # The file's "p/q" coordinates are parsed straight to integers.
+    path = tmp_path / "half.json"
+    path.write_text(dumps_polytope(catalog()["halfdiamond2"]))
+    out, loaded = child_imports("info", str(path))
+    assert "denominator: 2\n" in out
+    assert "ehrhart.serialization" in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def test_file_input(tmp_path, capsys):

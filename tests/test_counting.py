@@ -383,30 +383,33 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
 # ------------------------------------------------------------ chamber walk
 
 def assert_chambers_match_scan(polytopes, dilations=range(1, 41)):
-    # The closed 3D count through the chamber table against the scan of
-    # every section, on every dilation with a non-empty box, and on one
-    # large prime dilation, where the numerators of the chamber forms grow
-    # like m*p.
+    # The 2D and 3D counts, closed and strict, through the chamber table
+    # against the scan of every section, on every dilation with a non-empty
+    # box, and on one large prime dilation, where the numerators of the
+    # chamber forms grow like m*p.  A strict count walks the open box.
     for P in polytopes:
         K = _Kernel(P)
         for m in [*dilations, 997]:
             box = K.box(m)
             if all(lo <= hi for lo, hi in box):
-                assert _chamber_count(K, m, box) == _scan_count(K, m, False, box), (P, m)
+                for strict, walked in ((False, box), (True, K.box(m, True))):
+                    assert _chamber_count(K, m, strict, walked) == \
+                        _scan_count(K, m, strict, box), (P, m, strict)
 
 
 def test_chamber_walk_matches_scan_on_pools(fixtures, theorem_pool, control_pool):
     polytopes = [P for P in [*fixtures.values(), *theorem_pool, *control_pool]
-                 if P.ambient_dim == 3]
-    assert len(polytopes) == 2 + 33 + 16
+                 if P.ambient_dim in (2, 3)]
+    assert len(polytopes) == (3 + 33 + 17) + (2 + 33 + 16)
     assert_chambers_match_scan(polytopes)
 
 
 @pytest.mark.parametrize("bound", [1, 2])
 @pytest.mark.parametrize("kind", ["lattice", "dual-of-lattice", "rational"])
 def test_chamber_walk_matches_scan_on_generated(kind, bound):
-    assert_chambers_match_scan(
-        instances(GeneratorConfig(seed=8100 + bound, dim=3, coordinate_bound=bound), 2, kind))
+    for dim in (2, 3):
+        assert_chambers_match_scan(instances(
+            GeneratorConfig(seed=8100 + bound, dim=dim, coordinate_bound=bound), 2, kind))
 
 
 third = F(1, 3)
@@ -420,6 +423,16 @@ CHAMBER_HAND_CASES = {
     "wedge": [(-1, 0, 1), (-1, -1, -1), (-1, 1, -1), (1, -1, 0), (1, 1, 0)],
     # The origin outside P, with a square facet at x = 1/3 and an apex at x = 1.
     "pyramid": [(third, 1, 1), (third, 1, -1), (third, -1, 1), (third, -1, -1), (1, 0, 0)],
+    # At x = m, a vertex level, the two lines of the lower chain cross at
+    # the vertex (m, 2m, -2m), on the top cut y <= 2m: a strict piece that
+    # ended at the floor of the crossing, not at its ceiling - 1, would
+    # count the column y = 2m above the open top cut.
+    "crossing_on_top": [(-2, 2, 2), (-1, 0, 1), (1, 2, -2), (2, 1, -1)],
+    # Polygons, the one chamber of a 2D kernel: a thin triangle whose chain
+    # crossings are integers only at some dilations, and a parallelogram
+    # whose upper and lower edges are parallel.
+    "sliver": [(F(-5, 2), F(-1, 3)), (F(7, 3), 0), (F(-1, 4), F(2, 5))],
+    "parallelogram": [(-1, -2), (-1, 0), (1, 2), (1, 0)],
 }
 
 
@@ -428,7 +441,9 @@ def test_chamber_walk_hand_cases(name):
     P = from_vertices(CHAMBER_HAND_CASES[name])
     assert_chambers_match_scan([P], range(1, 61))
     for m in range(1, 10):
-        assert exact_count(P, m, False) == len(lattice_points(P, m)), (name, m)
+        for strict in (False, True):
+            assert exact_count(P, m, strict) == \
+                len(lattice_points(P, m, strict=strict)), (name, m, strict)
     if name == "cube3":  # x = m and x = -m are whole facets
         assert all(exact_count(P, m, False) == (2 * m + 1) ** 3 for m in range(1, 20))
 
@@ -457,15 +472,16 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
 # The floor sums made by the closed counts m = 1..40, as counted on the
 # chamber walk that still rebuilt every right-hand side per section and
 # summed each chain's last line even when it held no integer.  The walk on
-# precomputed affine forms makes 6560 on each.
+# precomputed affine forms makes 6560 and 6563.
 FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679}
 
 
 def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
     # A deterministic guard on the walk's work.  A scan of every section
-    # makes about as many floor sums (6560 and 6542 here), so the scan's
-    # envelope and cut helpers are watched too: none may run.
-    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": []}
+    # makes about as many floor sums (6560 and 6542 here), so the scan and
+    # its envelope and cut helpers are watched too: no 2D or 3D count,
+    # closed or strict, may run them.
+    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": [], "_scan_count": []}
     for name, seen in calls.items():
         def counted(*args, real=getattr(counting, name), seen=seen):
             seen.append(args)
@@ -474,13 +490,18 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
         monkeypatch.setattr(counting, name, counted)
     rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1,
                           "rational")
-    for name, P in (("octa3", catalog()["octa3"]), ("rational 3D, seed 8200", rational)):
+    polygon, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1,
+                         "rational")
+    for name, P in (("octa3", catalog()["octa3"]), ("rational 3D, seed 8200", rational),
+                    ("diamond2", catalog()["diamond2"]), ("rational 2D, seed 8200", polygon)):
         for seen in calls.values():
             seen.clear()
         for m in range(1, 41):
             count_points(P, m)
-        assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST[name], name
-        assert calls["_envelope_sum"] == calls["_section_count"] == [], name
+        assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST.get(name, math.inf), name
+        for m in range(1, 41):
+            count_points(P, m, strict=True)
+        assert calls["_envelope_sum"] == calls["_section_count"] == calls["_scan_count"] == [], name
 
 
 # ---------------------------------------------------------- interior shift
