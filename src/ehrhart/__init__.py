@@ -23,9 +23,8 @@ _EXPORTS = {name: module for module, names in {
     "generators": "GeneratorConfig SplitMix64 catalog instances",
     "geometry": "Polytope denominator dual from_vertices has_lattice_dual "
                 "is_lattice origin_interior point",
-    "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial checked_delta "
-                 "delta_vector delta_vector_series evaluate_qp fit_qp "
-                 "negative_binomial_reflect",
+    "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial delta_vector "
+                 "delta_vector_series evaluate_qp fit_qp negative_binomial_reflect",
     "serialization": "dumps_polytope load_polytope loads_polytope "
                      "polytope_from_json_dict polytope_to_json_dict",
     "verify": "CheckResult VerificationReport check_characterization "

@@ -2,10 +2,10 @@
 
 One JSON document on stdout in json mode, human-readable text otherwise;
 diagnostics go to stderr.  Exit codes: 0 success, 1 fatal inconsistency
-(a negative delta-vector entry; a lattice-dual polytope failing the theorem,
-palindrome, interior-shift or characterization check; or the two
-delta-vector extraction routes disagreeing), 2 usage, parse, input, or
-budget errors, 3 any other (unexpected) error.
+(a failed reciprocity or equivalence check or negative delta-vector entry;
+a lattice-dual polytope failing the theorem, palindrome, interior-shift or
+characterization check; or the two delta-vector routes disagreeing), 2
+usage, parse, input, or budget errors, 3 any other (unexpected) error.
 
 A command imports the serialization, delta-vector, verification and
 generator modules only when it runs and needs them, so a ``count`` never

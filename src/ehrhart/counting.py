@@ -236,16 +236,16 @@ def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
 
 
 def _chamber_table(K: _Kernel) -> list[tuple]:
-    """For each chamber [t, t'] between consecutive ``levels`` of a 2D or 3D
-    kernel: t' as (numerator, denominator), the cuts that bind y from above
-    and from below, and the chains of the upper and lower envelopes.  They
-    are read off the section of P at the chamber's midpoint, where no two
-    cuts or lines tie, and hold on all of [t, t'].  With C_i = m*p_i - w_i*x
-    on line i of the section of mP at x, a cut D*y <= s*C_i + t*C_j is held
-    as (s*p_i + t*p_j, s*w_i + t*w_j, D), and a chain line (A, B, i) as
-    (p_i, w_i, A, steps) and where the next line (a, b, j) passes below it,
-    y <= (C_j*B - C_i*b) / (a*B - A*b), as (p_j*B - p_i*b, w_j*B - w_i*b,
-    a*B - A*b), or (0, 0, 0) for the last line.
+    """One row (t', top, bottom, upper, lower) per chamber [t/L, t'/L]
+    between consecutive ``levels`` t < t' of a 2D or 3D kernel of scale L:
+    the cuts that bind y from above and from below, and the chains of the
+    upper and lower envelopes, read off the section of P at the chamber's
+    midpoint, where no two cuts or lines tie, and held on all of it.  With
+    C_i = m*p_i - w_i*x on line i of the section of mP at x, a cut
+    D*y <= s*C_i + t*C_j is held as (s*p_i + t*p_j, s*w_i + t*w_j, D), and
+    a chain line (A, B, i) as (p_i, w_i, A, steps) and where the next line
+    (a, b, j) passes below it, y <= (C_j*B - C_i*b) / (a*B - A*b), as
+    (p_j*B - p_i*b, w_j*B - w_i*b, a*B - A*b), or (0, 0, 0) for the last.
     """
     uppers, lowers, _, above, below = K.plan
     p, w = K.bounds, [weight for weight, in K.weights]
@@ -268,7 +268,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
         top, v1, d1 = _least_cut(above, c)
         bottom, v0, d0 = _least_cut(below, c)
         y0, y1 = (-v0, d0), (v1, d1)
-        table.append((t1, K.scale, cut(*top), cut(*bottom),
+        table.append((t1, cut(*top), cut(*bottom),
                       forms(_real_chain(uppers, c, y0, y1)),
                       forms(_real_chain(lowers, c, y0, y1))))
     return table
@@ -282,10 +282,10 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]])
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = box[0] if K.n == 3 else (0, 0)
-    s = int(strict)
+    s, L = int(strict), K.scale
     total = 0
-    for num, den, (tp, tw, td), (bp, bw, bd), upper, lower in K.chambers:
-        last = min(hi, m * num // den)  # the last x with x/m in the chamber
+    for t, (tp, tw, td), (bp, bw, bd), upper, lower in K.chambers:
+        last = min(hi, m * t // L)  # the last x with x/m in the chamber
         if lo > last:
             continue
         # A strict count lowers each right-hand side and cut numerator by

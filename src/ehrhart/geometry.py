@@ -8,10 +8,11 @@ integer facet scan with no linear program) builds that form from the input
 without a ``fractions.Fraction``; the denominator, the vertex ranges and
 the polar dual (vertices and facets swapped, no scan) are read off it.
 ``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
-only views of the rows, built on first use, and :mod:`fractions` is
-imported only where a point or a view is built.  There is no floating point
-anywhere in this package.  The scan suits desk scale (tens of vertices,
-dimension <= 4), which a fixed ambient-dimension cap guards.
+only views of the rows, built on first use and cached in the instance
+``__dict__`` beside the four fields, and :mod:`fractions` is imported only
+where a point or a view is built.  There is no floating point anywhere in
+this package.  The scan suits desk scale (tens of vertices, dimension
+<= 4), which a fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ class Polytope:
     instances with :func:`from_vertices`, which establishes these
     invariants.  ``vertices`` and ``facets`` are views, built on first use.
     Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
+    The fields and views live in ``__dict__``, so pickling and copying use
+    the default protocol, which fills it without calling ``__setattr__``.
     """
-
-    # The views are cached in __dict__, which cached_property fills directly.
-    __slots__ = ("ambient_dim", "scale", "rows", "facet_rows", "_hash", "__dict__")
 
     def __init__(self, ambient_dim: int, scale: int, rows: tuple,
                  facet_rows: tuple) -> None:
@@ -69,11 +69,9 @@ class Polytope:
             if len(row) != ambient_dim:
                 raise DimensionMismatch(
                     f"vertex row {row} does not live in dimension {ambient_dim}")
-        # Immutable, so hashed once, on the key of __eq__.
-        for name, value in (("ambient_dim", ambient_dim), ("scale", scale),
-                            ("rows", rows), ("facet_rows", facet_rows),
-                            ("_hash", hash((ambient_dim, scale, rows)))):
-            object.__setattr__(self, name, value)
+        # Written past __setattr__, into the __dict__ the views are cached in.
+        self.__dict__.update(ambient_dim=ambient_dim, scale=scale, rows=rows,
+                             facet_rows=facet_rows)
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -102,14 +100,11 @@ class Polytope:
                 == (other.ambient_dim, other.scale, other.rows))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ambient_dim, self.scale, self.rows))
 
     def __repr__(self) -> str:
         return (f"Polytope(ambient_dim={self.ambient_dim!r}, "
                 f"vertices={self.vertices!r}, facets={self.facets!r})")
-
-    def __reduce__(self) -> tuple:
-        return Polytope, (self.ambient_dim, self.scale, self.rows, self.facet_rows)
 
 
 def from_vertices(points: Iterable[Iterable[Coordinate]]) -> Polytope:

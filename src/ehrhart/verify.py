@@ -4,11 +4,12 @@ Each check returns a :class:`CheckResult` whose witness pinpoints the first
 failure (lexicographically smallest index or dilation), and
 :func:`full_report` aggregates them for one polytope.  A report is FATAL
 exactly when a check fails that a correct implementation can never fail:
-non-negativity of the delta-vector, for any polytope, and, for a polytope
-with a lattice polar dual, the residue-table symmetry, the palindrome
-check, the interior shift, or the characterization.  The flag exists so
-that downstream tooling treats such an outcome as a build-stopping
-inconsistency instead of an ordinary failed property.
+reciprocity, the interleave equivalence and non-negativity of the
+delta-vector, for any polytope, and, for a polytope with a lattice polar
+dual, the residue-table symmetry, the palindrome check, the interior
+shift, or the characterization.  The flag exists so that downstream
+tooling treats such an outcome as a build-stopping inconsistency instead
+of an ordinary failed property.
 """
 
 from __future__ import annotations
@@ -205,15 +206,14 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     checks.append(check_non_negativity(d))
     checks.append(characterization)
 
+    # Reciprocity and the interleave hold for every rational polytope, and a
+    # lattice dual guarantees both symmetries and the interior shift: failing
+    # one contradicts exact arithmetic and must stop the build.
+    must_hold = {"reciprocity", "equivalence"}
     if dual_lattice:
-        # A lattice dual guarantees both symmetries; failing either here
-        # contradicts exact arithmetic and must stop the build.
-        checks = [
-            dataclasses.replace(c, fatal=True)
-            if c.name in ("theorem", "palindrome", "interior_shift") and not c.passed
-            else c
-            for c in checks
-        ]
+        must_hold |= {"theorem", "palindrome", "interior_shift"}
+    checks = [dataclasses.replace(c, fatal=True)
+              if c.name in must_hold and not c.passed else c for c in checks]
     return VerificationReport(polytope_id, n, k, dual_lattice, d, qp.table,
                               tuple(checks))
 

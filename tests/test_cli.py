@@ -13,6 +13,7 @@ import ehrhart
 from ehrhart import catalog, dumps_polytope
 from ehrhart.cli import build_parser, main
 import ehrhart.counting as counting_module
+import ehrhart.quasipoly as quasipoly_module
 import ehrhart.verify as verify_module
 
 
@@ -122,6 +123,43 @@ def test_verify_fatal_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "square2")
     assert code == 1
     assert "FATAL" in out
+
+
+def test_failed_reciprocity_is_fatal_without_a_lattice_dual(capsys, monkeypatch):
+    # Reciprocity holds for every rational polytope, so a wrong strict count
+    # of 6P stops the build even though the dual of [-1, 2] is not lattice.
+    real = verify_module.count_vector
+
+    def doctored(P, closed, interior=(), budget=counting_module.DEFAULT_BUDGET):
+        counts = real(P, closed, interior, budget=budget)
+        counts[len(closed) + list(interior).index(6)] += 1
+        return counts
+
+    monkeypatch.setattr(verify_module, "count_vector", doctored)
+    report = verify_module.full_report(catalog()["seg_m1_2"], "seg_m1_2")
+    assert not report.dual_is_lattice and report.fatal
+    reciprocity, = [c for c in report.checks if c.name == "reciprocity"]
+    assert reciprocity.fatal and not reciprocity.passed
+    assert reciprocity.witness["m"] == 6
+    code, out, _ = run(capsys, "verify", "seg_m1_2")
+    assert code == 1
+    assert "FAIL reciprocity" in out and out.endswith("FATAL: inconsistency detected\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["delta", "verify"])
+def test_disagreeing_delta_routes_exit_one(capsys, monkeypatch, command, fmt):
+    real = quasipoly_module.series_counts
+
+    def shifted(counts, n, k):
+        entries = real(counts, n, k).entries
+        return ehrhart.DeltaVector((entries[0] + 1, *entries[1:]))
+
+    monkeypatch.setattr(quasipoly_module, "series_counts", shifted)
+    code, out, err = run(capsys, command, "square2", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ehrhart: FATAL: ")
 
 
 @pytest.mark.parametrize("m_max", ["0", "-2"])

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import pickle
 
@@ -24,9 +25,9 @@ def test_public_names_are_pinned():
         "InternalInconsistency", "OriginNotInterior", "ParseError", "Polytope",
         "ResidueDeltaTable", "SplitMix64", "VerificationReport",
         "binomial", "catalog", "check_characterization", "check_equivalence",
-        "check_palindrome", "check_reciprocity", "check_theorem", "checked_delta",
-        "count_points", "counting", "delta_vector", "delta_vector_series",
-        "denominator", "dual", "dumps_polytope", "errors", "evaluate_qp",
+        "check_palindrome", "check_reciprocity", "check_theorem", "count_points",
+        "counting", "delta_vector", "delta_vector_series", "denominator", "dual",
+        "dumps_polytope", "errors", "evaluate_qp",
         "find_interior_shift_violation", "fit_qp", "from_vertices", "full_report",
         "generators", "geometry", "has_lattice_dual", "instances",
         "interior_shift_mismatch", "is_lattice", "load_polytope",
@@ -72,7 +73,6 @@ def test_public_signatures_are_pinned():
         "check_palindrome": "d",
         "check_reciprocity": "P m_max qp",
         "check_theorem": "t",
-        "checked_delta": "counts n k",
         "count_points": "P m strict budget",
         "delta_vector": "qp",
         "delta_vector_series": "P",
@@ -118,3 +118,36 @@ def test_polytope_is_immutable_and_compared_by_its_vertices():
         del P.vertices
     with pytest.raises(ValueError):
         type(P)(0, P.scale, P.rows, P.facet_rows)
+
+
+def test_polytope_copies_keep_fields_and_views():
+    # The fields and cached views live in __dict__, which pickle and copy
+    # fill without calling the refusing __setattr__.
+    for name, P in catalog().items():
+        P.vertices, P.facets  # cache both views before copying
+        for Q in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+            assert Q is not P and Q == P and hash(Q) == hash(P), name
+            assert vars(Q) == vars(P), name
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ehrhart.Polytope(2, 1, (), ()), ValueError),
+    (lambda: ehrhart.Polytope(2, 1, ((0, 0), (1,)), ()), ehrhart.DimensionMismatch),
+    (lambda: ehrhart.ResidueDeltaTable(1, 1, ((1,),)), ValueError),
+    (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (1,))), ValueError),
+    (lambda: ehrhart.DeltaVector(()), ValueError),
+    (lambda: ehrhart.negative_binomial_reflect(0, -1), ValueError),
+    (lambda: ehrhart.interior_shift_mismatch(catalog()["square2"], 0), ValueError),
+    (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
+    (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
+], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
+        "table_short_row", "empty_delta", "reflect_negative_index",
+        "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
+def test_input_guards(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_polytope_repr_names_its_vertices():
+    text = repr(catalog()["halfdiamond2"])
+    assert text.startswith("Polytope(ambient_dim=2, vertices=((Fraction(-1, 2), Fraction(0, 1)),")

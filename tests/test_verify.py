@@ -266,6 +266,38 @@ def test_report_fatal_flag_and_rendering():
     assert doc["checks"][-1]["witness"] == {"index": "1"}
 
 
+def test_fatal_witnesses_render():
+    # A point tuple becomes a list of strings, a bool stays a bool and a
+    # string passes through, in JSON; text shows each value as it is.
+    table = ResidueDeltaTable(1, 1, ((1,), (1,)))
+    negative = verify.check_non_negativity(DeltaVector((1, -2, 1)))
+    short = check_equivalence(table, DeltaVector((1,)))
+    assert negative == CheckResult("non_negativity", False,
+                                   {"index": 1, "value": -2}, fatal=True)
+    assert short == CheckResult("equivalence", False,
+                                {"index": 1, "reason": "length mismatch"})
+    checks = (CheckResult("interior_shift", False, {"m": 2, "point": (1, -1)}, fatal=True),
+              CheckResult("characterization", False,
+                          {"dual_is_lattice": True, "palindromic": False}, fatal=True),
+              short, negative)
+    report = VerificationReport("fake", 1, 1, True, DeltaVector((1, 1)), table, checks)
+    doc = report_to_json_dict(report)
+    assert doc["fatal"] is True
+    assert [c["witness"] for c in doc["checks"]] == [
+        {"m": "2", "point": ["1", "-1"]},
+        {"dual_is_lattice": True, "palindromic": False},
+        {"index": "1", "reason": "length mismatch"},
+        {"index": "1", "value": "-2"},
+    ]
+    assert render_text(report).splitlines()[-5:] == [
+        "  FAIL interior_shift  witness: m=2, point=(1, -1)  [FATAL]",
+        "  FAIL characterization  witness: dual_is_lattice=True, palindromic=False  [FATAL]",
+        "  FAIL equivalence  witness: index=1, reason=length mismatch",
+        "  FAIL non_negativity  witness: index=1, value=-2  [FATAL]",
+        "FATAL: inconsistency detected",
+    ]
+
+
 def test_report_json_values_are_strings():
     doc = report_to_json_dict(full_report(catalog()["seg_mhalf_1"], "seg_mhalf_1"))
     assert doc["k"] == "2"
