@@ -6,25 +6,29 @@ cleared of denominators once, so every test is integer arithmetic.  Strict
 counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
 A segment's count is its integer box, closed or open.  A count of higher
-dimension walks the integer bounding box on the first d = n-2 axes only,
-the prefix, and counts each section, a convex polygon on the last two
-axes, in closed form: a column runs between the envelopes of the lower and
-the upper facet lines, and the lattice points under one envelope piece are
-one Euclid-style floor sum (Beck-Robins, *Computing the Continuous
-Discretely*).  Sections are homogeneous, so for d <= 1 the cuts and
-envelope chains of a section depend only on the chamber, between
-consecutive vertex first coordinates of P, that holds x/m
+dimension walks the first d = n-2 axes only, the prefix, and counts each
+section, a convex polygon on the last two axes, in closed form: a column
+runs between the envelopes of the lower and the upper facet lines, and the
+lattice points under one envelope piece are one Euclid-style floor sum
+(Beck-Robins, *Computing the Continuous Discretely*).  Sections are
+homogeneous: the section of mP at the prefix x is m times that of P at
+x/m, so its cuts and envelope chains depend only on the cell of the
+chamber complex of P's projection to the prefix axes that holds x/m
 (Clauss-Loechner, "Parametric analysis of polyhedral iteration spaces",
-1998), and are looked up in one chamber table instead of scanned; a
-polygon (d = 0) is one chamber with no prefix axis.  A strict count walks
-the same table over the open box: over a prefix strictly inside the
+1998; Verdoolaege et al., *Algorithmica* 2007), and are looked up in one
+chamber table instead of scanned.  The table is cut into strips at the
+first coordinates of the vertices and at the crossings of the projected
+edges, and each strip into trapezoids between consecutive edges; a 3D
+kernel is one strip on a zero-weight first axis, with its vertex levels as
+edges, and a polygon one trapezoid at x = 0.  A strict count walks the
+same table over the open projection: over a prefix strictly inside the
 projection of mP, the interior holds the points of the open section, which
 has the cuts and chains of the closed one, with each right-hand side and
 cut numerator lowered by one.  In both, a chain piece ends at ceil(e) - 1
-for its crossing e with the next line.  Only a 4D count scans its
-sections.  All that does not depend on m is derived from the integer rows
-of P into one kernel, which each request builds for itself and drops when
-it returns: nothing is kept between calls.
+for its crossing e with the next line.  All that does not depend on m is
+derived from the integer rows of P into one kernel, which each request
+builds for itself and drops when it returns: nothing is kept between
+calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  A request of more counts
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import product
-from operator import mul, sub
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -65,12 +69,13 @@ class _Kernel:
     line A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where
     (A_i, B_i) and ``weights[i]`` are the last two and the other
     coefficients of q_i*a_i.
-    ``plan`` is the :func:`_section_plan` of those lines.  For n = 3,
-    ``levels`` holds the distinct first coordinates of the vertex rows and
-    ``chambers`` the :func:`_chamber_table` between them, as affine forms
-    in (m, x), built on the first count, closed or strict, that walks a
-    section.  A 2D kernel has no prefix: its one section, mP itself, is at
-    x = 0 on an axis of zero weights, in the one chamber of levels [0, 0].
+    ``plan`` is the :func:`_section_plan` of those lines, ``strips`` the
+    :func:`ehrhart._strips.strips` of the projection of P to the prefix
+    axes, and ``chambers`` the :func:`_chamber_table` on them, built on the
+    first count, closed or strict, that walks a section.  The prefix of a
+    2D or 3D kernel is padded to (x1, x2) by zero-weight axes at x1 = 0: a
+    3D kernel has one strip whose edges are its vertex levels x2/m = t/L, a
+    2D kernel one trapezoid, of the levels [0, 0].
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -81,7 +86,14 @@ class _Kernel:
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] or [0] for row in scaled]
         self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
-        self.levels = sorted({row[0] for row in P.rows}) if self.n == 3 else [0, 0]
+        if self.n == 4:  # a 2D or 3D count does not compile the 4D decomposition
+            from ._strips import strips
+            self.strips = strips(P)
+        elif self.n == 3:
+            levels = sorted({row[0] for row in P.rows})
+            self.strips = [((0, 1), (0, 1), [(t, 0, P.scale) for t in levels])]
+        else:
+            self.strips = [((0, 1), (0, 1), [(0, 0, 1), (0, 0, 1)])]
         self.chambers: Optional[list[tuple]] = None
 
     def box(self, m: int, strict: bool = False) -> list[tuple[int, int]]:
@@ -236,77 +248,113 @@ def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
 
 
 def _chamber_table(K: _Kernel) -> list[tuple]:
-    """One row (t', top, bottom, upper, lower) per chamber [t/L, t'/L]
-    between consecutive ``levels`` t < t' of a 2D or 3D kernel of scale L:
-    the cuts that bind y from above and from below, and the chains of the
-    upper and lower envelopes, read off the section of P at the chamber's
-    midpoint, where no two cuts or lines tie, and held on all of it.  With
-    C_i = m*p_i - w_i*x on line i of the section of mP at x, a cut
-    D*y <= s*C_i + t*C_j is held as (s*p_i + t*p_j, s*w_i + t*w_j, D), and
-    a chain line (A, B, i) as (p_i, w_i, A, steps) and where the next line
-    (a, b, j) passes below it, y <= (C_j*B - C_i*b) / (a*B - A*b), as
-    (p_j*B - p_i*b, w_j*B - w_i*b, a*B - A*b), or (0, 0, 0) for the last.
+    """One strip (s, t, bottom, top, rows) per strip of ``K.strips``, that
+    ends at u = x1/m = s/t, with one row (edge, top, bottom, chains, x1s)
+    per trapezoid, bottom to top: its upper edge, the cuts that bind y from
+    above and from below, and the upper and lower envelope chains, read off
+    the section of P at the trapezoid's middle, where no two cuts or lines
+    tie, and held on all of it.  Tuples are flat: an edge x2/m = (p + q*u)/d
+    is held as p, q, d, ``bottom`` and ``top`` being the strip's lowest and
+    highest.  With C_i = m*p_i - v_i*x1 - w_i*x2 on line i of the section of
+    mP at (x1, x2), a cut D*y <= s*C_i + t*C_j is held as s*p_i + t*p_j,
+    s*v_i + t*v_j, s*w_i + t*w_j, D.  A chain line (A, B, i) is held as
+    (p_i, w_i, A, steps, c, cw, e), where the next line (a, b, j) passes
+    below it, y <= (C_j*B - C_i*b) / (a*B - A*b), with c, cw, e the
+    p_j*B - p_i*b, w_j*B - w_i*b, a*B - A*b of that bound, all 0 for the
+    last line.  In 4D, ``x1s`` holds the line's x1 weights
+    (v_i, v_j*B - v_i*b); a 2D or 3D kernel's x1 is 0, and its ``x1s`` None.
     """
     uppers, lowers, _, above, below = K.plan
-    p, w = K.bounds, [weight for weight, in K.weights]
+    p, w = K.bounds, [weight[-1] for weight in K.weights]
+    v = [weight[0] for weight in K.weights] if K.n == 4 else [0] * len(p)
 
-    def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int]:
-        return s * p[i] + t * p[j], s * w[i] + t * w[j], D
+    def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int, int]:
+        return s * p[i] + t * p[j], s * v[i] + t * v[j], s * w[i] + t * w[j], D
 
+    # Each chain line with the next, and the last with itself, whose end
+    # forms are then 0.
     def forms(chain: list[_Line]) -> list[tuple]:
-        ends = [(p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
-                for (A, B, i, _), (a, b, j, _) in zip(chain, chain[1:])]
-        return [(p[i], w[i], A, steps, *end)
-                for (A, _, i, steps), end in zip(chain, ends + [(0, 0, 0)])]
+        return [(p[i], w[i], A, steps, p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
+                for (A, B, i, steps), (a, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
+
+    def x1_forms(chain: list[_Line]) -> list[tuple]:
+        return [(v[i], v[j] * B - v[i] * b)
+                for (_, B, i, _), (_, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
 
     table = []
-    for t0, t1 in zip(K.levels, K.levels[1:]):
-        # The lines A*y + B*z <= c[i] of the section of mP at x, for x/m the
-        # midpoint (t0 + t1) / 2L: the section of P there, scaled by m.
-        x, m = t0 + t1, 2 * K.scale
-        c = [m * pi - wi * x for pi, wi in zip(p, w)]
-        top, v1, d1 = _least_cut(above, c)
-        bottom, v0, d0 = _least_cut(below, c)
-        y0, y1 = (-v0, d0), (v1, d1)
-        table.append((t1, cut(*top), cut(*bottom),
-                      forms(_real_chain(uppers, c, y0, y1)),
-                      forms(_real_chain(lowers, c, y0, y1))))
+    for end, (un, ud), edges in K.strips:
+        rows = []
+        for (p0, q0, d0), (p1, q1, d1) in zip(edges, edges[1:]):
+            # The lines A*y + B*z <= c[i] of the section of mP at (x1, x2),
+            # for (x1, x2)/m the middle of the trapezoid: the section of P
+            # there, scaled by m.
+            x1, m = 2 * d0 * d1 * un, 2 * d0 * d1 * ud
+            x2 = (p0 * ud + q0 * un) * d1 + (p1 * ud + q1 * un) * d0
+            c = [m * pi - vi * x1 - wi * x2 for pi, vi, wi in zip(p, v, w)]
+            top, v1, e1 = _least_cut(above, c)
+            bottom, v0, e0 = _least_cut(below, c)
+            y0, y1 = (-v0, e0), (v1, e1)
+            chains = _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)
+            rows.append((p1, q1, d1, *cut(*top), *cut(*bottom), [*map(forms, chains)],
+                         [*map(x1_forms, chains)] if K.n == 4 else None))
+        table.append((*end, *edges[0], *edges[-1], rows))
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
-    """Lattice points of mP (strict: of its interior) for a 2D or 3D kernel,
-    m >= 1 and ``box`` the closed (strict: open) box of mP: per section x,
-    on the forms of the chamber that holds x/m, two cut divisions, and per
-    chain piece one division and one floor sum."""
+def _chamber_count(K: _Kernel, m: int, strict: bool) -> int:
+    """Lattice points of mP (strict: of its interior) for n = 2, 3 or 4 and
+    m >= 1 whose box holds a cell.  Per x1 of the closed (strict: open) box
+    of mP, on the rows of the strip that holds x1/m, the x1 terms are added
+    into the forms; then per section x2 between the strip's bottom and top
+    edges (open for a strict count), on the forms of the trapezoid that
+    holds (x1, x2)/m, two cut divisions, and per chain piece one division
+    and one floor sum."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
-    lo, hi = box[0] if K.n == 3 else (0, 0)
-    s, L = int(strict), K.scale
+    lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
+    s = int(strict)
+    o = s if K.n > 2 else 0  # a strict count opens the edges, but a polygon has no x2
     total = 0
-    for t, (tp, tw, td), (bp, bw, bd), upper, lower in K.chambers:
-        last = min(hi, m * t // L)  # the last x with x/m in the chamber
-        if lo > last:
-            continue
-        # A strict count lowers each right-hand side and cut numerator by
-        # one, as ceil(v/D) - 1 = floor((v - 1)/D).  A piece ends at
-        # ceil(e) - 1 for the crossing e with the next line, where an
-        # integer e gives both lines one floor and a strict piece stays
-        # below the open top cut, which e may reach at a vertex level.
-        tp, bp = m * tp - s, m * bp - s
-        for x in range(lo, last + 1):
-            y1 = (tp - tw * x) // td
-            y0 = -((bp - bw * x) // bd)
-            if y0 > y1:
-                continue
-            total += y1 - y0 + 1
-            for chain in (upper, lower):
-                y = y0
-                for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
-                    end = (m * c - 1 - cw * x) // e if e else y1
-                    if end >= y:
-                        total += _floor_sum(end - y + 1, m * p - s - w * x - A * y, steps)
-                        y = end + 1
+    for un, ud, lp, lq, ld, hp, hq, hd, rows in K.chambers:
+        last = min(hi, m * un // ud)  # the last x1 with x1/m in the strip
+        for x1 in range(lo, last + 1):
+            x2 = -((-m * lp - lq * x1 - o) // ld)
+            top = (m * hp + hq * x1 - o) // hd
+            for ep, eq, ed, tp, tv, tw, td, bp, bv, bw, bd, chains, x1s in rows:
+                stop = (m * ep + eq * x1) // ed  # the last x2 in the trapezoid
+                if stop > top:
+                    stop = top
+                if x2 > stop:
+                    continue
+                # A strict count lowers each right-hand side and cut
+                # numerator by one, as ceil(v/D) - 1 = floor((v - 1)/D).  A
+                # piece ends at ceil(e) - 1 for the crossing e with the next
+                # line, where an integer e gives both lines one floor and a
+                # strict piece stays below the open top cut, which e may
+                # reach at a vertex level.
+                tp, bp = m * tp - s - tv * x1, m * bp - s - bv * x1
+                # The chains' p and c are taken M times: M = m on the
+                # table's forms, which hold at x1 = 0, and M = 1 once m and
+                # the x1 terms are folded in.
+                M = m
+                if x1:
+                    M, chains = 1, [[(m * p - pv * x1, w, A, steps, m * c - cv * x1, cw, e)
+                                     for (p, w, A, steps, c, cw, e), (pv, cv) in zip(*pair)]
+                                    for pair in zip(chains, x1s)]
+                for x in range(x2, stop + 1):
+                    y1 = (tp - tw * x) // td
+                    y0 = -((bp - bw * x) // bd)
+                    if y0 > y1:
+                        continue
+                    total += y1 - y0 + 1
+                    for chain in chains:
+                        y = y0
+                        for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
+                            end = (M * c - 1 - cw * x) // e if e else y1
+                            if end >= y:
+                                total += _floor_sum(end - y + 1, M * p - s - w * x - A * y, steps)
+                                y = end + 1
+                x2 = stop + 1
         lo = last + 1
     return total
 
@@ -328,29 +376,7 @@ def _exact_count(K: _Kernel, m: int, strict: bool, budget: int) -> int:
         return 0
     if not m:  # 0P is the origin, and its interior is empty
         return int(not strict)
-    if K.n < 4:
-        return _chamber_count(K, m, strict, K.box(m, True) if strict else box)
-    return _scan_count(K, m, strict, box)
-
-
-def _scan_count(K: _Kernel, m: int, strict: bool, box: list[tuple[int, int]]) -> int:
-    """:func:`_exact_count` for n >= 2 and a non-empty ``box``, each section
-    by a scan."""
-    rhs = [m * p - int(strict) for p in K.bounds]
-    y0, y1 = box[-2]
-    # Fix the prefix but its last coordinate, which then steps C by the
-    # last weight column from one section to the next; a 2D kernel's one
-    # section is at x = 0 on its axis of zero weights.
-    *outer, (lo, hi) = box[:-2] or [(0, 0)]
-    step = [w[-1] for w in K.weights]
-    total = 0
-    for prefix in product(*(range(a, b + 1) for a, b in outer)):
-        C = [r - sum(map(mul, w, prefix)) - s * lo
-             for r, w, s in zip(rhs, K.weights, step)]
-        for _ in range(lo, hi + 1):
-            total += _section_count(K.plan, C, y0, y1)
-            C = list(map(sub, C, step))
-    return total
+    return _chamber_count(K, m, strict)
 
 
 def count_points(P: Polytope, m: int, strict: bool = False,

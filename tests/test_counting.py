@@ -29,7 +29,6 @@ from ehrhart.counting import (
     _euclid_steps,
     _exact_count,
     _floor_sum,
-    _scan_count,
     _section_count,
     _section_plan,
     count_vector,
@@ -37,6 +36,7 @@ from ehrhart.counting import (
 )
 from conftest import dilate
 from listing_oracle import contains, lattice_points
+from scan_oracle import scan_count
 
 
 def exact_count(P, m, strict):
@@ -382,19 +382,19 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
 
 # ------------------------------------------------------------ chamber walk
 
-def assert_chambers_match_scan(polytopes, dilations=range(1, 41)):
-    # The 2D and 3D counts, closed and strict, through the chamber table
-    # against the scan of every section, on every dilation with a non-empty
-    # box, and on one large prime dilation, where the numerators of the
-    # chamber forms grow like m*p.  A strict count walks the open box.
+def assert_chambers_match_scan(polytopes, dilations=range(1, 41), prime=997):
+    # The counts, closed and strict, through the chamber table against the
+    # scan of every section, on every dilation with a non-empty box, and on
+    # one large prime dilation, where the numerators of the chamber forms
+    # grow like m*p.
     for P in polytopes:
         K = _Kernel(P)
-        for m in [*dilations, 997]:
+        for m in [*dilations, prime]:
             box = K.box(m)
             if all(lo <= hi for lo, hi in box):
-                for strict, walked in ((False, box), (True, K.box(m, True))):
-                    assert _chamber_count(K, m, strict, walked) == \
-                        _scan_count(K, m, strict, box), (P, m, strict)
+                for strict in (False, True):
+                    assert _chamber_count(K, m, strict) == \
+                        scan_count(K, m, strict, box), (P, m, strict)
 
 
 def test_chamber_walk_matches_scan_on_pools(fixtures, theorem_pool, control_pool):
@@ -433,19 +433,50 @@ CHAMBER_HAND_CASES = {
     # whose upper and lower edges are parallel.
     "sliver": [(F(-5, 2), F(-1, 3)), (F(7, 3), 0), (F(-1, 4), F(2, 5))],
     "parallelogram": [(-1, -2), (-1, 0), (1, 2), (1, 0)],
+    # 4D, on strips in x1/m and trapezoids between projected edges: whole
+    # facets at x1 = -m and x1 = m; four vertices over the point (0, 0);
+    # a simplex whose projected edges (0, 0)-(2, 2) and (2, 0)-(0, 2) cross
+    # at (1, 1), inside the projection and at no vertex level; an edge that
+    # projects to the point (1, 0); and vertex levels at 1/3.
+    "cube4": [(a, b, c, d) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
+              for d in (-1, 1)],
+    "cross4": [tuple(sign * (i == j) for j in range(4)) for i in range(4)
+               for sign in (1, -1)],
+    "crossing4": [(0, 0, 0, 0), (2, 0, 1, 0), (2, 2, 0, 1), (0, 2, 0, 0), (3, 1, 1, 1)],
+    "shared4": [(1, 0, 0, 0), (1, 0, 1, 1), (-1, 1, 0, 0), (0, -1, 0, 1), (0, 1, -1, -1),
+                (-1, -1, 1, -1)],
+    "thirds4": [(-1, 0, 0, 0), (third, 1, 1, 1), (third, -1, 1, 0), (third, 0, -1, 1),
+                (third, 0, 0, -1), (1, 0, 0, 0)],
 }
+
+
+@pytest.mark.parametrize("kind", ["lattice", "dual-of-lattice", "rational"])
+def test_chamber_walk_matches_scan_in_4d(kind):
+    # A 4D table has one strip per pair of consecutive vertex levels and
+    # edge crossings in x1/m, and one trapezoid per pair of neighbouring
+    # projected edges in each.
+    assert_chambers_match_scan(instances(
+        GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 2, kind), range(1, 13), 31)
 
 
 @pytest.mark.parametrize("name", sorted(CHAMBER_HAND_CASES))
 def test_chamber_walk_hand_cases(name):
     P = from_vertices(CHAMBER_HAND_CASES[name])
-    assert_chambers_match_scan([P], range(1, 61))
-    for m in range(1, 10):
+    four = P.ambient_dim == 4
+    if four:
+        assert_chambers_match_scan([P], range(1, 13), 31)
+    else:
+        assert_chambers_match_scan([P], range(1, 61))
+    for m in range(1, 5 if four else 10):
         for strict in (False, True):
             assert exact_count(P, m, strict) == \
                 len(lattice_points(P, m, strict=strict)), (name, m, strict)
-    if name == "cube3":  # x = m and x = -m are whole facets
-        assert all(exact_count(P, m, False) == (2 * m + 1) ** 3 for m in range(1, 20))
+    if name in ("cube3", "cube4"):  # x = m and x = -m are whole facets
+        assert all(exact_count(P, m, False) == (2 * m + 1) ** P.ambient_dim
+                   for m in range(1, 20))
+    if name == "crossing4":  # a strip ends where two projected edges cross
+        ends = {F(t, L) for (t, L), _, _ in _Kernel(P).strips}
+        assert 1 in ends and all(v[0] != 1 for v in P.vertices)
 
 
 def test_report_builds_the_chamber_table_once(monkeypatch):
@@ -467,21 +498,31 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
         builds.clear()
         full_report(catalog()[name])
         assert len(builds) == 1, name
+    # `ehrhart count` asks for one closed and one strict count of a 4D
+    # polytope in one request.
+    P, = instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1, "lattice")
+    counts = [exact_count(P, 12, False), exact_count(P, 12, True)]
+    builds.clear()
+    assert count_vector(P, (12,), (12,)) == counts
+    assert len(builds) == 1
 
 
-# The floor sums made by the closed counts m = 1..40, as counted on the
-# chamber walk that still rebuilt every right-hand side per section and
-# summed each chain's last line even when it held no integer.  The walk on
-# precomputed affine forms makes 6560 and 6563.
-FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679}
+# The floor sums made by the closed counts m = 1..40 (m = 1..12 in 4D), as
+# counted on the chamber walk that still rebuilt every right-hand side per
+# section and summed each chain's last line even when it held no integer.
+# The walk on precomputed affine forms makes 6560 and 6563; the 4D walk on
+# trapezoids makes 9871.
+FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679,
+                      "lattice 4D, seed 8200": 9871}
 
 
 def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
     # A deterministic guard on the walk's work.  A scan of every section
-    # makes about as many floor sums (6560 and 6542 here), so the scan and
-    # its envelope and cut helpers are watched too: no 2D or 3D count,
-    # closed or strict, may run them.
-    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": [], "_scan_count": []}
+    # makes about as many floor sums (6560, 6542 and 9838 here), so the
+    # scan's envelope and cut helpers are watched too: no count, closed or
+    # strict, may run them, and the scan itself is left to the tests.
+    assert not hasattr(counting, "_scan_count")
+    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": []}
     for name, seen in calls.items():
         def counted(*args, real=getattr(counting, name), seen=seen):
             seen.append(args)
@@ -492,16 +533,22 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
                           "rational")
     polygon, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1,
                          "rational")
-    for name, P in (("octa3", catalog()["octa3"]), ("rational 3D, seed 8200", rational),
-                    ("diamond2", catalog()["diamond2"]), ("rational 2D, seed 8200", polygon)):
+    lattice4, = instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1,
+                          "lattice")
+    for name, P, dilations in (
+            ("octa3", catalog()["octa3"], range(1, 41)),
+            ("rational 3D, seed 8200", rational, range(1, 41)),
+            ("diamond2", catalog()["diamond2"], range(1, 41)),
+            ("rational 2D, seed 8200", polygon, range(1, 41)),
+            ("lattice 4D, seed 8200", lattice4, range(1, 13))):
         for seen in calls.values():
             seen.clear()
-        for m in range(1, 41):
+        for m in dilations:
             count_points(P, m)
         assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST.get(name, math.inf), name
-        for m in range(1, 41):
+        for m in dilations:
             count_points(P, m, strict=True)
-        assert calls["_envelope_sum"] == calls["_section_count"] == calls["_scan_count"] == [], name
+        assert calls["_envelope_sum"] == calls["_section_count"] == [], name
 
 
 # ---------------------------------------------------------- interior shift
@@ -572,10 +619,10 @@ def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, 
 
 
 def test_empty_box_makes_no_sections(monkeypatch):
-    # The box of this slab at m = 1 is empty on its last axis: the count
-    # and the witness walk return before the 6001 prefixes of its first,
-    # and the closed count builds no chamber table and makes no floor sum,
-    # the kernel of the scan and of the chamber walk alike.
+    # The box of these 3D and 4D slabs at m = 1 is empty on its last axis:
+    # the count and the witness walk return before the 6001 prefixes of
+    # their first, and the count builds no chamber table and makes no floor
+    # sum, the kernel of the scan and of the chamber walk alike.
     calls = []
     for name in ("_section_count", "_chamber_table", "_floor_sum"):
         def counted(*args, real=getattr(counting, name)):
@@ -583,9 +630,11 @@ def test_empty_box_makes_no_sections(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(counting, name, counted)
-    P = box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(1, 3), F(2, 3)))
-    assert count_points(P, 1, budget=1) == 0
-    assert counting._shift_witness(_Kernel(P), 1) is None
+    for P in (box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(1, 3), F(2, 3))),
+              box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(-1), F(1)),
+                           (F(1, 3), F(2, 3)))):
+        assert count_points(P, 1, budget=1) == 0
+        assert counting._shift_witness(_Kernel(P), 1) is None
     assert calls == []
 
 
