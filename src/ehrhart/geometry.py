@@ -3,23 +3,22 @@
 A polytope is held in one canonical integer form: its scale L, the least
 positive integer with LP a lattice polytope; the vertices of LP as sorted
 integer rows; and its facets as sorted rows (a, b) with a primitive integer
-normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, one
-integer facet scan with no linear program) builds that form from the input
-without a ``fractions.Fraction``; the denominator, the vertex ranges and
-the polar dual (vertices and facets swapped, no scan) are read off it.
+normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, an
+incremental integer hull with no linear program) builds that form from the
+input without a ``fractions.Fraction``; the denominator, the vertex ranges
+and the polar dual (vertices and facets swapped, no hull) are read off it.
 ``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
 only views of the rows, built on first use and cached in the instance
 ``__dict__`` beside the four fields, and :mod:`fractions` is imported only
 where a point or a view is built.  There is no floating point anywhere in
-this package.  The scan suits desk scale (tens of vertices, dimension
-<= 4), which a fixed ambient-dimension cap guards.
+this package.  The hull takes hundreds of points; the counts suit
+dimension <= 4, which a fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -36,8 +35,8 @@ if TYPE_CHECKING:  # imported where a point or a view is built, not before
 
 Coordinate = Union["Fraction", int, str]
 
-#: Exhaustive facet search and box enumeration blow up beyond desk scale,
-#: so no hull is built in a higher dimension.
+#: The counts walk chamber tables of dimension n - 2 <= 2 only, so no hull
+#: is built in a higher dimension.
 MAX_DIM = 4
 
 
@@ -119,15 +118,13 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     pairs, denominators positive.
 
     The points are scaled to integers by the lcm L of their denominators,
-    and every hyperplane through n of them with all the others on one side
-    is a facet <a, x> <= b / L, a primitive.  A point is a vertex when no
-    other point lies on every facet through it.  One scan tests the planes
-    through the C(N, n) n-subsets of the N unique points against all of
-    them, the per-axis extreme points first, so that a plane that is no
-    facet soon meets points on both of its sides.  L then drops the factor
-    the vertices do not need.  Raises ``DimensionDeficient`` when the points
-    do not span the ambient space, and ``AmbientDimensionCap`` when it has
-    more than ``MAX_DIM`` dimensions.
+    and their hull is built by inserting them one at a time, the per-axis
+    extreme points first: in sorted order each point would lie beyond the
+    hull so far.  Each facet is <a, x> <= b / L, a primitive.  A
+    point is a vertex when no other point lies on every facet through it.
+    L then drops the factor the vertices do not need.  Raises
+    ``DimensionDeficient`` when the points do not span the ambient space,
+    and ``AmbientDimensionCap`` when it has more than ``MAX_DIM`` dimensions.
     """
     if not points:
         raise EmptyInput("need at least one point")
@@ -149,7 +146,6 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     # for any other point also each vertex of the least face that holds it.
     common: list[Optional[set[int]]] = [None] * len(ints)
     for _, _, on in planes:
-        on = set(on)
         for i in on:
             common[i] = on if common[i] is None else common[i] & on
     rows = sorted(p for p, c in zip(ints, common) if c is not None and len(c) == 1)
@@ -161,61 +157,74 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
 
 # A facet of the hull of integer points: (a, b, tight) with <a, p> <= b for
 # every point p, equality exactly at the indices in tight, and a primitive.
-_Plane = tuple[tuple[int, ...], int, list[int]]
+_Plane = tuple[tuple[int, ...], int, set[int]]
 
 
 def _supporting_planes(points: Sequence[tuple[int, ...]],
                        n: int) -> Optional[list[_Plane]]:
-    """The facets of the hull of integer points, by one scan of the
-    hyperplanes through n of them, or None when the points do not span R^n.
-    Every facet of a full-dimensional polytope holds n affinely independent
-    points, so the scan finds each one; points that do not span R^n give no
-    hyperplane at all, or one that holds every point.
+    """The facets of the hull of integer points by beneath-beyond (Seidel
+    1981), or None when the points do not span R^n.  From a start simplex,
+    each point p joins every facet whose plane holds it, and the facets it
+    sees (v = <a, p> - b > 0) give way to v_u (a_w, b_w) - v_w (a_u, b_u),
+    through p, across each ridge between a seen u and a w with v_w < 0.
     """
-    zero = (0,) * n
-    seen = set()
-    planes = []
-    for subset in combinations(points, n):
-        base = subset[0]
-        diffs = [[c - o for c, o in zip(p, base)] for p in subset[1:]]
-        if n == 3:
-            (p1, p2, p3), (q1, q2, q3) = diffs
-            normal = [p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1]
-        else:
-            # The signed (n-1)-minors are orthogonal to every difference.
-            normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs])
-                      for j in range(n)]
+    # Bareiss elimination finds the simplex: its exact divisions keep every
+    # entry a minor of the differences, so digits do not pile up.
+    start, basis = [0], []
+    for i, p in enumerate(points[1:], 1):
+        v = [c - o for c, o in zip(p, points[0])]
+        prev = 1
+        for row, j in basis:
+            v = [(row[j] * x - v[j] * y) // prev for x, y in zip(v, row)]
+            prev = row[j]
+        if any(v):
+            basis.append((v, next(j for j, c in enumerate(v) if c)))
+            start.append(i)
+            if len(start) > n:
+                break
+    else:
+        return None
+    facets = {}  # (a, b) -> the points inserted so far on the plane
+    for k in start:  # the simplex facet opposite point k
+        on = [i for i in start if i != k]
+        base = points[on[0]]
+        diffs = [[c - o for c, o in zip(points[i], base)] for i in on[1:]]
+        # The signed (n-1)-minors are orthogonal to every difference.
+        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs])
+                  for j in range(n)]
         g = math.gcd(*normal)
-        if g == 0:
-            continue
+        if sum(map(mul, normal, points[k])) > sum(map(mul, normal, base)):
+            g = -g
         a = tuple(c // g for c in normal)
-        if a < zero:  # test each plane in one orientation only
-            a = tuple(-c for c in a)
-        b = sum(map(mul, a, base))
-        if (a, b) in seen:
+        facets[a, sum(map(mul, a, base))] = set(on)
+    for i, p in enumerate(points):
+        if i in start:
             continue
-        seen.add((a, b))
-        above = below = False
-        tight = []
-        for i, p in enumerate(points):
-            value = sum(map(mul, a, p))
-            if value == b:
-                tight.append(i)
-            elif value < b:
-                below = True
-                if above:
-                    break
-            else:
-                above = True
-                if below:
-                    break
-        else:
-            if above:
-                a, b = tuple(-c for c in a), -b
-            elif not below:
-                return None
-            planes.append((a, b, tight))
-    return planes or None
+        value = {f: sum(map(mul, f[0], p)) - f[1] for f in facets}
+        seen = [f for f, v in value.items() if v > 0]
+        for f, v in value.items():
+            if v == 0:
+                facets[f].add(i)
+        new = {}
+        for u in seen:
+            (au, bu), vu, on = u, value[u], facets[u]
+            for w, vw in value.items():
+                if vw >= 0:
+                    continue
+                # A ridge is the meet of exactly two facets; any lower face
+                # lies in a third.  Distinct ridges give distinct planes.
+                common = on & facets[w]
+                if len(common) < n - 1 or any(
+                        common <= t for f, t in facets.items() if f != u and f != w):
+                    continue
+                aw, bw = w
+                a = [vu * x - vw * y for x, y in zip(aw, au)]
+                g = math.gcd(*a)
+                new[tuple(c // g for c in a), (vu * bw - vw * bu) // g] = common | {i}
+        for f in seen:
+            del facets[f]
+        facets.update(new)
+    return [(a, b, on) for (a, b), on in facets.items()]
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ehrhart import (
@@ -10,6 +13,7 @@ from ehrhart import (
     generators,
     instances,
     is_lattice,
+    polytope_to_json_dict,
 )
 from hull_oracle import affine_rank
 from listing_oracle import contains
@@ -43,6 +47,35 @@ def test_determinism_sequences():
     first = instances(cfg, 5, kind="rational")
     second = instances(cfg, 5, kind="rational")
     assert [p.vertices for p in first] == [p.vertices for p in second]
+
+
+# The sha256 of [polytope_to_json_dict(P), P.facet_rows] over three draws of
+# each kind, per seed and dimension, at the coordinate bounds the benchmark
+# draws with (perfbench/corpus.py).  A change to the hull or to the sampler
+# that would move the benchmark's corpora fails here.
+STREAM_SHA256 = {
+    (1, 1): "91b6104d375d8e002eca3ebecfa324e3446f3c99e5fdeb7fc2a5f35655b54858",
+    (1, 2): "bf15048fb55ace13a7c9f68b7da48d60be80255e250351e89737267a0f234a84",
+    (1, 3): "df449634319bb2c80fd4799289d31e45730253c7a8cef87a5990cba8b57019ce",
+    (1, 4): "02603b83125a4fadaa12198e4be748397f30f40a3acd6dddc104cff3f80d486e",
+    (2, 1): "373969906f2997c76f6917f94e92c3e105a423c6cdea45822857bc365a6698ce",
+    (2, 2): "0c61982a7d6864d9a57774cb143c4aa38d55ec4f145627c3243bed234b4f363a",
+    (2, 3): "7f9146551f325f443900fbd87b5a68276e2b634670cc5346644b21cda41dce22",
+    (2, 4): "ff05c92c9a33ffd5bddeedb35f3fa6d44ac098ae7844da5e589fc389603c2cad",
+}
+
+
+def test_instance_stream_is_pinned():
+    digests = {}
+    for seed in (1, 2):
+        for dim, bound in ((1, 3), (2, 2), (3, 1), (4, 1)):
+            cfg = GeneratorConfig(seed=seed, dim=dim, coordinate_bound=bound)
+            docs = [[polytope_to_json_dict(P), P.facet_rows]
+                    for kind in ("lattice", "dual-of-lattice", "rational")
+                    for P in instances(cfg, 3, kind)]
+            text = json.dumps(docs, sort_keys=True)
+            digests[seed, dim] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == STREAM_SHA256
 
 
 def test_unknown_kind_rejected():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -25,7 +26,7 @@ from ehrhart import (
     origin_interior,
     polytope_to_json_dict,
 )
-from ehrhart.geometry import dual_denominator, vertex_ranges
+from ehrhart.geometry import _supporting_planes, dual_denominator, vertex_ranges
 from conftest import THEOREM_POOL_SPEC, dilate
 from hull_oracle import affine_rank, in_convex_hull, oracle_hull, primitive
 from listing_oracle import contains
@@ -337,17 +338,88 @@ def test_from_vertices_matches_oracle_on_dense_cloud():
                            for _ in range(40)])
 
 
+# The per-axis extreme points are only the origin and (2, ..., 2): they do
+# not span R^n, so the start simplex needs the other points.
+EXTREMES_FLAT = ([(0, 0), (2, 2), (1, 0)],
+                 [(0, 0, 0), (2, 2, 2), (1, 0, 0), (0, 1, 0)],
+                 [(0, 0, 0, 0), (2, 2, 2, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+
+
 def test_from_vertices_matches_oracle_on_hand_cases():
-    # The per-axis extreme points are only (0, 0) and (2, 2), or the 3D
-    # analogue: they do not span R^n, so the scan that starts with them
-    # needs the other points to find any facet.
-    for points in ([(0, 0), (2, 2), (1, 0)],
-                   [(0, 0, 0), (2, 2, 2), (1, 0, 0), (0, 1, 0)]):
+    for points in EXTREMES_FLAT:
         assert_matches_oracle(points)
         assert len(from_vertices(points).vertices) == len(points)
     assert_matches_oracle([(3,)])
     simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
     assert_matches_oracle(simplex5 + [(-1,) * 5])  # both refuse it: over the cap
+
+
+def assert_planes_match_oracle(points):
+    """The hull of integer points, inserted in the order given, against the
+    oracle's facets and, for each, the indices of the points on it."""
+    expected = {facet: {i for i, p in enumerate(points) if value(facet[0], p) == facet[1]}
+                for facet in oracle_hull(points).facets}
+    planes = _supporting_planes(points, len(points[0]))
+    assert {(tuple(map(F, a)), F(b)): on for a, b, on in planes} == expected, points
+
+
+SIMPLEX3 = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+
+
+@pytest.mark.parametrize("points", [
+    # Beyond two facets and on the plane of the facet z = 0 between them:
+    # that facet grows by the point across both of its horizon ridges, and
+    # (4, 0, 0) drops to a point inside it.
+    SIMPLEX3 + [(12, -4, 0)],
+    # Inside; inside the facet z = 0; on the edge of z = 0 and x + y + z = 4;
+    # on a vertex; then (4, 4, 0), beyond x + y + z = 4 and on z = 0, whose
+    # new facets must list the earlier points on them; then an edge point.
+    SIMPLEX3 + [(1, 1, 1), (1, 1, 0), (2, 2, 0), (0, 0, 0), (4, 4, 0), (0, 2, 2)],
+    # The 4D cube, in an order where a point lands on the plane of a facet
+    # that holds part of a cube facet, beyond two of that facet's ridges.
+    [(0, 1, 0, 1), (0, 1, 1, 1), (0, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1),
+     (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 0, 1, 1),
+     (0, 1, 1, 0), (1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1),
+     (0, 0, 0, 0)],
+    # Duplicates, of a point of the start simplex and of a later vertex.
+    [(0, 0), (0, 0), (3, 0), (0, 3), (3, 3), (3, 3), (1, 2)],
+    # A point dependent on the first two waits past the start simplex, and
+    # then lands on an edge.
+    [(0, 0, 0), (2, 2, 2), (1, 1, 1), (1, 0, 0), (0, 1, 0)],
+    *EXTREMES_FLAT,
+], ids=["coplanar-beyond", "inside-boundary-ridge", "cube4", "duplicates",
+        "dependent-start", "extremes-flat-2", "extremes-flat-3", "extremes-flat-4"])
+def test_insertion_matches_oracle(points):
+    assert_planes_match_oracle(points)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 1), (3, 3), (-2, -2)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0), (5, 5, -9)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)],
+    [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8), (1, 0, 0, 0), (3, 2, 3, 4)],
+], ids=["2d-line", "3d-plane", "4d-hyperplane", "4d-plane"])
+def test_flat_clouds_are_dimension_deficient(points):
+    assert _supporting_planes(points, len(points[0])) is None
+    assert hull_outcome(from_vertices, points) is DimensionDeficient
+    assert_matches_oracle(points)
+
+
+@pytest.mark.parametrize("dim, count", [(3, 240), (4, 60)])
+def test_large_cloud_vertices_match_qhull(dim, count):
+    # The time bound guards the hull's scale: a scan of the C(N, n) planes
+    # through n of the points takes tens of seconds at these sizes.
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = SplitMix64(dim * 1000 + count)
+    pts = [tuple(rng.integer(-50, 50) for _ in range(dim)) for _ in range(count)]
+    start = time.perf_counter()
+    P = from_vertices(pts)
+    assert time.perf_counter() - start < 2
+    hull = spatial.ConvexHull([[float(c) for c in p] for p in pts])
+    assert set(P.vertices) == {tuple(map(F, pts[i])) for i in hull.vertices}
+    for a, b in P.facets:
+        on = [p for p in pts if value(a, p) == b]
+        assert all(value(a, p) <= b for p in pts) and affine_rank(on) == dim - 1
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
