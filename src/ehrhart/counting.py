@@ -37,16 +37,16 @@ of a segment whose k is near 10^12) add up to unbounded work; then each m
 is counted once its box of mP, like that of a single :func:`count_points`,
 is found to hold at most ``budget`` cells (none are charged in 1D).
 
-The interior shift is decided by counts too (:func:`interior_shift_mismatch`):
-only on a count mismatch are points looked at, to name a witness.
+The interior shift is decided by counts too (:func:`interior_shift_mismatch`);
+only on a mismatch is a witness looked for, by bisection on the counts
+clipped to a corner of the prefix box.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cmp_to_key
-from itertools import product
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -67,15 +67,16 @@ class _Kernel:
     the per-axis (min, max) of the vertex rows, over ``scale``.  On the
     last two axes, with the first n-2 fixed to a prefix x, facet i is the
     line A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where
-    (A_i, B_i) and ``weights[i]`` are the last two and the other
-    coefficients of q_i*a_i.
-    ``plan`` is the :func:`_section_plan` of those lines, ``strips`` the
-    :func:`ehrhart._strips.strips` of the projection of P to the prefix
-    axes, and ``chambers`` the :func:`_chamber_table` on them, built on the
-    first count, closed or strict, that walks a section.  The prefix of a
-    2D or 3D kernel is padded to (x1, x2) by zero-weight axes at x1 = 0: a
-    3D kernel has one strip whose edges are its vertex levels x2/m = t/L, a
-    2D kernel one trapezoid, of the levels [0, 0].
+    ``lines[i]`` = (A_i, B_i) and ``weights[i]`` are the last two and the
+    other coefficients of q_i*a_i.
+    ``plan`` is the :func:`_section_plan` of the lines, with no level cut,
+    ``strips`` the :func:`ehrhart._strips.strips` of the projection of P to
+    the prefix axes, and ``chambers`` the :func:`_chamber_table` on them,
+    built on the first count, closed, strict or clipped, that walks a
+    section.  The prefix of a 2D or 3D kernel is padded to (x1, x2) by
+    zero-weight axes at x1 = 0: a 3D kernel has one strip whose edges are
+    its vertex levels x2/m = t/L, a 2D kernel one trapezoid, of the levels
+    [0, 0].
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -85,7 +86,8 @@ class _Kernel:
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] or [0] for row in scaled]
-        self.plan = _section_plan([row[-2:] for row in scaled]) if self.n > 1 else None
+        self.lines = [row[-2:] for row in scaled]
+        self.plan = _section_plan(self.lines) if self.n > 1 else None
         if self.n == 4:  # a 2D or 3D count does not compile the 4D decomposition
             from ._strips import strips
             self.strips = strips(P)
@@ -137,45 +139,14 @@ def _floor_sum(n: int, b: int, steps: Sequence[tuple[int, int, int]]) -> int:
 _Line = tuple[int, int, int, tuple]
 
 
-def _envelope_sum(lines: Sequence[_Line], C: Sequence[int], y: int, y1: int) -> int:
-    """Sum over y..y1 of min_i floor((C[i] - A_i*y) / B_i), all B_i > 0.
-
-    Walks the lower envelope left to right, one :func:`_floor_sum` per
-    piece.  Each piece ends where a faster-falling line passes below, so
-    slopes only fall, and only the faster-falling lines stay candidates for
-    the next piece.  Comparisons are cross-multiplied, so exact.
-    """
-    total = 0
-    while y <= y1:
-        # A line lowest at y.  It stays lowest until a faster-falling line
-        # passes below it, which a line tied with it at y does at y + 1.
-        A, B, i, steps = lines[0]
-        for a, b, j, s in lines:
-            if (C[j] - a * y) * B < (C[i] - A * y) * b:
-                A, B, i, steps = a, b, j, s
-        end = y1
-        faster = []
-        for a, b, j, s in lines:
-            steeper = a * B - A * b
-            if steeper > 0:
-                faster.append((a, b, j, s))
-                cut = (C[j] * B - C[i] * b) // steeper
-                if cut < end:
-                    end = cut
-        total += _floor_sum(end - y + 1, C[i] - A * y, steps)
-        y = end + 1
-        lines = faster
-    return total
-
-
 def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
-    """What a section count of the lines A*y + B*z <= C[i] needs of their
-    (A, B) alone.  Returns the uppers (A, B, i, steps) with B > 0, the lowers
-    (A, -B, i, steps) with B < 0 (z >= (A*y - C[i]) / -B), steps the
-    :func:`_euclid_steps` of the slope, and the cuts (D, i, s, j, t), each
-    D*y <= s*C[i] + t*C[j], in three lists by the sign of D, negative D
-    negated.  By Fourier-Motzkin the section is non-empty over the reals
-    exactly where the B = 0 rows and every lower-below-upper pair hold.
+    """What the chamber table needs of the lines A*y + B*z <= C[i] of a
+    section, from their (A, B) alone: the uppers (A, B, i, steps) with
+    B > 0, the lowers (A, -B, i, steps) with B < 0, as z >= (A*y - C[i])/-B,
+    steps the :func:`_euclid_steps` of the slope, and the Fourier-Motzkin
+    cuts D*y <= s*C[i] + t*C[j] of the B = 0 rows and the lower-upper pairs,
+    as (D, i, s, j, t) in two lists by the sign of D, negative D negated.  A
+    cut with D = 0 holds on all of the projection of P, where the table looks.
     """
     uppers, lowers, cuts = [], [], []
     for i, (A, B) in enumerate(lines):
@@ -187,31 +158,8 @@ def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
             cuts.append((A, i, 1, i, 0))
     cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
              for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
-    return (uppers, lowers, [c for c in cuts if c[0] == 0], [c for c in cuts if c[0] > 0],
+    return (uppers, lowers, [c for c in cuts if c[0] > 0],
             [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0])
-
-
-def _section_count(plan: tuple, C: Sequence[int], y0: int, y1: int) -> int:
-    """Lattice points (y, z) with y0 <= y <= y1 and A*y + B*z <= C[i] for
-    every line of the plan: one two-dimensional section of a dilate."""
-    uppers, lowers, level, above, below = plan
-    for _, i, s, j, t in level:
-        if s * C[i] + t * C[j] < 0:
-            return 0
-    for D, i, s, j, t in above:
-        cut = (s * C[i] + t * C[j]) // D
-        if cut < y1:
-            y1 = cut
-    for D, i, s, j, t in below:
-        cut = -((s * C[i] + t * C[j]) // D)
-        if cut > y0:
-            y0 = cut
-    if y0 > y1:
-        return 0
-    # Column y holds floor(upper) - ceil(lower) + 1 >= 0 points, and
-    # -ceil(lower) is the same min-of-floors form as the upper envelope.
-    return (_envelope_sum(uppers, C, y0, y1) + _envelope_sum(lowers, C, y0, y1)
-            + (y1 - y0 + 1))
 
 
 def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
@@ -264,7 +212,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     last line.  In 4D, ``x1s`` holds the line's x1 weights
     (v_i, v_j*B - v_i*b); a 2D or 3D kernel's x1 is 0, and its ``x1s`` None.
     """
-    uppers, lowers, _, above, below = K.plan
+    uppers, lowers, above, below = K.plan
     p, w = K.bounds, [weight[-1] for weight in K.weights]
     v = [weight[0] for weight in K.weights] if K.n == 4 else [0] * len(p)
 
@@ -301,17 +249,21 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, strict: bool) -> int:
+def _chamber_count(K: _Kernel, m: int, strict: bool,
+                   clip: Optional[Sequence[int]] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 2, 3 or 4 and
-    m >= 1 whose box holds a cell.  Per x1 of the closed (strict: open) box
-    of mP, on the rows of the strip that holds x1/m, the x1 terms are added
-    into the forms; then per section x2 between the strip's bottom and top
-    edges (open for a strict count), on the forms of the trapezoid that
-    holds (x1, x2)/m, two cut divisions, and per chain piece one division
-    and one floor sum."""
+    m >= 1 whose box holds a cell; with ``clip`` = (c1, c2), only those
+    whose padded prefix has x1 <= c1 and x2 <= c2.  Per x1 of the closed
+    (strict: open) box of mP, on the rows of the strip that holds x1/m, the
+    x1 terms are added into the forms; then per section x2 between the
+    strip's bottom and top edges (open for a strict count), on the forms of
+    the trapezoid that holds (x1, x2)/m, two cut divisions, and per chain
+    piece one division and one floor sum."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
+    if clip is not None:
+        hi = min(hi, clip[0])
     s = int(strict)
     o = s if K.n > 2 else 0  # a strict count opens the edges, but a polygon has no x2
     total = 0
@@ -320,6 +272,8 @@ def _chamber_count(K: _Kernel, m: int, strict: bool) -> int:
         for x1 in range(lo, last + 1):
             x2 = -((-m * lp - lq * x1 - o) // ld)
             top = (m * hp + hq * x1 - o) // hd
+            if clip is not None and top > clip[1]:
+                top = clip[1]
             for ep, eq, ed, tp, tv, tw, td, bp, bv, bw, bd, chains, x1s in rows:
                 stop = (m * ep + eq * x1) // ed  # the last x2 in the trapezoid
                 if stop > top:
@@ -430,11 +384,12 @@ def interior_shift_mismatch(P: Polytope, m: int,
 def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     """The least lattice point of int(mP) outside (m-1)P, or None.
 
-    Walks the count's prefixes in lexicographic order and, within a
-    prefix whose two section counts differ, its columns y = y0..y1.  Each
-    column of (m-1)P lies in that of int(mP), so the first column whose
-    counts differ holds the witness: the inner column's least point, or
-    the one just above the outer column when both start there.
+    (m-1)P lies in int(mP), so the clipped strict count of mP less the
+    clipped closed count of (m-1)P counts such points under the clip.  Each
+    prefix coordinate in turn is bisected to the least clip that holds one,
+    the later ones unclipped.  In the one section found, the first column
+    whose lengths differ holds the witness: the inner column's least point,
+    or the one just above the outer column when both start there.
     """
     box = K.box(m)
     if any(lo > hi for lo, hi in box):
@@ -444,21 +399,34 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
         (olo, ohi), = K.box(m - 1)
         z = lo if olo > ohi or lo < olo else ohi + 1
         return (z,) if z <= hi else None
-    def bottom(C: list[int], y: int) -> int:  # the least z of column y
-        return -_envelope_sum(K.plan[1], C, y, y)
 
-    y0, y1 = box[-2]
-    for prefix in product(*(range(a, b + 1) for a, b in box[:-2])):
-        dots = [sum(map(mul, w, prefix)) for w in K.weights]
-        inner = [m * p - 1 - d for p, d in zip(K.bounds, dots)]
-        outer = [(m - 1) * p - d for p, d in zip(K.bounds, dots)]
-        if _section_count(K.plan, inner, y0, y1) == _section_count(K.plan, outer, y0, y1):
-            continue
-        for y in range(y0, y1 + 1):
-            shared = _section_count(K.plan, outer, y, y)
-            if _section_count(K.plan, inner, y, y) != shared:
-                z = bottom(inner, y)
-                if shared and z == bottom(outer, y):
-                    z += shared
-                return (*prefix, y, z)
+    def differ(axis: int, t: int) -> bool:  # 0P is the origin, at (x1, x2) = (0, 0)
+        clip[axis] = t
+        outer = _chamber_count(K, m - 1, False, clip) if m > 1 else int(min(clip) >= 0)
+        return _chamber_count(K, m, True, clip) != outer
+
+    pad = 4 - K.n  # the prefix axes, padded to (x1, x2) at x1 = 0 in 3D
+    clip = [0] * pad + [hi for _, hi in box[:-2]]
+    for axis, (lo, hi) in enumerate(K.box(m, True)[:-2], pad):  # witnesses are interior
+        clip[axis] = lo + bisect_left(range(lo, hi), True, key=lambda t: differ(axis, t))
+    prefix = clip[pad:]
+    dots = [sum(w * x for w, x in zip(weights, prefix)) for weights in K.weights]
+    (y0, y1), (z0, z1) = box[-2:]
+
+    def column(M: int, s: int, y: int) -> tuple[int, int]:  # z range of MP, s = 1: int(MP)
+        lo, hi = z0, z1
+        for (A, B), p, d in zip(K.lines, K.bounds, dots):
+            c = M * p - s - d - A * y
+            if B > 0:
+                hi = min(hi, c // B)
+            elif B < 0:
+                lo = max(lo, -(c // -B))
+            elif c < 0:  # a B = 0 row leaves the column empty
+                return z0, z0 - 1
+        return lo, hi
+
+    for y in range(y0, y1 + 1):
+        (lo, hi), (olo, ohi) = column(m, 1, y), column(m - 1, 0, y)
+        if max(hi - lo, -1) != max(ohi - olo, -1):
+            return (*prefix, y, lo if olo > ohi or lo < olo else ohi + 1)
     return None

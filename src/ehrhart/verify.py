@@ -18,6 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from . import counting
 from .counting import DEFAULT_BUDGET, count_vector, interior_shift_mismatch
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
@@ -174,7 +175,8 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     All counts are one request on one kernel: the closed L(0..k(n+1)-1) of
     both delta-vector routes, run on to L(m_max - 1) for the interior shift
     when the dual is a lattice polytope, then the strict counts of mP for
-    m = 1..m_max.  Raises ``InternalInconsistency`` instead of producing a
+    m = 1..m_max; a mismatch of the interior shift takes its witness from
+    a kernel of its own.  Raises ``InternalInconsistency`` instead of a
     report when the two delta-vector routes disagree (:func:`checked_delta`);
     before any count, ``ValueError`` when m_max < 1 and
     ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
@@ -199,7 +201,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
         checks.append(CheckResult("interior_shift", True) if m is None else
                       CheckResult("interior_shift", False, {
-                          "m": m, "point": interior_shift_mismatch(P, m, budget=budget)}))
+                          "m": m, "point": counting._shift_witness(counting._Kernel(P), m)}))
     checks.append(check_theorem(qp.table))
     checks.append(palindrome)
     checks.append(check_equivalence(qp.table, d))

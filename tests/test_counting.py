@@ -29,14 +29,12 @@ from ehrhart.counting import (
     _euclid_steps,
     _exact_count,
     _floor_sum,
-    _section_count,
-    _section_plan,
     count_vector,
     interior_shift_mismatch,
 )
 from conftest import dilate
 from listing_oracle import contains, lattice_points
-from scan_oracle import scan_count
+from scan_oracle import _section_count, _section_plan, scan_count
 
 
 def exact_count(P, m, strict):
@@ -277,6 +275,29 @@ def test_one_dimensional_counts_are_charged_no_cells():
 
 # ------------------------------------------------- floor sums and sections
 
+def test_oracles_take_only_the_kernel_and_floor_sums_from_counting():
+    # The listing oracle takes nothing from ehrhart.counting and the scan
+    # oracle only the kernel and the floor sums, so neither can share the
+    # section or chamber code that it checks.
+    import ast
+    from pathlib import Path
+
+    def taken(path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "ehrhart.counting":
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module == "ehrhart":
+                names |= {"*" for alias in node.names if alias.name in ("counting", "*")}
+            elif isinstance(node, ast.Import):
+                names |= {"*" for alias in node.names if alias.name == "ehrhart.counting"}
+        return names
+
+    here = Path(__file__).parent
+    assert taken(here / "listing_oracle.py") == set()
+    assert taken(here / "scan_oracle.py") == {"_Kernel", "_euclid_steps", "_floor_sum"}
+
+
 def brute_floor_sum(n, m, a, b):
     return sum((a * i + b) // m for i in range(n))
 
@@ -479,6 +500,44 @@ def test_chamber_walk_hand_cases(name):
         assert 1 in ends and all(v[0] != 1 for v in P.vertices)
 
 
+# At m = 1, x1 spans -4..2 and x2 spans -3..6, and the least interior-shift
+# witness is (-2, 1, -1, 1): a witness search that clipped x2 at the clip of
+# x1 while it bisects x1 would miss it at the first clip, x1 <= -1.
+UNEVEN4 = [(F(-3, 2), 1, F(-1, 2), 2), (0, -3, F(-3, 2), 1), (-1, 6, F(-1, 2), F(-1, 2)),
+           (-3, 0, 2, 2), (2, -3, F(3, 2), -2), (-4, 3, -2, 2)]
+
+
+@pytest.mark.parametrize("build", [
+    rational_3d,
+    lambda: instances(GeneratorConfig(seed=8104, dim=3, coordinate_bound=1), 1,
+                      "dual-of-lattice")[0],
+    lambda: instances(GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 1,
+                      "rational")[0],
+    lambda: from_vertices(UNEVEN4),
+], ids=["rational 3D, seed 8200", "dual-of-lattice 3D, seed 8104",
+        "rational 4D, seed 8104", "uneven4"])
+def test_clipped_chamber_count_matches_listed_points(build):
+    # A clip (c1, c2) keeps the points whose padded prefix (x1, x2) is at
+    # most (c1, c2): that is (x[0], x[1]) in 4D and (0, x[0]) in 3D.  The
+    # clips run below, inside and above the box on each axis.
+    P = build()
+    K = _Kernel(P)
+    for m in (1, 2, 4):
+        box = K.box(m)
+        if any(lo > hi for lo, hi in box):
+            continue
+        axes = box[:2] if P.ambient_dim == 4 else [(0, 0), box[0]]
+        c1s, c2s = [sorted({lo - 1, lo, (lo + hi) // 2, hi, hi + 1}) for lo, hi in axes]
+        for strict in (False, True):
+            prefixes = [x[:2] if P.ambient_dim == 4 else (0, x[0])
+                        for x in lattice_points(P, m, strict=strict)]
+            for c1 in c1s:
+                for c2 in c2s:
+                    listed = sum(x1 <= c1 and x2 <= c2 for x1, x2 in prefixes)
+                    assert _chamber_count(K, m, strict, (c1, c2)) == listed, \
+                        (P, m, strict, c1, c2)
+
+
 def test_report_builds_the_chamber_table_once(monkeypatch):
     builds = []
     chamber_table = counting._chamber_table
@@ -519,16 +578,18 @@ FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679,
 def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
     # A deterministic guard on the walk's work.  A scan of every section
     # makes about as many floor sums (6560, 6542 and 9838 here), so the
-    # scan's envelope and cut helpers are watched too: no count, closed or
-    # strict, may run them, and the scan itself is left to the tests.
-    assert not hasattr(counting, "_scan_count")
-    calls = {"_floor_sum": [], "_envelope_sum": [], "_section_count": []}
-    for name, seen in calls.items():
-        def counted(*args, real=getattr(counting, name), seen=seen):
-            seen.append(args)
-            return real(*args)
+    # scan and its section and envelope helpers are left to the tests:
+    # neither a count nor the interior-shift witness can run them.
+    for name in ("_scan_count", "_section_count", "_envelope_sum"):
+        assert not hasattr(counting, name), name
+    floor_sums = []
+    floor_sum = counting._floor_sum
 
-        monkeypatch.setattr(counting, name, counted)
+    def counted(*args):
+        floor_sums.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(counting, "_floor_sum", counted)
     rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1,
                           "rational")
     polygon, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1,
@@ -541,14 +602,10 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
             ("diamond2", catalog()["diamond2"], range(1, 41)),
             ("rational 2D, seed 8200", polygon, range(1, 41)),
             ("lattice 4D, seed 8200", lattice4, range(1, 13))):
-        for seen in calls.values():
-            seen.clear()
+        floor_sums.clear()
         for m in dilations:
             count_points(P, m)
-        assert 0 < len(calls["_floor_sum"]) <= FLOOR_SUMS_AT_MOST.get(name, math.inf), name
-        for m in dilations:
-            count_points(P, m, strict=True)
-        assert calls["_envelope_sum"] == calls["_section_count"] == [], name
+        assert 0 < len(floor_sums) <= FLOOR_SUMS_AT_MOST.get(name, math.inf), name
 
 
 # ---------------------------------------------------------- interior shift
@@ -618,13 +675,33 @@ def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, 
         assert interior_shift_mismatch(P, m) == least_listed_difference(P, m), (P, m)
 
 
+def test_interior_shift_witness_is_least_listed_difference_deeper():
+    # At m = 7..10 the prefix axes of these 4D draws span about 20 values,
+    # so each prefix coordinate of a witness takes several bisection steps.
+    rational = [instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1,
+                          "rational")[0] for seed in (8300, 8303)]
+    lattice_dual, = instances(GeneratorConfig(seed=8305, dim=4, coordinate_bound=1), 1,
+                              "dual-of-lattice")
+    cases = [(P, range(7, 11)) for P in rational]
+    cases += [(lattice_dual, range(9, 11)), (from_vertices(UNEVEN4), range(1, 4))]
+    mismatches = 0
+    for P, dilations in cases:
+        assert origin_interior(P)
+        for m in dilations:
+            witness = interior_shift_mismatch(P, m)
+            assert witness == least_listed_difference(P, m), (P, m)
+            mismatches += witness is not None
+    assert mismatches >= 9
+    assert interior_shift_mismatch(from_vertices(UNEVEN4), 1) == (-2, 1, -1, 1)
+
+
 def test_empty_box_makes_no_sections(monkeypatch):
     # The box of these 3D and 4D slabs at m = 1 is empty on its last axis:
-    # the count and the witness walk return before the 6001 prefixes of
-    # their first, and the count builds no chamber table and makes no floor
-    # sum, the kernel of the scan and of the chamber walk alike.
+    # the count and the witness return before the 6001 prefixes of their
+    # first, so neither makes a count, builds a chamber table or makes a
+    # floor sum.
     calls = []
-    for name in ("_section_count", "_chamber_table", "_floor_sum"):
+    for name in ("_chamber_count", "_chamber_table", "_floor_sum"):
         def counted(*args, real=getattr(counting, name)):
             calls.append(args)
             return real(*args)

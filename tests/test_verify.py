@@ -164,7 +164,7 @@ def test_characterization_fatal_only_when_lattice_dual_fails():
     assert not result.fatal
 
 
-# ------------------------------------------------------ interior-shift scan
+# ---------------------------------------------------------- interior shift
 
 def test_find_interior_shift_violation():
     assert find_interior_shift_violation(segment(-1, 2)) == (1, (1,))
@@ -214,6 +214,34 @@ def test_full_report_checks_interior_shift_from_counts(monkeypatch):
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "octa3"):
         checks = full_report(catalog()[name], name).checks
         assert [c.passed for c in checks if c.name == "interior_shift"] == [True]
+
+
+def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
+    # A lattice dual rules out an interior-shift mismatch, so one is forced
+    # by raising the strict count of 2P by one.  The row is fatal at m = 2,
+    # and its witness comes from clipped counts on a kernel of its own: no
+    # count of the request is made again.  The point sets still agree, so
+    # the witness names no point.
+    walks = []
+    exact_count = counting._exact_count
+
+    def counted_exact_count(K, m, strict, budget):
+        walks.append((m, strict))
+        return exact_count(K, m, strict, budget)
+
+    count_vector = verify.count_vector
+
+    def poisoned_count_vector(P, closed, interior, budget):
+        counts = count_vector(P, closed, interior, budget=budget)
+        counts[len(closed) + 1] += 1
+        return counts
+
+    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
+    monkeypatch.setattr(verify, "count_vector", poisoned_count_vector)
+    report = full_report(catalog()["octa3"], "octa3")
+    shift, = [c for c in report.checks if c.name == "interior_shift"]
+    assert shift.fatal and shift.witness == {"m": 2, "point": None}
+    assert len(walks) == len(set(walks))
 
 
 def test_full_report_reads_the_dual_once_and_never_builds_it(monkeypatch):
