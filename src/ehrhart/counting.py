@@ -37,9 +37,14 @@ of a segment whose k is near 10^12) add up to unbounded work; then each m
 is counted once its box of mP, like that of a single :func:`count_points`,
 is found to hold at most ``budget`` cells (none are charged in 1D).
 
-The interior shift is decided by counts too (:func:`interior_shift_mismatch`);
-only on a mismatch is a witness looked for, by bisection on the counts
-clipped to a corner of the prefix box.
+Counts are the same in every order of the axes, but the walk's work is
+not: :func:`count_points` and :func:`count_vector` walk a 3D or 4D polytope
+with its axes permuted into the order that :func:`_frame`'s cost model
+ranks cheapest.  The interior shift is decided by counts too
+(:func:`interior_shift_mismatch`); only on a mismatch is a witness looked
+for, by galloping and bisection on the counts clipped to a corner of the
+prefix box.  Its "least" point depends on the order of the axes, so the
+interior shift keeps the caller's frame.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cmp_to_key
+from itertools import permutations
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -57,6 +64,49 @@ from .geometry import Polytope, origin_interior
 DEFAULT_BUDGET = 10**8
 
 IntPoint = tuple[int, ...]
+
+#: Euclid steps of a facet's slope that :func:`_frame` reads at most, so
+#: that ranking the frames stays cheap on huge coordinates, whose slopes
+#: take about as many steps as they have digits.
+_FRAME_STEPS = 12
+
+
+def _frame(P: Polytope) -> Polytope:
+    """P with its axes permuted into the order that a cost model of the
+    walk ranks cheapest, or P itself when the given order ties for it.
+
+    The model sums over the facets the product of the extents of the
+    facet's tight vertices on the walked (prefix) axes, each plus one in 4D,
+    times 1 + the number of Euclid steps of the facet's slope on the last
+    two axes, capped at ``_FRAME_STEPS``: about the sections that hold the
+    facet times the floor-sum steps of its line there.  Counts are the same
+    in every frame, as the lattice is; a polygon or a segment keeps its own.
+    """
+    n = P.ambient_dim
+    if n < 3:
+        return P
+    facets = []
+    for a, b in P.facet_rows:
+        tight = [row for row in P.rows if sum(map(mul, a, row)) == b]
+        facets.append((a, [max(c) - min(c) + (n == 4) for c in zip(*tight)]))
+
+    def cost(order: tuple[int, ...]) -> int:
+        *walked, y, z = order
+        total = 0
+        for a, extent in facets:
+            u, v, steps = -a[y], abs(a[z]), 1
+            while v and steps <= _FRAME_STEPS:
+                u, v, steps = v, u % v, steps + 1
+            for j in walked:
+                steps *= extent[j]
+            total += steps
+        return total
+
+    order = min(permutations(range(n)), key=cost)  # the first of equal costs: ties keep P
+    if order == tuple(range(n)):
+        return P
+    return Polytope(n, P.scale, tuple(sorted(tuple(row[j] for j in order) for row in P.rows)),
+                    tuple(sorted((tuple(a[j] for j in order), b) for a, b in P.facet_rows)))
 
 
 class _Kernel:
@@ -258,7 +308,8 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
     x1 terms are added into the forms; then per section x2 between the
     strip's bottom and top edges (open for a strict count), on the forms of
     the trapezoid that holds (x1, x2)/m, two cut divisions, and per chain
-    piece one division and one floor sum."""
+    piece one division and one floor sum, or for a piece of one column the
+    floor sum's one term."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
@@ -305,9 +356,12 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
                         y = y0
                         for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
                             end = (M * c - 1 - cw * x) // e if e else y1
-                            if end >= y:
+                            if end > y:
                                 total += _floor_sum(end - y + 1, M * p - s - w * x - A * y, steps)
                                 y = end + 1
+                            elif end == y:  # one column: the floor sum's one term, B = steps[0][0]
+                                total += (M * p - s - w * x - A * y) // steps[0][0]
+                                y += 1
                 x2 = stop + 1
         lo = last + 1
     return total
@@ -340,7 +394,7 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     m = 0 gives the single point at the origin for the closed count and the
     empty set for the strict one, once its one-cell box is charged.
     """
-    return _exact_count(_Kernel(P), m, strict, budget)
+    return _exact_count(_Kernel(_frame(P)), m, strict, budget)
 
 
 def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (),
@@ -356,7 +410,7 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
                     else len(d) for d in (closed, interior))
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
-    K = _Kernel(P)
+    K = _Kernel(_frame(P))
     return [_exact_count(K, m, strict, budget)
             for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
 
@@ -386,10 +440,11 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
 
     (m-1)P lies in int(mP), so the clipped strict count of mP less the
     clipped closed count of (m-1)P counts such points under the clip.  Each
-    prefix coordinate in turn is bisected to the least clip that holds one,
-    the later ones unclipped.  In the one section found, the first column
-    whose lengths differ holds the witness: the inner column's least point,
-    or the one just above the outer column when both start there.
+    prefix coordinate in turn is galloped up from the open box's first layer
+    and bisected to the least clip that holds one, the later ones unclipped.
+    In the one section found, the first column whose lengths differ holds
+    the witness: the inner column's least point, or the one just above the
+    outer column when both start there.
     """
     box = K.box(m)
     if any(lo > hi for lo, hi in box):
@@ -408,7 +463,12 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     pad = 4 - K.n  # the prefix axes, padded to (x1, x2) at x1 = 0 in 3D
     clip = [0] * pad + [hi for _, hi in box[:-2]]
     for axis, (lo, hi) in enumerate(K.box(m, True)[:-2], pad):  # witnesses are interior
-        clip[axis] = lo + bisect_left(range(lo, hi), True, key=lambda t: differ(axis, t))
+        # Most witnesses lie on the first layers: probe lo, lo+1, lo+3, ...
+        # up to the first clip that holds one, then bisect the last gap.
+        low, t, step = lo, lo, 1
+        while t < hi and not differ(axis, t):
+            low, t, step = t + 1, min(t + step, hi), 2 * step
+        clip[axis] = low + bisect_left(range(low, t), True, key=lambda u: differ(axis, u))
     prefix = clip[pad:]
     dots = [sum(w * x for w, x in zip(weights, prefix)) for weights in K.weights]
     (y0, y1), (z0, z1) = box[-2:]

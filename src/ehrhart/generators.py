@@ -66,7 +66,9 @@ class GeneratorConfig:
 def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
     """Rejection sampling: draw dim+1 to 2*dim+2 points in the coordinate
     box (rational: denominators up to ``DENOMINATOR_BOUND``), take the hull,
-    and retry until it is full-dimensional with the origin strictly inside."""
+    and retry until it is full-dimensional with the origin strictly inside.
+    A draw with no point on one side of the origin, on some axis, is
+    retried without a hull, as its hull cannot hold the origin inside."""
     bound = cfg.coordinate_bound
     for _ in range(ATTEMPTS):
         pts = []
@@ -76,6 +78,9 @@ def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:
                 q = rng.integer(1, DENOMINATOR_BOUND) if rational else 1
                 coords.append((rng.integer(-bound * q, bound * q), q))
             pts.append(coords)
+        # The points are drawn either way, so the skip keeps the stream.
+        if not all(min(axis) < 0 < max(axis) for axis in zip(*([c for c, _ in p] for p in pts))):
+            continue
         try:
             P = from_ratios(pts)
         except (DimensionDeficient, EmptyInput):
