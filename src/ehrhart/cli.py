@@ -4,8 +4,9 @@ One JSON document on stdout in json mode, human-readable text otherwise;
 diagnostics go to stderr.  Exit codes: 0 success, 1 fatal inconsistency
 (a failed reciprocity or equivalence check or negative delta-vector entry;
 a lattice-dual polytope failing the theorem, palindrome, interior-shift or
-characterization check; or the two delta-vector routes disagreeing), 2
-usage, parse, input, or budget errors, 3 any other (unexpected) error.
+characterization check), 2 usage, parse, input, or budget errors, 3 any
+other (unexpected) error.  Input is parsed under the interpreter's limit
+on the digits of int <-> str, and results are printed past it.
 
 A command imports the serialization, delta-vector, verification and
 generator modules only when it runs and needs them, so a ``count`` never
@@ -26,22 +27,29 @@ from .errors import EhrhartError, InternalInconsistency
 from .geometry import (Polytope, denominator, dual, from_vertices, is_lattice,
                        origin_interior)
 
+# The interpreter's limit on the digits of int <-> str (from 3.10.7 and 3.11).
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
 
 def _resolve_input(name: str) -> tuple[str, Polytope]:
     """Resolve a catalog name or a file path; ambiguity is an error.
-    Builds the hull of the named entry only."""
+    Builds the hull of the named entry only, then lifts the digit limit."""
     path = Path(name)
     if name in VERTICES:
         if path.exists():
             raise EhrhartError(
                 f"{name!r} is both a catalog entry and an existing file; "
                 "rename the file or use an explicit path like ./" + name)
-        return name, from_vertices(VERTICES[name])
-    if path.exists():
+        P = from_vertices(VERTICES[name])
+    elif path.exists():
         from .serialization import load_polytope
-        return name, load_polytope(path)
-    raise EhrhartError(f"{name!r} is neither a catalog entry nor an existing file "
-                       f"(catalog: {', '.join(sorted(VERTICES))})")
+        P = load_polytope(path)
+    else:
+        raise EhrhartError(f"{name!r} is neither a catalog entry nor an existing file "
+                           f"(catalog: {', '.join(sorted(VERTICES))})")
+    _set_digits(0)
+    return name, P
 
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
@@ -85,10 +93,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
-    from .quasipoly import checked_delta, closed_counts
-    from .verify import check_palindrome, render_delta
+    from .quasipoly import closed_counts, fit_counts, series_counts
+    from .verify import check_equivalence, check_palindrome, render_delta
     name, P = _resolve_input(args.input)
-    qp, delta = checked_delta(*closed_counts(P, budget=args.budget))
+    counts = closed_counts(P, budget=args.budget)
+    qp, delta = fit_counts(*counts), series_counts(*counts)
+    agree = check_equivalence(qp.table, delta)
+    if not agree.passed:
+        raise InternalInconsistency(f"fit and series routes disagree: {agree.witness}")
     palindromic = check_palindrome(delta).passed
     fields, lines = render_delta(delta, qp.table)
     doc = {"polytope": name, "n": qp.n, "k": str(qp.k), **fields,
@@ -186,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    digits = _get_digits()  # restored on return, for callers in the same process
     try:
         return args.func(args)
     except InternalInconsistency as exc:
@@ -197,6 +210,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # a bug, not a fault of the input
         print(f"ehrhart: internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        _set_digits(digits)
 
 
 if __name__ == "__main__":

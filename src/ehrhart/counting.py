@@ -429,7 +429,11 @@ def interior_shift_mismatch(P: Polytope, m: int,
         raise ValueError("need m >= 1")
     if not origin_interior(P):
         raise OriginNotInterior("the interior shift needs the origin strictly inside")
-    K = _Kernel(P)
+    return _shift_mismatch(_Kernel(P), m, budget)
+
+
+def _shift_mismatch(K: _Kernel, m: int, budget: int = DEFAULT_BUDGET) -> Optional[IntPoint]:
+    """:func:`interior_shift_mismatch` on the kernel K of P, for m >= 1."""
     if _exact_count(K, m, True, budget) == _exact_count(K, m - 1, False, budget):
         return None
     return _shift_witness(K, m)

@@ -12,10 +12,10 @@ whose coefficient table is exactly the delta-vector of P read off k columns
 at a time.  Fitting is division-free (the basis is triangular at l = 0..n),
 so the integrality of every entry is structural, not numerical.
 
-Two extraction routes are provided: forward substitution on the fitted
-counts (:func:`fit_qp` + :func:`delta_vector`) and the truncated series
-product of the counting series with (1 - t^k)^(n+1)
-(:func:`delta_vector_series`), which :func:`checked_delta` holds equal.
+Two extraction routes are provided: forward substitution on the counts
+(:func:`fit_counts`) and the truncated series product of the counting
+series with (1 - t^k)^(n+1) (:func:`series_counts`), which only the
+``equivalence`` row of a report compares.
 Both are linear maps of one count vector L(0..k(n+1)-1), so their agreement
 checks the maps, not the counts: a counting bug that shifts some L(m) moves
 both routes alike and passes.  Catching one needs a route that reads no count.
@@ -29,7 +29,6 @@ from operator import mul
 from typing import Sequence
 
 from .counting import DEFAULT_BUDGET, count_vector
-from .errors import InternalInconsistency
 from .geometry import Polytope, denominator
 
 
@@ -186,18 +185,3 @@ def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
     return DeltaVector(tuple(
         sum(c * counts[j - s * k] for s, c in enumerate(signed[:j // k + 1]))
         for j in range(k * (n + 1))))
-
-
-def checked_delta(counts: Sequence[int], n: int,
-                  k: int) -> tuple[EhrhartQP, DeltaVector]:
-    """The quasi-polynomial fitted to the closed counts L(0..k(n+1)-1) and
-    its delta-vector, which the series route must reproduce from the same
-    counts, or everything built on it is void: raises
-    ``InternalInconsistency`` when the two routes disagree."""
-    qp = fit_counts(counts, n, k)
-    fitted = delta_vector(qp)
-    series = series_counts(counts, n, k)
-    if fitted != series:
-        raise InternalInconsistency(
-            f"fit gives {fitted.entries}, series gives {series.entries}")
-    return qp, fitted

@@ -4,12 +4,12 @@ Each check returns a :class:`CheckResult` whose witness pinpoints the first
 failure (lexicographically smallest index or dilation), and
 :func:`full_report` aggregates them for one polytope.  A report is FATAL
 exactly when a check fails that a correct implementation can never fail:
-reciprocity, the interleave equivalence and non-negativity of the
-delta-vector, for any polytope, and, for a polytope with a lattice polar
+reciprocity, the fitted table against the series delta-vector, and
+non-negativity, for any polytope, and, for a polytope with a lattice polar
 dual, the residue-table symmetry, the palindrome check, the interior
 shift, or the characterization.  The flag exists so that downstream
 tooling treats such an outcome as a build-stopping inconsistency instead
-of an ordinary failed property.
+of an ordinary failed property, whose row still carries its witness.
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from . import counting
-from .counting import DEFAULT_BUDGET, count_vector, interior_shift_mismatch
+from . import counting, quasipoly
+from .counting import DEFAULT_BUDGET, count_vector
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
                        origin_interior)
-from .quasipoly import (
-    DeltaVector,
-    EhrhartQP,
-    ResidueDeltaTable,
-    checked_delta,
-    delta_vector_series,
-    evaluate_qp,
-    fit_qp,
-)
+from .quasipoly import DeltaVector, EhrhartQP, ResidueDeltaTable, evaluate_qp
 
 
 @dataclass(frozen=True)
@@ -63,14 +55,16 @@ def check_reciprocity(P: Polytope, m_max: int = 6,
 
     Evaluating the fitted quasi-polynomial at -m must equal (-1)^n times
     the strict-interior count of mP.  Holds for every rational polytope,
-    whether or not its dual is a lattice polytope.  Raises ``ValueError``
-    when m_max < 1.
+    whether or not its dual is a lattice polytope; without ``qp``, it is
+    fitted to counts of the same request.  Raises ``ValueError`` when m_max < 1.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
+    n, k = P.ambient_dim, denominator(P)
+    counts = count_vector(P, range(k * (n + 1)) if qp is None else (), range(1, m_max + 1))
     if qp is None:
-        qp = fit_qp(P)
-    return _reciprocity(P.ambient_dim, qp, count_vector(P, (), range(1, m_max + 1)))
+        qp = quasipoly.fit_counts(counts[:-m_max], n, k)
+    return _reciprocity(n, qp, counts[-m_max:])
 
 
 def _reciprocity(n: int, qp: EhrhartQP, interior: list[int]) -> CheckResult:
@@ -108,9 +102,10 @@ def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
     """Interleaving identity between the residue table and the delta-vector:
     len(d) == k(n+1) and d[i*k + r] == t[i][r] entry-wise.
 
-    Once it holds, (i, r) -> (n-i, k-1-r) is the reflection of i*k + r to
-    k(n+1)-1 - (i*k + r), so :func:`check_theorem` on ``t`` and
-    :func:`check_palindrome` on ``d`` agree on every input.
+    :func:`full_report` compares the fitted table and the series delta-vector
+    only here.  Once it holds, (i, r) -> (n-i, k-1-r) is the reflection of
+    i*k + r to k(n+1)-1 - (i*k + r), so :func:`check_theorem` on ``t`` and
+    :func:`check_palindrome` on ``d`` agree.
     """
     expected_len = t.k * (t.n + 1)
     if len(d) != expected_len:
@@ -131,9 +126,8 @@ def check_characterization(P: Polytope) -> CheckResult:
     The forward direction is exact; a lattice dual with a non-palindromic
     delta-vector can never occur, so that outcome is flagged fatal.
     """
-    dual_lattice = has_lattice_dual(P)
-    delta = delta_vector_series(P)
-    return _characterization(dual_lattice, check_palindrome(delta).passed)
+    delta = quasipoly.delta_vector_series(P)
+    return _characterization(has_lattice_dual(P), check_palindrome(delta).passed)
 
 
 def _characterization(dual_lattice: bool, palindromic: bool) -> CheckResult:
@@ -159,10 +153,13 @@ def find_interior_shift_violation(P: Polytope) -> Optional[tuple[int, tuple[int,
     For a polytope whose dual is not a lattice polytope a violation shows
     up by m <= denominator(dual) + n, the limit of the search; returns
     (m, witness point), or None if no violation exists up to it.  Requires
-    the origin strictly inside P, as :func:`interior_shift_mismatch` does.
+    the origin strictly inside P, as :func:`interior_shift_mismatch`, which
+    it runs for each m on one kernel of P, does.
     """
-    for m in range(1, dual_denominator(P) + P.ambient_dim + 1):
-        witness = interior_shift_mismatch(P, m)
+    last = dual_denominator(P) + P.ambient_dim
+    K = counting._Kernel(P)
+    for m in range(1, last + 1):
+        witness = counting._shift_mismatch(K, m)
         if witness is not None:
             return m, witness
     return None
@@ -176,11 +173,12 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     both delta-vector routes, run on to L(m_max - 1) for the interior shift
     when the dual is a lattice polytope, then the strict counts of mP for
     m = 1..m_max; a mismatch of the interior shift takes its witness from
-    a kernel of its own.  Raises ``InternalInconsistency`` instead of a
-    report when the two delta-vector routes disagree (:func:`checked_delta`);
-    before any count, ``ValueError`` when m_max < 1 and
-    ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
-    the polar dual and the interior shift need it there.
+    a kernel of its own.  Reciprocity and the theorem row read the fitted
+    table, the other rows and ``delta`` the series route, and the
+    equivalence row compares the two.  Raises, before any count,
+    ``ValueError`` when m_max < 1 and ``OriginNotInterior`` when the
+    origin is not strictly inside ``P``, as the polar dual and the interior
+    shift need it there.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
@@ -192,9 +190,10 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     counts = count_vector(P, range(max(k * (n + 1), m_max if dual_lattice else 0)),
                           range(1, m_max + 1), budget=budget)
     closed, interior = counts[:-m_max], counts[-m_max:]
-    qp, d = checked_delta(closed[:k * (n + 1)], n, k)
+    # Looked up on the module, so that a test can swap either route.
+    qp = quasipoly.fit_counts(closed[:k * (n + 1)], n, k)
+    d = quasipoly.series_counts(closed[:k * (n + 1)], n, k)
     palindrome = check_palindrome(d)
-    characterization = _characterization(dual_lattice, palindrome.passed)
 
     checks = [_reciprocity(n, qp, interior)]
     if dual_lattice:
@@ -202,15 +201,12 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         checks.append(CheckResult("interior_shift", True) if m is None else
                       CheckResult("interior_shift", False, {
                           "m": m, "point": counting._shift_witness(counting._Kernel(P), m)}))
-    checks.append(check_theorem(qp.table))
-    checks.append(palindrome)
-    checks.append(check_equivalence(qp.table, d))
-    checks.append(check_non_negativity(d))
-    checks.append(characterization)
+    checks += [check_theorem(qp.table), palindrome, check_equivalence(qp.table, d),
+               check_non_negativity(d), _characterization(dual_lattice, palindrome.passed)]
 
-    # Reciprocity and the interleave hold for every rational polytope, and a
-    # lattice dual guarantees both symmetries and the interior shift: failing
-    # one contradicts exact arithmetic and must stop the build.
+    # Reciprocity and the routes' agreement hold for every rational polytope,
+    # and a lattice dual guarantees both symmetries and the interior shift:
+    # failing one contradicts exact arithmetic and must stop the build.
     must_hold = {"reciprocity", "equivalence"}
     if dual_lattice:
         must_hold |= {"theorem", "palindrome", "interior_shift"}

@@ -158,8 +158,55 @@ def test_disagreeing_delta_routes_exit_one(capsys, monkeypatch, command, fmt):
     monkeypatch.setattr(quasipoly_module, "series_counts", shifted)
     code, out, err = run(capsys, command, "square2", "--format", fmt)
     assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("ehrhart: FATAL: ")
+    if command == "delta":
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ehrhart: FATAL: ")
+    else:  # verify prints its report, with the failed row and its witness
+        assert err == ""
+        if fmt == "text":
+            assert "  FAIL equivalence  witness: index=0, vector=2, table=1  [FATAL]\n" in out
+        else:
+            row, = (c for c in json.loads(out)["checks"] if c["name"] == "equivalence")
+            assert row == {"name": "equivalence", "passed": False, "fatal": True,
+                           "witness": {"index": "0", "vector": "2", "table": "1"}}
+
+
+def _off_by_one(route):
+    """A mutant of a delta-vector route of quasipoly: its last entry plus one."""
+    real = getattr(quasipoly_module, route)
+
+    def mutant(counts, n, k):
+        if route == "series_counts":
+            entries = real(counts, n, k).entries
+            return ehrhart.DeltaVector((*entries[:-1], entries[-1] + 1))
+        rows = [list(row) for row in real(counts, n, k).table.delta]
+        rows[-1][-1] += 1
+        return ehrhart.EhrhartQP(n, k, ehrhart.ResidueDeltaTable(n, k, tuple(map(tuple, rows))))
+    return mutant
+
+
+@pytest.mark.parametrize("route", ["fit_counts", "series_counts"])
+@pytest.mark.parametrize("name", ["square2", "halfdiamond2", "seg_m1_2"])
+def test_a_mutant_route_fails_the_equivalence_row(capsys, monkeypatch, route, name):
+    # Either route off by one in its last entry, k(n+1) - 1: the report still
+    # comes back, with a fatal equivalence row that names the entry.
+    monkeypatch.setattr(quasipoly_module, route, _off_by_one(route))
+    report = verify_module.full_report(catalog()[name], name)
+    row, = (c for c in report.checks if c.name == "equivalence")
+    assert report.fatal and row.fatal and not row.passed
+    index = report.k * (report.n + 1) - 1
+    fitted, series = report.residue_table.entry(report.n, report.k - 1), report.delta[index]
+    assert row.witness == {"index": index, "vector": series, "table": fitted}
+    assert abs(fitted - series) == 1
+    code, out, err = run(capsys, "verify", name)
+    assert (code, err) == (1, "")
+    assert (f"  FAIL equivalence  witness: index={index}, vector={series}, "
+            f"table={fitted}  [FATAL]\n") in out
+    assert out.endswith("FATAL: inconsistency detected\n")
+    code, out, err = run(capsys, "delta", name)
+    assert (code, out) == (1, "")
+    assert err == ("ehrhart: FATAL: fit and series routes disagree: "
+                   f"{{'index': {index}, 'vector': {series}, 'table': {fitted}}}\n")
 
 
 @pytest.mark.parametrize("m_max", ["0", "-2"])
@@ -402,6 +449,10 @@ HOSTILE = [
     (["verify", "{seg19}"], 2, REFUSED),
     (["delta", "{den4000}"], 2, REFUSED),
     (["verify", "{den4000}"], 2, REFUSED),
+    # More than 4300 digits print: the denominator, and the count of
+    # counts that the budget refuses.
+    (["info", "{lcm}"], 0, ""),
+    (["delta", "{lcm}"], 2, REFUSED),
     (["verify", "{lcm}"], 2, "ehrhart: error: "),  # a count too long to print
     (["delta", "{den2000}", "--budget", str(10**30)], 2, REFUSED),
     (["verify", "square2", "--m-max", str(10**22)], 2, REFUSED),
@@ -428,6 +479,22 @@ def test_hostile_input_exits_zero_one_or_two(tmp_path, capsys, argv, expected, m
         assert err.count("\n") == 1 or err.startswith("usage:"), err[:200]
     else:
         json.loads(out)  # exactly one JSON document, nothing after it
+
+
+def test_results_print_past_the_digit_limit(tmp_path, capsys):
+    # The lcm of the three 2100-digit denominators prints in full, and the
+    # interpreter's limit is back in place once main returns.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_hostile(tmp_path, capsys, ["info", "{lcm}"])
+    assert (code, err) == (0, "")
+    denominator, = (line for line in out.splitlines() if line.startswith("denominator: "))
+    digits = denominator.removeprefix("denominator: ")
+    assert digits.isdigit() and len(digits) > limit
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run_hostile(tmp_path, capsys, ["delta", "{lcm}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("ehrhart: error: ") and err.endswith(REFUSED + "100000000\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _digits(k, last):

@@ -12,10 +12,12 @@ from ehrhart import (
     GeneratorConfig,
     OriginNotInterior,
     catalog,
+    check_reciprocity,
     count_points,
     delta_vector,
     dual,
     evaluate_qp,
+    find_interior_shift_violation,
     fit_qp,
     from_vertices,
     full_report,
@@ -33,6 +35,7 @@ from ehrhart.counting import (
     count_vector,
     interior_shift_mismatch,
 )
+from ehrhart.geometry import dual_denominator
 from conftest import dilate
 from listing_oracle import contains, lattice_points
 from scan_oracle import _section_count, _section_plan, scan_count
@@ -655,6 +658,49 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
     assert moved >= 30
     for P in [P for P in theorem_pool if P.ambient_dim < 3]:
         assert counting._frame(P) is P
+
+
+def test_interior_shift_search_builds_one_chamber_table(monkeypatch):
+    # The search runs every m on one kernel of P, in the caller's frame, and
+    # finds the witnesses that interior_shift_mismatch finds m by m.
+    builds = []
+    chamber_table = counting._chamber_table
+
+    def counted_chamber_table(K):
+        builds.append(K)
+        return chamber_table(K)
+
+    monkeypatch.setattr(counting, "_chamber_table", counted_chamber_table)
+    draws = [instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)[0]
+             for seed, dim, kind in ((3, 2, "rational"), (7, 4, "lattice"),
+                                     (2, 3, "dual-of-lattice"), (1, 4, "dual-of-lattice"))]
+    for P in [*map(catalog().get, ("square2", "cube3", "octa3", "halfdiamond2")), *draws]:
+        builds.clear()
+        found = find_interior_shift_violation(P)
+        assert len(builds) == 1, P
+        last = dual_denominator(P) + P.ambient_dim
+        each = [(m, interior_shift_mismatch(P, m)) for m in range(1, last + 1)]
+        assert found == next(((m, w) for m, w in each if w is not None), None), P
+
+
+def test_reciprocity_makes_one_count_request(monkeypatch):
+    kernels = []
+
+    class CountedKernel(_Kernel):
+        def __init__(self, P):
+            kernels.append(P)
+            super().__init__(P)
+
+    monkeypatch.setattr(counting, "_Kernel", CountedKernel)
+    for name in ("square2", "halfdiamond2", "octa3"):
+        P = catalog()[name]
+        kernels.clear()
+        assert check_reciprocity(P).passed, name
+        assert len(kernels) == 1, name
+        qp = fit_qp(P)
+        kernels.clear()
+        assert check_reciprocity(P, 4, qp) == check_reciprocity(P, 4), name
+        assert len(kernels) == 2, name
 
 
 # Trapezoids of the chamber table of a count in the given frame, and at most

@@ -151,3 +151,22 @@ def test_input_guards(build, error):
 def test_polytope_repr_names_its_vertices():
     text = repr(catalog()["halfdiamond2"])
     assert text.startswith("Polytope(ambient_dim=2, vertices=((Fraction(-1, 2), Fraction(0, 1)),")
+
+
+def test_only_the_cli_raises_internal_inconsistency():
+    # A report fails a row, with its witness, where two routes disagree; only
+    # the delta command, which prints no report, turns that into an error.
+    import ast
+    from pathlib import Path
+
+    def raised(path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+        return names
+
+    src = Path(ehrhart.__file__).parent
+    raising = {path.name for path in src.glob("*.py") if "InternalInconsistency" in raised(path)}
+    assert raising == {"cli.py"}
