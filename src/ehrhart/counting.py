@@ -31,11 +31,11 @@ builds for itself and drops when it returns: nothing is kept between
 calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
-one request, :func:`count_vector`, on one kernel.  A request of more counts
-than the budget is refused before any count, as many cheap counts (the 2k
-of a segment whose k is near 10^12) add up to unbounded work; then each m
-is counted once its box of mP, like that of a single :func:`count_points`,
-is found to hold at most ``budget`` cells (none are charged in 1D).
+one request, :func:`count_vector`, on one kernel.  It is refused before
+any count if it holds more counts than the budget, as many cheap counts
+(the 2k of a segment whose k is near 10^12) add up to unbounded work, or,
+by :func:`_charge`, at an m that is negative or whose box of mP holds over
+``budget`` cells (none in 1D), read off one box when the boxes nest.
 
 Counts are the same in every order of the axes, but the walk's work is
 not: :func:`count_points` and :func:`count_vector` walk a 3D or 4D polytope
@@ -113,12 +113,13 @@ class _Kernel:
     """What counting derives from one polytope, for the counts of one request.
 
     Facet <a_i, x> <= b_i/L of P, with p_i/q_i = b_i/L in lowest terms, is
-    q_i*<a_i, x> <= m*p_i on mP; ``bounds`` holds the p_i, and ``ranges``
-    the per-axis (min, max) of the vertex rows, over ``scale``.  On the
-    last two axes, with the first n-2 fixed to a prefix x, facet i is the
-    line A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where
-    ``lines[i]`` = (A_i, B_i) and ``weights[i]`` are the last two and the
-    other coefficients of q_i*a_i.
+    q_i*<a_i, x> <= m*p_i on mP; ``bounds`` holds the p_i, ``ranges`` the
+    per-axis (min, max) of the vertex rows, over ``scale``, and ``nested``
+    whether each holds 0, so that the boxes of mP nest.  On the last two
+    axes, with the first n-2 fixed to a prefix x, facet i is the line
+    A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where ``lines[i]`` =
+    (A_i, B_i) and ``weights[i]`` are the last two and the other
+    coefficients of q_i*a_i.
     ``plan`` is the :func:`_section_plan` of the lines, with no level cut,
     ``strips`` the :func:`ehrhart._strips.strips` of the projection of P to
     the prefix axes, and ``chambers`` the :func:`_chamber_table` on them,
@@ -134,6 +135,7 @@ class _Kernel:
         gcds = [math.gcd(b, P.scale) for _, b in P.facet_rows]
         self.bounds = [b // g for (_, b), g in zip(P.facet_rows, gcds)]
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
+        self.nested = all(lo <= 0 <= hi for lo, hi in self.ranges)
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] or [0] for row in scaled]
         self.lines = [row[-2:] for row in scaled]
@@ -302,14 +304,14 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
 def _chamber_count(K: _Kernel, m: int, strict: bool,
                    clip: Optional[Sequence[int]] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 2, 3 or 4 and
-    m >= 1 whose box holds a cell; with ``clip`` = (c1, c2), only those
-    whose padded prefix has x1 <= c1 and x2 <= c2.  Per x1 of the closed
-    (strict: open) box of mP, on the rows of the strip that holds x1/m, the
-    x1 terms are added into the forms; then per section x2 between the
-    strip's bottom and top edges (open for a strict count), on the forms of
-    the trapezoid that holds (x1, x2)/m, two cut divisions, and per chain
-    piece one division and one floor sum, or for a piece of one column the
-    floor sum's one term."""
+    m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
+    with ``clip`` = (c1, c2), only those whose padded prefix has x1 <= c1
+    and x2 <= c2.  Per x1 of the closed (strict: open) box of mP, on the
+    rows of the strip that holds x1/m, the x1 terms are added into the
+    forms; then per section x2 between the strip's bottom and top edges
+    (open for a strict count), on the forms of the trapezoid that holds
+    (x1, x2)/m, two cut divisions, and per chain piece one division and one
+    floor sum, or for a piece of one column the floor sum's one term."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
@@ -367,23 +369,33 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
     return total
 
 
-def _exact_count(K: _Kernel, m: int, strict: bool, budget: int) -> int:
-    """Lattice points of mP (strict: of its interior), once m >= 0 is
-    checked and the box of mP is found to hold at most ``budget`` cells."""
-    if m < 0:
-        raise ValueError("dilation factor must be non-negative")
-    if K.n == 1:  # the box of a segment is its lattice points: no cells charged
+def _charge(K: _Kernel, dilations: Sequence[int], budget: int) -> None:
+    """Refuses a request before its first count, at the first m of
+    ``dilations`` in order that is negative (``ValueError``) or whose box of
+    mP holds more than ``budget`` cells (``BudgetExceeded``; none in 1D).
+    Nested boxes are cleared by that of the largest m, read off a range's ends."""
+    def cells(m: int) -> int:
+        return math.prod(max(0, hi - lo + 1) for lo, hi in K.box(m))
+
+    ends = (*dilations[:1], *dilations[-1:]) if isinstance(dilations, range) else dilations
+    if not ends or min(ends) >= 0 and (K.n == 1 or K.nested and cells(max(ends)) <= budget):
+        return
+    for m in dilations:
+        if m < 0:
+            raise ValueError("dilation factor must be non-negative")
+        if K.n > 1 and cells(m) > budget:
+            raise BudgetExceeded(f"bounding box of {m}P has {cells(m)} cells, budget is {budget}")
+
+
+def _count(K: _Kernel, m: int, strict: bool) -> int:
+    """Lattice points of mP (strict: of its interior), m cleared by :func:`_charge`."""
+    if K.n == 1:  # the box of a segment is its lattice points
         (lo, hi), = K.box(m, strict)
         return max(0, hi - lo + 1)
-    box = K.box(m)
-    cells = math.prod(max(0, hi - lo + 1) for lo, hi in box)
-    if cells > budget:
-        raise BudgetExceeded(
-            f"bounding box of {m}P has {cells} cells, budget is {budget}")
-    if not cells:
-        return 0
     if not m:  # 0P is the origin, and its interior is empty
         return int(not strict)
+    if not K.nested and any(lo > hi for lo, hi in K.box(m)):  # an empty box holds no point
+        return 0
     return _chamber_count(K, m, strict)
 
 
@@ -394,16 +406,18 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     m = 0 gives the single point at the origin for the closed count and the
     empty set for the strict one, once its one-cell box is charged.
     """
-    return _exact_count(_Kernel(_frame(P)), m, strict, budget)
+    K = _Kernel(_frame(P))
+    _charge(K, (m,), budget)
+    return _count(K, m, strict)
 
 
 def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (),
                  budget: int = DEFAULT_BUDGET) -> list[int]:
     """The counts of mP for each m of ``closed``, then those of the interior
     of mP for each m of ``interior``, in order, a repeated m counted again,
-    all on one kernel.  Raises ``BudgetExceeded`` before any count if they
-    are more than ``budget`` together, and at the first m whose box of mP
-    holds more than ``budget`` cells."""
+    all on one kernel.  Raises before any count: ``BudgetExceeded`` if they
+    are more than ``budget`` together, else at the first m in order that is
+    negative (``ValueError``) or over budget, as :func:`_charge`."""
     # len() overflows on a range past sys.maxsize, so a range is sized
     # from its ends, as ceil((stop - start) / step).
     requested = sum(max(0, -((d.start - d.stop) // d.step)) if isinstance(d, range)
@@ -411,7 +425,9 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
     K = _Kernel(_frame(P))
-    return [_exact_count(K, m, strict, budget)
+    _charge(K, closed, budget)
+    _charge(K, interior, budget)
+    return [_count(K, m, strict)
             for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
 
 
@@ -434,7 +450,8 @@ def interior_shift_mismatch(P: Polytope, m: int,
 
 def _shift_mismatch(K: _Kernel, m: int, budget: int = DEFAULT_BUDGET) -> Optional[IntPoint]:
     """:func:`interior_shift_mismatch` on the kernel K of P, for m >= 1."""
-    if _exact_count(K, m, True, budget) == _exact_count(K, m - 1, False, budget):
+    _charge(K, (m, m - 1), budget)
+    if _count(K, m, True) == _count(K, m - 1, False):
         return None
     return _shift_witness(K, m)
 

@@ -174,14 +174,12 @@ def delta_vector_series(P: Polytope) -> DeltaVector:
 def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
     """The delta-vector of the closed counts L(0..k(n+1)-1) by the truncated
     series product: multiplies the counting series sum_m L_P(m) t^m by
-    (1 - t^k)^(n+1) and reads off coefficients 0 .. k(n+1)-1:
-
-        delta_j = sum_s (-1)^s * C(n+1, s) * L_P(j - s*k),
-
-    with negative-argument counts contributing nothing.  This route never
-    touches the fitted polynomial and serves as its oracle.
+    (1 - t^k)^(n+1), one factor at a time, and reads off coefficients
+    0 .. k(n+1)-1.  A factor (1 - t^k) takes each coefficient j >= k less
+    the one k places before it, n+1 lagged differences in all.  This route
+    never touches the fitted polynomial and serves as its oracle.
     """
-    signed = [(-1) ** s * math.comb(n + 1, s) for s in range(n + 2)]
-    return DeltaVector(tuple(
-        sum(c * counts[j - s * k] for s, c in enumerate(signed[:j // k + 1]))
-        for j in range(k * (n + 1))))
+    delta = list(counts[:k * (n + 1)])
+    for _ in range(n + 1):
+        delta[k:] = [a - b for a, b in zip(delta[k:], delta)]
+    return DeltaVector(tuple(delta))

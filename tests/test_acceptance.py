@@ -18,7 +18,6 @@ from ehrhart import (
     count_points,
     delta_vector,
     delta_vector_series,
-    denominator,
     dual,
     evaluate_qp,
     find_interior_shift_violation,

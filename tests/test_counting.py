@@ -29,8 +29,8 @@ from ehrhart._catalog import VERTICES
 from ehrhart.counting import (
     _Kernel,
     _chamber_count,
+    _count,
     _euclid_steps,
-    _exact_count,
     _floor_sum,
     count_vector,
     interior_shift_mismatch,
@@ -43,7 +43,7 @@ from scan_oracle import _section_count, _section_plan, scan_count
 
 def exact_count(P, m, strict):
     """The count behind count_points, with no budget to exceed."""
-    return _exact_count(_Kernel(P), m, strict, math.inf)
+    return _count(_Kernel(P), m, strict)
 
 
 def section_count(lines, y0, y1):
@@ -147,13 +147,13 @@ def test_monotonicity(fixtures):
 def walks(monkeypatch):
     """The (m, strict) of every count walked."""
     calls = []
-    exact_count = counting._exact_count
+    count = counting._count
 
-    def counted_exact_count(K, m, strict, budget):  # K is the polytope's count kernel
+    def counted_count(K, m, strict):  # K is the polytope's count kernel
         calls.append((m, strict))
-        return exact_count(K, m, strict, budget)
+        return count(K, m, strict)
 
-    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
+    monkeypatch.setattr(counting, "_count", counted_count)
     return calls
 
 
@@ -243,6 +243,94 @@ def test_closed_and_interior_counts_share_one_budget(walks):
         full_report(catalog()["seg_mhalf_third"], budget=12)
     assert walks == []
     assert count_vector(segment(-1, 2), range(3), [1, 2], budget=5) == [1, 4, 7, 2, 5]
+
+
+def test_a_refused_request_walks_nothing(monkeypatch):
+    # The boxes of this 4D draw nest, and its report's largest closed m, 29,
+    # is over budget: the request is refused before its first walk, at the
+    # first m over budget in order, 25P, as when it was charged count by count.
+    walked = []
+
+    def counted(*args, real=counting._chamber_count):
+        walked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "_chamber_count", counted)
+    P = instances(GeneratorConfig(8, 4, coordinate_bound=2), 1, "rational")[0]
+    with pytest.raises(BudgetExceeded,
+                       match="^bounding box of 25P has 104060401 cells, budget is 100000000$"):
+        full_report(P)
+    assert walked == []
+
+
+def test_a_request_is_refused_at_its_first_bad_m_before_any_count(walks):
+    # The boxes of mP nest for square2, and not for the slab
+    # [1/3, 2/3] x [-1, 2], whose box of 1P is empty; in both, a negative m
+    # and one over budget are refused in order, closed then strict, and
+    # before any count.
+    sq = catalog()["square2"]
+    slab = box_polytope((F(1, 3), F(2, 3)), (F(-1), F(2)))
+    negative = "^dilation factor must be non-negative$"
+    for P, over in ((sq, "^bounding box of 20P has 1681 cells, budget is 100$"),
+                    (slab, "^bounding box of 20P has 427 cells, budget is 100$")):
+        with pytest.raises(ValueError, match=negative):
+            count_vector(P, [2, -1], [20], budget=100)
+        with pytest.raises(ValueError, match=negative):
+            count_vector(P, [], [1, -1, 20], budget=100)
+        with pytest.raises(BudgetExceeded, match=over):
+            count_vector(P, [2, 20], [-1], budget=100)
+        with pytest.raises(BudgetExceeded, match=over):
+            count_vector(P, [], [1, 20, -1], budget=100)
+        with pytest.raises(ValueError, match=negative):
+            count_vector(P, range(5, -2, -1))
+    with pytest.raises(BudgetExceeded, match="^bounding box of 5P has 121 cells, budget is 100$"):
+        count_vector(sq, range(5, -2, -1), budget=100)
+    # The slab's boxes do not nest: that of 3P holds 20 cells, that of 4P 13.
+    with pytest.raises(BudgetExceeded, match="^bounding box of 3P has 20 cells, budget is 15$"):
+        count_vector(slab, range(3, 5), budget=15)
+    with pytest.raises(ValueError, match=negative):
+        count_vector(segment(-1, 2), range(5, -2, -1), budget=10)
+    with pytest.raises(ValueError, match=negative):
+        count_points(sq, -1)
+    assert walks == []
+
+
+# Nested boxes (the catalog) and boxes that do not nest, some of them empty
+# at small m: the slab and the off-origin triangle and box.
+CHARGED = [*catalog().values(), box_polytope((F(1, 3), F(2, 3)), (F(-1), F(2))),
+           from_vertices([(1, 1), (3, 2), (2, F(7, 2))]),
+           box_polytope((F(1, 2), F(3, 2)), (F(-1), F(1)), (F(1, 3), F(2, 3)))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(CHARGED), st.lists(st.integers(-2, 9), max_size=5),
+       st.lists(st.integers(-2, 9), max_size=5), st.integers(0, 300))
+def test_a_request_is_charged_as_its_counts_one_by_one(P, closed, interior, budget):
+    # The oracle charges each m alone, in order, from the rational vertex
+    # ranges: the one-box charge of nested boxes must refuse the same m.
+    from ehrhart.geometry import vertex_ranges
+
+    def refusal(m):
+        if m < 0:
+            return ValueError, "dilation factor must be non-negative"
+        cells = math.prod(max(0, math.floor(m * hi) - math.ceil(m * lo) + 1)
+                          for lo, hi in vertex_ranges(P))
+        if P.ambient_dim > 1 and cells > budget:
+            return BudgetExceeded, f"bounding box of {m}P has {cells} cells, budget is {budget}"
+        return None
+
+    expected = next(filter(None, map(refusal, [*closed, *interior])), None)
+    requested = len(closed) + len(interior)
+    if requested > budget:
+        expected = BudgetExceeded, f"{requested} counts requested, budget is {budget}"
+    try:
+        counts = count_vector(P, closed, interior, budget=budget)
+    except (ValueError, BudgetExceeded) as error:
+        assert (type(error), str(error)) == expected, P
+    else:
+        assert expected is None, P
+        assert counts == [len(lattice_points(P, m)) for m in closed] + \
+            [len(lattice_points(P, m, strict=True)) for m in interior], P
 
 
 def test_budget_guard():
@@ -652,7 +740,7 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
         assert counting._frame(P) == Q and counting._frame(Q) is Q, P
         moved += Q is not P
         K, ms = _Kernel(P), range(1, 4 if P.ambient_dim == 4 else 7)
-        given = [_exact_count(K, m, strict, math.inf) for strict in (False, True) for m in ms]
+        given = [_count(K, m, strict) for strict in (False, True) for m in ms]
         assert count_vector(P, ms, ms) == given, P
         assert [count_points(P, m, strict) for strict in (False, True) for m in ms] == given, P
     assert moved >= 30

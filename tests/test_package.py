@@ -170,3 +170,26 @@ def test_only_the_cli_raises_internal_inconsistency():
     src = Path(ehrhart.__file__).parent
     raising = {path.name for path in src.glob("*.py") if "InternalInconsistency" in raised(path)}
     assert raising == {"cli.py"}
+
+
+def test_only_the_charge_and_the_length_rule_refuse_a_count_request():
+    # A request is charged once, before its first count: no count, walk or
+    # witness builds a BudgetExceeded of its own.
+    import ast
+    from pathlib import Path
+
+    def builders(path):
+        names = []
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call):
+                        f = node.func
+                        if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) \
+                                == "BudgetExceeded":
+                            names.append(f"{path.stem}.{function.name}")
+        return names
+
+    src = Path(ehrhart.__file__).parent
+    built = [name for path in sorted(src.glob("*.py")) for name in builders(path)]
+    assert built == ["counting._charge", "counting.count_vector"]

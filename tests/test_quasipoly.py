@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ehrhart import (
     GeneratorConfig,
@@ -15,6 +17,7 @@ from ehrhart import (
     instances,
     negative_binomial_reflect,
 )
+from ehrhart.quasipoly import series_counts
 
 
 def segment(a, b):
@@ -137,6 +140,24 @@ def test_series_oracle_third_segment():
     counts = [count_points(P, m) for m in range(6)]
     assert counts == [1, 2, 4, 6, 7, 9]
     assert delta_vector_series(P).entries == (1, 2, 4, 4, 3, 1)
+
+
+def series_oracle(counts, n, k):
+    """The series product entry by entry:
+    delta_j = sum_s (-1)^s * C(n+1, s) * L(j - s*k), over j - s*k >= 0."""
+    return tuple(sum((-1) ** s * math.comb(n + 1, s) * counts[j - s * k]
+                     for s in range(j // k + 1))
+                 for j in range(k * (n + 1)))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(1, 4), st.integers(1, 12) | st.just(60), st.integers(0, 3), st.data())
+def test_series_counts_is_the_series_product(n, k, extra, data):
+    # Any integer vector, not only counts, and longer than k(n+1) too: the
+    # lagged differences read L(0..k(n+1)-1) and nothing after.
+    counts = data.draw(st.lists(st.integers(-10**30, 10**30),
+                                min_size=k * (n + 1) + extra, max_size=k * (n + 1) + extra))
+    assert series_counts(counts, n, k).entries == series_oracle(counts, n, k)
 
 
 def test_fit_and_series_agree_on_fixtures(fixtures):

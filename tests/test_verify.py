@@ -9,7 +9,6 @@ from ehrhart import (
     CheckResult,
     DeltaVector,
     EhrhartQP,
-    InternalInconsistency,
     ResidueDeltaTable,
     VerificationReport,
     catalog,
@@ -223,11 +222,11 @@ def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
     # count of the request is made again.  The point sets still agree, so
     # the witness names no point.
     walks = []
-    exact_count = counting._exact_count
+    count = counting._count
 
-    def counted_exact_count(K, m, strict, budget):
+    def counted_count(K, m, strict):
         walks.append((m, strict))
-        return exact_count(K, m, strict, budget)
+        return count(K, m, strict)
 
     count_vector = verify.count_vector
 
@@ -236,7 +235,7 @@ def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
         counts[len(closed) + 1] += 1
         return counts
 
-    monkeypatch.setattr(counting, "_exact_count", counted_exact_count)
+    monkeypatch.setattr(counting, "_count", counted_count)
     monkeypatch.setattr(verify, "count_vector", poisoned_count_vector)
     report = full_report(catalog()["octa3"], "octa3")
     shift, = [c for c in report.checks if c.name == "interior_shift"]
