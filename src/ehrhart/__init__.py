@@ -19,12 +19,12 @@ _EXPORTS = {name: module for module, names in {
     "counting": "count_points interior_shift_mismatch",
     "errors": "AmbientDimensionCap BudgetExceeded DimensionDeficient "
               "DimensionMismatch EhrhartError EmptyInput GenerationExhausted "
-              "InternalInconsistency OriginNotInterior ParseError",
+              "OriginNotInterior ParseError",
     "generators": "GeneratorConfig SplitMix64 catalog instances",
     "geometry": "Polytope denominator dual from_vertices has_lattice_dual "
                 "is_lattice origin_interior point",
     "quasipoly": "DeltaVector EhrhartQP ResidueDeltaTable binomial delta_vector "
-                 "delta_vector_series evaluate_qp fit_qp negative_binomial_reflect",
+                 "delta_vector_series evaluate_qp fit_qp",
     "serialization": "dumps_polytope load_polytope loads_polytope "
                      "polytope_from_json_dict polytope_to_json_dict",
     "verify": "CheckResult VerificationReport check_characterization "

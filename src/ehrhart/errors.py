@@ -35,9 +35,5 @@ class GenerationExhausted(EhrhartError):
     allotted number of attempts."""
 
 
-class InternalInconsistency(EhrhartError):
-    """Two independent computations of the same quantity disagree."""
-
-
 class ParseError(EhrhartError):
     """Input text does not conform to the polytope JSON format."""

@@ -271,10 +271,8 @@ def dual(P: Polytope) -> Polytope:
     strictly inside ``P`` (otherwise the polar is unbounded).
     """
     L, M = P.scale, dual_denominator(P)
-    rows = []
-    for a, b in P.facet_rows:
-        g = math.gcd(b, L)  # the vertex is (L/g) * a / (b/g), in lowest terms
-        rows.append(tuple(c * (L // g) * (M // (b // g)) for c in a))
+    # Exact, as b / gcd(b, L), the vertex's denominator, divides M.
+    rows = [tuple(c * L * M // b for c in a) for a, b in P.facet_rows]
     facets = []
     for row in P.rows:
         g = math.gcd(*row)

@@ -47,19 +47,6 @@ def binomial(x: int, n: int) -> int:
     return num // math.factorial(n)
 
 
-def negative_binomial_reflect(x: int, n: int) -> tuple[int, int]:
-    """Reflection C(x, n) = sign * C(top, n) with top = n - 1 - x.
-
-    Returns (sign, top) where sign = (-1)^n.  This is the standard
-    upper-index reflection for the generalized binomial coefficient and is
-    what turns negative-argument evaluations of a binomial-basis polynomial
-    back into non-negative ones.
-    """
-    if n < 0:
-        raise ValueError("lower index must be non-negative")
-    return (-1) ** n, n - 1 - x
-
-
 @dataclass(frozen=True)
 class ResidueDeltaTable:
     """Integer table delta[i][r], 0 <= i <= n, 0 <= r < k."""
@@ -77,13 +64,6 @@ class ResidueDeltaTable:
 
     def entry(self, i: int, r: int) -> int:
         return self.delta[i][r]
-
-    def column(self, r: int) -> tuple[int, ...]:
-        """The coefficients (delta[0][r], ..., delta[n][r]) of one residue."""
-        return tuple(self.delta[i][r] for i in range(self.n + 1))
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(self.column(r)) for r in range(self.k))
 
 
 @dataclass(frozen=True)
@@ -130,10 +110,10 @@ def fit_qp(P: Polytope) -> EhrhartQP:
 
 def fit_counts(counts: Sequence[int], n: int, k: int) -> EhrhartQP:
     """The quasi-polynomial of dimension n and period k through the closed
-    counts L(0..k(n+1)-1): for each residue r the counts L(l*k + r),
-    l = 0..n, determine the degree-n polynomial uniquely.  In the binomial
-    basis the system is unit triangular (C(l + n - i, n) vanishes for i > l
-    and equals 1 at i = l), so forward substitution needs no division.
+    counts L(0..k(n+1)-1), and none after: the counts L(l*k + r), l = 0..n,
+    fix the degree-n polynomial of residue r.  In the binomial basis the
+    system is unit triangular (C(l + n - i, n) vanishes for i > l and
+    equals 1 at i = l), so forward substitution needs no division.
     """
     weights = [[binomial(l + n - i, n) for i in range(l)] for l in range(n + 1)]
     columns = []
@@ -176,8 +156,8 @@ def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
     series product: multiplies the counting series sum_m L_P(m) t^m by
     (1 - t^k)^(n+1), one factor at a time, and reads off coefficients
     0 .. k(n+1)-1.  A factor (1 - t^k) takes each coefficient j >= k less
-    the one k places before it, n+1 lagged differences in all.  This route
-    never touches the fitted polynomial and serves as its oracle.
+    the one k places before it, n+1 lagged differences in all.  Counts past
+    L(k(n+1)-1) are not read.  It never touches the fitted polynomial.
     """
     delta = list(counts[:k * (n + 1)])
     for _ in range(n + 1):

@@ -191,8 +191,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                           range(1, m_max + 1), budget=budget)
     closed, interior = counts[:-m_max], counts[-m_max:]
     # Looked up on the module, so that a test can swap either route.
-    qp = quasipoly.fit_counts(closed[:k * (n + 1)], n, k)
-    d = quasipoly.series_counts(closed[:k * (n + 1)], n, k)
+    qp, d = quasipoly.fit_counts(closed, n, k), quasipoly.series_counts(closed, n, k)
     palindrome = check_palindrome(d)
 
     checks = [_reciprocity(n, qp, interior)]

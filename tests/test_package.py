@@ -21,9 +21,8 @@ def test_public_names_are_pinned():
     assert ehrhart.__all__ == [
         "AmbientDimensionCap", "BudgetExceeded", "CheckResult", "DeltaVector",
         "DimensionDeficient", "DimensionMismatch", "EhrhartError", "EhrhartQP",
-        "EmptyInput", "GenerationExhausted", "GeneratorConfig",
-        "InternalInconsistency", "OriginNotInterior", "ParseError", "Polytope",
-        "ResidueDeltaTable", "SplitMix64", "VerificationReport",
+        "EmptyInput", "GenerationExhausted", "GeneratorConfig", "OriginNotInterior",
+        "ParseError", "Polytope", "ResidueDeltaTable", "SplitMix64", "VerificationReport",
         "binomial", "catalog", "check_characterization", "check_equivalence",
         "check_palindrome", "check_reciprocity", "check_theorem", "count_points",
         "counting", "delta_vector", "delta_vector_series", "denominator", "dual",
@@ -31,7 +30,7 @@ def test_public_names_are_pinned():
         "find_interior_shift_violation", "fit_qp", "from_vertices", "full_report",
         "generators", "geometry", "has_lattice_dual", "instances",
         "interior_shift_mismatch", "is_lattice", "load_polytope",
-        "loads_polytope", "negative_binomial_reflect", "origin_interior", "point",
+        "loads_polytope", "origin_interior", "point",
         "polytope_from_json_dict", "polytope_to_json_dict", "quasipoly", "render_text",
         "report_to_json_dict", "serialization", "verify",
     ]
@@ -53,8 +52,7 @@ def test_public_signatures_are_pinned():
     signatures = {name: shape(getattr(ehrhart, name)) for name in ehrhart.__all__
                   if not inspect.ismodule(getattr(ehrhart, name))}
     errors = ("AmbientDimensionCap BudgetExceeded DimensionDeficient DimensionMismatch "
-              "EhrhartError EmptyInput GenerationExhausted InternalInconsistency "
-              "OriginNotInterior ParseError").split()
+              "EhrhartError EmptyInput GenerationExhausted OriginNotInterior ParseError").split()
     assert signatures == {
         **dict.fromkeys(errors, "|"),
         "CheckResult": "name passed witness fatal |",
@@ -62,7 +60,7 @@ def test_public_signatures_are_pinned():
         "EhrhartQP": "n k table |",
         "GeneratorConfig": "seed dim coordinate_bound |",
         "Polytope": "ambient_dim scale rows facet_rows | facets vertices",
-        "ResidueDeltaTable": "n k delta | column column_sums entry",
+        "ResidueDeltaTable": "n k delta | entry",
         "SplitMix64": "seed | integer next_u64",
         "VerificationReport":
             "polytope_id n k dual_is_lattice delta residue_table checks | fatal",
@@ -90,7 +88,6 @@ def test_public_signatures_are_pinned():
         "is_lattice": "P",
         "load_polytope": "path",
         "loads_polytope": "text",
-        "negative_binomial_reflect": "x n",
         "origin_interior": "P",
         "point": "coords",
         "polytope_from_json_dict": "obj",
@@ -136,13 +133,12 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.ResidueDeltaTable(1, 1, ((1,),)), ValueError),
     (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (1,))), ValueError),
     (lambda: ehrhart.DeltaVector(()), ValueError),
-    (lambda: ehrhart.negative_binomial_reflect(0, -1), ValueError),
     (lambda: ehrhart.interior_shift_mismatch(catalog()["square2"], 0), ValueError),
     (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
     (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
-        "table_short_row", "empty_delta", "reflect_negative_index",
-        "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
+        "table_short_row", "empty_delta", "shift_at_zero", "empty_integer_range",
+        "point_without_coordinates"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()
@@ -151,25 +147,6 @@ def test_input_guards(build, error):
 def test_polytope_repr_names_its_vertices():
     text = repr(catalog()["halfdiamond2"])
     assert text.startswith("Polytope(ambient_dim=2, vertices=((Fraction(-1, 2), Fraction(0, 1)),")
-
-
-def test_only_the_cli_raises_internal_inconsistency():
-    # A report fails a row, with its witness, where two routes disagree; only
-    # the delta command, which prints no report, turns that into an error.
-    import ast
-    from pathlib import Path
-
-    def raised(path):
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
-        return names
-
-    src = Path(ehrhart.__file__).parent
-    raising = {path.name for path in src.glob("*.py") if "InternalInconsistency" in raised(path)}
-    assert raising == {"cli.py"}
 
 
 def test_only_the_charge_and_the_length_rule_refuse_a_count_request():
@@ -193,3 +170,32 @@ def test_only_the_charge_and_the_length_rule_refuse_a_count_request():
     src = Path(ehrhart.__file__).parent
     built = [name for path in sorted(src.glob("*.py")) for name in builders(path)]
     assert built == ["counting._charge", "counting.count_vector"]
+
+
+def test_readme_library_block_runs_as_documented(capsys):
+    # The python block under "## Library" in README.md, one statement at a
+    # time; each bare expression's value is kept under its source text and
+    # checked against what its comment states.
+    import ast
+    from fractions import Fraction
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    assert values["denominator(P)"] == 6
+    vertices = values["dual(P).vertices"]
+    assert vertices == ((-2,), (3,)) and all(type(c) is Fraction for v in vertices for c in v)
+    assert values["has_lattice_dual(P)"] is True
+    assert values["count_points(P, 7)"] == 6
+    assert values["evaluate_qp(qp, -3)"] == -2
+    delta = (1, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 1)
+    assert values["delta_vector(qp).entries"] == delta
+    assert values["delta_vector_series(P)"].entries == delta
+    assert capsys.readouterr().out.endswith("result: ok\n")

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehrhart import (
+    BudgetExceeded,
     CheckResult,
     DeltaVector,
     EhrhartQP,
+    GeneratorConfig,
     ResidueDeltaTable,
     VerificationReport,
     catalog,
@@ -24,6 +26,7 @@ from ehrhart import (
     fit_qp,
     from_vertices,
     full_report,
+    instances,
     render_text,
     report_to_json_dict,
 )
@@ -99,6 +102,32 @@ def test_theorem_fails_for_third_segment():
     assert not result.passed
     assert (result.witness["i"], result.witness["r"]) == (0, 1)
     assert (result.witness["value"], result.witness["mirrored"]) == (2, 3)
+
+
+def test_theorem_in_dimension_four():
+    # The 4D draws at bound 1, seeds 0-11, under the default budget.  A
+    # dual-of-lattice draw either reports with every row passing, so with a
+    # palindromic delta, or is refused by the box charge: seeds 4, 6, 10 and
+    # 11 report today, and a refusal is asserted rather than skipped, so a
+    # cheaper charge brings the other eight into the check.  The rational
+    # draws are controls: nothing fatal, characterization passes.
+    admitted = 0
+    for seed in range(12):
+        cfg = GeneratorConfig(seed=seed, dim=4, coordinate_bound=1)
+        try:
+            report = full_report(instances(cfg, 1, "dual-of-lattice")[0], str(seed))
+        except BudgetExceeded:
+            pass
+        else:
+            admitted += 1
+            assert report.dual_is_lattice, seed
+            assert {c.name: c.passed for c in report.checks} == dict.fromkeys((
+                "reciprocity", "interior_shift", "theorem", "palindrome",
+                "equivalence", "non_negativity", "characterization"), True), seed
+        control = full_report(instances(cfg, 1, "rational")[0], str(seed))
+        assert not control.fatal, seed
+        assert {c.name: c.passed for c in control.checks}["characterization"], seed
+    assert admitted >= 4
 
 
 # ------------------------------------------------------------- equivalence
