@@ -98,13 +98,13 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     name, P = _resolve_input(args.input)
     counts = closed_counts(P, budget=args.budget)
     qp, delta = fit_counts(*counts), series_counts(*counts)
-    agree = check_equivalence(qp.table, delta)
+    agree = check_equivalence(qp, delta)
     if not agree.passed:
         print(f"ehrhart: FATAL: fit and series routes disagree: {agree.witness}",
               file=sys.stderr)
         return 1
     palindromic = check_palindrome(delta).passed
-    fields, lines = render_delta(delta, qp.table)
+    fields, lines = render_delta(delta, qp)
     doc = {"polytope": name, "n": qp.n, "k": str(qp.k), **fields,
            "palindromic": palindromic}
     lines = [f"polytope: {name}", f"n = {qp.n}, k = {qp.k}", *lines,

@@ -120,14 +120,13 @@ class _Kernel:
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where ``lines[i]`` =
     (A_i, B_i) and ``weights[i]`` are the last two and the other
     coefficients of q_i*a_i.
-    ``plan`` is the :func:`_section_plan` of the lines, with no level cut,
-    ``strips`` the :func:`ehrhart._strips.strips` of the projection of P to
-    the prefix axes, and ``chambers`` the :func:`_chamber_table` on them,
-    built on the first count, closed, strict or clipped, that walks a
-    section.  The prefix of a 2D or 3D kernel is padded to (x1, x2) by
-    zero-weight axes at x1 = 0: a 3D kernel has one strip whose edges are
-    its vertex levels x2/m = t/L, a 2D kernel one trapezoid, of the levels
-    [0, 0].
+    ``strips`` is the :func:`ehrhart._strips.strips` of the projection of P
+    to the prefix axes, and ``chambers`` the :func:`_chamber_table` on them
+    and on the :func:`_section_plan` of the lines, built on the first count,
+    closed, strict or clipped, that walks a section.  The prefix of a 2D or
+    3D kernel is padded to (x1, x2) by zero-weight axes at x1 = 0: a 3D
+    kernel has one strip whose edges are its vertex levels x2/m = t/L, a 2D
+    kernel one trapezoid, of the levels [0, 0].
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -139,7 +138,6 @@ class _Kernel:
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] or [0] for row in scaled]
         self.lines = [row[-2:] for row in scaled]
-        self.plan = _section_plan(self.lines) if self.n > 1 else None
         if self.n == 4:  # a 2D or 3D count does not compile the 4D decomposition
             from ._strips import strips
             self.strips = strips(P)
@@ -264,7 +262,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     last line.  In 4D, ``x1s`` holds the line's x1 weights
     (v_i, v_j*B - v_i*b); a 2D or 3D kernel's x1 is 0, and its ``x1s`` None.
     """
-    uppers, lowers, above, below = K.plan
+    uppers, lowers, above, below = _section_plan(K.lines)
     p, w = K.bounds, [weight[-1] for weight in K.weights]
     v = [weight[0] for weight in K.weights] if K.n == 4 else [0] * len(p)
 

@@ -11,6 +11,7 @@ binomial basis
 whose coefficient table is exactly the delta-vector of P read off k columns
 at a time.  Fitting is division-free (the basis is triangular at l = 0..n),
 so the integrality of every entry is structural, not numerical.
+The :class:`ResidueDeltaTable` (n, k, delta) is the quasi-polynomial itself.
 
 Two extraction routes are provided: forward substitution on the counts
 (:func:`fit_counts`) and the truncated series product of the counting
@@ -56,23 +57,13 @@ class ResidueDeltaTable:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0 or self.k < 1:
+            raise ValueError(f"need n >= 0 and k >= 1, got n={self.n}, k={self.k}")
         if len(self.delta) != self.n + 1:
             raise ValueError(f"need {self.n + 1} rows, got {len(self.delta)}")
         for row in self.delta:
             if len(row) != self.k:
                 raise ValueError(f"need {self.k} columns, got {len(row)}")
-
-    def entry(self, i: int, r: int) -> int:
-        return self.delta[i][r]
-
-
-@dataclass(frozen=True)
-class EhrhartQP:
-    """An Ehrhart quasi-polynomial as k binomial-basis polynomials."""
-
-    n: int
-    k: int
-    table: ResidueDeltaTable
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,12 @@ def closed_counts(P: Polytope,
     return count_vector(P, range(k * (n + 1)), budget=budget), n, k
 
 
-def fit_qp(P: Polytope) -> EhrhartQP:
+def fit_qp(P: Polytope) -> ResidueDeltaTable:
     """Fit the quasi-polynomial of P from exact counts."""
     return fit_counts(*closed_counts(P))
 
 
-def fit_counts(counts: Sequence[int], n: int, k: int) -> EhrhartQP:
+def fit_counts(counts: Sequence[int], n: int, k: int) -> ResidueDeltaTable:
     """The quasi-polynomial of dimension n and period k through the closed
     counts L(0..k(n+1)-1), and none after: the counts L(l*k + r), l = 0..n,
     fix the degree-n polynomial of residue r.  In the binomial basis the
@@ -122,10 +113,10 @@ def fit_counts(counts: Sequence[int], n: int, k: int) -> EhrhartQP:
         for l, row in enumerate(weights):
             col.append(counts[l * k + r] - sum(map(mul, col, row)))
         columns.append(col)
-    return EhrhartQP(n, k, ResidueDeltaTable(n, k, tuple(zip(*columns))))
+    return ResidueDeltaTable(n, k, tuple(zip(*columns)))
 
 
-def evaluate_qp(qp: EhrhartQP, m: int) -> int:
+def evaluate_qp(qp: ResidueDeltaTable, m: int) -> int:
     """Evaluate the quasi-polynomial at any integer m, negative included.
 
     Writes m = l*k + r with the residue r = m mod k in [0, k) and l
@@ -133,17 +124,16 @@ def evaluate_qp(qp: EhrhartQP, m: int) -> int:
     """
     r = m % qp.k
     l = (m - r) // qp.k
-    return sum(qp.table.entry(i, r) * binomial(l + qp.n - i, qp.n)
-               for i in range(qp.n + 1))
+    return sum(row[r] * binomial(l + qp.n - i, qp.n) for i, row in enumerate(qp.delta))
 
 
-def delta_vector(qp: EhrhartQP) -> DeltaVector:
+def delta_vector(qp: ResidueDeltaTable) -> DeltaVector:
     """Interleave the residue table into the full delta-vector.
 
     Entry i*k + r of the delta-vector is delta[i][r]: the k residue series
     in t^k, shifted by t^r, tile the full counting series.
     """
-    return DeltaVector(tuple(v for row in qp.table.delta for v in row))
+    return DeltaVector(tuple(v for row in qp.delta for v in row))
 
 
 def delta_vector_series(P: Polytope) -> DeltaVector:

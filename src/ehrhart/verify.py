@@ -23,7 +23,7 @@ from .counting import DEFAULT_BUDGET, count_vector
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
                        origin_interior)
-from .quasipoly import DeltaVector, EhrhartQP, ResidueDeltaTable, evaluate_qp
+from .quasipoly import DeltaVector, ResidueDeltaTable, evaluate_qp
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class VerificationReport:
 
 
 def check_reciprocity(P: Polytope, m_max: int = 6,
-                      qp: Optional[EhrhartQP] = None) -> CheckResult:
+                      qp: Optional[ResidueDeltaTable] = None) -> CheckResult:
     """Ehrhart-Macdonald reciprocity on dilations 1..m_max.
 
     Evaluating the fitted quasi-polynomial at -m must equal (-1)^n times
@@ -63,11 +63,11 @@ def check_reciprocity(P: Polytope, m_max: int = 6,
     n, k = P.ambient_dim, denominator(P)
     counts = count_vector(P, range(k * (n + 1)) if qp is None else (), range(1, m_max + 1))
     if qp is None:
-        qp = quasipoly.fit_counts(counts[:-m_max], n, k)
+        qp = quasipoly.fit_counts(counts, n, k)  # reads only the closed counts
     return _reciprocity(n, qp, counts[-m_max:])
 
 
-def _reciprocity(n: int, qp: EhrhartQP, interior: list[int]) -> CheckResult:
+def _reciprocity(n: int, qp: ResidueDeltaTable, interior: list[int]) -> CheckResult:
     sign = (-1) ** n
     for m, count in enumerate(interior, 1):
         negative = evaluate_qp(qp, -m)
@@ -89,12 +89,11 @@ def check_palindrome(d: DeltaVector) -> CheckResult:
 
 def check_theorem(t: ResidueDeltaTable) -> CheckResult:
     """Residue-table symmetry delta[i][r] == delta[n-i][k-1-r]."""
-    for i in range(t.n + 1):
-        for r in range(t.k):
-            mirrored = t.entry(t.n - i, t.k - 1 - r)
-            if t.entry(i, r) != mirrored:
+    for i, (row, mirror) in enumerate(zip(t.delta, reversed(t.delta))):
+        for r, (value, mirrored) in enumerate(zip(row, reversed(mirror))):
+            if value != mirrored:
                 return CheckResult("theorem", False, {
-                    "i": i, "r": r, "value": t.entry(i, r), "mirrored": mirrored})
+                    "i": i, "r": r, "value": value, "mirrored": mirrored})
     return CheckResult("theorem", True)
 
 
@@ -111,12 +110,10 @@ def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
     if len(d) != expected_len:
         return CheckResult("equivalence", False, {
             "index": min(len(d), expected_len), "reason": "length mismatch"})
-    for i in range(t.n + 1):
-        for r in range(t.k):
-            if d[i * t.k + r] != t.entry(i, r):
-                return CheckResult("equivalence", False, {
-                    "index": i * t.k + r,
-                    "vector": d[i * t.k + r], "table": t.entry(i, r)})
+    for j, (vector, table) in enumerate(zip(d, (v for row in t.delta for v in row))):
+        if vector != table:
+            return CheckResult("equivalence", False, {
+                "index": j, "vector": vector, "table": table})
     return CheckResult("equivalence", True)
 
 
@@ -200,7 +197,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         checks.append(CheckResult("interior_shift", True) if m is None else
                       CheckResult("interior_shift", False, {
                           "m": m, "point": counting._shift_witness(counting._Kernel(P), m)}))
-    checks += [check_theorem(qp.table), palindrome, check_equivalence(qp.table, d),
+    checks += [check_theorem(qp), palindrome, check_equivalence(qp, d),
                check_non_negativity(d), _characterization(dual_lattice, palindrome.passed)]
 
     # Reciprocity and the routes' agreement hold for every rational polytope,
@@ -211,8 +208,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         must_hold |= {"theorem", "palindrome", "interior_shift"}
     checks = [dataclasses.replace(c, fatal=True)
               if c.name in must_hold and not c.passed else c for c in checks]
-    return VerificationReport(polytope_id, n, k, dual_lattice, d, qp.table,
-                              tuple(checks))
+    return VerificationReport(polytope_id, n, k, dual_lattice, d, qp, tuple(checks))
 
 
 def report_to_json_dict(report: VerificationReport) -> dict:

@@ -64,7 +64,7 @@ def test_criterion_1_fixture_delta_vectors():
             assert fitted.entries == expected, name
             assert series.entries == expected, name
             assert elapsed < 1.0, (name, elapsed)
-        table = fit_qp(catalog()["seg_mhalf_1"]).table
+        table = fit_qp(catalog()["seg_mhalf_1"])
         assert table.delta == ((1, 2), (2, 1))
 
 
@@ -75,7 +75,7 @@ def test_criterion_2_theorem_suite():
         assert len(pool) == 100
         for P in pool:
             qp = fit_qp(P)
-            assert check_theorem(qp.table).passed, P
+            assert check_theorem(qp).passed, P
             assert check_palindrome(delta_vector(qp)).passed, P
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, elapsed
@@ -119,7 +119,7 @@ def test_criterion_5_oracle_equivalence(fixtures, theorem_pool, control_pool):
             assert fitted == delta_vector_series(P), P
             for i in range(qp.n + 1):
                 for r in range(qp.k):
-                    assert fitted[i * qp.k + r] == qp.table.entry(i, r), (P, i, r)
+                    assert fitted[i * qp.k + r] == qp.delta[i][r], (P, i, r)
 
 
 def test_criterion_6_extrapolation_round_trip(fixtures):
@@ -138,8 +138,8 @@ def test_criterion_7_structural_invariants(fixtures, theorem_pool, control_pool)
             assert d[0] == 1
             assert all(v >= 0 for v in d), P
             for r in range(qp.k):
-                assert qp.table.entry(0, r) == count_points(P, r), (P, r)
-            assert len({sum(c) for c in zip(*qp.table.delta)}) == 1, P
+                assert qp.delta[0][r] == count_points(P, r), (P, r)
+            assert len({sum(c) for c in zip(*qp.delta)}) == 1, P
 
 
 def test_criterion_8_characterization_suite(fixtures, control_pool):

@@ -179,9 +179,9 @@ def _off_by_one(route):
         if route == "series_counts":
             entries = real(counts, n, k).entries
             return ehrhart.DeltaVector((*entries[:-1], entries[-1] + 1))
-        rows = [list(row) for row in real(counts, n, k).table.delta]
+        rows = [list(row) for row in real(counts, n, k).delta]
         rows[-1][-1] += 1
-        return ehrhart.EhrhartQP(n, k, ehrhart.ResidueDeltaTable(n, k, tuple(map(tuple, rows))))
+        return ehrhart.ResidueDeltaTable(n, k, tuple(map(tuple, rows)))
     return mutant
 
 
@@ -195,7 +195,7 @@ def test_a_mutant_route_fails_the_equivalence_row(capsys, monkeypatch, route, na
     row, = (c for c in report.checks if c.name == "equivalence")
     assert report.fatal and row.fatal and not row.passed
     index = report.k * (report.n + 1) - 1
-    fitted, series = report.residue_table.entry(report.n, report.k - 1), report.delta[index]
+    fitted, series = report.residue_table.delta[report.n][report.k - 1], report.delta[index]
     assert row.witness == {"index": index, "vector": series, "table": fitted}
     assert abs(fitted - series) == 1
     code, out, err = run(capsys, "verify", name)

@@ -20,8 +20,8 @@ def test_public_names_are_pinned():
     # Any change to the exports shows up as a diff of this list.
     assert ehrhart.__all__ == [
         "AmbientDimensionCap", "BudgetExceeded", "CheckResult", "DeltaVector",
-        "DimensionDeficient", "DimensionMismatch", "EhrhartError", "EhrhartQP",
-        "EmptyInput", "GenerationExhausted", "GeneratorConfig", "OriginNotInterior",
+        "DimensionDeficient", "DimensionMismatch", "EhrhartError", "EmptyInput",
+        "GenerationExhausted", "GeneratorConfig", "OriginNotInterior",
         "ParseError", "Polytope", "ResidueDeltaTable", "SplitMix64", "VerificationReport",
         "binomial", "catalog", "check_characterization", "check_equivalence",
         "check_palindrome", "check_reciprocity", "check_theorem", "count_points",
@@ -57,10 +57,9 @@ def test_public_signatures_are_pinned():
         **dict.fromkeys(errors, "|"),
         "CheckResult": "name passed witness fatal |",
         "DeltaVector": "entries |",
-        "EhrhartQP": "n k table |",
         "GeneratorConfig": "seed dim coordinate_bound |",
         "Polytope": "ambient_dim scale rows facet_rows | facets vertices",
-        "ResidueDeltaTable": "n k delta | entry",
+        "ResidueDeltaTable": "n k delta |",
         "SplitMix64": "seed | integer next_u64",
         "VerificationReport":
             "polytope_id n k dual_is_lattice delta residue_table checks | fatal",
@@ -132,13 +131,15 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.Polytope(2, 1, ((0, 0), (1,)), ()), ehrhart.DimensionMismatch),
     (lambda: ehrhart.ResidueDeltaTable(1, 1, ((1,),)), ValueError),
     (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (1,))), ValueError),
+    (lambda: ehrhart.ResidueDeltaTable(0, 0, ((),)), ValueError),
+    (lambda: ehrhart.ResidueDeltaTable(-1, 1, ()), ValueError),
     (lambda: ehrhart.DeltaVector(()), ValueError),
     (lambda: ehrhart.interior_shift_mismatch(catalog()["square2"], 0), ValueError),
     (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
     (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
-        "table_short_row", "empty_delta", "shift_at_zero", "empty_integer_range",
-        "point_without_coordinates"])
+        "table_short_row", "table_zero_period", "table_negative_dimension",
+        "empty_delta", "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from ehrhart import (
     GeneratorConfig,
+    ResidueDeltaTable,
     binomial,
+    check_reciprocity,
     catalog,
     count_points,
     delta_vector,
@@ -47,13 +49,13 @@ def test_reflection_property(x, n):
 def test_fit_square():
     qp = fit_qp(catalog()["square2"])
     assert (qp.n, qp.k) == (2, 1)
-    assert qp.table.delta == ((1,), (6,), (1,))
+    assert qp.delta == ((1,), (6,), (1,))
 
 
 def test_fit_diamond():
     P = catalog()["diamond2"]
     assert [count_points(P, m) for m in range(3)] == [1, 5, 13]
-    assert fit_qp(P).table.delta == ((1,), (2,), (1,))
+    assert fit_qp(P).delta == ((1,), (2,), (1,))
 
 
 def test_fit_half_segment_by_hand():
@@ -61,12 +63,19 @@ def test_fit_half_segment_by_hand():
     P = catalog()["seg_mhalf_1"]
     assert [count_points(P, m) for m in range(4)] == [1, 2, 4, 5]
     qp = fit_qp(P)
-    assert qp.table.delta == ((1, 2), (2, 1))  # columns (1, 2) and (2, 1)
+    assert qp.delta == ((1, 2), (2, 1))  # columns (1, 2) and (2, 1)
+    # The fit is its residue table, and a hand-built one stands in for it.
+    by_hand = ResidueDeltaTable(1, 2, ((1, 2), (2, 1)))
+    assert qp == by_hand
+    assert [evaluate_qp(by_hand, m) for m in range(-4, 6)] == \
+        [evaluate_qp(qp, m) for m in range(-4, 6)]
+    assert delta_vector(by_hand) == delta_vector(qp)
+    assert check_reciprocity(P, qp=by_hand).passed
 
 
 def test_fit_entries_are_integers(fixtures):
     for P in fixtures.values():
-        for row in fit_qp(P).table.delta:
+        for row in fit_qp(P).delta:
             assert all(isinstance(v, int) for v in row)
 
 
@@ -166,8 +175,8 @@ def test_delta_structure(fixtures):
         assert len(d) == k * (qp.n + 1)
         # Row zero of the table holds the first k counts.
         for r in range(k):
-            assert qp.table.entry(0, r) == count_points(P, r)
-        sums = [sum(column) for column in zip(*qp.table.delta)]
+            assert qp.delta[0][r] == count_points(P, r)
+        sums = [sum(column) for column in zip(*qp.delta)]
         assert len(set(sums)) == 1
         # Positive column sum: each residue polynomial has degree exactly n.
         assert sums[0] > 0

@@ -9,7 +9,6 @@ from ehrhart import (
     BudgetExceeded,
     CheckResult,
     DeltaVector,
-    EhrhartQP,
     GeneratorConfig,
     ResidueDeltaTable,
     VerificationReport,
@@ -59,7 +58,7 @@ def test_reciprocity_holds_without_lattice_dual():
 
 def test_reciprocity_witness_reports_first_failure():
     # A deliberately wrong quasi-polynomial for the square.
-    broken = EhrhartQP(2, 1, ResidueDeltaTable(2, 1, ((1,), (0,), (0,))))
+    broken = ResidueDeltaTable(2, 1, ((1,), (0,), (0,)))
     result = check_reciprocity(catalog()["square2"], m_max=3, qp=broken)
     assert not result.passed
     assert result.witness["m"] == 1
@@ -88,17 +87,17 @@ def test_palindrome_examples():
 # ----------------------------------------------------------------- theorem
 
 def test_theorem_half_segment():
-    assert check_theorem(fit_qp(catalog()["seg_mhalf_1"]).table).passed
+    assert check_theorem(fit_qp(catalog()["seg_mhalf_1"])).passed
 
 
 def test_theorem_halfdiamond():
-    assert check_theorem(fit_qp(catalog()["halfdiamond2"]).table).passed
+    assert check_theorem(fit_qp(catalog()["halfdiamond2"])).passed
 
 
 def test_theorem_fails_for_third_segment():
     # Table ((1,2,4),(4,3,1)): the corner entries 1 happen to match, so the
     # first lexicographic violation is delta[0][1]=2 against delta[1][1]=3.
-    result = check_theorem(fit_qp(catalog()["seg_m23_1"]).table)
+    result = check_theorem(fit_qp(catalog()["seg_m23_1"]))
     assert not result.passed
     assert (result.witness["i"], result.witness["r"]) == (0, 1)
     assert (result.witness["value"], result.witness["mirrored"]) == (2, 3)
@@ -134,19 +133,19 @@ def test_theorem_in_dimension_four():
 
 def test_equivalence_square():
     qp = fit_qp(catalog()["square2"])
-    assert check_equivalence(qp.table, delta_vector(qp)).passed
+    assert check_equivalence(qp, delta_vector(qp)).passed
 
 
 def test_equivalence_half_segment():
     qp = fit_qp(catalog()["seg_mhalf_1"])
     assert delta_vector(qp).entries == (1, 2, 2, 1)
-    assert check_equivalence(qp.table, delta_vector(qp)).passed
+    assert check_equivalence(qp, delta_vector(qp)).passed
 
 
 def test_equivalence_detects_mismatch():
     qp = fit_qp(catalog()["seg_mhalf_1"])
     tampered = DeltaVector((1, 2, 3, 1))
-    result = check_equivalence(qp.table, tampered)
+    result = check_equivalence(qp, tampered)
     assert not result.passed
     assert result.witness["index"] == 2
 
@@ -166,7 +165,7 @@ tables = st.integers(min_value=1, max_value=3).flatmap(
 def test_symmetries_agree_on_arbitrary_tables(table):
     # Pure index algebra: the table symmetry holds exactly when the
     # interleaved vector is palindromic, Ehrhart data or not.
-    interleaved = delta_vector(EhrhartQP(table.n, table.k, table))
+    interleaved = delta_vector(table)
     assert check_theorem(table).passed == check_palindrome(interleaved).passed
 
 
