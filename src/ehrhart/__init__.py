@@ -23,7 +23,7 @@ _EXPORTS = {name: module for module, names in {
     "generators": "GeneratorConfig SplitMix64 catalog instances",
     "geometry": "Polytope denominator dual from_vertices has_lattice_dual "
                 "is_lattice origin_interior point",
-    "quasipoly": "DeltaVector ResidueDeltaTable binomial delta_vector "
+    "quasipoly": "ResidueDeltaTable binomial delta_vector "
                  "delta_vector_series evaluate_qp fit_qp",
     "serialization": "dumps_polytope load_polytope loads_polytope "
                      "polytope_from_json_dict polytope_to_json_dict",

@@ -15,8 +15,9 @@ The :class:`ResidueDeltaTable` (n, k, delta) is the quasi-polynomial itself.
 
 Two extraction routes are provided: forward substitution on the counts
 (:func:`fit_counts`) and the truncated series product of the counting
-series with (1 - t^k)^(n+1) (:func:`series_counts`), which only the
-``equivalence`` row of a report compares.
+series with (1 - t^k)^(n+1) (:func:`series_counts`).  Two callers
+compare them, both through ``verify.check_equivalence``: the ``equivalence``
+row of ``verify.full_report`` and the CLI's ``delta`` command.
 Both are linear maps of one count vector L(0..k(n+1)-1), so their agreement
 checks the maps, not the counts: a counting bug that shifts some L(m) moves
 both routes alike and passes.  Catching one needs a route that reads no count.
@@ -66,26 +67,6 @@ class ResidueDeltaTable:
                 raise ValueError(f"need {self.k} columns, got {len(row)}")
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    """The length-k(n+1) integer numerator vector of the counting series."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("delta-vector cannot be empty")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, j: int) -> int:
-        return self.entries[j]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def closed_counts(P: Polytope,
                   budget: int = DEFAULT_BUDGET) -> tuple[list[int], int, int]:
     """(counts, n, k): the closed counts L(0..k(n+1)-1) of P, which both
@@ -127,21 +108,21 @@ def evaluate_qp(qp: ResidueDeltaTable, m: int) -> int:
     return sum(row[r] * binomial(l + qp.n - i, qp.n) for i, row in enumerate(qp.delta))
 
 
-def delta_vector(qp: ResidueDeltaTable) -> DeltaVector:
+def delta_vector(qp: ResidueDeltaTable) -> tuple[int, ...]:
     """Interleave the residue table into the full delta-vector.
 
     Entry i*k + r of the delta-vector is delta[i][r]: the k residue series
     in t^k, shifted by t^r, tile the full counting series.
     """
-    return DeltaVector(tuple(v for row in qp.delta for v in row))
+    return tuple(v for row in qp.delta for v in row)
 
 
-def delta_vector_series(P: Polytope) -> DeltaVector:
+def delta_vector_series(P: Polytope) -> tuple[int, ...]:
     """The delta-vector of P by the truncated series product."""
     return series_counts(*closed_counts(P))
 
 
-def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
+def series_counts(counts: Sequence[int], n: int, k: int) -> tuple[int, ...]:
     """The delta-vector of the closed counts L(0..k(n+1)-1) by the truncated
     series product: multiplies the counting series sum_m L_P(m) t^m by
     (1 - t^k)^(n+1), one factor at a time, and reads off coefficients
@@ -152,4 +133,4 @@ def series_counts(counts: Sequence[int], n: int, k: int) -> DeltaVector:
     delta = list(counts[:k * (n + 1)])
     for _ in range(n + 1):
         delta[k:] = [a - b for a, b in zip(delta[k:], delta)]
-    return DeltaVector(tuple(delta))
+    return tuple(delta)

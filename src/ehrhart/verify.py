@@ -16,18 +16,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import counting, quasipoly
 from .counting import DEFAULT_BUDGET, count_vector
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
                        origin_interior)
-from .quasipoly import DeltaVector, ResidueDeltaTable, evaluate_qp
+from .quasipoly import ResidueDeltaTable, delta_vector, evaluate_qp
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A named check's outcome and the witness of its first failure;
+    ``fatal`` is set by :func:`full_report`'s rule."""
+
     name: str
     passed: bool
     witness: Optional[dict] = None
@@ -36,11 +39,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Every check on one polytope.  ``delta`` is the series route's
+    delta-vector; ``residue_table`` is the fitted table, and the source of
+    the printed n and k."""
+
     polytope_id: str
-    n: int
-    k: int
     dual_is_lattice: bool
-    delta: DeltaVector
+    delta: tuple[int, ...]
     residue_table: ResidueDeltaTable
     checks: tuple[CheckResult, ...]
 
@@ -64,11 +69,11 @@ def check_reciprocity(P: Polytope, m_max: int = 6,
     counts = count_vector(P, range(k * (n + 1)) if qp is None else (), range(1, m_max + 1))
     if qp is None:
         qp = quasipoly.fit_counts(counts, n, k)  # reads only the closed counts
-    return _reciprocity(n, qp, counts[-m_max:])
+    return _reciprocity(qp, counts[-m_max:])
 
 
-def _reciprocity(n: int, qp: ResidueDeltaTable, interior: list[int]) -> CheckResult:
-    sign = (-1) ** n
+def _reciprocity(qp: ResidueDeltaTable, interior: list[int]) -> CheckResult:
+    sign = (-1) ** qp.n
     for m, count in enumerate(interior, 1):
         negative = evaluate_qp(qp, -m)
         if negative != sign * count:
@@ -77,7 +82,7 @@ def _reciprocity(n: int, qp: ResidueDeltaTable, interior: list[int]) -> CheckRes
     return CheckResult("reciprocity", True)
 
 
-def check_palindrome(d: DeltaVector) -> CheckResult:
+def check_palindrome(d: Sequence[int]) -> CheckResult:
     """Whether delta[j] == delta[len-1-j] for every index."""
     length = len(d)
     for j in range(length // 2):
@@ -97,7 +102,7 @@ def check_theorem(t: ResidueDeltaTable) -> CheckResult:
     return CheckResult("theorem", True)
 
 
-def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
+def check_equivalence(t: ResidueDeltaTable, d: Sequence[int]) -> CheckResult:
     """Interleaving identity between the residue table and the delta-vector:
     len(d) == k(n+1) and d[i*k + r] == t[i][r] entry-wise.
 
@@ -106,11 +111,11 @@ def check_equivalence(t: ResidueDeltaTable, d: DeltaVector) -> CheckResult:
     i*k + r to k(n+1)-1 - (i*k + r), so :func:`check_theorem` on ``t`` and
     :func:`check_palindrome` on ``d`` agree.
     """
-    expected_len = t.k * (t.n + 1)
-    if len(d) != expected_len:
+    interleaved = delta_vector(t)
+    if len(d) != len(interleaved):
         return CheckResult("equivalence", False, {
-            "index": min(len(d), expected_len), "reason": "length mismatch"})
-    for j, (vector, table) in enumerate(zip(d, (v for row in t.delta for v in row))):
+            "index": min(len(d), len(interleaved)), "reason": "length mismatch"})
+    for j, (vector, table) in enumerate(zip(d, interleaved)):
         if vector != table:
             return CheckResult("equivalence", False, {
                 "index": j, "vector": vector, "table": table})
@@ -121,10 +126,12 @@ def check_characterization(P: Polytope) -> CheckResult:
     """Lattice polar dual if and only if palindromic delta-vector.
 
     The forward direction is exact; a lattice dual with a non-palindromic
-    delta-vector can never occur, so that outcome is flagged fatal.
+    delta-vector can never occur, so that outcome is flagged fatal.  Raises
+    ``OriginNotInterior``, before any count, unless the origin is strictly inside P.
     """
-    delta = quasipoly.delta_vector_series(P)
-    return _characterization(has_lattice_dual(P), check_palindrome(delta).passed)
+    dual_lattice = has_lattice_dual(P)
+    palindromic = check_palindrome(quasipoly.delta_vector_series(P)).passed
+    return _characterization(dual_lattice, palindromic)
 
 
 def _characterization(dual_lattice: bool, palindromic: bool) -> CheckResult:
@@ -135,7 +142,7 @@ def _characterization(dual_lattice: bool, palindromic: bool) -> CheckResult:
         fatal=dual_lattice and not palindromic)
 
 
-def check_non_negativity(d: DeltaVector) -> CheckResult:
+def check_non_negativity(d: Sequence[int]) -> CheckResult:
     """Every delta entry is non-negative; a violation is a fatal inconsistency."""
     for j, value in enumerate(d):
         if value < 0:
@@ -191,7 +198,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     qp, d = quasipoly.fit_counts(closed, n, k), quasipoly.series_counts(closed, n, k)
     palindrome = check_palindrome(d)
 
-    checks = [_reciprocity(n, qp, interior)]
+    checks = [_reciprocity(qp, interior)]
     if dual_lattice:
         m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
         checks.append(CheckResult("interior_shift", True) if m is None else
@@ -208,15 +215,15 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
         must_hold |= {"theorem", "palindrome", "interior_shift"}
     checks = [dataclasses.replace(c, fatal=True)
               if c.name in must_hold and not c.passed else c for c in checks]
-    return VerificationReport(polytope_id, n, k, dual_lattice, d, qp, tuple(checks))
+    return VerificationReport(polytope_id, dual_lattice, d, qp, tuple(checks))
 
 
 def report_to_json_dict(report: VerificationReport) -> dict:
     """JSON-ready dict; every potentially large integer becomes a string."""
     return {
         "polytope": report.polytope_id,
-        "n": report.n,
-        "k": str(report.k),
+        "n": report.residue_table.n,
+        "k": str(report.residue_table.k),
         "dual_is_lattice": report.dual_is_lattice,
         **render_delta(report.delta, report.residue_table)[0],
         "fatal": report.fatal,
@@ -252,7 +259,7 @@ def render_text(report: VerificationReport) -> str:
     """Human-readable rendering of a verification report."""
     lines = [
         f"polytope: {report.polytope_id}",
-        f"n = {report.n}, k = {report.k}",
+        f"n = {report.residue_table.n}, k = {report.residue_table.k}",
         f"dual is lattice: {'yes' if report.dual_is_lattice else 'no'}",
         *render_delta(report.delta, report.residue_table)[1],
         "checks:",
@@ -270,7 +277,7 @@ def render_text(report: VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def render_delta(d: DeltaVector, table: ResidueDeltaTable) -> tuple[dict, list[str]]:
+def render_delta(d: Sequence[int], table: ResidueDeltaTable) -> tuple[dict, list[str]]:
     """A delta-vector and its residue table as JSON fields, every entry a
     string, and as text lines."""
     doc = {"delta": [str(v) for v in d],

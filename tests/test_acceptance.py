@@ -61,8 +61,8 @@ def test_criterion_1_fixture_delta_vectors():
             fitted = delta_vector(qp)
             series = delta_vector_series(P)
             elapsed = time.perf_counter() - start
-            assert fitted.entries == expected, name
-            assert series.entries == expected, name
+            assert fitted == expected, name
+            assert series == expected, name
             assert elapsed < 1.0, (name, elapsed)
         table = fit_qp(catalog()["seg_mhalf_1"])
         assert table.delta == ((1, 2), (2, 1))

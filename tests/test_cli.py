@@ -152,8 +152,8 @@ def test_disagreeing_delta_routes_exit_one(capsys, monkeypatch, command, fmt):
     real = quasipoly_module.series_counts
 
     def shifted(counts, n, k):
-        entries = real(counts, n, k).entries
-        return ehrhart.DeltaVector((entries[0] + 1, *entries[1:]))
+        entries = real(counts, n, k)
+        return (entries[0] + 1, *entries[1:])
 
     monkeypatch.setattr(quasipoly_module, "series_counts", shifted)
     code, out, err = run(capsys, command, "square2", "--format", fmt)
@@ -177,8 +177,8 @@ def _off_by_one(route):
 
     def mutant(counts, n, k):
         if route == "series_counts":
-            entries = real(counts, n, k).entries
-            return ehrhart.DeltaVector((*entries[:-1], entries[-1] + 1))
+            entries = real(counts, n, k)
+            return (*entries[:-1], entries[-1] + 1)
         rows = [list(row) for row in real(counts, n, k).delta]
         rows[-1][-1] += 1
         return ehrhart.ResidueDeltaTable(n, k, tuple(map(tuple, rows)))
@@ -194,8 +194,9 @@ def test_a_mutant_route_fails_the_equivalence_row(capsys, monkeypatch, route, na
     report = verify_module.full_report(catalog()[name], name)
     row, = (c for c in report.checks if c.name == "equivalence")
     assert report.fatal and row.fatal and not row.passed
-    index = report.k * (report.n + 1) - 1
-    fitted, series = report.residue_table.delta[report.n][report.k - 1], report.delta[index]
+    n, k = report.residue_table.n, report.residue_table.k
+    index = k * (n + 1) - 1
+    fitted, series = report.residue_table.delta[n][k - 1], report.delta[index]
     assert row.witness == {"index": index, "vector": series, "table": fitted}
     assert abs(fitted - series) == 1
     code, out, err = run(capsys, "verify", name)

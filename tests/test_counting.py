@@ -199,7 +199,7 @@ def test_report_counts_each_dilation_once(walks, monkeypatch, build):
     monkeypatch.setattr(counting, "_Kernel", counted_kernel)
     report = full_report(build())
     assert len(kernels) == 1
-    n, k = report.n, report.k
+    n, k = report.residue_table.n, report.residue_table.k
     closed = range(max(k * (n + 1), 6 if report.dual_is_lattice else 0))
     expected = [(m, False) for m in closed] + [(m, True) for m in range(1, 7)]
     assert sorted(walks) == sorted(expected)
@@ -641,7 +641,7 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
     monkeypatch.setattr(counting, "_chamber_table", counted_chamber_table)
     P, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1, "rational")
     report = full_report(P)
-    assert report.k > 1
+    assert report.residue_table.k > 1
     assert len(builds) == 1
     # A lattice dual's report runs its closed counts on to the interior
     # shift's L(m_max - 1) on the same table.

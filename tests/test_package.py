@@ -19,7 +19,7 @@ def test_every_public_name_resolves_and_is_listed():
 def test_public_names_are_pinned():
     # Any change to the exports shows up as a diff of this list.
     assert ehrhart.__all__ == [
-        "AmbientDimensionCap", "BudgetExceeded", "CheckResult", "DeltaVector",
+        "AmbientDimensionCap", "BudgetExceeded", "CheckResult",
         "DimensionDeficient", "DimensionMismatch", "EhrhartError", "EmptyInput",
         "GenerationExhausted", "GeneratorConfig", "OriginNotInterior",
         "ParseError", "Polytope", "ResidueDeltaTable", "SplitMix64", "VerificationReport",
@@ -56,13 +56,12 @@ def test_public_signatures_are_pinned():
     assert signatures == {
         **dict.fromkeys(errors, "|"),
         "CheckResult": "name passed witness fatal |",
-        "DeltaVector": "entries |",
         "GeneratorConfig": "seed dim coordinate_bound |",
         "Polytope": "ambient_dim scale rows facet_rows | facets vertices",
         "ResidueDeltaTable": "n k delta |",
         "SplitMix64": "seed | integer next_u64",
         "VerificationReport":
-            "polytope_id n k dual_is_lattice delta residue_table checks | fatal",
+            "polytope_id dual_is_lattice delta residue_table checks | fatal",
         "binomial": "x n",
         "catalog": "",
         "check_characterization": "P",
@@ -133,13 +132,12 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (1,))), ValueError),
     (lambda: ehrhart.ResidueDeltaTable(0, 0, ((),)), ValueError),
     (lambda: ehrhart.ResidueDeltaTable(-1, 1, ()), ValueError),
-    (lambda: ehrhart.DeltaVector(()), ValueError),
     (lambda: ehrhart.interior_shift_mismatch(catalog()["square2"], 0), ValueError),
     (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
     (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
         "table_short_row", "table_zero_period", "table_negative_dimension",
-        "empty_delta", "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
+        "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()
@@ -197,6 +195,6 @@ def test_readme_library_block_runs_as_documented(capsys):
     assert values["count_points(P, 7)"] == 6
     assert values["evaluate_qp(qp, -3)"] == -2
     delta = (1, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 1)
-    assert values["delta_vector(qp).entries"] == delta
-    assert values["delta_vector_series(P)"].entries == delta
+    assert values["delta_vector(qp)"] == delta
+    assert values["delta_vector_series(P)"] == delta
     assert capsys.readouterr().out.endswith("result: ok\n")

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from ehrhart import (
     BudgetExceeded,
     CheckResult,
-    DeltaVector,
     GeneratorConfig,
+    OriginNotInterior,
     ResidueDeltaTable,
     VerificationReport,
     catalog,
@@ -76,10 +76,10 @@ def test_reciprocity_and_report_need_a_dilation(m_max):
 
 
 def test_palindrome_examples():
-    assert check_palindrome(DeltaVector((1, 6, 1))).passed
-    twelve = DeltaVector((1, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 1))
+    assert check_palindrome((1, 6, 1)).passed
+    twelve = (1, 1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 1)
     assert check_palindrome(twelve).passed
-    bad = check_palindrome(DeltaVector((1, 2)))
+    bad = check_palindrome((1, 2))
     assert not bad.passed
     assert bad.witness["index"] == 0
 
@@ -138,13 +138,13 @@ def test_equivalence_square():
 
 def test_equivalence_half_segment():
     qp = fit_qp(catalog()["seg_mhalf_1"])
-    assert delta_vector(qp).entries == (1, 2, 2, 1)
+    assert delta_vector(qp) == (1, 2, 2, 1)
     assert check_equivalence(qp, delta_vector(qp)).passed
 
 
 def test_equivalence_detects_mismatch():
     qp = fit_qp(catalog()["seg_mhalf_1"])
-    tampered = DeltaVector((1, 2, 3, 1))
+    tampered = (1, 2, 3, 1)
     result = check_equivalence(qp, tampered)
     assert not result.passed
     assert result.witness["index"] == 2
@@ -177,16 +177,29 @@ def test_characterization_examples():
     assert check_characterization(catalog()["square2"]).passed
 
 
+def test_characterization_refuses_before_any_count(monkeypatch):
+    # The origin lies outside this bipyramid of denominator k = 70, whose
+    # closed counts overrun the default budget: the dual is read first.
+    counts = []
+    monkeypatch.setattr(counting, "_count", lambda *args: counts.append(args))
+    P = from_vertices([(F(1, 7), F(1, 5), F(1, 2)), (3, F(1, 5), F(1, 2)),
+                       (F(1, 7), 3, F(1, 2)), (F(1, 7), F(1, 5), 3), (3, 3, 3)])
+    assert geometry.denominator(P) == 70
+    with pytest.raises(OriginNotInterior):
+        check_characterization(P)
+    assert counts == []
+
+
 def test_characterization_fatal_only_when_lattice_dual_fails():
     # Force the impossible branch with a fake non-palindromic delta for a
     # lattice-dual polytope: must be flagged fatal.
     result = verify._characterization(geometry.has_lattice_dual(catalog()["square2"]),
-                                      check_palindrome(DeltaVector((1, 6, 2))).passed)
+                                      check_palindrome((1, 6, 2)).passed)
     assert not result.passed
     assert result.fatal
     # The other disagreement direction is a plain failure, not fatal.
     result = verify._characterization(geometry.has_lattice_dual(segment(-1, 2)),
-                                      check_palindrome(DeltaVector((1, 1))).passed)
+                                      check_palindrome((1, 1)).passed)
     assert not result.passed
     assert not result.fatal
 
@@ -206,7 +219,7 @@ def test_find_interior_shift_violation():
 
 def test_full_report_square_all_pass():
     report = full_report(catalog()["square2"], "square2")
-    assert report.n == 2 and report.k == 1
+    assert (report.residue_table.n, report.residue_table.k) == (2, 1)
     assert report.dual_is_lattice
     assert all(c.passed for c in report.checks)
     assert not report.fatal
@@ -227,7 +240,7 @@ def test_full_report_unit_segment_expected_failures():
 
 def test_full_report_sixth_segment_all_pass():
     report = full_report(catalog()["seg_mhalf_third"], "seg_mhalf_third")
-    assert report.k == 6
+    assert report.residue_table.k == 6
     assert all(c.passed for c in report.checks)
 
 
@@ -309,7 +322,7 @@ def test_report_runs_each_symmetry_check_once(monkeypatch):
 def test_report_fatal_flag_and_rendering():
     base = full_report(catalog()["square2"], "square2")
     poisoned = VerificationReport(
-        base.polytope_id, base.n, base.k, base.dual_is_lattice, base.delta,
+        base.polytope_id, base.dual_is_lattice, base.delta,
         base.residue_table,
         base.checks[:-1] + (CheckResult("characterization", False,
                                         {"index": 1}, fatal=True),))
@@ -325,8 +338,8 @@ def test_fatal_witnesses_render():
     # A point tuple becomes a list of strings, a bool stays a bool and a
     # string passes through, in JSON; text shows each value as it is.
     table = ResidueDeltaTable(1, 1, ((1,), (1,)))
-    negative = verify.check_non_negativity(DeltaVector((1, -2, 1)))
-    short = check_equivalence(table, DeltaVector((1,)))
+    negative = verify.check_non_negativity((1, -2, 1))
+    short = check_equivalence(table, (1,))
     assert negative == CheckResult("non_negativity", False,
                                    {"index": 1, "value": -2}, fatal=True)
     assert short == CheckResult("equivalence", False,
@@ -335,7 +348,7 @@ def test_fatal_witnesses_render():
               CheckResult("characterization", False,
                           {"dual_is_lattice": True, "palindromic": False}, fatal=True),
               short, negative)
-    report = VerificationReport("fake", 1, 1, True, DeltaVector((1, 1)), table, checks)
+    report = VerificationReport("fake", True, (1, 1), table, checks)
     doc = report_to_json_dict(report)
     assert doc["fatal"] is True
     assert [c["witness"] for c in doc["checks"]] == [
