@@ -5,30 +5,31 @@ that of P with every bound scaled by m, and each facet <u, x> <= m * p/q is
 cleared of denominators once, so every test is integer arithmetic.  Strict
 counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
-A segment's count is its integer box, closed or open.  A count of higher
-dimension walks the first d = n-2 axes only, the prefix, and counts each
-section, a convex polygon on the last two axes, in closed form: a column
-runs between the envelopes of the lower and the upper facet lines, and the
-lattice points under one envelope piece are one Euclid-style floor sum
-(Beck-Robins, *Computing the Continuous Discretely*).  Sections are
-homogeneous: the section of mP at the prefix x is m times that of P at
-x/m, so its cuts and envelope chains depend only on the cell of the
-chamber complex of P's projection to the prefix axes that holds x/m
-(Clauss-Loechner, "Parametric analysis of polyhedral iteration spaces",
-1998; Verdoolaege et al., *Algorithmica* 2007), and are looked up in one
-chamber table instead of scanned.  The table is cut into strips at the
+A segment's count is its integer box, closed or open.  A polygon's is
+read straight off its facets: per column y of its box on the first axis,
+every facet line with B > 0 is a piece of the upper chain, every one with
+B < 0 of the lower, in slope order, and the lattice points under one piece
+are one Euclid-style floor sum (Beck-Robins, *Computing the Continuous
+Discretely*).  A 3D or 4D count walks the first d = n-2 axes only, the
+prefix, and counts each section, a polygon on the last two axes, between
+its cuts and chains in that closed form.  Sections are homogeneous: the
+section of mP at the prefix x is m times that of P at x/m, so its cuts
+and chains depend only on the cell of the chamber complex of P's
+projection to the prefix axes that holds x/m (Clauss-Loechner,
+"Parametric analysis of polyhedral iteration spaces", 1998; Verdoolaege
+et al., *Algorithmica* 2007), and are looked up in one chamber table, for
+3D and 4D only, instead of scanned.  The table is cut into strips at the
 first coordinates of the vertices and at the crossings of the projected
 edges, and each strip into trapezoids between consecutive edges; a 3D
 kernel is one strip on a zero-weight first axis, with its vertex levels as
-edges, and a polygon one trapezoid at x = 0.  A strict count walks the
-same table over the open projection: over a prefix strictly inside the
-projection of mP, the interior holds the points of the open section, which
-has the cuts and chains of the closed one, with each right-hand side and
-cut numerator lowered by one.  In both, a chain piece ends at ceil(e) - 1
-for its crossing e with the next line.  All that does not depend on m is
-derived from the integer rows of P into one kernel, which each request
-builds for itself and drops when it returns: nothing is kept between
-calls.
+edges.  A strict count walks the same table or chains over the open
+projection: over a prefix strictly inside the projection of mP, the
+interior holds the points of the open section, which has the cuts and
+chains of the closed one, with each right-hand side and cut numerator
+lowered by one.  In both, a chain piece ends at ceil(e) - 1 for its
+crossing e with the next line.  All that does not depend on m is derived
+from the integer rows of P into one kernel, which each request builds for
+itself and drops when it returns: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
@@ -120,13 +121,13 @@ class _Kernel:
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where ``lines[i]`` =
     (A_i, B_i) and ``weights[i]`` are the last two and the other
     coefficients of q_i*a_i.
-    ``strips`` is the :func:`ehrhart._strips.strips` of the projection of P
-    to the prefix axes, and ``chambers`` the :func:`_chamber_table` on them
-    and on the :func:`_section_plan` of the lines, built on the first count,
-    closed, strict or clipped, that walks a section.  The prefix of a 2D or
-    3D kernel is padded to (x1, x2) by zero-weight axes at x1 = 0: a 3D
-    kernel has one strip whose edges are its vertex levels x2/m = t/L, a 2D
-    kernel one trapezoid, of the levels [0, 0].
+    In 3D and 4D, ``strips`` is the :func:`ehrhart._strips.strips` of the
+    projection of P to the prefix axes, and ``chambers`` the
+    :func:`_chamber_table` on them and on the lines, built on the first
+    count, closed, strict or clipped, that walks a section; a 3D kernel's
+    prefix is padded to (x1, x2) by a zero-weight axis at x1 = 0, in one
+    strip whose edges are its vertex levels x2/m = t/L.  A polygon counts
+    off ``chains``: the :func:`_forms` of its lines with B > 0, then B < 0, by slope.
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -144,8 +145,9 @@ class _Kernel:
         elif self.n == 3:
             levels = sorted({row[0] for row in P.rows})
             self.strips = [((0, 1), (0, 1), [(t, 0, P.scale) for t in levels])]
-        else:
-            self.strips = [((0, 1), (0, 1), [(0, 0, 1), (0, 0, 1)])]
+        elif self.n == 2:
+            self.chains = [_forms(half, self.bounds, [0] * len(self.bounds))
+                           for half in _halves(self.lines)]
         self.chambers: Optional[list[tuple]] = None
 
     def box(self, m: int, strict: bool = False) -> list[tuple[int, int]]:
@@ -189,34 +191,33 @@ def _floor_sum(n: int, b: int, steps: Sequence[tuple[int, int, int]]) -> int:
 _Line = tuple[int, int, int, tuple]
 
 
-def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
-    """What the chamber table needs of the lines A*y + B*z <= C[i] of a
-    section, from their (A, B) alone: the uppers (A, B, i, steps) with
-    B > 0, the lowers (A, -B, i, steps) with B < 0, as z >= (A*y - C[i])/-B,
-    steps the :func:`_euclid_steps` of the slope, and the Fourier-Motzkin
-    cuts D*y <= s*C[i] + t*C[j] of the B = 0 rows and the lower-upper pairs,
-    as (D, i, s, j, t) in two lists by the sign of D, negative D negated.  A
-    cut with D = 0 holds on all of the projection of P, where the table looks.
-    """
-    uppers, lowers, cuts = [], [], []
+def _halves(lines: Sequence[tuple[int, int]]) -> tuple[list[_Line], list[_Line]]:
+    """The uppers (A, B, i, steps) of the lines A*y + B*z <= C[i] with B > 0
+    and the lowers (A, -B, i, steps) with B < 0, as z >= (A*y - C[i])/-B,
+    steps the :func:`_euclid_steps` of the slope, each left to right by slope A/B."""
+    uppers, lowers = [], []
     for i, (A, B) in enumerate(lines):
         if B > 0:
             uppers.append((A, B, i, _euclid_steps(-A, B)))
         elif B < 0:
             lowers.append((A, -B, i, _euclid_steps(-A, -B)))
-        else:
-            cuts.append((A, i, 1, i, 0))
-    cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
-             for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
-    return (uppers, lowers, [c for c in cuts if c[0] > 0],
-            [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0])
+    by_slope = cmp_to_key(lambda k, l: k[0] * l[1] - l[0] * k[1])
+    return sorted(uppers, key=by_slope), sorted(lowers, key=by_slope)
+
+
+def _forms(chain: list[_Line], p: Sequence[int], w: Sequence[int]) -> list[tuple]:
+    """The :func:`_chamber_table` forms of each line of a chain with the
+    next, and of the last with itself, whose end forms are then 0."""
+    return [(p[i], w[i], A, steps, p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
+            for (A, B, i, steps), (a, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
 
 
 def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
                 y1: tuple[int, int]) -> list[_Line]:
     """The lines lowest on an interval of positive length in
-    min_i (c[i] - A_i*y) / B_i over the real y0 < y1, left to right.  The
-    ends are (numerator, denominator) pairs, denominators positive."""
+    min_i (c[i] - A_i*y) / B_i over the real y0 < y1, left to right as the
+    ``lines`` are, by slope.  The ends are (numerator, denominator) pairs,
+    denominators positive."""
     chain = []
     for A, B, i, steps in lines:
         (p, q), (r, s) = y0, y1  # line i is lowest on p/q < y < r/s at most
@@ -230,7 +231,7 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
                 r, s = p, q
         if p * s < r * q:
             chain.append((A, B, i, steps))
-    return sorted(chain, key=cmp_to_key(lambda k, l: k[0] * l[1] - l[0] * k[1]))
+    return chain
 
 
 def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
@@ -246,9 +247,10 @@ def _least_cut(cuts: Sequence[tuple], c: Sequence[int]) -> tuple:
 
 
 def _chamber_table(K: _Kernel) -> list[tuple]:
-    """One strip (s, t, bottom, top, rows) per strip of ``K.strips``, that
-    ends at u = x1/m = s/t, with one row (edge, top, bottom, chains, x1s)
-    per trapezoid, bottom to top: its upper edge, the cuts that bind y from
+    """The table of a 3D or 4D kernel; a polygon needs none.  One strip
+    (s, t, bottom, top, rows) per strip of ``K.strips``, that ends at
+    u = x1/m = s/t, with one row (edge, top, bottom, chains, x1s) per
+    trapezoid, bottom to top: its upper edge, the cuts that bind y from
     above and from below, and the upper and lower envelope chains, read off
     the section of P at the trapezoid's middle, where no two cuts or lines
     tie, and held on all of it.  Tuples are flat: an edge x2/m = (p + q*u)/d
@@ -260,20 +262,22 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     below it, y <= (C_j*B - C_i*b) / (a*B - A*b), with c, cw, e the
     p_j*B - p_i*b, w_j*B - w_i*b, a*B - A*b of that bound, all 0 for the
     last line.  In 4D, ``x1s`` holds the line's x1 weights
-    (v_i, v_j*B - v_i*b); a 2D or 3D kernel's x1 is 0, and its ``x1s`` None.
+    (v_i, v_j*B - v_i*b); a 3D kernel's x1 is 0, and its ``x1s`` None.
     """
-    uppers, lowers, above, below = _section_plan(K.lines)
+    # The Fourier-Motzkin cuts D*y <= s*C[i] + t*C[j], as (D, i, s, j, t), of
+    # the B = 0 rows and the lower-upper pairs, by the sign of D, negative D
+    # negated; one with D = 0 holds on all of P's projection, where the table looks.
+    uppers, lowers = _halves(K.lines)
+    cuts = [(A, i, 1, i, 0) for i, (A, B) in enumerate(K.lines) if not B]
+    cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
+             for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
+    above = [c for c in cuts if c[0] > 0]
+    below = [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0]
     p, w = K.bounds, [weight[-1] for weight in K.weights]
     v = [weight[0] for weight in K.weights] if K.n == 4 else [0] * len(p)
 
     def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int, int]:
         return s * p[i] + t * p[j], s * v[i] + t * v[j], s * w[i] + t * w[j], D
-
-    # Each chain line with the next, and the last with itself, whose end
-    # forms are then 0.
-    def forms(chain: list[_Line]) -> list[tuple]:
-        return [(p[i], w[i], A, steps, p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
-                for (A, B, i, steps), (a, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
 
     def x1_forms(chain: list[_Line]) -> list[tuple]:
         return [(v[i], v[j] * B - v[i] * b)
@@ -293,7 +297,8 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
             bottom, v0, e0 = _least_cut(below, c)
             y0, y1 = (-v0, e0), (v1, e1)
             chains = _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)
-            rows.append((p1, q1, d1, *cut(*top), *cut(*bottom), [*map(forms, chains)],
+            rows.append((p1, q1, d1, *cut(*top), *cut(*bottom),
+                         [_forms(chain, p, w) for chain in chains],
                          [*map(x1_forms, chains)] if K.n == 4 else None))
         table.append((*end, *edges[0], *edges[-1], rows))
     return table
@@ -301,28 +306,28 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
 
 def _chamber_count(K: _Kernel, m: int, strict: bool,
                    clip: Optional[Sequence[int]] = None) -> int:
-    """Lattice points of mP (strict: of its interior) for n = 2, 3 or 4 and
-    m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
-    with ``clip`` = (c1, c2), only those whose padded prefix has x1 <= c1
-    and x2 <= c2.  Per x1 of the closed (strict: open) box of mP, on the
-    rows of the strip that holds x1/m, the x1 terms are added into the
-    forms; then per section x2 between the strip's bottom and top edges
-    (open for a strict count), on the forms of the trapezoid that holds
-    (x1, x2)/m, two cut divisions, and per chain piece one division and one
-    floor sum, or for a piece of one column the floor sum's one term."""
+    """Lattice points of mP (strict: of its interior) for n = 3 or 4, as the
+    chamber table serves only these (a polygon counts straight off its facets,
+    by :func:`_polygon_count`), and m >= 1 whose box holds a cell and has been
+    charged by :func:`_charge`; with ``clip`` = (c1, c2), only those whose
+    padded prefix has x1 <= c1 and x2 <= c2.  Per x1 of the closed (strict:
+    open) box of mP, on the rows of the strip that holds x1/m, the x1 terms are
+    added into the forms; then per section x2 between the strip's bottom and
+    top edges (open for a strict count), on the forms of the trapezoid that
+    holds (x1, x2)/m, two cut divisions, and per chain piece one division and
+    one floor sum, or for a piece of one column the floor sum's one term."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
     if clip is not None:
         hi = min(hi, clip[0])
     s = int(strict)
-    o = s if K.n > 2 else 0  # a strict count opens the edges, but a polygon has no x2
     total = 0
     for un, ud, lp, lq, ld, hp, hq, hd, rows in K.chambers:
         last = min(hi, m * un // ud)  # the last x1 with x1/m in the strip
         for x1 in range(lo, last + 1):
-            x2 = -((-m * lp - lq * x1 - o) // ld)
-            top = (m * hp + hq * x1 - o) // hd
+            x2 = -((-m * lp - lq * x1 - s) // ld)
+            top = (m * hp + hq * x1 - s) // hd
             if clip is not None and top > clip[1]:
                 top = clip[1]
             for ep, eq, ed, tp, tv, tw, td, bp, bv, bw, bd, chains, x1s in rows:
@@ -367,6 +372,23 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
     return total
 
 
+def _polygon_count(K: _Kernel, m: int, strict: bool) -> int:
+    """Lattice points of mP (strict: of its interior) for n = 2 and m >= 1:
+    one per column y of the closed (strict: open) box of mP on axis 0, and
+    one floor sum per chain piece, up to its crossing with the next."""
+    (lo, hi), s, L = K.ranges[0], int(strict), K.scale
+    y0, y1 = -((-m * lo - s) // L), (m * hi - s) // L  # the first axis of K.box(m, strict)
+    total = y1 - y0 + 1  # >= 0, and no piece ends past y1
+    for chain in K.chains:
+        y = y0
+        for p, _, A, steps, c, _, e in chain:  # lowest from y to end
+            end = (m * c - 1) // e if e else y1
+            if end >= y:
+                total += _floor_sum(end - y + 1, m * p - s - A * y, steps)
+                y = end + 1
+    return total
+
+
 def _charge(K: _Kernel, dilations: Sequence[int], budget: int) -> None:
     """Refuses a request before its first count, at the first m of
     ``dilations`` in order that is negative (``ValueError``) or whose box of
@@ -394,7 +416,7 @@ def _count(K: _Kernel, m: int, strict: bool) -> int:
         return int(not strict)
     if not K.nested and any(lo > hi for lo, hi in K.box(m)):  # an empty box holds no point
         return 0
-    return _chamber_count(K, m, strict)
+    return (_polygon_count if K.n == 2 else _chamber_count)(K, m, strict)
 
 
 def count_points(P: Polytope, m: int, strict: bool = False,

@@ -35,18 +35,12 @@ from .geometry import Polytope, denominator
 
 
 def binomial(x: int, n: int) -> int:
-    """Generalized binomial coefficient C(x, n) = x(x-1)...(x-n+1)/n!.
-
-    Exact for any integer x, including negative x; n must be >= 0.  The
-    floor division is exact because n consecutive integers always contain
-    a multiple of every j <= n.
-    """
+    """Generalized binomial coefficient C(x, n) = x(x-1)...(x-n+1)/n! for
+    any integer x and n >= 0, a negative x by the reflection
+    C(x, n) = (-1)^n C(n-1-x, n)."""
     if n < 0:
         raise ValueError("lower index must be non-negative")
-    num = 1
-    for i in range(n):
-        num *= x - i
-    return num // math.factorial(n)
+    return math.comb(x, n) if x >= 0 else (-1) ** n * math.comb(n - 1 - x, n)
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ def fit_counts(counts: Sequence[int], n: int, k: int) -> ResidueDeltaTable:
     system is unit triangular (C(l + n - i, n) vanishes for i > l and
     equals 1 at i = l), so forward substitution needs no division.
     """
-    weights = [[binomial(l + n - i, n) for i in range(l)] for l in range(n + 1)]
+    weights = [[math.comb(l + n - i, n) for i in range(l)] for l in range(n + 1)]
     columns = []
     for r in range(k):
         col: list[int] = []
@@ -98,13 +92,9 @@ def fit_counts(counts: Sequence[int], n: int, k: int) -> ResidueDeltaTable:
 
 
 def evaluate_qp(qp: ResidueDeltaTable, m: int) -> int:
-    """Evaluate the quasi-polynomial at any integer m, negative included.
-
-    Writes m = l*k + r with the residue r = m mod k in [0, k) and l
-    possibly negative, then evaluates the residue-r polynomial at l.
-    """
-    r = m % qp.k
-    l = (m - r) // qp.k
+    """Evaluate the quasi-polynomial at any integer m, negative included:
+    the residue-r polynomial at l, for m = l*k + r and 0 <= r < k."""
+    l, r = divmod(m, qp.k)
     return sum(row[r] * binomial(l + qp.n - i, qp.n) for i, row in enumerate(qp.delta))
 
 

@@ -23,7 +23,7 @@ from .counting import DEFAULT_BUDGET, count_vector
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
                        origin_interior)
-from .quasipoly import ResidueDeltaTable, delta_vector, evaluate_qp
+from .quasipoly import ResidueDeltaTable, binomial, delta_vector
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,12 @@ def check_reciprocity(P: Polytope, m_max: int = 6,
 
 
 def _reciprocity(qp: ResidueDeltaTable, interior: list[int]) -> CheckResult:
-    sign = (-1) ** qp.n
+    # evaluate_qp at -m = l*k + r, m = 1..m_max, its weights taken once per l
+    n, k, sign = qp.n, qp.k, (-1) ** qp.n
+    weights = {l: [binomial(l + n - i, n) for i in range(n + 1)]
+               for l in range(-len(interior) // k, 0)}
     for m, count in enumerate(interior, 1):
-        negative = evaluate_qp(qp, -m)
+        negative = sum(w * row[-m % k] for w, row in zip(weights[-m // k], qp.delta))
         if negative != sign * count:
             return CheckResult("reciprocity", False, {
                 "m": m, "evaluated": negative, "expected": sign * count})

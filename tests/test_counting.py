@@ -496,17 +496,19 @@ def test_count_matches_brute_force_on_random_polygons(points, m, strict):
 # ------------------------------------------------------------ chamber walk
 
 def assert_chambers_match_scan(polytopes, dilations=range(1, 41), prime=997):
-    # The counts, closed and strict, through the chamber table against the
-    # scan of every section, on every dilation with a non-empty box, and on
-    # one large prime dilation, where the numerators of the chamber forms
-    # grow like m*p.
+    # The counts, closed and strict, through the chamber table (a polygon's
+    # through _count, which reads them off its facets) against the scan of
+    # every section, on every dilation with a non-empty box, and on one
+    # large prime dilation, where the numerators of the chain forms grow
+    # like m*p.
     for P in polytopes:
         K = _Kernel(P)
+        count = _count if P.ambient_dim == 2 else _chamber_count
         for m in [*dilations, prime]:
             box = K.box(m)
             if all(lo <= hi for lo, hi in box):
                 for strict in (False, True):
-                    assert _chamber_count(K, m, strict) == \
+                    assert count(K, m, strict) == \
                         scan_count(K, m, strict, box), (P, m, strict)
 
 
@@ -541,7 +543,7 @@ CHAMBER_HAND_CASES = {
     # ended at the floor of the crossing, not at its ceiling - 1, would
     # count the column y = 2m above the open top cut.
     "crossing_on_top": [(-2, 2, 2), (-1, 0, 1), (1, 2, -2), (2, 1, -1)],
-    # Polygons, the one chamber of a 2D kernel: a thin triangle whose chain
+    # Polygons, counted off their facets: a thin triangle whose chain
     # crossings are integers only at some dilations, and a parallelogram
     # whose upper and lower edges are parallel.
     "sliver": [(F(-5, 2), F(-1, 3)), (F(7, 3), 0), (F(-1, 4), F(2, 5))],
@@ -750,7 +752,8 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
 
 def test_interior_shift_search_builds_one_chamber_table(monkeypatch):
     # The search runs every m on one kernel of P, in the caller's frame, and
-    # finds the witnesses that interior_shift_mismatch finds m by m.
+    # finds the witnesses that interior_shift_mismatch finds m by m.  A
+    # polygon counts off its facets, and builds no table.
     builds = []
     chamber_table = counting._chamber_table
 
@@ -765,10 +768,36 @@ def test_interior_shift_search_builds_one_chamber_table(monkeypatch):
     for P in [*map(catalog().get, ("square2", "cube3", "octa3", "halfdiamond2")), *draws]:
         builds.clear()
         found = find_interior_shift_violation(P)
-        assert len(builds) == 1, P
+        assert len(builds) == (P.ambient_dim > 2), P
         last = dual_denominator(P) + P.ambient_dim
         each = [(m, interior_shift_mismatch(P, m)) for m in range(1, last + 1)]
         assert found == next(((m, w) for m, w in each if w is not None), None), P
+
+
+def test_a_polygon_report_counts_off_its_facets(monkeypatch):
+    # A polygon's report builds no chamber table, and each of its counts
+    # makes at most one floor sum per chain piece, one per facet with B != 0.
+    tables, floor_sums, per_count = [], [], []
+    chamber_table, floor_sum, count = counting._chamber_table, counting._floor_sum, counting._count
+
+    def counted_count(K, m, strict):
+        before = len(floor_sums)
+        result = count(K, m, strict)
+        per_count.append(len(floor_sums) - before)
+        return result
+
+    monkeypatch.setattr(counting, "_chamber_table", lambda K: tables.append(K) or chamber_table(K))
+    monkeypatch.setattr(counting, "_floor_sum", lambda *args: floor_sums.append(args)
+                        or floor_sum(*args))
+    monkeypatch.setattr(counting, "_count", counted_count)
+    draw, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1, "rational")
+    for P in (catalog()["square2"], catalog()["halfdiamond2"], draw):
+        per_count.clear()
+        full_report(P)
+        pieces = sum(a[-1] != 0 for a, _ in P.facet_rows)
+        assert tables == [] and 0 < max(per_count) <= pieces, P
+    # The draw has no facet with B = 0: each of its facets is a chain piece.
+    assert len(draw.facet_rows) == pieces
 
 
 def test_reciprocity_makes_one_count_request(monkeypatch):
