@@ -12,12 +12,8 @@ from functools import cmp_to_key
 from itertools import combinations
 from operator import mul
 
+from .counting import _by_value
 from .geometry import Polytope
-
-
-def _by_value(k: tuple[int, int], l: tuple[int, int]) -> int:
-    """Compare the fractions k[0]/k[1] and l[0]/l[1], denominators positive."""
-    return k[0] * l[1] - l[0] * k[1]
 
 
 def strips(P: Polytope) -> list[tuple]:

@@ -5,44 +5,43 @@ that of P with every bound scaled by m, and each facet <u, x> <= m * p/q is
 cleared of denominators once, so every test is integer arithmetic.  Strict
 counts use q*<u,x> < m*p  <=>  q*<u,x> <= m*p - 1, exact on integers.
 
-A segment's count is its integer box, closed or open.  A polygon's is
-read straight off its facets: per column y of its box on the first axis,
-every facet line with B > 0 is a piece of the upper chain, every one with
-B < 0 of the lower, in slope order, and the lattice points under one piece
-are one Euclid-style floor sum (Beck-Robins, *Computing the Continuous
-Discretely*).  A 3D or 4D count walks the first d = n-2 axes only, the
-prefix, and counts each section, a polygon on the last two axes, between
-its cuts and chains in that closed form.  Sections are homogeneous: the
-section of mP at the prefix x is m times that of P at x/m, so its cuts
-and chains depend only on the cell of the chamber complex of P's
-projection to the prefix axes that holds x/m (Clauss-Loechner,
-"Parametric analysis of polyhedral iteration spaces", 1998; Verdoolaege
-et al., *Algorithmica* 2007), and are looked up in one chamber table, for
-3D and 4D only, instead of scanned.  The table is cut into strips at the
-first coordinates of the vertices and at the crossings of the projected
-edges, and each strip into trapezoids between consecutive edges; a 3D
-kernel is one strip on a zero-weight first axis, with its vertex levels as
-edges.  A strict count walks the same table or chains over the open
-projection: over a prefix strictly inside the projection of mP, the
-interior holds the points of the open section, which has the cuts and
-chains of the closed one, with each right-hand side and cut numerator
-lowered by one.  In both, a chain piece ends at ceil(e) - 1 for its
-crossing e with the next line.  All that does not depend on m is derived
-from the integer rows of P into one kernel, which each request builds for
-itself and drops when it returns: nothing is kept between calls.
+A segment's count is its integer box, closed or open.  Every other count
+sums sections, polygons on the last two axes, in one routine,
+:func:`_section`: per column y, every facet line with B > 0 is a piece of
+the upper chain, every one with B < 0 of the lower, in slope order, and
+the lattice points under one piece are one Euclid-style floor sum
+(Beck-Robins, *Computing the Continuous Discretely*).  A polygon is one
+section, at x = 0, read straight off its facets.  A 3D or 4D count walks
+the first d = n-2 axes only, the prefix, and sums each section between its
+cuts.  Sections are homogeneous: the section of mP at the prefix x is m
+times that of P at x/m, so its cuts and chains depend only on the cell of
+the chamber complex of P's projection to the prefix axes that holds x/m
+(Clauss-Loechner, "Parametric analysis of polyhedral iteration spaces",
+1998; Verdoolaege et al., *Algorithmica* 2007), and are looked up in one
+chamber table, for 3D and 4D only, instead of scanned.  The table is cut
+into strips at the first coordinates of the vertices and at the crossings
+of the projected edges, and each strip into trapezoids between consecutive
+edges; a 3D kernel is one strip on a zero-weight first axis, with its
+vertex levels as edges.  A strict count walks the same table or chains
+over the open projection: over a prefix strictly inside the projection of
+mP, the interior holds the points of the open section, which has the cuts
+and chains of the closed one, with each right-hand side and cut numerator
+lowered by one.  All that does not depend on m is derived from the integer
+rows of P into one kernel, which each request builds for itself and drops
+when it returns: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
 any count if it holds more counts than the budget, as many cheap counts
 (the 2k of a segment whose k is near 10^12) add up to unbounded work, or,
-by :func:`_charge`, at an m that is negative or whose box of mP holds over
-``budget`` cells (none in 1D), read off one box when the boxes nest.
+by one :func:`_charge`, at an m that is negative or whose box of mP holds
+over ``budget`` cells (none in 1D), read off one box when the boxes nest.
 
 Counts are the same in every order of the axes, but the walk's work is
 not: :func:`count_points` and :func:`count_vector` walk a 3D or 4D polytope
 with its axes permuted into the order that :func:`_frame`'s cost model
-ranks cheapest.  The interior shift is decided by counts too
-(:func:`interior_shift_mismatch`); only on a mismatch is a witness looked
+ranks cheapest.  The interior shift is decided by counts too, m by m on
+one kernel (:func:`_first_shift`); only on a mismatch is a witness looked
 for, by galloping and bisection on the counts clipped to a corner of the
 prefix box.  Its "least" point depends on the order of the axes, so the
 interior shift keeps the caller's frame.
@@ -126,8 +125,8 @@ class _Kernel:
     :func:`_chamber_table` on them and on the lines, built on the first
     count, closed, strict or clipped, that walks a section; a 3D kernel's
     prefix is padded to (x1, x2) by a zero-weight axis at x1 = 0, in one
-    strip whose edges are its vertex levels x2/m = t/L.  A polygon counts
-    off ``chains``: the :func:`_forms` of its lines with B > 0, then B < 0, by slope.
+    strip whose edges are its vertex levels x2/m = t/L.  A polygon is one
+    :func:`_section` on ``chains``, the :func:`_forms` of its lines with B > 0, then B < 0.
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -201,8 +200,13 @@ def _halves(lines: Sequence[tuple[int, int]]) -> tuple[list[_Line], list[_Line]]
             uppers.append((A, B, i, _euclid_steps(-A, B)))
         elif B < 0:
             lowers.append((A, -B, i, _euclid_steps(-A, -B)))
-    by_slope = cmp_to_key(lambda k, l: k[0] * l[1] - l[0] * k[1])
+    by_slope = cmp_to_key(_by_value)
     return sorted(uppers, key=by_slope), sorted(lowers, key=by_slope)
+
+
+def _by_value(k: tuple, l: tuple) -> int:
+    """Compare the fractions k[0]/k[1] and l[0]/l[1], denominators positive."""
+    return k[0] * l[1] - l[0] * k[1]
 
 
 def _forms(chain: list[_Line], p: Sequence[int], w: Sequence[int]) -> list[tuple]:
@@ -306,16 +310,14 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
 
 def _chamber_count(K: _Kernel, m: int, strict: bool,
                    clip: Optional[Sequence[int]] = None) -> int:
-    """Lattice points of mP (strict: of its interior) for n = 3 or 4, as the
-    chamber table serves only these (a polygon counts straight off its facets,
-    by :func:`_polygon_count`), and m >= 1 whose box holds a cell and has been
-    charged by :func:`_charge`; with ``clip`` = (c1, c2), only those whose
-    padded prefix has x1 <= c1 and x2 <= c2.  Per x1 of the closed (strict:
-    open) box of mP, on the rows of the strip that holds x1/m, the x1 terms are
-    added into the forms; then per section x2 between the strip's bottom and
-    top edges (open for a strict count), on the forms of the trapezoid that
-    holds (x1, x2)/m, two cut divisions, and per chain piece one division and
-    one floor sum, or for a piece of one column the floor sum's one term."""
+    """Lattice points of mP (strict: of its interior) for n = 3 or 4, and
+    m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
+    with ``clip`` = (c1, c2), only those whose padded prefix has x1 <= c1
+    and x2 <= c2.  Per x1 of the closed (strict: open) box of mP, on the
+    rows of the strip that holds x1/m, the x1 terms are added into the
+    forms; then per section x2 between the strip's bottom and top edges
+    (open for a strict count), on the forms of the trapezoid that holds
+    (x1, x2)/m, two cut divisions and one :func:`_section`."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
@@ -336,16 +338,11 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
                     stop = top
                 if x2 > stop:
                     continue
-                # A strict count lowers each right-hand side and cut
-                # numerator by one, as ceil(v/D) - 1 = floor((v - 1)/D).  A
-                # piece ends at ceil(e) - 1 for the crossing e with the next
-                # line, where an integer e gives both lines one floor and a
-                # strict piece stays below the open top cut, which e may
-                # reach at a vertex level.
+                # A strict count lowers each cut numerator by one, as in
+                # :func:`_section`, which takes the chains' p and c M times:
+                # M = m on the table's forms, which hold at x1 = 0, and
+                # M = 1 once m and the x1 terms are folded in.
                 tp, bp = m * tp - s - tv * x1, m * bp - s - bv * x1
-                # The chains' p and c are taken M times: M = m on the
-                # table's forms, which hold at x1 = 0, and M = 1 once m and
-                # the x1 terms are folded in.
                 M = m
                 if x1:
                     M, chains = 1, [[(m * p - pv * x1, w, A, steps, m * c - cv * x1, cw, e)
@@ -354,53 +351,56 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
                 for x in range(x2, stop + 1):
                     y1 = (tp - tw * x) // td
                     y0 = -((bp - bw * x) // bd)
-                    if y0 > y1:
-                        continue
-                    total += y1 - y0 + 1
-                    for chain in chains:
-                        y = y0
-                        for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
-                            end = (M * c - 1 - cw * x) // e if e else y1
-                            if end > y:
-                                total += _floor_sum(end - y + 1, M * p - s - w * x - A * y, steps)
-                                y = end + 1
-                            elif end == y:  # one column: the floor sum's one term, B = steps[0][0]
-                                total += (M * p - s - w * x - A * y) // steps[0][0]
-                                y += 1
+                    if y0 <= y1:
+                        total += _section(chains, M, s, x, y0, y1)
                 x2 = stop + 1
         lo = last + 1
     return total
 
 
-def _polygon_count(K: _Kernel, m: int, strict: bool) -> int:
-    """Lattice points of mP (strict: of its interior) for n = 2 and m >= 1:
-    one per column y of the closed (strict: open) box of mP on axis 0, and
-    one floor sum per chain piece, up to its crossing with the next."""
-    (lo, hi), s, L = K.ranges[0], int(strict), K.scale
-    y0, y1 = -((-m * lo - s) // L), (m * hi - s) // L  # the first axis of K.box(m, strict)
-    total = y1 - y0 + 1  # >= 0, and no piece ends past y1
-    for chain in K.chains:
+def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1: int) -> int:
+    """Lattice points of a section at x with columns y0..y1, y1 >= y0 - 1:
+    one per column, and one floor sum per chain piece, up to its crossing
+    with the next, or for a piece of one column the floor sum's one term.
+    The chains' p and c are taken M times.  A strict section (s = 1) lowers
+    each right-hand side by one, as ceil(v/D) - 1 = floor((v - 1)/D).  A
+    piece ends at ceil(e) - 1 for the crossing e with the next line, where
+    an integer e gives both lines one floor and a strict piece stays below
+    the open top cut, which e may reach at a vertex level."""
+    total = y1 - y0 + 1  # no piece ends past y1
+    for chain in chains:
         y = y0
-        for p, _, A, steps, c, _, e in chain:  # lowest from y to end
-            end = (m * c - 1) // e if e else y1
-            if end >= y:
-                total += _floor_sum(end - y + 1, m * p - s - A * y, steps)
+        for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
+            end = (M * c - 1 - cw * x) // e if e else y1
+            if end > y:
+                total += _floor_sum(end - y + 1, M * p - s - w * x - A * y, steps)
                 y = end + 1
+            elif end == y:  # B = steps[0][0]
+                total += (M * p - s - w * x - A * y) // steps[0][0]
+                y += 1
     return total
 
 
-def _charge(K: _Kernel, dilations: Sequence[int], budget: int) -> None:
-    """Refuses a request before its first count, at the first m of
-    ``dilations`` in order that is negative (``ValueError``) or whose box of
+def _polygon_count(K: _Kernel, m: int, strict: bool) -> int:
+    """Lattice points of mP (strict: of its interior) for n = 2 and m >= 1:
+    the one section at x = 0, over the closed (strict: open) box of mP on axis 0."""
+    (lo, hi), s, L = K.ranges[0], int(strict), K.scale
+    return _section(K.chains, m, s, 0, -((-m * lo - s) // L), (m * hi - s) // L)
+
+
+def _charge(K: _Kernel, budget: int, *requests: Sequence[int]) -> None:
+    """Refuses a request before its first count, at the first m of the
+    ``requests`` in order that is negative (``ValueError``) or whose box of
     mP holds more than ``budget`` cells (``BudgetExceeded``; none in 1D).
-    Nested boxes are cleared by that of the largest m, read off a range's ends."""
+    Nested boxes are cleared by one box, that of the largest m, read off a
+    range's ends."""
     def cells(m: int) -> int:
         return math.prod(max(0, hi - lo + 1) for lo, hi in K.box(m))
 
-    ends = (*dilations[:1], *dilations[-1:]) if isinstance(dilations, range) else dilations
+    ends = [m for d in requests for m in ((*d[:1], *d[-1:]) if isinstance(d, range) else d)]
     if not ends or min(ends) >= 0 and (K.n == 1 or K.nested and cells(max(ends)) <= budget):
         return
-    for m in dilations:
+    for m in (m for dilations in requests for m in dilations):
         if m < 0:
             raise ValueError("dilation factor must be non-negative")
         if K.n > 1 and cells(m) > budget:
@@ -427,7 +427,7 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     empty set for the strict one, once its one-cell box is charged.
     """
     K = _Kernel(_frame(P))
-    _charge(K, (m,), budget)
+    _charge(K, budget, (m,))
     return _count(K, m, strict)
 
 
@@ -445,8 +445,7 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
     K = _Kernel(_frame(P))
-    _charge(K, closed, budget)
-    _charge(K, interior, budget)
+    _charge(K, budget, closed, interior)
     return [_count(K, m, strict)
             for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
 
@@ -463,17 +462,23 @@ def interior_shift_mismatch(P: Polytope, m: int,
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    found = _first_shift(P, (m,), budget)
+    return None if found is None else found[1]
+
+
+def _first_shift(P: Polytope, dilations: Sequence[int],
+                 budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, IntPoint]]:
+    """(m, :func:`_shift_witness`) at the first m >= 1 of ``dilations`` whose
+    int(mP) and (m-1)P differ in count, or None, on one kernel of P in the
+    caller's frame, each m charged with m - 1 before its counts."""
     if not origin_interior(P):
         raise OriginNotInterior("the interior shift needs the origin strictly inside")
-    return _shift_mismatch(_Kernel(P), m, budget)
-
-
-def _shift_mismatch(K: _Kernel, m: int, budget: int = DEFAULT_BUDGET) -> Optional[IntPoint]:
-    """:func:`interior_shift_mismatch` on the kernel K of P, for m >= 1."""
-    _charge(K, (m, m - 1), budget)
-    if _count(K, m, True) == _count(K, m - 1, False):
-        return None
-    return _shift_witness(K, m)
+    K = _Kernel(P)
+    for m in dilations:
+        _charge(K, budget, (m, m - 1))
+        if _count(K, m, True) != _count(K, m - 1, False):
+            return m, _shift_witness(K, m)
+    return None
 
 
 def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:

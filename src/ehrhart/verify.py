@@ -23,13 +23,14 @@ from .counting import DEFAULT_BUDGET, count_vector
 from .errors import OriginNotInterior
 from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
                        origin_interior)
-from .quasipoly import ResidueDeltaTable, binomial, delta_vector
+from .quasipoly import ResidueDeltaTable, delta_vector
 
 
 @dataclass(frozen=True)
 class CheckResult:
     """A named check's outcome and the witness of its first failure;
-    ``fatal`` is set by :func:`full_report`'s rule."""
+    ``fatal`` is set by :func:`full_report`'s rule, and by
+    :func:`check_non_negativity` and the characterization on their own."""
 
     name: str
     passed: bool
@@ -73,12 +74,9 @@ def check_reciprocity(P: Polytope, m_max: int = 6,
 
 
 def _reciprocity(qp: ResidueDeltaTable, interior: list[int]) -> CheckResult:
-    # evaluate_qp at -m = l*k + r, m = 1..m_max, its weights taken once per l
-    n, k, sign = qp.n, qp.k, (-1) ** qp.n
-    weights = {l: [binomial(l + n - i, n) for i in range(n + 1)]
-               for l in range(-len(interior) // k, 0)}
+    sign = (-1) ** qp.n
     for m, count in enumerate(interior, 1):
-        negative = sum(w * row[-m % k] for w, row in zip(weights[-m // k], qp.delta))
+        negative = quasipoly.evaluate_qp(qp, -m)
         if negative != sign * count:
             return CheckResult("reciprocity", False, {
                 "m": m, "evaluated": negative, "expected": sign * count})
@@ -160,16 +158,10 @@ def find_interior_shift_violation(P: Polytope) -> Optional[tuple[int, tuple[int,
     For a polytope whose dual is not a lattice polytope a violation shows
     up by m <= denominator(dual) + n, the limit of the search; returns
     (m, witness point), or None if no violation exists up to it.  Requires
-    the origin strictly inside P, as :func:`interior_shift_mismatch`, which
-    it runs for each m on one kernel of P, does.
+    the origin strictly inside P; it is the search of
+    :func:`interior_shift_mismatch` on one kernel of P, over every m up to it.
     """
-    last = dual_denominator(P) + P.ambient_dim
-    K = counting._Kernel(P)
-    for m in range(1, last + 1):
-        witness = counting._shift_mismatch(K, m)
-        if witness is not None:
-            return m, witness
-    return None
+    return counting._first_shift(P, range(1, dual_denominator(P) + P.ambient_dim + 1))
 
 
 def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,

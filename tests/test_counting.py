@@ -365,6 +365,37 @@ def test_one_dimensional_counts_are_charged_no_cells():
     assert interior_shift_mismatch(P, m, budget=0) == (2 * m - 1,)
 
 
+def test_a_request_is_charged_once_and_sums_each_section_once(monkeypatch):
+    # Every request is charged by one _charge call, the interior-shift search
+    # by one per m it reaches, and each section of a count is one _section
+    # call: a polygon's one, and the 7 (strict: 5) of 3 * cube3 on x2.
+    charges, sections = [], []
+    charge, section = counting._charge, counting._section
+    monkeypatch.setattr(counting, "_charge", lambda *args: charges.append(args) or charge(*args))
+    monkeypatch.setattr(counting, "_section",
+                        lambda *args: sections.append(args) or section(*args))
+
+    def calls(request, *args):
+        charges.clear()
+        sections.clear()
+        request(*args)
+        return len(charges), len(sections)
+
+    square2, cube3 = catalog()["square2"], catalog()["cube3"]
+    for strict in (False, True):
+        assert calls(count_points, square2, 5, strict) == (1, 1)
+    assert calls(count_points, cube3, 3) == (1, 7)
+    assert calls(count_points, cube3, 3, True) == (1, 5)
+    for request, *args in ((count_vector, cube3, range(5), [3, 1]), (full_report, square2),
+                           (full_report, catalog()["halfdiamond2"]),
+                           (interior_shift_mismatch, cube3, 2)):
+        assert calls(request, *args)[0] == 1, request
+    # [-2/3, 1] splits at m = 2; square2 holds up to dual_denominator + n = 3.
+    assert find_interior_shift_violation(segment(F(-2, 3), 1)) == (2, (-1,))
+    assert calls(find_interior_shift_violation, segment(F(-2, 3), 1))[0] == 2
+    assert calls(find_interior_shift_violation, square2)[0] == 3
+
+
 # ------------------------------------------------- floor sums and sections
 
 def test_oracles_take_only_the_kernel_and_floor_sums_from_counting():

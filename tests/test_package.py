@@ -198,3 +198,24 @@ def test_readme_library_block_runs_as_documented(capsys):
     assert values["delta_vector(qp)"] == delta
     assert values["delta_vector_series(P)"] == delta
     assert capsys.readouterr().out.endswith("result: ok\n")
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # Each name that a top-level import of the package or the tests binds
+    # is read somewhere in its module.
+    import ast
+    from pathlib import Path
+
+    here = Path(__file__).parent
+    unused = []
+    for path in [*sorted(Path(ehrhart.__file__).parent.glob("*.py")), *sorted(here.glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unused += [f"{path.name}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert unused == []
