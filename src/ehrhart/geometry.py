@@ -3,10 +3,13 @@
 A polytope is held in one canonical integer form: its scale L, the least
 positive integer with LP a lattice polytope; the vertices of LP as sorted
 integer rows; and its facets as sorted rows (a, b) with a primitive integer
-normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, an
-incremental integer hull with no linear program) builds that form from the
-input without a ``fractions.Fraction``; the denominator, the vertex ranges
-and the polar dual (vertices and facets swapped, no hull) are read off it.
+normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, in
+integers with no linear program) builds that form from the input without
+a ``fractions.Fraction``: a segment is read off its two extreme points, a
+polygon is Andrew's monotone chain, and in dimensions 3 and 4 an
+incremental beneath-beyond hull inserts the points one at a time.  The
+denominator, the vertex ranges and the polar dual (vertices and facets
+swapped, no hull) are read off it.
 ``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
 only views of the rows, built on first use and cached in the instance
 ``__dict__`` beside the four fields, and :mod:`fractions` is imported only
@@ -117,12 +120,13 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     """Convex hull of points given by (numerator, denominator) coordinate
     pairs, denominators positive.
 
-    The points are scaled to integers by the lcm L of their denominators,
-    and their hull is built by inserting them one at a time, the per-axis
-    extreme points first: in sorted order each point would lie beyond the
-    hull so far.  Each facet is <a, x> <= b / L, a primitive.  A
-    point is a vertex when no other point lies on every facet through it.
-    L then drops the factor the vertices do not need.  Raises
+    The points are scaled to integers by the lcm L of their denominators.
+    A segment is read off its extremes and a polygon off a monotone chain;
+    for n >= 3 beneath-beyond inserts the points one at a time, the
+    per-axis extreme points first: in sorted order each point would lie
+    beyond the hull so far.  Each facet is <a, x> <= b / L, a primitive.
+    A point is a vertex when no other point lies on every facet through
+    it.  L then drops the factor the vertices do not need.  Raises
     ``DimensionDeficient`` when the points do not span the ambient space,
     and ``AmbientDimensionCap`` when it has more than ``MAX_DIM`` dimensions.
     """
@@ -137,8 +141,9 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
         raise AmbientDimensionCap(f"dimension {n} exceeds cap {MAX_DIM}")
     scale = math.lcm(*(q for p in points for _, q in p))
     ints = sorted({tuple(c * (scale // q) for c, q in p) for p in points})
-    extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
-    ints = sorted(extremes) + [p for p in ints if p not in extremes]
+    if n > 2:
+        extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
+        ints = sorted(extremes) + [p for p in ints if p not in extremes]
     planes = _supporting_planes(ints, n)
     if planes is None:
         raise DimensionDeficient(f"points span fewer than {n} dimensions")
@@ -162,12 +167,45 @@ _Plane = tuple[tuple[int, ...], int, set[int]]
 
 def _supporting_planes(points: Sequence[tuple[int, ...]],
                        n: int) -> Optional[list[_Plane]]:
-    """The facets of the hull of integer points by beneath-beyond (Seidel
-    1981), or None when the points do not span R^n.  From a start simplex,
-    each point p joins every facet whose plane holds it, and the facets it
-    sees (v = <a, p> - b > 0) give way to v_u (a_w, b_w) - v_w (a_u, b_u),
-    through p, across each ridge between a seen u and a w with v_w < 0.
+    """The facets of the hull of integer points, or None when the points do
+    not span R^n.  In R^1 they are the two extreme points, and in R^2 the
+    edges of Andrew's monotone chain (1979), each with one pass over the
+    points.  For n >= 3 beneath-beyond (Seidel 1981) inserts the points in
+    the order given: from a start simplex, each point p joins every facet
+    whose plane holds it, and the facets it sees (v = <a, p> - b > 0) give
+    way to v_u (a_w, b_w) - v_w (a_u, b_u), through p, across each ridge
+    between a seen u and a w with v_w < 0.
     """
+    if n == 1:
+        lo, hi = min(points), max(points)
+        if lo == hi:
+            return None
+        return [(a, a[0] * e[0], {i for i, p in enumerate(points) if p == e})
+                for a, e in (((-1,), lo), ((1,), hi))]
+    if n == 2:  # Andrew's monotone chain, counter-clockwise
+        ps, hull = sorted(set(points)), []
+        for chain in (ps, ps[::-1]):  # the lower hull, then the upper
+            least = len(hull) + 2  # two points of this chain before a turn
+            for p in chain:
+                while len(hull) >= least:
+                    (ox, oy), (ux, uy) = hull[-2], hull[-1]
+                    # Only a strict left turn o -> u -> p keeps u, so the
+                    # chain holds vertices only.
+                    if (ux - ox) * (p[1] - oy) > (uy - oy) * (p[0] - ox):
+                        break
+                    hull.pop()
+                hull.append(p)
+            hull.pop()  # the chain's last point starts the other one
+        if len(hull) < 3:
+            return None
+        planes = []
+        for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
+            g = math.gcd(vy - uy, ux - vx)  # the outer normal of u -> v
+            a0, a1 = (vy - uy) // g, (ux - vx) // g
+            b = a0 * ux + a1 * uy
+            planes.append(((a0, a1), b, {i for i, (x, y) in enumerate(points)
+                                         if a0 * x + a1 * y == b}))
+        return planes
     # Bareiss elimination finds the simplex: its exact divisions keep every
     # entry a minor of the differences, so digits do not pile up.
     start, basis = [0], []

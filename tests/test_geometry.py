@@ -387,28 +387,43 @@ SIMPLEX3 = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
     # then lands on an edge.
     [(0, 0, 0), (2, 2, 2), (1, 1, 1), (1, 0, 0), (0, 1, 0)],
     *EXTREMES_FLAT,
+    # A segment with a duplicate extreme point and an interior point.
+    [(3,), (0,), (3,), (1,)],
+    # A square, unsorted, with a point inside every edge, a duplicate
+    # vertex and an interior point: each edge lists its three points.
+    [(1, 1), (2, 2), (1, 0), (0, 2), (2, 1), (0, 0), (2, 2), (0, 1), (2, 0), (1, 2)],
+    # The three least points in sorted order are collinear: the chain must
+    # drop (1, 1) and still list it on the edge from (0, 0) to (2, 2).
+    [(2, 2), (3, 0), (1, 1), (0, 0)],
 ], ids=["coplanar-beyond", "inside-boundary-ridge", "cube4", "duplicates",
-        "dependent-start", "extremes-flat-2", "extremes-flat-3", "extremes-flat-4"])
+        "dependent-start", "extremes-flat-2", "extremes-flat-3", "extremes-flat-4",
+        "segment-duplicate-interior", "square-edge-points", "collinear-least-three"])
 def test_insertion_matches_oracle(points):
     assert_planes_match_oracle(points)
 
 
 @pytest.mark.parametrize("points", [
+    [(2,), (2,)],
     [(0, 0), (1, 1), (3, 3), (-2, -2)],
+    [(3, 1), (0, 0), (-3, -1), (3, 1), (6, 2), (0, 0)],
     [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0), (5, 5, -9)],
     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, -1, 0)],
     [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8), (1, 0, 0, 0), (3, 2, 3, 4)],
-], ids=["2d-line", "3d-plane", "4d-hyperplane", "4d-plane"])
+], ids=["1d-point", "2d-line", "2d-line-duplicates", "3d-plane", "4d-hyperplane",
+        "4d-plane"])
 def test_flat_clouds_are_dimension_deficient(points):
     assert _supporting_planes(points, len(points[0])) is None
     assert hull_outcome(from_vertices, points) is DimensionDeficient
     assert_matches_oracle(points)
 
 
-@pytest.mark.parametrize("dim, count", [(3, 240), (4, 60)])
+@pytest.mark.parametrize("dim, count", [(2, 2000), (3, 240), (4, 60)])
 def test_large_cloud_vertices_match_qhull(dim, count):
-    # The time bound guards the hull's scale: a scan of the C(N, n) planes
-    # through n of the points takes tens of seconds at these sizes.
+    # The time bound guards each hull path's scale: a polygon costs a sort
+    # and one pass over the points per edge, beneath-beyond about one pass
+    # over the facets so far per point, a few hundredths of a second each
+    # at these sizes.  So 2 s leaves room for a slow host, not for a hull
+    # whose work grows faster, such as a scan of the C(N, n) planes.
     spatial = pytest.importorskip("scipy.spatial")
     rng = SplitMix64(dim * 1000 + count)
     pts = [tuple(rng.integer(-50, 50) for _ in range(dim)) for _ in range(count)]
@@ -420,6 +435,23 @@ def test_large_cloud_vertices_match_qhull(dim, count):
     for a, b in P.facets:
         on = [p for p in pts if value(a, p) == b]
         assert all(value(a, p) <= b for p in pts) and affine_rank(on) == dim - 1
+
+
+# The sha256 of (n, scale, rows, facet_rows) over the catalog and twenty
+# draws of each kind per seed 1-3 and dimension, as beneath-beyond built
+# them in every dimension.  A change to any hull path that moves one
+# canonical form fails here.
+HULLS_SHA256 = "9c03ea57d81ca9440a09cc5c9e89aec59db82e6c2e59a4be5623bcbaab09b3a0"
+
+
+def test_hulls_stay_byte_identical():
+    draws = [P for seed in (1, 2, 3) for dim, bound in ((1, 2), (2, 2), (3, 2), (4, 1))
+             for kind in ("lattice", "dual-of-lattice", "rational")
+             for P in instances(GeneratorConfig(seed, dim, coordinate_bound=bound), 20, kind)]
+    digest = hashlib.sha256()
+    for P in [*catalog().values(), *draws]:
+        digest.update(repr((P.ambient_dim, P.scale, P.rows, P.facet_rows)).encode())
+    assert digest.hexdigest() == HULLS_SHA256
 
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
