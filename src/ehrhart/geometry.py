@@ -3,18 +3,17 @@
 A polytope is held in one canonical integer form: its scale L, the least
 positive integer with LP a lattice polytope; the vertices of LP as sorted
 integer rows; and its facets as sorted rows (a, b) with a primitive integer
-normal a, each meaning <a, x> <= b / L.  The hull (:func:`from_ratios`, in
-integers with no linear program) builds that form from the input without
-a ``fractions.Fraction``: a segment is read off its two extreme points, a
-polygon is Andrew's monotone chain, and in dimensions 3 and 4 an
-incremental beneath-beyond hull inserts the points one at a time.  The
-denominator, the vertex ranges and the polar dual (vertices and facets
-swapped, no hull) are read off it.
-``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs are
-only views of the rows, built on first use and cached in the instance
-``__dict__`` beside the four fields, and :mod:`fractions` is imported only
-where a point or a view is built.  There is no floating point anywhere in
-this package.  The hull takes hundreds of points; the counts suit
+normal a, each meaning <a, x> <= b / L.  :func:`from_ratios` builds that
+form in integers, with no linear program and no ``fractions.Fraction``: its
+hull is a segment's two extreme points, a polygon's monotone chain, or in
+dimensions 3 and 4 an incremental beneath-beyond hull.  The denominator,
+the vertex ranges and the polar dual (vertices and facets swapped, no hull)
+are read off that form.  ``Fraction`` vertices and (normal, bound)
+``Fraction`` facet pairs are only views of the rows, built on first use and
+cached in the instance ``__dict__`` beside the four fields, and
+:mod:`fractions` is imported only where a point or a view is built.  There
+is no floating point anywhere in this package.  A polygon hull takes
+hundreds of thousands of points, a 3D or 4D one hundreds; the counts suit
 dimension <= 4, which a fixed ambient-dimension cap guards.
 """
 
@@ -44,8 +43,12 @@ MAX_DIM = 4
 
 
 def point(coords: Iterable[Coordinate]) -> tuple[Fraction, ...]:
-    """Build a rational point, coercing ints and 'p/q' strings exactly."""
+    """Build a rational point, coercing ints and 'p/q' strings exactly.  A
+    float raises ``TypeError``: its binary value is seldom the number meant."""
     from fractions import Fraction
+    coords = tuple(coords)
+    if floats := [c for c in coords if isinstance(c, float)]:
+        raise TypeError(f"float coordinate {floats[0]!r}: give an int, Fraction or 'p/q' string")
     return tuple(Fraction(c) for c in coords)
 
 
@@ -118,15 +121,10 @@ def from_vertices(points: Iterable[Iterable[Coordinate]]) -> Polytope:
 
 def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     """Convex hull of points given by (numerator, denominator) coordinate
-    pairs, denominators positive.
-
-    The points are scaled to integers by the lcm L of their denominators.
-    A segment is read off its extremes and a polygon off a monotone chain;
-    for n >= 3 beneath-beyond inserts the points one at a time, the
-    per-axis extreme points first: in sorted order each point would lie
-    beyond the hull so far.  Each facet is <a, x> <= b / L, a primitive.
-    A point is a vertex when no other point lies on every facet through
-    it.  L then drops the factor the vertices do not need.  Raises
+    pairs, denominators positive: the points, scaled to integers by the lcm
+    L of their denominators, deduplicated and sorted, go to :func:`_hull`
+    for the vertices and the facets <a, x> <= b / L, a primitive, and L
+    then drops the factor the vertices do not need.  Raises
     ``DimensionDeficient`` when the points do not span the ambient space,
     and ``AmbientDimensionCap`` when it has more than ``MAX_DIM`` dimensions.
     """
@@ -140,57 +138,36 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     if n > MAX_DIM:
         raise AmbientDimensionCap(f"dimension {n} exceeds cap {MAX_DIM}")
     scale = math.lcm(*(q for p in points for _, q in p))
-    ints = sorted({tuple(c * (scale // q) for c, q in p) for p in points})
-    if n > 2:
-        extremes = {pick(ints, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
-        ints = sorted(extremes) + [p for p in ints if p not in extremes]
-    planes = _supporting_planes(ints, n)
-    if planes is None:
+    hull = _hull(sorted({tuple(c * (scale // q) for c, q in p) for p in points}), n)
+    if hull is None:
         raise DimensionDeficient(f"points span fewer than {n} dimensions")
-    # The points on every facet through point i: i alone for a vertex, and
-    # for any other point also each vertex of the least face that holds it.
-    common: list[Optional[set[int]]] = [None] * len(ints)
-    for _, _, on in planes:
-        for i in on:
-            common[i] = on if common[i] is None else common[i] & on
-    rows = sorted(p for p, c in zip(ints, common) if c is not None and len(c) == 1)
+    rows, facets = hull
     # Every facet holds a vertex, so g divides each facet bound too.
     g = math.gcd(scale, *(c for row in rows for c in row))
-    return Polytope(n, scale // g, tuple(tuple(c // g for c in row) for row in rows),
-                    tuple(sorted((a, b // g) for a, b, _ in planes)))
+    return Polytope(n, scale // g, tuple(sorted(tuple(c // g for c in row) for row in rows)),
+                    tuple(sorted((a, b // g) for a, b in facets)))
 
 
-# A facet of the hull of integer points: (a, b, tight) with <a, p> <= b for
-# every point p, equality exactly at the indices in tight, and a primitive.
-_Plane = tuple[tuple[int, ...], int, set[int]]
-
-
-def _supporting_planes(points: Sequence[tuple[int, ...]],
-                       n: int) -> Optional[list[_Plane]]:
-    """The facets of the hull of integer points, or None when the points do
-    not span R^n.  In R^1 they are the two extreme points, and in R^2 the
-    edges of Andrew's monotone chain (1979), each with one pass over the
-    points.  For n >= 3 beneath-beyond (Seidel 1981) inserts the points in
-    the order given: from a start simplex, each point p joins every facet
-    whose plane holds it, and the facets it sees (v = <a, p> - b > 0) give
-    way to v_u (a_w, b_w) - v_w (a_u, b_u), through p, across each ridge
-    between a seen u and a w with v_w < 0.
+def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, list]]:
+    """The vertices and the facets (a, b), <a, x> <= b with a primitive, of
+    the hull of sorted distinct integer points, or None when they do not
+    span R^n.  A segment is its two extreme points, and a polygon Andrew's
+    monotone chain (1979), counter-clockwise with strict left turns only, so
+    that it holds vertices only.  For n >= 3 :func:`_beneath_beyond` inserts
+    the per-axis extreme points first, as in sorted order each point would
+    lie beyond the hull so far, and a point is a vertex when no other point
+    lies on every facet through it.
     """
     if n == 1:
-        lo, hi = min(points), max(points)
-        if lo == hi:
-            return None
-        return [(a, a[0] * e[0], {i for i, p in enumerate(points) if p == e})
-                for a, e in (((-1,), lo), ((1,), hi))]
-    if n == 2:  # Andrew's monotone chain, counter-clockwise
-        ps, hull = sorted(set(points)), []
-        for chain in (ps, ps[::-1]):  # the lower hull, then the upper
+        lo, hi = points[0], points[-1]
+        return None if lo == hi else ([lo, hi], [((-1,), -lo[0]), ((1,), hi[0])])
+    if n == 2:
+        hull = []
+        for chain in (points, points[::-1]):  # the lower hull, then the upper
             least = len(hull) + 2  # two points of this chain before a turn
             for p in chain:
                 while len(hull) >= least:
                     (ox, oy), (ux, uy) = hull[-2], hull[-1]
-                    # Only a strict left turn o -> u -> p keeps u, so the
-                    # chain holds vertices only.
                     if (ux - ox) * (p[1] - oy) > (uy - oy) * (p[0] - ox):
                         break
                     hull.pop()
@@ -198,14 +175,37 @@ def _supporting_planes(points: Sequence[tuple[int, ...]],
             hull.pop()  # the chain's last point starts the other one
         if len(hull) < 3:
             return None
-        planes = []
+        facets = []
         for (ux, uy), (vx, vy) in zip(hull, hull[1:] + hull[:1]):
             g = math.gcd(vy - uy, ux - vx)  # the outer normal of u -> v
             a0, a1 = (vy - uy) // g, (ux - vx) // g
-            b = a0 * ux + a1 * uy
-            planes.append(((a0, a1), b, {i for i, (x, y) in enumerate(points)
-                                         if a0 * x + a1 * y == b}))
-        return planes
+            facets.append(((a0, a1), a0 * ux + a1 * uy))
+        return hull, facets
+    extremes = {pick(points, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
+    points = sorted(extremes) + [p for p in points if p not in extremes]
+    planes = _beneath_beyond(points, n)
+    if planes is None:
+        return None
+    # The points on every facet through point i: i alone for a vertex, and
+    # for any other point also each vertex of the least face that holds it.
+    common: list[Optional[set[int]]] = [None] * len(points)
+    for _, _, on in planes:
+        for i in on:
+            common[i] = on if common[i] is None else common[i] & on
+    return ([p for p, c in zip(points, common) if c is not None and len(c) == 1],
+            [(a, b) for a, b, _ in planes])
+
+
+def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[tuple]]:
+    """The facets of the hull of integer points in R^n, n >= 3, as triples
+    (a, b, tight): <a, p> <= b for every point p, equality exactly at the
+    indices in tight, and a primitive; or None when the points do not span
+    R^n.  Beneath-beyond (Seidel 1981) inserts the points in the order
+    given: from a start simplex, each point p joins every facet whose plane
+    holds it, and the facets it sees (v = <a, p> - b > 0) give way to
+    v_u (a_w, b_w) - v_w (a_u, b_u), through p, across each ridge between a
+    seen u and a w with v_w < 0.
+    """
     # Bareiss elimination finds the simplex: its exact divisions keep every
     # entry a minor of the differences, so digits do not pile up.
     start, basis = [0], []

@@ -17,7 +17,7 @@ from .errors import ParseError
 from .geometry import Polytope, from_ratios
 
 #: The most bytes :func:`load_polytope` reads.  It bounds the input, not the hull:
-#: a 2D file this size, some 740 000 random points, loads in about 17 s.
+#: a 2D file this size, some 740 000 random points, loads in about 6 s.
 MAX_FILE_BYTES = 16 * 2**20
 
 # A coordinate "p" or "p/q", parsed straight to the integers p and q.

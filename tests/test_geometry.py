@@ -26,7 +26,7 @@ from ehrhart import (
     origin_interior,
     polytope_to_json_dict,
 )
-from ehrhart.geometry import _supporting_planes, dual_denominator, vertex_ranges
+from ehrhart.geometry import _beneath_beyond, _hull, dual_denominator, vertex_ranges
 from conftest import THEOREM_POOL_SPEC, dilate
 from hull_oracle import affine_rank, in_convex_hull, oracle_hull, primitive
 from listing_oracle import contains
@@ -355,11 +355,12 @@ def test_from_vertices_matches_oracle_on_hand_cases():
 
 
 def assert_planes_match_oracle(points):
-    """The hull of integer points, inserted in the order given, against the
-    oracle's facets and, for each, the indices of the points on it."""
+    """Beneath-beyond's hull of integer points, inserted in the order given,
+    against the oracle's facets and, for each, the indices of the points on
+    it."""
     expected = {facet: {i for i, p in enumerate(points) if value(facet[0], p) == facet[1]}
                 for facet in oracle_hull(points).facets}
-    planes = _supporting_planes(points, len(points[0]))
+    planes = _beneath_beyond(points, len(points[0]))
     assert {(tuple(map(F, a)), F(b)): on for a, b, on in planes} == expected, points
 
 
@@ -399,7 +400,12 @@ SIMPLEX3 = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
         "dependent-start", "extremes-flat-2", "extremes-flat-3", "extremes-flat-4",
         "segment-duplicate-interior", "square-edge-points", "collinear-least-three"])
 def test_insertion_matches_oracle(points):
-    assert_planes_match_oracle(points)
+    # Beneath-beyond serves n >= 3 and lists the points on each facet; a
+    # segment or polygon hull gives vertices and facets only.
+    if len(points[0]) >= 3:
+        assert_planes_match_oracle(points)
+    else:
+        assert_matches_oracle(points)
 
 
 @pytest.mark.parametrize("points", [
@@ -412,7 +418,7 @@ def test_insertion_matches_oracle(points):
 ], ids=["1d-point", "2d-line", "2d-line-duplicates", "3d-plane", "4d-hyperplane",
         "4d-plane"])
 def test_flat_clouds_are_dimension_deficient(points):
-    assert _supporting_planes(points, len(points[0])) is None
+    assert _hull(sorted(set(points)), len(points[0])) is None
     assert hull_outcome(from_vertices, points) is DimensionDeficient
     assert_matches_oracle(points)
 
@@ -420,10 +426,10 @@ def test_flat_clouds_are_dimension_deficient(points):
 @pytest.mark.parametrize("dim, count", [(2, 2000), (3, 240), (4, 60)])
 def test_large_cloud_vertices_match_qhull(dim, count):
     # The time bound guards each hull path's scale: a polygon costs a sort
-    # and one pass over the points per edge, beneath-beyond about one pass
-    # over the facets so far per point, a few hundredths of a second each
-    # at these sizes.  So 2 s leaves room for a slow host, not for a hull
-    # whose work grows faster, such as a scan of the C(N, n) planes.
+    # and one walk of the chain, beneath-beyond about one pass over the
+    # facets so far per point, at most a few hundredths of a second each at
+    # these sizes.  So 2 s leaves room for a slow host, not for a hull whose
+    # work grows faster, such as a scan of the C(N, n) planes.
     spatial = pytest.importorskip("scipy.spatial")
     rng = SplitMix64(dim * 1000 + count)
     pts = [tuple(rng.integer(-50, 50) for _ in range(dim)) for _ in range(count)]
@@ -435,6 +441,17 @@ def test_large_cloud_vertices_match_qhull(dim, count):
     for a, b in P.facets:
         on = [p for p in pts if value(a, p) == b]
         assert all(value(a, p) <= b for p in pts) and affine_rank(on) == dim - 1
+
+
+def test_polygon_in_convex_position_scales():
+    # Every point is a vertex, so a polygon hull that passed over the points
+    # once per edge would make 36 million checks here; the chain takes a
+    # few hundredths of a second.
+    pts = [(x, x * x) for x in range(6000)]
+    start = time.perf_counter()
+    P = from_vertices(pts)
+    assert time.perf_counter() - start < 1
+    assert len(P.rows) == len(P.facet_rows) == 6000
 
 
 # The sha256 of (n, scale, rows, facet_rows) over the catalog and twenty

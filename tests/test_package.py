@@ -135,9 +135,11 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.interior_shift_mismatch(catalog()["square2"], 0), ValueError),
     (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
     (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
+    (lambda: ehrhart.from_vertices([(-0.1,), (1,)]), TypeError),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
         "table_short_row", "table_zero_period", "table_negative_dimension",
-        "shift_at_zero", "empty_integer_range", "point_without_coordinates"])
+        "shift_at_zero", "empty_integer_range", "point_without_coordinates",
+        "float_coordinate"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()
@@ -219,3 +221,22 @@ def test_no_module_imports_a_name_it_never_reads():
                            (alias.asname or alias.name.split(".")[0] for alias in node.names)
                            if name not in read]
     assert unused == []
+
+
+def test_no_private_helper_is_left_unread():
+    # Each top-level private function or class of the package is read by
+    # some other top-level statement of the package, not only by itself.
+    import ast
+    from pathlib import Path
+
+    defined, read = [], set()
+    for path in sorted(Path(ehrhart.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            reads = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append(f"{path.stem}.{node.name}")
+                reads.discard(node.name)
+            read |= reads
+    assert [name for name in defined if name.split(".")[1] not in read] == []
