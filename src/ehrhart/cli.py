@@ -119,7 +119,8 @@ def _show_polytope(P: Polytope, title: str, fmt: str) -> None:
         from .serialization import dumps_polytope
         print(dumps_polytope(P))
     else:
-        pts = ", ".join("(" + ", ".join(map(str, v)) + ")" for v in P.vertices)
+        from .serialization import polytope_to_json_dict
+        pts = ", ".join("(" + ", ".join(v) + ")" for v in polytope_to_json_dict(P)["vertices"])
         print(f"{title}: dim {P.ambient_dim}, vertices {pts}")
 
 

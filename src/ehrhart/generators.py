@@ -9,8 +9,8 @@ generation and keeps the draw rule one line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._catalog import VERTICES
 from .errors import DimensionDeficient, EmptyInput, GenerationExhausted
@@ -47,20 +47,30 @@ ATTEMPTS = 1000
 DENOMINATOR_BOUND = 3
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs for the rejection sampler; equal configs give equal output."""
-
+class _GeneratorConfig(NamedTuple):
     seed: int
     dim: int
     coordinate_bound: int = 2
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dim <= MAX_DIM:
+
+class GeneratorConfig(_GeneratorConfig):
+    """Knobs for the rejection sampler, an immutable named tuple whose
+    fields are checked on every build, ``_replace`` included; equal configs
+    give equal output."""
+
+    __slots__ = ()
+
+    def __new__(cls, seed: int, dim: int, coordinate_bound: int = 2) -> GeneratorConfig:
+        if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension must be between 1 and {MAX_DIM}")
-        if self.coordinate_bound < 1:
-            raise ValueError(
-                f"coordinate_bound must be at least 1, got {self.coordinate_bound}")
+        if coordinate_bound < 1:
+            raise ValueError(f"coordinate_bound must be at least 1, got {coordinate_bound}")
+        return super().__new__(cls, seed, dim, coordinate_bound)
+
+    @classmethod
+    def _make(cls, fields) -> GeneratorConfig:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
 
 def _sample(cfg: GeneratorConfig, rng: SplitMix64, rational: bool) -> Polytope:

@@ -11,7 +11,8 @@ binomial basis
 whose coefficient table is exactly the delta-vector of P read off k columns
 at a time.  Fitting is division-free (the basis is triangular at l = 0..n),
 so the integrality of every entry is structural, not numerical.
-The :class:`ResidueDeltaTable` (n, k, delta) is the quasi-polynomial itself.
+The :class:`ResidueDeltaTable`, a named tuple (n, k, delta), is the
+quasi-polynomial itself.
 
 Two extraction routes are provided: forward substitution on the counts
 (:func:`fit_counts`) and the truncated series product of the counting
@@ -26,9 +27,8 @@ both routes alike and passes.  Catching one needs a route that reads no count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .counting import DEFAULT_BUDGET, count_vector
 from .geometry import Polytope, denominator
@@ -43,22 +43,33 @@ def binomial(x: int, n: int) -> int:
     return math.comb(x, n) if x >= 0 else (-1) ** n * math.comb(n - 1 - x, n)
 
 
-@dataclass(frozen=True)
-class ResidueDeltaTable:
-    """Integer table delta[i][r], 0 <= i <= n, 0 <= r < k."""
-
+class _ResidueDeltaTable(NamedTuple):
     n: int
     k: int
     delta: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.k < 1:
-            raise ValueError(f"need n >= 0 and k >= 1, got n={self.n}, k={self.k}")
-        if len(self.delta) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} rows, got {len(self.delta)}")
-        for row in self.delta:
-            if len(row) != self.k:
-                raise ValueError(f"need {self.k} columns, got {len(row)}")
+
+class ResidueDeltaTable(_ResidueDeltaTable):
+    """Integer table delta[i][r], 0 <= i <= n, 0 <= r < k: an immutable
+    named tuple (n, k, delta), whose shape is checked on every build,
+    ``_replace`` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, delta: tuple) -> ResidueDeltaTable:
+        if n < 0 or k < 1:
+            raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+        if len(delta) != n + 1:
+            raise ValueError(f"need {n + 1} rows, got {len(delta)}")
+        for row in delta:
+            if len(row) != k:
+                raise ValueError(f"need {k} columns, got {len(row)}")
+        return super().__new__(cls, n, k, delta)
+
+    @classmethod
+    def _make(cls, fields) -> ResidueDeltaTable:
+        # ``_replace`` builds through ``_make``, which would skip the checks.
+        return cls(*fields)
 
 
 def closed_counts(P: Polytope,

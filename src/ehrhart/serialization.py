@@ -9,6 +9,7 @@ literals anywhere in the document are rejected outright.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import Union
@@ -25,10 +26,17 @@ _COORD = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?\Z")
 
 
 def polytope_to_json_dict(P: Polytope) -> dict:
+    """The document of ``P``, each coordinate read off its rows and scale."""
     return {
         "dim": P.ambient_dim,
-        "vertices": [[str(c) for c in v] for v in P.vertices],
+        "vertices": [[_coordinate(c, P.scale) for c in row] for row in P.rows],
     }
+
+
+def _coordinate(c: int, L: int) -> str:
+    """c / L in lowest terms, "p" or "p/q", as ``str(Fraction(c, L))`` prints it."""
+    g = math.gcd(c, L)
+    return str(c // g) if g == L else f"{c // g}/{L // g}"
 
 
 def dumps_polytope(P: Polytope) -> str:

@@ -2,21 +2,20 @@
 
 Each check returns a :class:`CheckResult` whose witness pinpoints the first
 failure (lexicographically smallest index or dilation), and
-:func:`full_report` aggregates them for one polytope.  A report is FATAL
-exactly when a check fails that a correct implementation can never fail:
-reciprocity, the fitted table against the series delta-vector, and
-non-negativity, for any polytope, and, for a polytope with a lattice polar
-dual, the residue-table symmetry, the palindrome check, the interior
-shift, or the characterization.  The flag exists so that downstream
+:func:`full_report` aggregates them for one polytope in a
+:class:`VerificationReport`; both records are immutable named tuples.  A
+report is FATAL exactly when a check fails that a correct implementation
+can never fail: reciprocity, the fitted table against the series
+delta-vector, and non-negativity, for any polytope, and, for a polytope
+with a lattice polar dual, the residue-table symmetry, the palindrome
+check, the interior shift, or the characterization.  The flag exists so that downstream
 tooling treats such an outcome as a build-stopping inconsistency instead
 of an ordinary failed property, whose row still carries its witness.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import counting, quasipoly
 from .counting import DEFAULT_BUDGET, count_vector
@@ -26,11 +25,10 @@ from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual
 from .quasipoly import ResidueDeltaTable, delta_vector
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """A named check's outcome and the witness of its first failure;
-    ``fatal`` is set by :func:`full_report`'s rule, and by
-    :func:`check_non_negativity` and the characterization on their own."""
+class CheckResult(NamedTuple):
+    """A named check's outcome and the witness of its first failure, as an
+    immutable named tuple; ``fatal`` is set by :func:`full_report`'s rule,
+    and by :func:`check_non_negativity` and the characterization on their own."""
 
     name: str
     passed: bool
@@ -38,11 +36,10 @@ class CheckResult:
     fatal: bool = False
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Every check on one polytope.  ``delta`` is the series route's
-    delta-vector; ``residue_table`` is the fitted table, and the source of
-    the printed n and k."""
+class VerificationReport(NamedTuple):
+    """Every check on one polytope, as an immutable named tuple.  ``delta``
+    is the series route's delta-vector; ``residue_table`` is the fitted
+    table, and the source of the printed n and k."""
 
     polytope_id: str
     dual_is_lattice: bool
@@ -208,7 +205,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     must_hold = {"reciprocity", "equivalence"}
     if dual_lattice:
         must_hold |= {"theorem", "palindrome", "interior_shift"}
-    checks = [dataclasses.replace(c, fatal=True)
+    checks = [c._replace(fatal=True)
               if c.name in must_hold and not c.passed else c for c in checks]
     return VerificationReport(polytope_id, dual_lattice, d, qp, tuple(checks))
 

@@ -114,10 +114,9 @@ def test_verify_fatal_exit_one(capsys, monkeypatch):
 
     def poisoned(P, polytope_id="polytope", m_max=6, budget=10**8):
         report = real(P, polytope_id=polytope_id, m_max=m_max, budget=budget)
-        import dataclasses
-        checks = tuple(dataclasses.replace(c, passed=False, fatal=True)
+        checks = tuple(c._replace(passed=False, fatal=True)
                        if c.name == "palindrome" else c for c in report.checks)
-        return dataclasses.replace(report, checks=checks)
+        return report._replace(checks=checks)
 
     monkeypatch.setattr(verify_module, "full_report", poisoned)
     code, out, _ = run(capsys, "verify", "square2")
@@ -230,27 +229,50 @@ def test_unexpected_error_exit_three(capsys, monkeypatch):
 
 
 def child_imports(*argv):
-    """The stdout of one ``ehrhart`` command and the modules it loads, in a
-    child interpreter, so that the modules this test session already holds
-    do not hide them."""
+    """The stdout of one ``python -m ehrhart`` command and the modules it
+    holds when it exits, in a child interpreter, so that the modules this
+    test session already holds do not hide them.  ``sys.modules`` is read,
+    not ``-X importtime``, which leaves out a submodule that
+    ``from . import name`` loads."""
     src = str(Path(ehrhart.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ehrhart", *argv],
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('ehrhart', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('modules:', *sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                         if line.startswith("import time:") and "|" in line}
+    return proc.stdout, set(proc.stderr.rsplit("modules:", 1)[1].split())
 
 
-def test_count_of_a_file_imports_only_what_it_runs(tmp_path):
+# What each command on a file, and ``gen``, loads of the package, and what it
+# must not load: no command needs ``dataclasses`` or ``inspect``, and the
+# commands that print no residue table build no ``Fraction``.
+_RECORD_LIBS = {"dataclasses", "inspect"}
+_FRACTION_LIBS = {"fractions", "decimal"}
+_ALWAYS = {"ehrhart", "ehrhart.cli", "ehrhart._catalog", "ehrhart.counting", "ehrhart.errors",
+           "ehrhart.geometry", "ehrhart.serialization"}
+
+
+@pytest.mark.parametrize("argv, package, barred", [
+    (["count", "FILE", "--m", "2"], _ALWAYS, _RECORD_LIBS | _FRACTION_LIBS),
+    (["info", "FILE"], _ALWAYS, _RECORD_LIBS | _FRACTION_LIBS),
+    (["dual", "FILE"], _ALWAYS, _RECORD_LIBS | _FRACTION_LIBS),
+    (["delta", "FILE"], _ALWAYS | {"ehrhart.quasipoly", "ehrhart.verify"}, _RECORD_LIBS),
+    (["verify", "FILE"], _ALWAYS | {"ehrhart.quasipoly", "ehrhart.verify"}, _RECORD_LIBS),
+    (["gen", "--dim", "3", "--kind", "rational"], _ALWAYS | {"ehrhart.generators"},
+     _RECORD_LIBS | _FRACTION_LIBS),
+], ids=["count", "info", "dual", "delta", "verify", "gen"])
+def test_a_command_imports_only_what_it_runs(tmp_path, argv, package, barred):
     path = tmp_path / "cube.json"
     path.write_text(dumps_polytope(catalog()["cube3"]))
-    out, loaded = child_imports("count", str(path), "--m", "2")
-    assert out == f"{path}: |2P| = 125 lattice points, interior 27\n"
-    assert "ehrhart.counting" in loaded and "ehrhart.serialization" in loaded
-    for name in ("dataclasses", "inspect", "fractions", "decimal", "ehrhart.generators",
-                 "ehrhart.quasipoly", "ehrhart.verify", "ehrhart._strips"):
-        assert name not in loaded, name
+    out, loaded = child_imports(*[str(path) if a == "FILE" else a for a in argv])
+    if argv[0] == "count":
+        assert out == f"{path}: |2P| = 125 lattice points, interior 27\n"
+    assert {name for name in loaded if name.startswith("ehrhart")} == package
+    assert loaded.isdisjoint(barred), loaded & barred
 
 
 def test_info_of_a_rational_file_builds_no_fraction(tmp_path):

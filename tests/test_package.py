@@ -1,5 +1,6 @@
 import copy
 import inspect
+import os
 import pickle
 
 import pytest
@@ -136,13 +137,63 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.SplitMix64(0).integer(2, 1), ValueError),
     (lambda: ehrhart.from_vertices([[]]), ehrhart.EmptyInput),
     (lambda: ehrhart.from_vertices([(-0.1,), (1,)]), TypeError),
+    (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (2, 1)))._replace(k=0), ValueError),
+    (lambda: ehrhart.GeneratorConfig(1, 2)._replace(dim=9), ValueError),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
         "table_short_row", "table_zero_period", "table_negative_dimension",
         "shift_at_zero", "empty_integer_range", "point_without_coordinates",
-        "float_coordinate"])
+        "float_coordinate", "table_replaced_zero_period", "config_replaced_dimension"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()
+
+
+def _records():
+    table = ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (2, 1)))
+    check = ehrhart.CheckResult("palindrome", True)
+    return [
+        (table, "ResidueDeltaTable(n=1, k=2, delta=((1, 2), (2, 1)))"),
+        (ehrhart.GeneratorConfig(1, 2), "GeneratorConfig(seed=1, dim=2, coordinate_bound=2)"),
+        (check, "CheckResult(name='palindrome', passed=True, witness=None, fatal=False)"),
+        (ehrhart.VerificationReport("p", True, (1, 2, 2, 1), table, (check,)),
+         "VerificationReport(polytope_id='p', dual_is_lattice=True, delta=(1, 2, 2, 1), "
+         "residue_table=ResidueDeltaTable(n=1, k=2, delta=((1, 2), (2, 1))), "
+         "checks=(CheckResult(name='palindrome', passed=True, witness=None, fatal=False),))"),
+    ]
+
+
+@pytest.mark.parametrize("record, text", _records(),
+                         ids=["ResidueDeltaTable", "GeneratorConfig", "CheckResult",
+                              "VerificationReport"])
+def test_records_are_immutable_named_tuples(record, text):
+    assert repr(record) == text
+    fields = tuple(record)
+    same = type(record)(*fields)
+    assert same == record and hash(same) == hash(record) and same == fields
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.other = 0
+
+
+def test_a_report_loads_neither_dataclasses_nor_inspect():
+    # A report in a fresh interpreter, built as the report-mixed bench
+    # client builds one: the records need neither module.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    doc = ehrhart.polytope_to_json_dict(catalog()["halfdiamond2"])
+    code = ("import sys\n"
+            "from ehrhart import full_report, polytope_from_json_dict\n"
+            f"report = full_report(polytope_from_json_dict({doc!r}))\n"
+            "print(report.fatal, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(ehrhart.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False []\n"), proc.stderr
 
 
 def test_polytope_repr_names_its_vertices():

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from ehrhart import (
+    GeneratorConfig,
     ParseError,
     catalog,
     dumps_polytope,
+    instances,
     load_polytope,
     loads_polytope,
     polytope_to_json_dict,
@@ -26,6 +29,16 @@ def test_document_shape():
 def test_integer_coordinates_serialize_without_denominator():
     doc = polytope_to_json_dict(catalog()["square2"])
     assert doc["vertices"][0] == ["-1", "-1"]
+
+
+def test_coordinates_print_as_fractions_do():
+    # The document is read off the integer rows and scale, with no Fraction.
+    drawn = [P for dim in range(1, 5) for kind in ("lattice", "dual-of-lattice", "rational")
+             for P in instances(GeneratorConfig(seed=dim, dim=dim), 4, kind)]
+    for P in [*catalog().values(), *drawn]:
+        rows = [[str(Fraction(c, P.scale)) for c in row] for row in P.rows]
+        assert polytope_to_json_dict(P)["vertices"] == rows
+    assert any(P.scale > 1 for P in drawn) and any(P.scale == 1 for P in drawn)
 
 
 def test_load_path(tmp_path):
