@@ -2,7 +2,7 @@
 
 Kept apart from :mod:`ehrhart.generators`, so that naming one entry on the
 command line builds that one hull and imports nothing else.  A fractional
-coordinate is a "p/q" string, which :func:`ehrhart.geometry.point` parses.
+coordinate is a "p/q" string, which the command line parses as a file's.
 :func:`ehrhart.generators.catalog` builds them all.
 """
 

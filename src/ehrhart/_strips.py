@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import combinations
-from operator import mul
 
 from .counting import _by_value
 from .geometry import Polytope
@@ -25,12 +24,10 @@ def strips(P: Polytope) -> list[tuple]:
     strip, bottom to top, each x2/m = (p + q*u)/d held as (p, q, d), d > 0.
 
     Vertices u and v of P span an edge when no third vertex is tight on
-    every facet that is tight at both.  An edge that projects to a point
-    or to a segment at one u only lies on a cut.
+    every facet that is tight at both, as ``P._incidence`` tells.  An edge
+    that projects to a point or to a segment at one u only lies on a cut.
     """
-    L = P.scale
-    tight = [sum(1 << k for k, (a, b) in enumerate(P.facet_rows)
-                 if sum(map(mul, a, v)) == b) for v in P.rows]
+    L, tight = P.scale, P._incidence
     lines = set()  # x2 = (a + b*X)/d on lo <= X <= hi in lowest terms, X = L*x1/m
     for (u, f), (v, g) in combinations(zip(P.rows, tight), 2):  # rows sorted: u1 <= v1
         both = f & g

@@ -8,9 +8,9 @@ characterization check), 2 usage, parse, input, or budget errors, 3 any
 other (unexpected) error.  Input is parsed under the interpreter's limit
 on the digits of int <-> str, and results are printed past it.
 
-A command imports the serialization, delta-vector, verification and
-generator modules only when it runs and needs them, so a ``count`` never
-loads the last three.
+A command imports the delta-vector, verification and generator modules
+only when it runs and needs them, so a ``count`` never loads them.  A
+catalog name is parsed as a file is, in integers, with no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from ._catalog import VERTICES
 from .counting import DEFAULT_BUDGET
 from .errors import EhrhartError
-from .geometry import (Polytope, denominator, dual, from_vertices, is_lattice,
-                       origin_interior)
+from .geometry import Polytope, denominator, dual, is_lattice, origin_interior
+from .serialization import load_polytope, polytope_from_json_dict, polytope_to_json_dict
 
 # The interpreter's limit on the digits of int <-> str (from 3.10.7 and 3.11).
 _get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -34,16 +34,16 @@ _set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 def _resolve_input(name: str) -> tuple[str, Polytope]:
     """Resolve a catalog name or a file path; ambiguity is an error.
-    Builds the hull of the named entry only, then lifts the digit limit."""
+    Parses a named entry as a file's coordinates, then lifts the digit limit."""
     path = Path(name)
     if name in VERTICES:
         if path.exists():
             raise EhrhartError(
                 f"{name!r} is both a catalog entry and an existing file; "
                 "rename the file or use an explicit path like ./" + name)
-        P = from_vertices(VERTICES[name])
+        rows = [[str(c) for c in row] for row in VERTICES[name]]
+        P = polytope_from_json_dict({"dim": len(rows[0]), "vertices": rows})
     elif path.exists():
-        from .serialization import load_polytope
         P = load_polytope(path)
     else:
         raise EhrhartError(f"{name!r} is neither a catalog entry nor an existing file "
@@ -115,13 +115,9 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 def _show_polytope(P: Polytope, title: str, fmt: str) -> None:
     """Print ``P`` as one JSON document, or as one line of its vertices."""
-    if fmt == "json":
-        from .serialization import dumps_polytope
-        print(dumps_polytope(P))
-    else:
-        from .serialization import polytope_to_json_dict
-        pts = ", ".join("(" + ", ".join(v) + ")" for v in polytope_to_json_dict(P)["vertices"])
-        print(f"{title}: dim {P.ambient_dim}, vertices {pts}")
+    doc = polytope_to_json_dict(P)
+    pts = ", ".join("(" + ", ".join(v) + ")" for v in doc["vertices"])
+    _emit(doc, f"{title}: dim {P.ambient_dim}, vertices {pts}", fmt)
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:

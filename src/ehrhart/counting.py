@@ -53,7 +53,6 @@ import math
 from bisect import bisect_left
 from functools import cmp_to_key
 from itertools import permutations
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -75,19 +74,19 @@ def _frame(P: Polytope) -> Polytope:
     """P with its axes permuted into the order that a cost model of the
     walk ranks cheapest, or P itself when the given order ties for it.
 
-    The model sums over the facets the product of the extents of the
-    facet's tight vertices on the walked (prefix) axes, each plus one in 4D,
-    times 1 + the number of Euclid steps of the facet's slope on the last
+    The model sums over the facets the product of the extents of the facet's
+    vertices (``P._incidence``) on the walked (prefix) axes, each plus one in
+    4D, times 1 + the number of Euclid steps of the facet's slope on the last
     two axes, capped at ``_FRAME_STEPS``: about the sections that hold the
-    facet times the floor-sum steps of its line there.  Counts are the same
-    in every frame, as the lattice is; a polygon or a segment keeps its own.
+    facet times the floor-sum steps of its line there.  Counts are the same in
+    every frame, as the lattice is; a polygon or a segment keeps its own.
     """
     n = P.ambient_dim
     if n < 3:
         return P
     facets = []
-    for a, b in P.facet_rows:
-        tight = [row for row in P.rows if sum(map(mul, a, row)) == b]
+    for k, (a, _) in enumerate(P.facet_rows):
+        tight = [row for row, f in zip(P.rows, P._incidence) if f >> k & 1]
         facets.append((a, [max(c) - min(c) + (n == 4) for c in zip(*tight)]))
 
     def cost(order: tuple[int, ...]) -> int:

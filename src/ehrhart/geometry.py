@@ -3,18 +3,18 @@
 A polytope is held in one canonical integer form: its scale L, the least
 positive integer with LP a lattice polytope; the vertices of LP as sorted
 integer rows; and its facets as sorted rows (a, b) with a primitive integer
-normal a, each meaning <a, x> <= b / L.  :func:`from_ratios` builds that
-form in integers, with no linear program and no ``fractions.Fraction``: its
-hull is a segment's two extreme points, a polygon's monotone chain, or in
-dimensions 3 and 4 an incremental beneath-beyond hull.  The denominator,
-the vertex ranges and the polar dual (vertices and facets swapped, no hull)
-are read off that form.  ``Fraction`` vertices and (normal, bound)
-``Fraction`` facet pairs are only views of the rows, built on first use and
-cached in the instance ``__dict__`` beside the four fields, and
-:mod:`fractions` is imported only where a point or a view is built.  There
-is no floating point anywhere in this package.  A polygon hull takes
-hundreds of thousands of points, a 3D or 4D one hundreds; the counts suit
-dimension <= 4, which a fixed ambient-dimension cap guards.
+normal a, each meaning <a, x> <= b / L.  :func:`from_ratios` builds that form
+in integers, with no linear program and no ``fractions.Fraction``: its hull is
+a segment's two extreme points, a polygon's monotone chain, or in dimensions 3
+and 4 an incremental beneath-beyond hull.  The denominator, the vertex ranges
+and the polar dual (vertices and facets swapped, no hull) are read off that
+form.  Views of the rows, built on first use and cached in the instance
+``__dict__`` beside the four fields, give ``Fraction`` vertices, (normal,
+bound) ``Fraction`` facet pairs and the vertex-facet incidence that counting
+reads; :mod:`fractions` is imported only where a point or a ``Fraction`` view
+is built.  There is no floating point anywhere in this package.  A polygon
+hull takes hundreds of thousands of points, a 3D or 4D one hundreds; the
+counts suit dimension <= 4, which a fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Polytope:
     sorted integer ``rows``; and the complete facet list as sorted
     ``facet_rows`` (a, b), each <a, x> <= b / L with a primitive.  Build
     instances with :func:`from_vertices`, which establishes these
-    invariants.  ``vertices`` and ``facets`` are views, built on first use.
+    invariants.  ``vertices``, ``facets`` and ``_incidence`` are views, built
+    on first use.
     Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
     The fields and views live in ``__dict__``, so pickling and copying use
     the default protocol, which fills it without calling ``__setattr__``.
@@ -91,6 +92,12 @@ class Polytope:
         from fractions import Fraction
         return tuple((tuple(map(Fraction, a)), Fraction(b, self.scale))
                      for a, b in self.facet_rows)
+
+    @cached_property
+    def _incidence(self) -> tuple[int, ...]:
+        """Per vertex row, the bitmask of the facet rows through it: bit k for row k."""
+        return tuple(sum(1 << k for k, (a, b) in enumerate(self.facet_rows)
+                         if sum(map(mul, a, row)) == b) for row in self.rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -285,6 +285,20 @@ def test_info_of_a_rational_file_builds_no_fraction(tmp_path):
     assert "fractions" not in loaded and "decimal" not in loaded
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["count", "halfdiamond2"], "halfdiamond2: |1P| = 1 lattice points, interior 1\n"),
+    (["dual", "halfdiamond2", "--format", "json"], json.dumps(  # the square [-2, 2]^2
+        {"dim": 2, "vertices": [[str(x), str(y)] for x in (-2, 2) for y in (-2, 2)]},
+        indent=2) + "\n"),
+    (["info", "seg_m23_1"], "denominator: 3\n"),
+], ids=["count", "dual", "info"])
+def test_a_catalog_name_builds_no_fraction(argv, expected):
+    # A catalog entry's "p/q" coordinates are parsed as a file's, to integers.
+    out, loaded = child_imports(*argv)
+    assert expected in out
+    assert "fractions" not in loaded and "decimal" not in loaded
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "box.json"
     path.write_text(dumps_polytope(catalog()["seg_mhalf_1"]))

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import pickle
@@ -15,6 +16,7 @@ from ehrhart import (
     EmptyInput,
     GeneratorConfig,
     OriginNotInterior,
+    Polytope,
     SplitMix64,
     catalog,
     denominator,
@@ -234,6 +236,23 @@ def test_integer_form(fixtures, theorem_pool, control_pool):
         docs.append([polytope_to_json_dict(P), polytope_to_json_dict(D)])
     text = json.dumps(docs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == INTEGER_FORM_JSON_SHA256
+
+
+def test_incidence_is_the_vertex_facet_scan(fixtures, theorem_pool, control_pool):
+    # Bit k of a vertex's mask is set exactly when the vertex row lies on
+    # facet row k, against a plain dot-product scan; the cached view stays
+    # out of equality and hashing, and survives pickling and copying.
+    four = [instances(GeneratorConfig(seed=43, dim=4, coordinate_bound=1), 1, kind)[0]
+            for kind in ("lattice", "dual-of-lattice", "rational")]
+    for P in [*fixtures.values(), *theorem_pool, *control_pool, *four]:
+        scan = tuple(sum(2 ** k for k, (a, b) in enumerate(P.facet_rows) if value(a, row) == b)
+                     for row in P.rows)
+        assert P._incidence == scan, P
+        fresh = Polytope(P.ambient_dim, P.scale, P.rows, P.facet_rows)
+        assert "_incidence" in vars(P) and "_incidence" not in vars(fresh)
+        assert fresh == P and hash(fresh) == hash(P), P
+        for Q in (pickle.loads(pickle.dumps(P)), copy.copy(P), copy.deepcopy(P)):
+            assert vars(Q)["_incidence"] == scan, P
 
 
 def test_dual_involution_generated():
