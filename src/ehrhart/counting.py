@@ -10,8 +10,11 @@ sums sections, polygons on the last two axes, in one routine,
 :func:`_section`: per column y, every facet line with B > 0 is a piece of
 the upper chain, every one with B < 0 of the lower, in slope order, and
 the lattice points under one piece are one Euclid-style floor sum
-(Beck-Robins, *Computing the Continuous Discretely*).  A polygon is one
-section, at x = 0, read straight off its facets.  A 3D or 4D count walks
+(Beck-Robins, *Computing the Continuous Discretely*), split at its first
+Euclid step: the remainder R(n, b mod B) after it depends on the slope
+alone and recurs between sections, so the chamber walk keeps one
+remainder table per slope.  A polygon is one section, at x = 0, read
+straight off its facets, with no table.  A 3D or 4D count walks
 the first d = n-2 axes only, the prefix, and sums each section between its
 cuts.  Sections are homogeneous: the section of mP at the prefix x is m
 times that of P at x/m, so its cuts and chains depend only on the cell of
@@ -28,7 +31,7 @@ mP, the interior holds the points of the open section, which has the cuts
 and chains of the closed one, with each right-hand side and cut numerator
 lowered by one.  All that does not depend on m is derived from the integer
 rows of P into one kernel, which each request builds for itself and drops
-when it returns: nothing is kept between calls.
+when it returns, remainder tables included: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
@@ -208,10 +211,14 @@ def _by_value(k: tuple, l: tuple) -> int:
     return k[0] * l[1] - l[0] * k[1]
 
 
-def _forms(chain: list[_Line], p: Sequence[int], w: Sequence[int]) -> list[tuple]:
+def _forms(chain: list[_Line], p: Sequence[int], w: Sequence[int],
+           tables: Optional[dict] = None) -> list[tuple]:
     """The :func:`_chamber_table` forms of each line of a chain with the
-    next, and of the last with itself, whose end forms are then 0."""
-    return [(p[i], w[i], A, steps, p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
+    next, and of the last with itself, whose end forms are then 0; with
+    ``tables``, each line shares the remainder table of its slope there."""
+    return [(p[i], w[i], A, B, steps[0][1], steps[0][2], steps[1:],
+             None if tables is None else tables.setdefault(steps, {}),
+             p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
             for (A, B, i, steps), (a, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
 
 
@@ -261,11 +268,12 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     highest.  With C_i = m*p_i - v_i*x1 - w_i*x2 on line i of the section of
     mP at (x1, x2), a cut D*y <= s*C_i + t*C_j is held as s*p_i + t*p_j,
     s*v_i + t*v_j, s*w_i + t*w_j, D.  A chain line (A, B, i) is held as
-    (p_i, w_i, A, steps, c, cw, e), where the next line (a, b, j) passes
-    below it, y <= (C_j*B - C_i*b) / (a*B - A*b), with c, cw, e the
-    p_j*B - p_i*b, w_j*B - w_i*b, a*B - A*b of that bound, all 0 for the
-    last line.  In 4D, ``x1s`` holds the line's x1 weights
-    (v_i, v_j*B - v_i*b); a 3D kernel's x1 is 0, and its ``x1s`` None.
+    (p_i, w_i, A, B, qa, a, rest, table, c, cw, e): its slope's first
+    Euclid step (B, qa, a), the other steps and remainder table, and, as
+    the next line (a', b, j) passes below it at y <= (C_j*B - C_i*b) /
+    (a'*B - A*b), the p_j*B - p_i*b, w_j*B - w_i*b, a'*B - A*b of that
+    bound, all 0 for the last line.  In 4D, ``x1s`` holds the line's x1
+    weights (v_i, v_j*B - v_i*b); a 3D kernel's x1 is 0, and its ``x1s`` None.
     """
     # The Fourier-Motzkin cuts D*y <= s*C[i] + t*C[j], as (D, i, s, j, t), of
     # the B = 0 rows and the lower-upper pairs, by the sign of D, negative D
@@ -286,7 +294,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
         return [(v[i], v[j] * B - v[i] * b)
                 for (_, B, i, _), (_, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
 
-    table = []
+    table, tables = [], {}
     for end, (un, ud), edges in K.strips:
         rows = []
         for (p0, q0, d0), (p1, q1, d1) in zip(edges, edges[1:]):
@@ -301,7 +309,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
             y0, y1 = (-v0, e0), (v1, e1)
             chains = _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)
             rows.append((p1, q1, d1, *cut(*top), *cut(*bottom),
-                         [_forms(chain, p, w) for chain in chains],
+                         [_forms(chain, p, w, tables) for chain in chains],
                          [*map(x1_forms, chains)] if K.n == 4 else None))
         table.append((*end, *edges[0], *edges[-1], rows))
     return table
@@ -344,8 +352,10 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
                 tp, bp = m * tp - s - tv * x1, m * bp - s - bv * x1
                 M = m
                 if x1:
-                    M, chains = 1, [[(m * p - pv * x1, w, A, steps, m * c - cv * x1, cw, e)
-                                     for (p, w, A, steps, c, cw, e), (pv, cv) in zip(*pair)]
+                    M, chains = 1, [[(m * p - pv * x1, w, A, B, qa, a, rest, table,
+                                      m * c - cv * x1, cw, e)
+                                     for (p, w, A, B, qa, a, rest, table, c, cw, e), (pv, cv)
+                                     in zip(*pair)]
                                     for pair in zip(chains, x1s)]
                 for x in range(x2, stop + 1):
                     y1 = (tp - tw * x) // td
@@ -360,23 +370,35 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
 def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1: int) -> int:
     """Lattice points of a section at x with columns y0..y1, y1 >= y0 - 1:
     one per column, and one floor sum per chain piece, up to its crossing
-    with the next, or for a piece of one column the floor sum's one term.
-    The chains' p and c are taken M times.  A strict section (s = 1) lowers
-    each right-hand side by one, as ceil(v/D) - 1 = floor((v - 1)/D).  A
-    piece ends at ceil(e) - 1 for the crossing e with the next line, where
-    an integer e gives both lines one floor and a strict piece stays below
-    the open top cut, which e may reach at a vertex level."""
+    with the next.  The chains' p and c are taken M times.  A strict
+    section (s = 1) lowers each right-hand side by one, as
+    ceil(v/D) - 1 = floor((v - 1)/D).  A piece ends at ceil(e) - 1 for the
+    crossing e with the next line, where an integer e gives both lines one
+    floor and a strict piece stays below the open top cut, which e may
+    reach at a vertex level.  Its sum of (a0*i + b) // B over i = 0..n,
+    a0 = qa*B + a, is qa*n(n+1)/2 + (b // B)*(n+1) plus the remainder
+    R(n, b % B), the sum of (a*i + b % B) // B, kept in the slope's table
+    if it has one."""
     total = y1 - y0 + 1  # no piece ends past y1
     for chain in chains:
         y = y0
-        for p, w, A, steps, c, cw, e in chain:  # lowest from y to end
+        for p, w, A, B, qa, a, rest, table, c, cw, e in chain:  # lowest from y to end
             end = (M * c - 1 - cw * x) // e if e else y1
-            if end > y:
-                total += _floor_sum(end - y + 1, M * p - s - w * x - A * y, steps)
+            if end >= y:
+                n, b = end - y, M * p - s - w * x - A * y
+                r = b % B
+                total += qa * (n * (n + 1) // 2) + b // B * (n + 1)
+                if a * n + r >= B:  # the last term of the remainder is not 0
+                    top = a * (n + 1) + r
+                    if table is None:
+                        total += _floor_sum(top // B, top % B, rest)
+                    else:
+                        key = n * B + r
+                        R = table.get(key)
+                        if R is None:
+                            R = table[key] = _floor_sum(top // B, top % B, rest)
+                        total += R
                 y = end + 1
-            elif end == y:  # B = steps[0][0]
-                total += (M * p - s - w * x - A * y) // steps[0][0]
-                y += 1
     return total
 
 

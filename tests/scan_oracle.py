@@ -1,12 +1,12 @@
 """The section scan for the tests: the count of mP as the sum of the
 closed-form counts of every section over the integer box of its prefix.
 
-It takes the kernel's facet lines, bounds and weights, and its floor sums,
-from ``ehrhart.counting``, and keeps its own section plan, level cuts
-included, and section counter, which walks the envelopes of each section
-piece by piece.  It shares none of the chamber table: no strip,
-trapezoid, cut choice or chain, so it checks the chamber walk for every
-n >= 2.
+It takes only the kernel's facet lines, bounds and weights from
+``ehrhart.counting``, and keeps its own section plan, level cuts
+included, section counter, which walks the envelopes of each section
+piece by piece, and floor sum.  It shares none of the chamber table: no
+strip, trapezoid, cut choice, chain or floor-sum split, so it checks the
+chamber walk for every n >= 2.
 """
 
 from __future__ import annotations
@@ -15,28 +15,45 @@ from itertools import product
 from operator import mul, sub
 from typing import Sequence
 
-from ehrhart.counting import _Kernel, _euclid_steps, _floor_sum
+from ehrhart.counting import _Kernel
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0 and m > 0.
+
+    Reduces a and b mod m, summing what they drop, then counts the points
+    under the line that are left by columns of the swapped problem: its
+    n, m, a, b are the (a*n + b) // m, a, m, (a*n + b) % m of this one.
+    """
+    total = 0
+    while n:
+        total += a // m * (n * (n - 1) // 2) + b // m * n
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        n, m, a, b = top // m, a, m, top % m
+    return total
 
 
 def _section_plan(lines: Sequence[tuple[int, int]]) -> tuple:
     """What a section count of the lines A*y + B*z <= C[i] needs of their
-    (A, B) alone.  Returns the uppers (A, B, i, steps) with B > 0, the lowers
-    (A, -B, i, steps) with B < 0 (z >= (A*y - C[i]) / -B), steps the Euclid
-    steps of the slope, and the cuts (D, i, s, j, t), each
-    D*y <= s*C[i] + t*C[j], in three lists by the sign of D, negative D
-    negated.  By Fourier-Motzkin the section is non-empty over the reals
+    (A, B) alone.  Returns the uppers (A, B, i) with B > 0, the lowers
+    (A, -B, i) with B < 0 (z >= (A*y - C[i]) / -B), and the cuts
+    (D, i, s, j, t), each D*y <= s*C[i] + t*C[j], in three lists by the
+    sign of D, negative D negated.  By Fourier-Motzkin the section is non-empty over the reals
     exactly where the B = 0 rows and every lower-below-upper pair hold.
     """
     uppers, lowers, cuts = [], [], []
     for i, (A, B) in enumerate(lines):
         if B > 0:
-            uppers.append((A, B, i, _euclid_steps(-A, B)))
+            uppers.append((A, B, i))
         elif B < 0:
-            lowers.append((A, -B, i, _euclid_steps(-A, -B)))
+            lowers.append((A, -B, i))
         else:
             cuts.append((A, i, 1, i, 0))
     cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
-             for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
+             for Au, Bu, i in uppers for Al, Bl, j in lowers]
     return (uppers, lowers, [c for c in cuts if c[0] == 0], [c for c in cuts if c[0] > 0],
             [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0])
 
@@ -53,20 +70,20 @@ def _envelope_sum(lines: Sequence[tuple], C: Sequence[int], y: int, y1: int) -> 
     while y <= y1:
         # A line lowest at y.  It stays lowest until a faster-falling line
         # passes below it, which a line tied with it at y does at y + 1.
-        A, B, i, steps = lines[0]
-        for a, b, j, s in lines:
+        A, B, i = lines[0]
+        for a, b, j in lines:
             if (C[j] - a * y) * B < (C[i] - A * y) * b:
-                A, B, i, steps = a, b, j, s
+                A, B, i = a, b, j
         end = y1
         faster = []
-        for a, b, j, s in lines:
+        for a, b, j in lines:
             steeper = a * B - A * b
             if steeper > 0:
-                faster.append((a, b, j, s))
+                faster.append((a, b, j))
                 cut = (C[j] * B - C[i] * b) // steeper
                 if cut < end:
                     end = cut
-        total += _floor_sum(end - y + 1, C[i] - A * y, steps)
+        total += _floor_sum(end - y + 1, B, -A, C[i] - A * y)
         y = end + 1
         lines = faster
     return total

@@ -32,12 +32,15 @@ from ehrhart.counting import (
     _count,
     _euclid_steps,
     _floor_sum,
+    _forms,
+    _section,
     count_vector,
     interior_shift_mismatch,
 )
 from ehrhart.geometry import dual_denominator
 from conftest import dilate
 from listing_oracle import contains, lattice_points
+import scan_oracle
 from scan_oracle import _section_count, _section_plan, scan_count
 
 
@@ -398,10 +401,10 @@ def test_a_request_is_charged_once_and_sums_each_section_once(monkeypatch):
 
 # ------------------------------------------------- floor sums and sections
 
-def test_oracles_take_only_the_kernel_and_floor_sums_from_counting():
+def test_oracles_take_only_the_kernel_from_counting():
     # The listing oracle takes nothing from ehrhart.counting and the scan
-    # oracle only the kernel and the floor sums, so neither can share the
-    # section or chamber code that it checks.
+    # oracle only the kernel, so neither can share the section, chamber or
+    # floor-sum code that it checks.
     import ast
     from pathlib import Path
 
@@ -418,7 +421,7 @@ def test_oracles_take_only_the_kernel_and_floor_sums_from_counting():
 
     here = Path(__file__).parent
     assert taken(here / "listing_oracle.py") == set()
-    assert taken(here / "scan_oracle.py") == {"_Kernel", "_euclid_steps", "_floor_sum"}
+    assert taken(here / "scan_oracle.py") == {"_Kernel"}
 
 
 def brute_floor_sum(n, m, a, b):
@@ -433,6 +436,8 @@ def test_floor_sum_matches_brute_force_on_grid():
                 for b in range(-9, 10):
                     assert _floor_sum(n, b, steps) == brute_floor_sum(n, m, a, b), \
                         (n, m, a, b)
+                    assert scan_oracle._floor_sum(n, m, a, b) == \
+                        brute_floor_sum(n, m, a, b), ("scan oracle", n, m, a, b)
 
 
 @settings(derandomize=True, deadline=None)
@@ -440,6 +445,64 @@ def test_floor_sum_matches_brute_force_on_grid():
        st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_floor_sum_matches_brute_force_large(n, m, a, b):
     assert _floor_sum(n, b, _euclid_steps(a, m)) == brute_floor_sum(n, m, a, b)
+
+
+def test_a_piece_splits_its_floor_sum_at_the_first_euclid_step(monkeypatch):
+    # A chain piece of A*y + B*z <= b over the columns y = 0..n-1 sums
+    # (a0*i + b) // B, a0 = -A = qa*B + a, as qa*n(n-1)/2 + (b // B)*n plus
+    # R(n - 1, b % B), the sum of (a*i + b % B) // B over i = 0..n-1, which
+    # its slope's remainder table holds at (n - 1)*B + b % B when not 0.
+    for B in range(1, 8):
+        for A in range(-15, 16):
+            steps, tables = _euclid_steps(-A, B), {}
+            qa = steps[0][1]
+            for b in range(-20, 21):
+                piece, = _forms([(A, B, 0, steps)], [b], [0], tables)
+                for n in range(13):
+                    assert _section([[piece]], 1, 0, 0, 0, n - 1) == \
+                        n + _floor_sum(n, b, steps), (A, B, b, n)
+                    R = tables[steps].get((n - 1) * B + b % B, 0) if n else 0
+                    assert qa * (n * (n - 1) // 2) + b // B * n + R == \
+                        _floor_sum(n, b, steps), (A, B, b, n)
+    # Two offsets with equal n and b mod B share one entry: the second
+    # makes no floor sum and adds no entry.
+    floor_sums = []
+    monkeypatch.setattr(counting, "_floor_sum", lambda *args: floor_sums.append(args)
+                        or _floor_sum(*args))
+    steps, tables = _euclid_steps(3, 7), {}
+    for b in (2, 2 + 5 * 7, 2 - 3 * 7):
+        piece, = _forms([(-3, 7, 0, steps)], [b], [0], tables)
+        assert _section([[piece]], 1, 0, 0, 0, 11) == 12 + _floor_sum(12, b, steps)
+        assert len(floor_sums) == len(tables[steps]) == 1
+    # A polygon holds no remainder table, counted or not.
+    draw, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1, "rational")
+    for P in (catalog()["square2"], catalog()["halfdiamond2"], draw):
+        K = _Kernel(P)
+        for m in range(1, 9):
+            _count(K, m, False)
+        assert not any(isinstance(f, dict) for chain in K.chains for piece in chain
+                       for f in piece), P
+    # Each request builds its own tables, empty, and fills them.
+    built = []
+    chamber_table = counting._chamber_table
+
+    def remainder_tables(table):
+        return [f for *_, rows in table for *_, chains, _ in rows
+                for chain in chains for piece in chain for f in piece if isinstance(f, dict)]
+
+    def recorded(K):
+        table = chamber_table(K)
+        built.append((table, [len(t) for t in remainder_tables(table)]))
+        return table
+
+    monkeypatch.setattr(counting, "_chamber_table", recorded)
+    rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1, "rational")
+    first = count_vector(rational, range(1, 13))
+    assert count_vector(rational, range(1, 13)) == first
+    (one, sizes1), (two, sizes2) = built
+    assert sizes1 and not any(sizes1) and sizes2 == sizes1
+    assert any(remainder_tables(one)) and any(remainder_tables(two))
+    assert not {id(t) for t in remainder_tables(one)} & {id(t) for t in remainder_tables(two)}
 
 
 def test_count_matches_listed_points(theorem_pool, control_pool):
@@ -691,30 +754,26 @@ def test_report_builds_the_chamber_table_once(monkeypatch):
     assert len(builds) == 1
 
 
-# The floor sums made by the closed counts m = 1..40 (m = 1..12 in 4D), as
-# counted on the chamber walk that still rebuilt every right-hand side per
-# section and summed each chain's last line even when it held no integer.
-# The walk on precomputed affine forms makes 6560 and 6563; the 4D walk on
-# trapezoids makes 9871.
-FLOOR_SUMS_AT_MOST = {"octa3": 6720, "rational 3D, seed 8200": 6679,
-                      "lattice 4D, seed 8200": 9871}
+# The floor sums made by the closed counts m = 1..40 (m = 1..12 in 4D).  A
+# piece sums its first Euclid step itself, so integral slopes make none.
+FLOOR_SUMS_AT_MOST = {"octa3": 0, "rational 3D, seed 8200": 2838, "diamond2": 0,
+                      "rational 2D, seed 8200": 79, "lattice 4D, seed 8200": 122}
 
 
 def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
-    # A deterministic guard on the walk's work.  A scan of every section
-    # makes about as many floor sums (6560, 6542 and 9838 here), so the
-    # scan and its section and envelope helpers are left to the tests:
-    # neither a count nor the interior-shift witness can run them.
+    # A deterministic guard on the walk's work, on counts that walk their
+    # sections (1680, 1393, 40, 40 and 2196 here).  A scan of every section
+    # makes many more floor sums, so the scan and its section and envelope
+    # helpers are left to the tests: neither a count nor the interior-shift
+    # witness can run them.
     for name in ("_scan_count", "_section_count", "_envelope_sum"):
         assert not hasattr(counting, name), name
-    floor_sums = []
-    floor_sum = counting._floor_sum
-
-    def counted(*args):
-        floor_sums.append(args)
-        return floor_sum(*args)
-
-    monkeypatch.setattr(counting, "_floor_sum", counted)
+    floor_sums, sections = [], []
+    floor_sum, section = counting._floor_sum, counting._section
+    monkeypatch.setattr(counting, "_floor_sum", lambda *args: floor_sums.append(args)
+                        or floor_sum(*args))
+    monkeypatch.setattr(counting, "_section", lambda *args: sections.append(args)
+                        or section(*args))
     rational, = instances(GeneratorConfig(seed=8200, dim=3, coordinate_bound=1), 1,
                           "rational")
     polygon, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1,
@@ -728,9 +787,10 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
             ("rational 2D, seed 8200", polygon, range(1, 41)),
             ("lattice 4D, seed 8200", lattice4, range(1, 13))):
         floor_sums.clear()
+        sections.clear()
         for m in dilations:
             count_points(P, m)
-        assert 0 < len(floor_sums) <= FLOOR_SUMS_AT_MOST.get(name, math.inf), name
+        assert sections and len(floor_sums) <= FLOOR_SUMS_AT_MOST[name], name
 
 
 # ------------------------------------------------------------ the walk's frame
@@ -807,26 +867,31 @@ def test_interior_shift_search_builds_one_chamber_table(monkeypatch):
 
 def test_a_polygon_report_counts_off_its_facets(monkeypatch):
     # A polygon's report builds no chamber table, and each of its counts
-    # makes at most one floor sum per chain piece, one per facet with B != 0.
-    tables, floor_sums, per_count = [], [], []
+    # walks at most one section and makes at most one floor sum per chain
+    # piece, one per facet with B != 0.
+    tables, floor_sums, sections, per_count = [], [], [], []
     chamber_table, floor_sum, count = counting._chamber_table, counting._floor_sum, counting._count
+    section = counting._section
 
     def counted_count(K, m, strict):
-        before = len(floor_sums)
+        before = len(floor_sums), len(sections)
         result = count(K, m, strict)
-        per_count.append(len(floor_sums) - before)
+        per_count.append((len(floor_sums) - before[0], len(sections) - before[1]))
         return result
 
     monkeypatch.setattr(counting, "_chamber_table", lambda K: tables.append(K) or chamber_table(K))
     monkeypatch.setattr(counting, "_floor_sum", lambda *args: floor_sums.append(args)
                         or floor_sum(*args))
+    monkeypatch.setattr(counting, "_section", lambda *args: sections.append(args)
+                        or section(*args))
     monkeypatch.setattr(counting, "_count", counted_count)
     draw, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1, "rational")
     for P in (catalog()["square2"], catalog()["halfdiamond2"], draw):
         per_count.clear()
         full_report(P)
         pieces = sum(a[-1] != 0 for a, _ in P.facet_rows)
-        assert tables == [] and 0 < max(per_count) <= pieces, P
+        made, walked = map(max, zip(*per_count))
+        assert tables == [] and made <= pieces and walked == 1, P
     # The draw has no facet with B = 0: each of its facets is a chain piece.
     assert len(draw.facet_rows) == pieces
 
