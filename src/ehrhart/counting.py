@@ -29,9 +29,15 @@ vertex levels as edges.  A strict count walks the same table or chains
 over the open projection: over a prefix strictly inside the projection of
 mP, the interior holds the points of the open section, which has the cuts
 and chains of the closed one, with each right-hand side and cut numerator
-lowered by one.  All that does not depend on m is derived from the integer
-rows of P into one kernel, which each request builds for itself and drops
-when it returns, remainder tables included: nothing is kept between calls.
+lowered by one.  A count reuses the request's earlier counts at a tip of
+axis 0, a vertex v alone on its lowest (or highest) level: up to the next
+vertex level, P equals v + T_v, the vertex figure of Brion's theorem
+(Brion 1988; Beck-Robins, ch. 9), so for the least d >= 1 with d*v
+integral, the points of mP in that band are those of (m-d)P in its band
+shifted by d*v, and the count walks only the band's last layers.  All
+that does not depend on m is derived from the integer rows of P into one
+kernel, which each request builds for itself and drops when it returns,
+remainder tables and tip counts included: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
@@ -129,6 +135,16 @@ class _Kernel:
     prefix is padded to (x1, x2) by a zero-weight axis at x1 = 0, in one
     strip whose edges are its vertex levels x2/m = t/L.  A polygon is one
     :func:`_section` on ``chains``, the :func:`_forms` of its lines with B > 0, then B < 0.
+    In 3D and 4D, ``tips`` holds (sign, t, near, d) for the lowest (sign =
+    1) and the highest (sign = -1) level t/L of axis 0 that one vertex row
+    r alone holds, if P has three levels or more: near/L is the next level,
+    and d = L / gcd(L, *r).  Up to near/L, P is its tangent cone at r/L
+    (Brion 1988).  ``tip_counts`` keeps, by (sign, strict, m), the points of
+    mP (strict: of its interior) in the band L*x0 <= m*near at the bottom
+    or L*x0 > m*near at the top, for m + d, two at most per count.  The
+    bands are the first and last units of the walk, which gives each inner
+    level to the unit below; an inner level bounds no facet, so the bottom
+    band may hold it, closed or strict.
     """
 
     def __init__(self, P: Polytope) -> None:
@@ -140,12 +156,19 @@ class _Kernel:
         scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
         self.weights = [row[:-2] or [0] for row in scaled]
         self.lines = [row[-2:] for row in scaled]
+        if self.n > 2:
+            L, rows = P.scale, P.rows  # sorted: rows[0] and rows[-1] are on the extreme levels
+            levels = sorted({row[0] for row in rows})
+            self.tips = [(sign, r[0], near, L // math.gcd(L, *r))
+                         for sign, r, other, near in ((1, rows[0], rows[1], levels[1]),
+                                                      (-1, rows[-1], rows[-2], levels[-2]))
+                         if r[0] != other[0] and len(levels) > 2]
+            self.tip_counts: dict[tuple[int, bool, int], int] = {}
         if self.n == 4:  # a 2D or 3D count does not compile the 4D decomposition
             from ._strips import strips
             self.strips = strips(P)
         elif self.n == 3:
-            levels = sorted({row[0] for row in P.rows})
-            self.strips = [((0, 1), (0, 1), [(t, 0, P.scale) for t in levels])]
+            self.strips = [((0, 1), (0, 1), [(t, 0, L) for t in levels])]
         elif self.n == 2:
             self.chains = [_forms(half, self.bounds, [0] * len(self.bounds))
                            for half in _halves(self.lines)]
@@ -315,31 +338,47 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, strict: bool,
-                   clip: Optional[Sequence[int]] = None) -> int:
+def _chamber_count(K: _Kernel, m: int, strict: bool, clip: Optional[Sequence[Optional[int]]] = None,
+                   low: Optional[Sequence[Optional[int]]] = None,
+                   marks: Optional[list[int]] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 3 or 4, and
     m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
     with ``clip`` = (c1, c2), only those whose padded prefix has x1 <= c1
-    and x2 <= c2.  Per x1 of the closed (strict: open) box of mP, on the
-    rows of the strip that holds x1/m, the x1 terms are added into the
-    forms; then per section x2 between the strip's bottom and top edges
-    (open for a strict count), on the forms of the trapezoid that holds
-    (x1, x2)/m, two cut divisions and one :func:`_section`."""
+    and x2 <= c2, and with ``low`` = (l1, l2), x1 >= l1 and x2 >= l2, a
+    bound of None holding everywhere.  The interior-shift witness clips; a
+    count at the kernel's tips bounds axis 0 of P, padded x2 in 3D and x1 in
+    4D, and has the count so far appended to ``marks`` at the start of each
+    of its units, the trapezoids in 3D and the strips in 4D (:func:`_walk`).
+    Per x1 of the closed (strict: open) box of mP, on the rows of the strip
+    that holds x1/m, the x1 terms are added into the forms; then per section
+    x2 between the strip's bottom and top edges (open for a strict count),
+    on the forms of the trapezoid that holds (x1, x2)/m, two cut divisions
+    and one :func:`_section`."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
-    if clip is not None:
-        hi = min(hi, clip[0])
+    (l1, l2), (c1, c2) = low or (None, None), clip or (None, None)
+    if c1 is not None:
+        hi = min(hi, c1)
+    if l1 is not None:
+        lo = max(lo, l1)
+    strip_marks, row_marks = (marks, None) if K.n == 4 else (None, marks)
     s = int(strict)
     total = 0
     for un, ud, lp, lq, ld, hp, hq, hd, rows in K.chambers:
+        if strip_marks is not None:
+            strip_marks.append(total)
         last = min(hi, m * un // ud)  # the last x1 with x1/m in the strip
         for x1 in range(lo, last + 1):
             x2 = -((-m * lp - lq * x1 - s) // ld)
             top = (m * hp + hq * x1 - s) // hd
-            if clip is not None and top > clip[1]:
-                top = clip[1]
+            if c2 is not None and top > c2:
+                top = c2
+            if l2 is not None and x2 < l2:
+                x2 = l2
             for ep, eq, ed, tp, tv, tw, td, bp, bv, bw, bd, chains, x1s in rows:
+                if row_marks is not None:
+                    row_marks.append(total)
                 stop = (m * ep + eq * x1) // ed  # the last x2 in the trapezoid
                 if stop > top:
                     stop = top
@@ -363,7 +402,7 @@ def _chamber_count(K: _Kernel, m: int, strict: bool,
                     if y0 <= y1:
                         total += _section(chains, M, s, x, y0, y1)
                 x2 = stop + 1
-        lo = last + 1
+        lo = max(lo, last + 1)  # a strip below the window leaves lo at its low end
     return total
 
 
@@ -409,6 +448,31 @@ def _polygon_count(K: _Kernel, m: int, strict: bool) -> int:
     return _section(K.chains, m, s, 0, -((-m * lo - s) // L), (m * hi - s) // L)
 
 
+def _walk(K: _Kernel, m: int, strict: bool) -> int:
+    """The count of :func:`_chamber_count`, in one walk that keeps the tip
+    counts at m: a band whose tip count at m - d the request holds adds it,
+    as the points of (m-d)P there shifted by d*r/L, and is walked only past
+    them, where L*x0 > (m-d)*near + d*t at the bottom (< at the top)."""
+    tips = K.tips
+    if not tips:
+        return _chamber_count(K, m, strict)
+    L, kept, axis = K.scale, K.tip_counts, 4 - K.n
+    low, clip, marks, before = [None, None], [None, None], [], []
+    for sign, t, near, d in tips:
+        count = kept.get((sign, strict, m - d))
+        if count is not None:
+            bound = ((m - d) * near + d * t) // L
+            if sign > 0:
+                low[axis] = bound + 1
+            else:
+                clip[axis] = bound
+        before.append(count or 0)
+    total = _chamber_count(K, m, strict, clip, low, marks)
+    for (sign, *_), count in zip(tips, before):  # the bands are the first and last units
+        kept[sign, strict, m] = count + (marks[1] if sign > 0 else total - marks[-1])
+    return total + sum(before)
+
+
 def _charge(K: _Kernel, budget: int, *requests: Sequence[int]) -> None:
     """Refuses a request before its first count, at the first m of the
     ``requests`` in order that is negative (``ValueError``) or whose box of
@@ -437,7 +501,7 @@ def _count(K: _Kernel, m: int, strict: bool) -> int:
         return int(not strict)
     if not K.nested and any(lo > hi for lo, hi in K.box(m)):  # an empty box holds no point
         return 0
-    return (_polygon_count if K.n == 2 else _chamber_count)(K, m, strict)
+    return (_polygon_count if K.n == 2 else _walk)(K, m, strict)
 
 
 def count_points(P: Polytope, m: int, strict: bool = False,
@@ -523,7 +587,7 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
         return (z,) if z <= hi else None
 
     def differ(axis: int, t: int) -> bool:  # 0P is the origin, at (x1, x2) = (0, 0)
-        clip[axis] = t
+        clip[axis] = t  # the clipped counts leave K.tip_counts alone
         outer = _chamber_count(K, m - 1, False, clip) if m > 1 else int(min(clip) >= 0)
         return _chamber_count(K, m, True, clip) != outer
 

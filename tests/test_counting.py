@@ -793,6 +793,118 @@ def test_closed_3d_counts_make_no_more_floor_sums(monkeypatch):
         assert sections and len(floor_sums) <= FLOOR_SUMS_AT_MOST[name], name
 
 
+# ------------------------------------------------------------- the walk's tips
+
+def single_counts(P, closed, interior):
+    """The counts of count_vector(P, closed, interior), one request each."""
+    return [count_points(P, m, strict)
+            for dilations, strict in ((closed, False), (interior, True)) for m in dilations]
+
+
+# Polytopes with the tips (sign, t, near, d) of their kernel in the given
+# frame, on axis 0.
+TIP_CASES = {
+    # A lone vertex at x0 = -1/3 under a triangle at x0 = 1, so d = 3, and a
+    # lone lattice vertex on top.
+    "third": ([(-third, 0, 0), (1, 1, 0), (1, -1, 1), (1, 0, -1), (2, 0, 0)],
+              [(1, -1, 3, 3), (-1, 6, 3, 1)]),
+    # A lone vertex at (-1/2, 1/2, 1/2), so d = 2, under a triangle at
+    # x0 = 1 and an edge at x0 = 2.
+    "half": ([(-F(1, 2), F(1, 2), F(1, 2)), (1, 1, 0), (1, -1, 1), (1, 0, -1), (2, 1, 1),
+              (2, 0, 0)], [(1, -1, 2, 2)]),
+    # Two vertices hold the lowest level: only the top is a tip.
+    "two lowest": ([(-1, 0, 0), (-1, 1, 1), (1, 0, 1), (0, -1, 0), (0, 1, -1)],
+                   [(-1, 1, 0, 1)]),
+    # Two levels: the apex's band would reach the base, a facet, so a
+    # pyramid has no tip.
+    "pyramid": (CHAMBER_HAND_CASES["pyramid"], []),
+    # 4D: a lone top vertex at x1 = 3 over a table whose strips end at the
+    # crossing of two projected edges at x1 = 1, before the next vertex
+    # level, 2.  A tip's own strip ends at its next level: only edges at the
+    # tip reach below it, and they meet only there.
+    "crossing4": (CHAMBER_HAND_CASES["crossing4"], [(-1, 3, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIP_CASES))
+def test_reused_tips_equal_single_counts_on_hand_cases(name):
+    # One kernel that counts m = 0, 1, ... in turn reuses each tip count at
+    # m - d, and counts as a fresh kernel per m does, closed and strict.
+    vertices, tips = TIP_CASES[name]
+    P = from_vertices(vertices)
+    K, ms = _Kernel(P), range(13 if P.ambient_dim == 4 else 25)
+    assert K.tips == tips
+    if name == "crossing4":
+        assert (1, 1) in [end for end, _, _ in K.strips]
+    for strict in (False, True):
+        assert [_count(K, m, strict) for m in ms] == \
+            [exact_count(P, m, strict) for m in ms], (name, strict)
+    assert len(K.tip_counts) == 2 * len(tips) * (len(ms) - 1)
+    assert count_vector(P, ms, ms[1:]) == single_counts(P, ms, ms[1:])
+
+
+def test_reused_tips_equal_single_counts(theorem_pool, control_pool):
+    # Every 3D member of the pools and 4D draws of each kind, in the frame
+    # the counts choose, whose tips most of them have.
+    polytopes = [P for P in [*theorem_pool, *control_pool] if P.ambient_dim == 3]
+    for kind in ("lattice", "dual-of-lattice", "rational"):
+        polytopes += instances(GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 2, kind)
+    tipped = 0
+    for P in polytopes:
+        ms = range(9 if P.ambient_dim == 4 else 25)
+        tipped += bool(_Kernel(counting._frame(P)).tips)
+        assert count_vector(P, ms, ms[1:]) == single_counts(P, ms, ms[1:]), P
+    assert len(polytopes) == 49 + 6 and tipped >= 25
+
+
+def test_a_gap_or_a_decreasing_order_only_misses():
+    # A count whose request has no tip count at m - d walks all of mP.
+    octa3 = catalog()["octa3"]
+    P4, = instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1, "lattice")
+    for P in (octa3, rational_3d(), from_vertices(TIP_CASES["third"][0]), P4):
+        assert _Kernel(counting._frame(P)).tips, P
+        for closed, interior in (([1, 2, 4, 7, 8, 9], [3, 4, 6, 7]),
+                                 (range(9, -1, -1), range(9, 0, -1)),
+                                 ([5, 5, 2, 6, 6, 8], [2, 2, 5, 1])):
+            assert count_vector(P, closed, interior) == single_counts(P, closed, interior), P
+
+
+def test_a_request_walks_fewer_sections_than_its_single_counts(monkeypatch):
+    # The sections of one request for the closed and strict counts at
+    # m = 1..40, pinned, below those of the 80 counts made one by one.
+    sections = []
+    section = counting._section
+    monkeypatch.setattr(counting, "_section", lambda *args: sections.append(args)
+                        or section(*args))
+    ms = range(1, 41)
+    for name, P, walked in (("octa3", catalog()["octa3"], 160),
+                            ("rational 3D, seed 8200", rational_3d(), 2277)):
+        sections.clear()
+        count_vector(P, ms, ms)
+        assert len(sections) == walked, name
+        sections.clear()
+        single_counts(P, ms, ms)
+        assert walked < len(sections), name
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_the_witness_neither_reads_nor_writes_the_tip_counts(dim):
+    # The clipped counts of the interior-shift witness walk their whole
+    # window: tip counts made wrong on purpose change no witness and stay.
+    P, = instances(GeneratorConfig(seed=8200, dim=dim, coordinate_bound=1), 1, "rational")
+    m, witness = counting._first_shift(P, range(1, 9))
+    K = _Kernel(P)
+    assert K.tips
+    for strict in (False, True):
+        for l in range(m + 1):
+            _count(K, l, strict)
+    assert K.tip_counts
+    K.tip_counts = {key: count + 1000 for key, count in K.tip_counts.items()}
+    poisoned = dict(K.tip_counts)
+    assert counting._shift_witness(K, m) == witness
+    assert K.tip_counts == poisoned
+
+
 # ------------------------------------------------------------ the walk's frame
 
 # 4D draws at bound 1 whose counts are slow in the given frame: one closed
