@@ -11,14 +11,15 @@ sums sections, polygons on the last two axes, in one routine,
 the upper chain, every one with B < 0 of the lower, in slope order, and
 the lattice points under one piece are one Euclid-style floor sum
 (Beck-Robins, *Computing the Continuous Discretely*), split at its first
-Euclid step: the remainder R(n, b mod B) after it depends on the slope
-alone and recurs between sections, so the chamber walk keeps one
-remainder table per slope.  A polygon is one section, at x = 0, read
-straight off its facets, with no table.  A 3D or 4D count walks
-the first d = n-2 axes only, the prefix, and sums each section between its
-cuts.  Sections are homogeneous: the section of mP at the prefix x is m
-times that of P at x/m, so its cuts and chains depend only on the cell of
-the chamber complex of P's projection to the prefix axes that holds x/m
+Euclid step -A = qa*B + a: the remainder R(n, b mod B) after it depends
+on a and B alone and recurs between sections, so the chamber walk keeps
+one remainder table per residue (a, B), filled by :func:`_floor_sum`.
+A polygon is one section, at x = 0, read straight off its facets, with
+no table.  A 3D or 4D count walks the first d = n-2 axes only, the
+prefix, and sums each section between its cuts.  Sections are
+homogeneous: the section of mP at the prefix x is m times that of P at
+x/m, so its cuts and chains depend only on the cell of the chamber
+complex of P's projection to the prefix axes that holds x/m
 (Clauss-Loechner, "Parametric analysis of polyhedral iteration spaces",
 1998; Verdoolaege et al., *Algorithmica* 2007), and are looked up in one
 chamber table, for 3D and 4D only, instead of scanned.  The table is cut
@@ -34,10 +35,11 @@ axis 0, a vertex v alone on its lowest (or highest) level: up to the next
 vertex level, P equals v + T_v, the vertex figure of Brion's theorem
 (Brion 1988; Beck-Robins, ch. 9), so for the least d >= 1 with d*v
 integral, the points of mP in that band are those of (m-d)P in its band
-shifted by d*v, and the count walks only the band's last layers.  All
-that does not depend on m is derived from the integer rows of P into one
-kernel, which each request builds for itself and drops when it returns,
-remainder tables and tip counts included: nothing is kept between calls.
+shifted by d*v, and the count's window on axis 0 skips all but the
+band's last layers.  All that does not depend on m is derived from the
+integer rows of P into one kernel, which each request builds for itself
+and drops when it returns, remainder tables and tip counts included:
+nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
@@ -181,50 +183,40 @@ class _Kernel:
         return [(-((-m * lo - s) // L), (m * hi - s) // L) for lo, hi in self.ranges]
 
 
-def _euclid_steps(a: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    """Euclid's (modulus, quotient, remainder) steps on a / m, m > 0."""
-    steps = []
-    while m:
-        q, r = divmod(a, m)
-        steps.append((m, q, r))
-        a, m = m, r
-    return tuple(steps)
-
-
-def _floor_sum(n: int, b: int, steps: Sequence[tuple[int, int, int]]) -> int:
-    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0, where
-    ``steps`` is ``_euclid_steps(a, m)``.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0 and m > 0.
 
     The Euclid-style recurrence of the AtCoder Library's ``floor_sum``:
-    reduce a and b mod m, then swap the roles of a and m, in O(log m)
-    steps.  The (a, m) pairs depend on the slope alone; Python's floor
-    division makes negative a and b work as-is.
+    reduce a and b mod m, summing what they drop, then count the points
+    left under the line by columns of the swapped problem, whose n, m, a, b
+    are the (a*n + b) // m, a, m, (a*n + b) % m of this one, in O(log m)
+    steps.  Python's floor division makes negative a and b work as-is.
     """
     total = 0
-    for m, qa, a in steps:
-        qb, b = b // m, b % m
-        total += qa * (n * (n - 1) // 2) + qb * n
+    while n:
+        total += a // m * (n * (n - 1) // 2) + b // m * n
+        a, b = a % m, b % m
         top = a * n + b
-        if top < m:  # always so at the last step, where a = 0
+        if top < m:
             break
-        n, b = top // m, top % m
+        n, m, a, b = top // m, a, m, top % m
     return total
 
 
-# A facet line A*y + B*z <= C[i] on the last two axes, B > 0, as (A, B, i, steps).
-_Line = tuple[int, int, int, tuple]
+# A facet line A*y + B*z <= C[i] on the last two axes, B > 0, as (A, B, i).
+_Line = tuple[int, int, int]
 
 
 def _halves(lines: Sequence[tuple[int, int]]) -> tuple[list[_Line], list[_Line]]:
-    """The uppers (A, B, i, steps) of the lines A*y + B*z <= C[i] with B > 0
-    and the lowers (A, -B, i, steps) with B < 0, as z >= (A*y - C[i])/-B,
-    steps the :func:`_euclid_steps` of the slope, each left to right by slope A/B."""
+    """The uppers (A, B, i) of the lines A*y + B*z <= C[i] with B > 0 and
+    the lowers (A, -B, i) with B < 0, as z >= (A*y - C[i])/-B, each left to
+    right by slope A/B."""
     uppers, lowers = [], []
     for i, (A, B) in enumerate(lines):
         if B > 0:
-            uppers.append((A, B, i, _euclid_steps(-A, B)))
+            uppers.append((A, B, i))
         elif B < 0:
-            lowers.append((A, -B, i, _euclid_steps(-A, -B)))
+            lowers.append((A, -B, i))
     by_slope = cmp_to_key(_by_value)
     return sorted(uppers, key=by_slope), sorted(lowers, key=by_slope)
 
@@ -238,11 +230,12 @@ def _forms(chain: list[_Line], p: Sequence[int], w: Sequence[int],
            tables: Optional[dict] = None) -> list[tuple]:
     """The :func:`_chamber_table` forms of each line of a chain with the
     next, and of the last with itself, whose end forms are then 0; with
-    ``tables``, each line shares the remainder table of its slope there."""
-    return [(p[i], w[i], A, B, steps[0][1], steps[0][2], steps[1:],
-             None if tables is None else tables.setdefault(steps, {}),
-             p[j] * B - p[i] * b, w[j] * B - w[i] * b, a * B - A * b)
-            for (A, B, i, steps), (a, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
+    ``tables``, each line shares the remainder table of its residue
+    (-A mod B, B) there."""
+    return [(p[i], w[i], A, B, qa, a, None if tables is None else tables.setdefault((a, B), {}),
+             p[j] * B - p[i] * b, w[j] * B - w[i] * b, a1 * B - A * b)
+            for (A, B, i), (a1, b, j) in zip(chain, chain[1:] + chain[-1:])
+            for qa, a in [divmod(-A, B)]]
 
 
 def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
@@ -252,9 +245,9 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
     ``lines`` are, by slope.  The ends are (numerator, denominator) pairs,
     denominators positive."""
     chain = []
-    for A, B, i, steps in lines:
+    for A, B, i in lines:
         (p, q), (r, s) = y0, y1  # line i is lowest on p/q < y < r/s at most
-        for a, b, j, _ in lines:  # line i is at or below line j where e*y <= f
+        for a, b, j in lines:  # line i is at or below line j where e*y <= f
             e, f = a * B - A * b, c[j] * B - c[i] * b
             if e > 0 and f * s < r * e:
                 r, s = f, e
@@ -263,7 +256,7 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
             elif e == 0 and f < 0:  # line j is parallel and lower everywhere
                 r, s = p, q
         if p * s < r * q:
-            chain.append((A, B, i, steps))
+            chain.append((A, B, i))
     return chain
 
 
@@ -291,8 +284,8 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     highest.  With C_i = m*p_i - v_i*x1 - w_i*x2 on line i of the section of
     mP at (x1, x2), a cut D*y <= s*C_i + t*C_j is held as s*p_i + t*p_j,
     s*v_i + t*v_j, s*w_i + t*w_j, D.  A chain line (A, B, i) is held as
-    (p_i, w_i, A, B, qa, a, rest, table, c, cw, e): its slope's first
-    Euclid step (B, qa, a), the other steps and remainder table, and, as
+    (p_i, w_i, A, B, qa, a, table, c, cw, e): its slope's first Euclid
+    step -A = qa*B + a, 0 <= a < B, the remainder table of (a, B), and, as
     the next line (a', b, j) passes below it at y <= (C_j*B - C_i*b) /
     (a'*B - A*b), the p_j*B - p_i*b, w_j*B - w_i*b, a'*B - A*b of that
     bound, all 0 for the last line.  In 4D, ``x1s`` holds the line's x1
@@ -304,7 +297,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     uppers, lowers = _halves(K.lines)
     cuts = [(A, i, 1, i, 0) for i, (A, B) in enumerate(K.lines) if not B]
     cuts += [(Au * Bl + Al * Bu, i, Bl, j, Bu)
-             for Au, Bu, i, _ in uppers for Al, Bl, j, _ in lowers]
+             for Au, Bu, i in uppers for Al, Bl, j in lowers]
     above = [c for c in cuts if c[0] > 0]
     below = [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0]
     p, w = K.bounds, [weight[-1] for weight in K.weights]
@@ -315,7 +308,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
 
     def x1_forms(chain: list[_Line]) -> list[tuple]:
         return [(v[i], v[j] * B - v[i] * b)
-                for (_, B, i, _), (_, b, j, _) in zip(chain, chain[1:] + chain[-1:])]
+                for (_, B, i), (_, b, j) in zip(chain, chain[1:] + chain[-1:])]
 
     table, tables = [], {}
     for end, (un, ud), edges in K.strips:
@@ -338,14 +331,13 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, strict: bool, clip: Optional[Sequence[Optional[int]]] = None,
-                   low: Optional[Sequence[Optional[int]]] = None,
+def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] = None,
                    marks: Optional[list[int]] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 3 or 4, and
     m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
-    with ``clip`` = (c1, c2), only those whose padded prefix has x1 <= c1
-    and x2 <= c2, and with ``low`` = (l1, l2), x1 >= l1 and x2 >= l2, a
-    bound of None holding everywhere.  The interior-shift witness clips; a
+    with ``window`` = [(l1, c1), (l2, c2)], only those whose padded prefix
+    has l1 <= x1 <= c1 and l2 <= x2 <= c2, a bound of None holding
+    everywhere.  The interior-shift witness bounds the prefix from above; a
     count at the kernel's tips bounds axis 0 of P, padded x2 in 3D and x1 in
     4D, and has the count so far appended to ``marks`` at the start of each
     of its units, the trapezoids in 3D and the strips in 4D (:func:`_walk`).
@@ -357,7 +349,7 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, clip: Optional[Sequence[Opt
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
-    (l1, l2), (c1, c2) = low or (None, None), clip or (None, None)
+    (l1, c1), (l2, c2) = window or ((None, None), (None, None))
     if c1 is not None:
         hi = min(hi, c1)
     if l1 is not None:
@@ -391,9 +383,9 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, clip: Optional[Sequence[Opt
                 tp, bp = m * tp - s - tv * x1, m * bp - s - bv * x1
                 M = m
                 if x1:
-                    M, chains = 1, [[(m * p - pv * x1, w, A, B, qa, a, rest, table,
+                    M, chains = 1, [[(m * p - pv * x1, w, A, B, qa, a, table,
                                       m * c - cv * x1, cw, e)
-                                     for (p, w, A, B, qa, a, rest, table, c, cw, e), (pv, cv)
+                                     for (p, w, A, B, qa, a, table, c, cw, e), (pv, cv)
                                      in zip(*pair)]
                                     for pair in zip(chains, x1s)]
                 for x in range(x2, stop + 1):
@@ -415,13 +407,14 @@ def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1:
     crossing e with the next line, where an integer e gives both lines one
     floor and a strict piece stays below the open top cut, which e may
     reach at a vertex level.  Its sum of (a0*i + b) // B over i = 0..n,
-    a0 = qa*B + a, is qa*n(n+1)/2 + (b // B)*(n+1) plus the remainder
-    R(n, b % B), the sum of (a*i + b % B) // B, kept in the slope's table
-    if it has one."""
+    a0 = -A = qa*B + a, is qa*n(n+1)/2 + (b // B)*(n+1) plus the remainder
+    R(n, b % B), the sum of (a*i + b % B) // B, kept in the table of the
+    residue (a, B) if the piece has one, and made on a miss by
+    :func:`_floor_sum` on the swapped problem of its first step."""
     total = y1 - y0 + 1  # no piece ends past y1
     for chain in chains:
         y = y0
-        for p, w, A, B, qa, a, rest, table, c, cw, e in chain:  # lowest from y to end
+        for p, w, A, B, qa, a, table, c, cw, e in chain:  # lowest from y to end
             end = (M * c - 1 - cw * x) // e if e else y1
             if end >= y:
                 n, b = end - y, M * p - s - w * x - A * y
@@ -430,12 +423,12 @@ def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1:
                 if a * n + r >= B:  # the last term of the remainder is not 0
                     top = a * (n + 1) + r
                     if table is None:
-                        total += _floor_sum(top // B, top % B, rest)
+                        total += _floor_sum(top // B, a, B, top % B)
                     else:
                         key = n * B + r
                         R = table.get(key)
                         if R is None:
-                            R = table[key] = _floor_sum(top // B, top % B, rest)
+                            R = table[key] = _floor_sum(top // B, a, B, top % B)
                         total += R
                 y = end + 1
     return total
@@ -452,22 +445,19 @@ def _walk(K: _Kernel, m: int, strict: bool) -> int:
     """The count of :func:`_chamber_count`, in one walk that keeps the tip
     counts at m: a band whose tip count at m - d the request holds adds it,
     as the points of (m-d)P there shifted by d*r/L, and is walked only past
-    them, where L*x0 > (m-d)*near + d*t at the bottom (< at the top)."""
+    them, its window on axis 0 kept to L*x0 > (m-d)*near + d*t at the
+    bottom (< at the top)."""
     tips = K.tips
     if not tips:
         return _chamber_count(K, m, strict)
     L, kept, axis = K.scale, K.tip_counts, 4 - K.n
-    low, clip, marks, before = [None, None], [None, None], [], []
+    window, marks, before = [[None, None], [None, None]], [], []
     for sign, t, near, d in tips:
         count = kept.get((sign, strict, m - d))
         if count is not None:
-            bound = ((m - d) * near + d * t) // L
-            if sign > 0:
-                low[axis] = bound + 1
-            else:
-                clip[axis] = bound
+            window[axis][sign < 0] = ((m - d) * near + d * t) // L + (sign > 0)
         before.append(count or 0)
-    total = _chamber_count(K, m, strict, clip, low, marks)
+    total = _chamber_count(K, m, strict, window, marks)
     for (sign, *_), count in zip(tips, before):  # the bands are the first and last units
         kept[sign, strict, m] = count + (marks[1] if sign > 0 else total - marks[-1])
     return total + sum(before)
@@ -587,20 +577,21 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
         return (z,) if z <= hi else None
 
     def differ(axis: int, t: int) -> bool:  # 0P is the origin, at (x1, x2) = (0, 0)
-        clip[axis] = t  # the clipped counts leave K.tip_counts alone
-        outer = _chamber_count(K, m - 1, False, clip) if m > 1 else int(min(clip) >= 0)
-        return _chamber_count(K, m, True, clip) != outer
+        window[axis][1] = t  # the clipped counts leave K.tip_counts alone
+        outer = (_chamber_count(K, m - 1, False, window) if m > 1
+                 else int(min(c for _, c in window) >= 0))
+        return _chamber_count(K, m, True, window) != outer
 
     pad = 4 - K.n  # the prefix axes, padded to (x1, x2) at x1 = 0 in 3D
-    clip = [0] * pad + [hi for _, hi in box[:-2]]
+    window = [[None, hi] for _, hi in [(0, 0)] * pad + box[:-2]]
     for axis, (lo, hi) in enumerate(K.box(m, True)[:-2], pad):  # witnesses are interior
         # Most witnesses lie on the first layers: probe lo, lo+1, lo+3, ...
         # up to the first clip that holds one, then bisect the last gap.
         low, t, step = lo, lo, 1
         while t < hi and not differ(axis, t):
             low, t, step = t + 1, min(t + step, hi), 2 * step
-        clip[axis] = low + bisect_left(range(low, t), True, key=lambda u: differ(axis, u))
-    prefix = clip[pad:]
+        window[axis][1] = low + bisect_left(range(low, t), True, key=lambda u: differ(axis, u))
+    prefix = [c for _, c in window[pad:]]
     dots = [sum(w * x for w, x in zip(weights, prefix)) for weights in K.weights]
     (y0, y1), (z0, z1) = box[-2:]
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import sys
@@ -30,7 +31,6 @@ from ehrhart.counting import (
     _Kernel,
     _chamber_count,
     _count,
-    _euclid_steps,
     _floor_sum,
     _forms,
     _section,
@@ -432,9 +432,8 @@ def test_floor_sum_matches_brute_force_on_grid():
     for n in range(0, 9):
         for m in range(1, 8):
             for a in range(-9, 10):
-                steps = _euclid_steps(a, m)
                 for b in range(-9, 10):
-                    assert _floor_sum(n, b, steps) == brute_floor_sum(n, m, a, b), \
+                    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b), \
                         (n, m, a, b)
                     assert scan_oracle._floor_sum(n, m, a, b) == \
                         brute_floor_sum(n, m, a, b), ("scan oracle", n, m, a, b)
@@ -444,36 +443,41 @@ def test_floor_sum_matches_brute_force_on_grid():
 @given(st.integers(0, 200), st.integers(1, 10**6),
        st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
 def test_floor_sum_matches_brute_force_large(n, m, a, b):
-    assert _floor_sum(n, b, _euclid_steps(a, m)) == brute_floor_sum(n, m, a, b)
+    assert _floor_sum(n, m, a, b) == brute_floor_sum(n, m, a, b)
 
 
 def test_a_piece_splits_its_floor_sum_at_the_first_euclid_step(monkeypatch):
     # A chain piece of A*y + B*z <= b over the columns y = 0..n-1 sums
     # (a0*i + b) // B, a0 = -A = qa*B + a, as qa*n(n-1)/2 + (b // B)*n plus
     # R(n - 1, b % B), the sum of (a*i + b % B) // B over i = 0..n-1, which
-    # its slope's remainder table holds at (n - 1)*B + b % B when not 0.
+    # the remainder table of its residue (a, B) holds at (n - 1)*B + b % B
+    # when not 0.
     for B in range(1, 8):
         for A in range(-15, 16):
-            steps, tables = _euclid_steps(-A, B), {}
-            qa = steps[0][1]
+            (qa, a), tables = divmod(-A, B), {}
             for b in range(-20, 21):
-                piece, = _forms([(A, B, 0, steps)], [b], [0], tables)
+                piece, = _forms([(A, B, 0)], [b], [0], tables)
                 for n in range(13):
                     assert _section([[piece]], 1, 0, 0, 0, n - 1) == \
-                        n + _floor_sum(n, b, steps), (A, B, b, n)
-                    R = tables[steps].get((n - 1) * B + b % B, 0) if n else 0
+                        n + _floor_sum(n, B, -A, b), (A, B, b, n)
+                    R = tables[a, B].get((n - 1) * B + b % B, 0) if n else 0
                     assert qa * (n * (n - 1) // 2) + b // B * n + R == \
-                        _floor_sum(n, b, steps), (A, B, b, n)
+                        _floor_sum(n, B, -A, b), (A, B, b, n)
     # Two offsets with equal n and b mod B share one entry: the second
     # makes no floor sum and adds no entry.
     floor_sums = []
     monkeypatch.setattr(counting, "_floor_sum", lambda *args: floor_sums.append(args)
                         or _floor_sum(*args))
-    steps, tables = _euclid_steps(3, 7), {}
+    tables = {}
     for b in (2, 2 + 5 * 7, 2 - 3 * 7):
-        piece, = _forms([(-3, 7, 0, steps)], [b], [0], tables)
-        assert _section([[piece]], 1, 0, 0, 0, 11) == 12 + _floor_sum(12, b, steps)
-        assert len(floor_sums) == len(tables[steps]) == 1
+        piece, = _forms([(-3, 7, 0)], [b], [0], tables)
+        assert _section([[piece]], 1, 0, 0, 0, 11) == 12 + _floor_sum(12, 7, 3, b)
+        assert len(floor_sums) == len(tables[3, 7]) == 1
+    # So do slopes that differ by an integer, 3/7 and 10/7: R(n, r) depends
+    # on -A mod B and B alone, so both share one table and its entry.
+    piece, = _forms([(-10, 7, 0)], [2], [0], tables)
+    assert _section([[piece]], 1, 0, 0, 0, 11) == 12 + _floor_sum(12, 7, 10, 2)
+    assert len(floor_sums) == len(tables) == len(tables[3, 7]) == 1
     # A polygon holds no remainder table, counted or not.
     draw, = instances(GeneratorConfig(seed=8200, dim=2, coordinate_bound=2), 1, "rational")
     for P in (catalog()["square2"], catalog()["halfdiamond2"], draw):
@@ -705,9 +709,12 @@ UNEVEN4 = [(F(-3, 2), 1, F(-1, 2), 2), (0, -3, F(-3, 2), 1), (-1, 6, F(-1, 2), F
 ], ids=["rational 3D, seed 8200", "dual-of-lattice 3D, seed 8104",
         "rational 4D, seed 8104", "uneven4"])
 def test_clipped_chamber_count_matches_listed_points(build):
-    # A clip (c1, c2) keeps the points whose padded prefix (x1, x2) is at
-    # most (c1, c2): that is (x[0], x[1]) in 4D and (0, x[0]) in 3D.  The
-    # clips run below, inside and above the box on each axis.
+    # A window [(l1, c1), (l2, c2)] keeps the points whose padded prefix
+    # (x1, x2) has l1 <= x1 <= c1 and l2 <= x2 <= c2, a bound of None
+    # holding everywhere: that is (x[0], x[1]) in 4D and (0, x[0]) in 3D.
+    # The bounds run below, inside and above the box on each axis: upper
+    # bounds alone, as the interior-shift witness sets them, lower bounds
+    # alone, and both ends.
     P = build()
     K = _Kernel(P)
     for m in (1, 2, 4):
@@ -715,15 +722,20 @@ def test_clipped_chamber_count_matches_listed_points(build):
         if any(lo > hi for lo, hi in box):
             continue
         axes = box[:2] if P.ambient_dim == 4 else [(0, 0), box[0]]
-        c1s, c2s = [sorted({lo - 1, lo, (lo + hi) // 2, hi, hi + 1}) for lo, hi in axes]
+        windows = []
+        for lo, hi in axes:
+            bounds = sorted({lo - 1, lo, (lo + hi) // 2, hi, hi + 1})
+            windows.append([(None, c) for c in bounds] + [(l, None) for l in bounds]
+                           + [(l, c) for l in bounds for c in bounds if l <= c])
         for strict in (False, True):
-            prefixes = [x[:2] if P.ambient_dim == 4 else (0, x[0])
-                        for x in lattice_points(P, m, strict=strict)]
-            for c1 in c1s:
-                for c2 in c2s:
-                    listed = sum(x1 <= c1 and x2 <= c2 for x1, x2 in prefixes)
-                    assert _chamber_count(K, m, strict, (c1, c2)) == listed, \
-                        (P, m, strict, c1, c2)
+            prefixes = collections.Counter(x[:2] if P.ambient_dim == 4 else (0, x[0])
+                                           for x in lattice_points(P, m, strict=strict))
+            for window in itertools.product(*windows):
+                (l1, c1), (l2, c2) = [(-math.inf if l is None else l, math.inf if c is None else c)
+                                      for l, c in window]
+                listed = sum(k for (x1, x2), k in prefixes.items()
+                             if l1 <= x1 <= c1 and l2 <= x2 <= c2)
+                assert _chamber_count(K, m, strict, window) == listed, (P, m, strict, window)
 
 
 def test_report_builds_the_chamber_table_once(monkeypatch):
