@@ -26,16 +26,19 @@ chamber table, for 3D and 4D only, instead of scanned.  The table is cut
 into strips at the first coordinates of the vertices and at the crossings
 of the projected edges, and each strip into trapezoids between consecutive
 edges; a 3D kernel is one strip on a zero-weight first axis, with its
-vertex levels as edges.  A strict count walks the same table or chains
-over the open projection: over a prefix strictly inside the projection of
-mP, the interior holds the points of the open section, which has the cuts
-and chains of the closed one, with each right-hand side and cut numerator
-lowered by one.  A count reuses the request's earlier counts at a tip of
-axis 0, a vertex v alone on its lowest (or highest) level: up to the next
-vertex level, P equals v + T_v, the vertex figure of Brion's theorem
-(Brion 1988; Beck-Robins, ch. 9), so for the least d >= 1 with d*v
-integral, the points of mP in that band are those of (m-d)P in its band
-shifted by d*v, and the count's window on axis 0 skips all but the
+vertex levels as edges.  A trapezoid's chains are read off its middle
+section by one stack sweep over the lines in slope order
+(:func:`_real_chain`), as Andrew's chain builds a hull, and trapezoids
+with the same chain share its forms.  A strict count walks the same table
+or chains over the open projection: over a prefix strictly inside the
+projection of mP, the interior holds the points of the open section, which
+has the cuts and chains of the closed one, with each right-hand side and
+cut numerator lowered by one.  A count reuses the request's earlier counts
+at a tip of axis 0, a vertex v alone on its lowest (or highest) level: up
+to the next vertex level, P equals v + T_v, the vertex figure of Brion's
+theorem (Brion 1988; Beck-Robins, ch. 9), so for the least d >= 1 with
+d*v integral, the points of mP in that band are those of (m-d)P in its
+band shifted by d*v, and the count's window on axis 0 skips all but the
 band's last layers.  All that does not depend on m is derived from the
 integer rows of P into one kernel, which each request builds for itself
 and drops when it returns, remainder tables and tip counts included:
@@ -64,6 +67,7 @@ import math
 from bisect import bisect_left
 from functools import cmp_to_key
 from itertools import permutations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -90,15 +94,20 @@ def _frame(P: Polytope) -> Polytope:
     4D, times 1 + the number of Euclid steps of the facet's slope on the last
     two axes, capped at ``_FRAME_STEPS``: about the sections that hold the
     facet times the floor-sum steps of its line there.  Counts are the same in
-    every frame, as the lattice is; a polygon or a segment keeps its own.
+    every frame, as the lattice is; a polygon or a segment keeps its own.  A
+    4D copy in another order carries P's incidence, which its strips read.
     """
     n = P.ambient_dim
     if n < 3:
         return P
-    facets = []
-    for k, (a, _) in enumerate(P.facet_rows):
-        tight = [row for row, f in zip(P.rows, P._incidence) if f >> k & 1]
-        facets.append((a, [max(c) - min(c) + (n == 4) for c in zip(*tight)]))
+    tight: list[list] = [[] for _ in P.facet_rows]  # per facet, its vertex rows
+    for row, f in zip(P.rows, P._incidence):
+        while f:
+            bit = f & -f
+            tight[bit.bit_length() - 1].append(row)
+            f ^= bit
+    facets = [(a, [max(c) - min(c) + (n == 4) for c in zip(*rows)])
+              for (a, _), rows in zip(P.facet_rows, tight)]
 
     def cost(order: tuple[int, ...]) -> int:
         *walked, y, z = order
@@ -115,8 +124,15 @@ def _frame(P: Polytope) -> Polytope:
     order = min(permutations(range(n)), key=cost)  # the first of equal costs: ties keep P
     if order == tuple(range(n)):
         return P
-    return Polytope(n, P.scale, tuple(sorted(tuple(row[j] for j in order) for row in P.rows)),
-                    tuple(sorted((tuple(a[j] for j in order), b) for a, b in P.facet_rows)))
+    permute = itemgetter(*order)
+    rows = sorted(zip(map(permute, P.rows), P._incidence))
+    moved = sorted((permute(a), b, k) for k, (a, b) in enumerate(P.facet_rows))
+    Q = Polytope(n, P.scale, tuple(row for row, _ in rows), tuple((a, b) for a, b, _ in moved))
+    if n == 4:  # the 4D strips read the incidence: P's, its bits renumbered
+        bits = {k: 1 << new for new, (*_, k) in enumerate(moved)}
+        vars(Q)["_incidence"] = tuple(sum(bit for k, bit in bits.items() if f >> k & 1)
+                                      for _, f in rows)
+    return Q
 
 
 class _Kernel:
@@ -151,15 +167,19 @@ class _Kernel:
 
     def __init__(self, P: Polytope) -> None:
         self.n, self.scale = P.ambient_dim, P.scale
-        gcds = [math.gcd(b, P.scale) for _, b in P.facet_rows]
-        self.bounds = [b // g for (_, b), g in zip(P.facet_rows, gcds)]
+        L = P.scale
+        self.bounds, self.weights, self.lines = bounds, weights, lines = [], [], []
+        for a, b in P.facet_rows:  # q*a and p for p/q = b/L in lowest terms
+            g = math.gcd(b, L)
+            bounds.append(b // g)
+            if g != L:
+                a = [L // g * c for c in a]
+            weights.append(a[:-2] or (0,))
+            lines.append(a[-2:])
         self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
         self.nested = all(lo <= 0 <= hi for lo, hi in self.ranges)
-        scaled = [[P.scale // g * c for c in a] for (a, _), g in zip(P.facet_rows, gcds)]
-        self.weights = [row[:-2] or [0] for row in scaled]
-        self.lines = [row[-2:] for row in scaled]
         if self.n > 2:
-            L, rows = P.scale, P.rows  # sorted: rows[0] and rows[-1] are on the extreme levels
+            rows = P.rows  # sorted: rows[0] and rows[-1] are on the extreme levels
             levels = sorted({row[0] for row in rows})
             self.tips = [(sign, r[0], near, L // math.gcd(L, *r))
                          for sign, r, other, near in ((1, rows[0], rows[1], levels[1]),
@@ -243,20 +263,39 @@ def _real_chain(lines: Sequence[_Line], c: Sequence[int], y0: tuple[int, int],
     """The lines lowest on an interval of positive length in
     min_i (c[i] - A_i*y) / B_i over the real y0 < y1, left to right as the
     ``lines`` are, by slope.  The ends are (numerator, denominator) pairs,
-    denominators positive."""
-    chain = []
-    for A, B, i in lines:
-        (p, q), (r, s) = y0, y1  # line i is lowest on p/q < y < r/s at most
-        for a, b, j in lines:  # line i is at or below line j where e*y <= f
-            e, f = a * B - A * b, c[j] * B - c[i] * b
-            if e > 0 and f * s < r * e:
-                r, s = f, e
-            elif e < 0 and f * q < p * e:
-                p, q = -f, -e
-            elif e == 0 and f < 0:  # line j is parallel and lower everywhere
-                r, s = p, q
-        if p * s < r * q:
-            chain.append((A, B, i))
+    denominators positive.
+
+    One sweep, as Andrew's chain: in slope order each line is lowest from
+    some y on, so the envelope is a stack of pieces [start, line, ...], a
+    piece's lines tied, that pops each piece the new line passes below
+    before the piece starts; then each piece is clipped to (y0, y1)."""
+    pieces: list[list] = []
+    for line in lines:
+        a, b, j = line
+        while pieces:
+            piece = pieces[-1]
+            start, (A, B, i) = piece[0], piece[1]
+            e, f = a * B - A * b, c[j] * B - c[i] * b  # line j is lower where e*y > f, e >= 0
+            if e:
+                if start is None or f * start[1] > start[0] * e:
+                    pieces.append([(f, e), line])
+                    break
+            elif f >= 0:  # parallel and never lower: tied, or dropped
+                if not f:
+                    piece.append(line)
+                break
+            pieces.pop()
+        else:
+            pieces.append([None, line])
+    chain, end = [], None
+    (p, q), (r, s) = y0, y1
+    for piece in reversed(pieces):  # each piece ends where the next starts
+        start = piece[0]
+        lo = start if start and start[0] * q > p * start[1] else y0
+        hi = end if end and end[0] * s < r * end[1] else y1
+        if lo[0] * hi[1] < hi[0] * lo[1]:
+            chain[:0] = piece[1:]
+        end = start
     return chain
 
 
@@ -310,7 +349,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
         return [(v[i], v[j] * B - v[i] * b)
                 for (_, B, i), (_, b, j) in zip(chain, chain[1:] + chain[-1:])]
 
-    table, tables = [], {}
+    table, tables, forms = [], {}, {}  # forms by chain: neighbouring trapezoids share many
     for end, (un, ud), edges in K.strips:
         rows = []
         for (p0, q0, d0), (p1, q1, d1) in zip(edges, edges[1:]):
@@ -325,7 +364,8 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
             y0, y1 = (-v0, e0), (v1, e1)
             chains = _real_chain(uppers, c, y0, y1), _real_chain(lowers, c, y0, y1)
             rows.append((p1, q1, d1, *cut(*top), *cut(*bottom),
-                         [_forms(chain, p, w, tables) for chain in chains],
+                         [forms.get(tuple(chain)) or forms.setdefault(
+                             tuple(chain), _forms(chain, p, w, tables)) for chain in chains],
                          [*map(x1_forms, chains)] if K.n == 4 else None))
         table.append((*end, *edges[0], *edges[-1], rows))
     return table

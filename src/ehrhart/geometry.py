@@ -6,22 +6,26 @@ integer rows; and its facets as sorted rows (a, b) with a primitive integer
 normal a, each meaning <a, x> <= b / L.  :func:`from_ratios` builds that form
 in integers, with no linear program and no ``fractions.Fraction``: its hull is
 a segment's two extreme points, a polygon's monotone chain, or in dimensions 3
-and 4 an incremental beneath-beyond hull.  The denominator, the vertex ranges
-and the polar dual (vertices and facets swapped, no hull) are read off that
-form.  Views of the rows, built on first use and cached in the instance
-``__dict__`` beside the four fields, give ``Fraction`` vertices, (normal,
-bound) ``Fraction`` facet pairs and the vertex-facet incidence that counting
-reads; :mod:`fractions` is imported only where a point or a ``Fraction`` view
-is built.  There is no floating point anywhere in this package.  A polygon
-hull takes hundreds of thousands of points, a 3D or 4D one hundreds; the
-counts suit dimension <= 4, which a fixed ambient-dimension cap guards.
+and 4 an incremental beneath-beyond hull, whose start simplex takes all its
+facet normals from one set of signed minors and whose horizon ridges are read
+off two facets' tight sets.  The denominator, the vertex ranges and the polar
+dual (vertices and facets swapped, no hull) are read off that form.  Views of
+the rows, cached in the instance ``__dict__`` beside the four fields, give
+``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs, built on
+first use, and the vertex-facet incidence that counting reads, which a 3D or
+4D hull hands over from its tight sets; :mod:`fractions` is imported only
+where a point or a ``Fraction`` view is built.  There is no floating point
+anywhere in this package.  A polygon hull takes hundreds of thousands of
+points, a 3D or 4D one hundreds; the counts suit dimension <= 4, which a
+fixed ambient-dimension cap guards.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter, mul
+from itertools import combinations
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -59,7 +63,8 @@ class Polytope:
     ``facet_rows`` (a, b), each <a, x> <= b / L with a primitive.  Build
     instances with :func:`from_vertices`, which establishes these
     invariants.  ``vertices``, ``facets`` and ``_incidence`` are views, built
-    on first use.
+    on first use; :func:`from_ratios` hands a 3D or 4D polytope its
+    ``_incidence`` from the hull's tight sets.
     Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
     The fields and views live in ``__dict__``, so pickling and copying use
     the default protocol, which fills it without calling ``__setattr__``.
@@ -95,7 +100,9 @@ class Polytope:
 
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
-        """Per vertex row, the bitmask of the facet rows through it: bit k for row k."""
+        """Per vertex row, the bitmask of the facet rows through it: bit k for
+        row k, by one scan of the rows against the facets where no hull or
+        frame has handed it over."""
         return tuple(sum(1 << k for k, (a, b) in enumerate(self.facet_rows)
                          if sum(map(mul, a, row)) == b) for row in self.rows)
 
@@ -129,9 +136,10 @@ def from_vertices(points: Iterable[Iterable[Coordinate]]) -> Polytope:
 def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     """Convex hull of points given by (numerator, denominator) coordinate
     pairs, denominators positive: the points, scaled to integers by the lcm
-    L of their denominators, deduplicated and sorted, go to :func:`_hull`
-    for the vertices and the facets <a, x> <= b / L, a primitive, and L
-    then drops the factor the vertices do not need.  Raises
+    L of their denominators and deduplicated in one pass, then sorted, go to
+    :func:`_hull` for the vertices and the facets <a, x> <= b / L, a
+    primitive, and L then drops the factor the vertices do not need; in 3D
+    and 4D each facet's vertices give the incidence.  Raises
     ``DimensionDeficient`` when the points do not span the ambient space,
     and ``AmbientDimensionCap`` when it has more than ``MAX_DIM`` dimensions.
     """
@@ -144,15 +152,24 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
         raise DimensionMismatch("points of mixed dimensions")
     if n > MAX_DIM:
         raise AmbientDimensionCap(f"dimension {n} exceeds cap {MAX_DIM}")
-    scale = math.lcm(*(q for p in points for _, q in p))
-    hull = _hull(sorted({tuple(c * (scale // q) for c, q in p) for p in points}), n)
+    scale = math.lcm(*{q for p in points for _, q in p})
+    hull = _hull(sorted({tuple([c * (scale // q) for c, q in p]) for p in points}), n)
     if hull is None:
         raise DimensionDeficient(f"points span fewer than {n} dimensions")
     rows, facets = hull
+    rows.sort()
+    facets.sort()  # by (a, b), which no two facets share
     # Every facet holds a vertex, so g divides each facet bound too.
-    g = math.gcd(scale, *(c for row in rows for c in row))
-    return Polytope(n, scale // g, tuple(sorted(tuple(c // g for c in row) for row in rows)),
-                    tuple(sorted((a, b // g) for a, b in facets)))
+    g = math.gcd(scale, *(c for row in rows for c in row)) if scale > 1 else 1
+    P = Polytope(n, scale // g, tuple(tuple([c // g for c in row]) for row in rows) if g > 1
+                 else tuple(rows), tuple((a, b // g) for a, b, *_ in facets))
+    if n > 2:  # the incidence, from the vertex rows on each facet
+        index, masks = {row: r for r, row in enumerate(rows)}, [0] * len(rows)
+        for k, (_, _, tight) in enumerate(facets):
+            for row in tight:
+                masks[index[row]] |= 1 << k
+        vars(P)["_incidence"] = tuple(masks)
+    return P
 
 
 def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, list]]:
@@ -162,8 +179,9 @@ def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, lis
     monotone chain (1979), counter-clockwise with strict left turns only, so
     that it holds vertices only.  For n >= 3 :func:`_beneath_beyond` inserts
     the per-axis extreme points first, as in sorted order each point would
-    lie beyond the hull so far, and a point is a vertex when no other point
-    lies on every facet through it.
+    lie beyond the hull so far, a point is a vertex when no other point
+    lies on every facet through it, and each facet (a, b, rows) also holds
+    the vertex rows on it.
     """
     if n == 1:
         lo, hi = points[0], points[-1]
@@ -188,7 +206,8 @@ def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, lis
             a0, a1 = (vy - uy) // g, (ux - vx) // g
             facets.append(((a0, a1), a0 * ux + a1 * uy))
         return hull, facets
-    extremes = {pick(points, key=itemgetter(k)) for k in range(n) for pick in (min, max)}
+    extremes = {points[column.index(pick(column))]
+                for column in zip(*points) for pick in (min, max)}
     points = sorted(extremes) + [p for p in points if p not in extremes]
     planes = _beneath_beyond(points, n)
     if planes is None:
@@ -199,8 +218,9 @@ def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, lis
     for _, _, on in planes:
         for i in on:
             common[i] = on if common[i] is None else common[i] & on
-    return ([p for p, c in zip(points, common) if c is not None and len(c) == 1],
-            [(a, b) for a, b, _ in planes])
+    vertices = {i for i, c in enumerate(common) if c is not None and len(c) == 1}
+    return ([points[i] for i in vertices],
+            [(a, b, [points[i] for i in on & vertices]) for a, b, on in planes])
 
 
 def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[tuple]]:
@@ -211,82 +231,105 @@ def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[
     given: from a start simplex, each point p joins every facet whose plane
     holds it, and the facets it sees (v = <a, p> - b > 0) give way to
     v_u (a_w, b_w) - v_w (a_u, b_u), through p, across each ridge between a
-    seen u and a w with v_w < 0.
+    seen u and a w with v_w < 0.  The meet of two facets' tight sets is a
+    ridge exactly when n - 1 of its points are affinely independent, as a
+    lower face has fewer, so each ridge is read off the two tight sets alone.
     """
-    # Bareiss elimination finds the simplex: its exact divisions keep every
-    # entry a minor of the differences, so digits do not pile up.
-    start, basis = [0], []
-    for i, p in enumerate(points[1:], 1):
-        v = [c - o for c, o in zip(p, points[0])]
+    start: Sequence[int] = range(n + 1)  # the first points, else the first that span
+    facets = len(points) > n and _simplex(points, start)
+    if not facets:
+        start = _spanning(points, range(len(points)), n + 1)
+        if len(start) <= n:
+            return None
+        facets = _simplex(points, start)
+    for i, p in enumerate(points):
+        if i in start:
+            continue
+        seen, unseen = [], []
+        for f, on in facets.items():
+            v = sum(map(mul, f[0], p)) - f[1]
+            if v > 0:
+                seen.append((f, v, on))
+            elif v < 0:
+                unseen.append((f, v, on))
+            else:
+                on.add(i)
+        new = {}
+        for (au, bu), vu, on in seen:
+            for (aw, bw), vw, other in unseen:
+                common = on & other
+                # In 3D two shared points span an edge; in 4D three may lie on an edge.
+                if len(common) < n - 1 or n == 4 and len(_spanning(points, common, 3)) < 3:
+                    continue
+                a = [vu * x - vw * y for x, y in zip(aw, au)]  # distinct ridges, distinct planes
+                g = math.gcd(*a)
+                new[tuple(c // g for c in a), (vu * bw - vw * bu) // g] = common | {i}
+        for f, _, _ in seen:
+            del facets[f]
+        facets.update(new)
+    return [(a, b, on) for (a, b), on in facets.items()]
+
+
+def _simplex(points: Sequence[tuple[int, ...]], start: Sequence[int]) -> Optional[dict]:
+    """The facets of the simplex on the n + 1 points at ``start``, as
+    :func:`_beneath_beyond` holds them, or None when the points do not span.
+    With o the first point and d_k = p_k - o, the facet opposite p_k holds
+    o, and the signed maximal minors of the other d_j are normal to it;
+    their inner product with d_k is +-det for every k.  Turned away from
+    p_k, they sum to minus the outer normal of the facet opposite o."""
+    (origin, *others), o = start, points[start[0]]
+    rows = [[c - d for c, d in zip(points[i], o)] for i in others]
+    facets, far = {}, [0] * len(o)
+    for k, row in enumerate(rows):
+        normal = _normal(rows[:k] + rows[k + 1:])
+        det = sum(map(mul, normal, row))
+        if not det:
+            return None
+        if det > 0:
+            normal = [-c for c in normal]
+        far = [x - y for x, y in zip(far, normal)]
+        g = math.gcd(*normal)
+        a = tuple(c // g for c in normal)
+        facets[a, sum(map(mul, a, o))] = {origin, *others[:k], *others[k + 1:]}
+    g = math.gcd(*far)
+    a = tuple(c // g for c in far)
+    facets[a, sum(map(mul, a, points[others[0]]))] = set(others)
+    return facets
+
+
+def _spanning(points: Sequence[tuple[int, ...]], indices: Iterable[int], k: int) -> list[int]:
+    """The first of ``indices``, then each next one whose point is affinely
+    independent of those taken, up to k of them.  Bareiss elimination
+    reduces each difference from the first point: its exact divisions keep
+    every entry a minor of the differences, so digits do not pile up."""
+    indices = iter(indices)
+    taken = [next(indices)]
+    origin, basis = points[taken[0]], []
+    for i in indices:
+        if len(taken) == k:
+            break
+        v = [c - o for c, o in zip(points[i], origin)]
         prev = 1
         for row, j in basis:
             v = [(row[j] * x - v[j] * y) // prev for x, y in zip(v, row)]
             prev = row[j]
         if any(v):
             basis.append((v, next(j for j, c in enumerate(v) if c)))
-            start.append(i)
-            if len(start) > n:
-                break
-    else:
-        return None
-    facets = {}  # (a, b) -> the points inserted so far on the plane
-    for k in start:  # the simplex facet opposite point k
-        on = [i for i in start if i != k]
-        base = points[on[0]]
-        diffs = [[c - o for c, o in zip(points[i], base)] for i in on[1:]]
-        # The signed (n-1)-minors are orthogonal to every difference.
-        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in diffs])
-                  for j in range(n)]
-        g = math.gcd(*normal)
-        if sum(map(mul, normal, points[k])) > sum(map(mul, normal, base)):
-            g = -g
-        a = tuple(c // g for c in normal)
-        facets[a, sum(map(mul, a, base))] = set(on)
-    for i, p in enumerate(points):
-        if i in start:
-            continue
-        value = {f: sum(map(mul, f[0], p)) - f[1] for f in facets}
-        seen = [f for f, v in value.items() if v > 0]
-        for f, v in value.items():
-            if v == 0:
-                facets[f].add(i)
-        new = {}
-        for u in seen:
-            (au, bu), vu, on = u, value[u], facets[u]
-            for w, vw in value.items():
-                if vw >= 0:
-                    continue
-                # A ridge is the meet of exactly two facets; any lower face
-                # lies in a third.  Distinct ridges give distinct planes.
-                common = on & facets[w]
-                if len(common) < n - 1 or any(
-                        common <= t for f, t in facets.items() if f != u and f != w):
-                    continue
-                aw, bw = w
-                a = [vu * x - vw * y for x, y in zip(aw, au)]
-                g = math.gcd(*a)
-                new[tuple(c // g for c in a), (vu * bw - vw * bu) // g] = common | {i}
-        for f in seen:
-            del facets[f]
-        facets.update(new)
-    return [(a, b, on) for (a, b), on in facets.items()]
+            taken.append(i)
+    return taken
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by cofactor expansion along
-    the first row (the empty matrix has determinant 1)."""
-    if len(rows) < 2:
-        return rows[0][0] if rows else 1
+def _normal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """A normal of the n - 1 integer rows in R^n, n = 3 or 4: their signed
+    maximal minors, the cross product in 3D, and in 4D each expanded along
+    the first row over the 2x2 minors of the last two, which they share."""
     if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    first, rest = rows[0], rows[1:]
-    total = 0
-    for j, c in enumerate(first):
-        if c:
-            minor = _det([row[:j] + row[j + 1:] for row in rest])
-            total += -c * minor if j % 2 else c * minor
-    return total
+        (r0, r1, r2), (s0, s1, s2) = rows
+        return [r1 * s2 - r2 * s1, r2 * s0 - r0 * s2, r0 * s1 - r1 * s0]
+    t, r, s = rows
+    m = {(i, j): r[i] * s[j] - r[j] * s[i] for i, j in combinations(range(4), 2)}
+    return [(-1) ** j * (t[a] * m[b, c] - t[b] * m[a, c] + t[c] * m[a, b])
+            for j, (a, b, c) in enumerate(reversed([*combinations(range(4), 3)]))]
 
 
 def origin_interior(P: Polytope) -> bool:

@@ -50,6 +50,16 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row (the empty matrix has determinant 1)."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    first, rest = rows[0], rows[1:]
+    return sum((-1) ** j * c * det([row[:j] + row[j + 1:] for row in rest])
+               for j, c in enumerate(first) if c)
+
+
 def affine_rank(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull of the given points."""
     if not points:

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction as F
 
@@ -37,8 +38,9 @@ from ehrhart.counting import (
     count_vector,
     interior_shift_mismatch,
 )
-from ehrhart.geometry import dual_denominator
+from ehrhart.geometry import Polytope, dual_denominator
 from conftest import dilate
+from chain_oracle import real_chain
 from listing_oracle import contains, lattice_points
 import scan_oracle
 from scan_oracle import _section_count, _section_plan, scan_count
@@ -692,6 +694,71 @@ def test_chamber_walk_hand_cases(name):
         assert 1 in ends and all(v[0] != 1 for v in P.vertices)
 
 
+# Chains (A, B, i) in slope order with their right-hand sides c and the
+# interval (y0, y1), against the chain that the all-pairs scan returns:
+# parallel lines, one lower everywhere or both the same line; a line lowest
+# only up to an interval end, where it touches the interval at one point;
+# and three lines through one point, the middle one lowest there alone.
+CHAIN_HAND_CASES = [
+    ([(0, 1, 0), (0, 1, 1)], [0, 1], (-1, 1), (1, 1), [(0, 1, 0)]),
+    ([(0, 1, 0), (0, 1, 1)], [3, 1], (-1, 1), (1, 1), [(0, 1, 1)]),
+    ([(1, 1, 0), (2, 2, 1)], [0, 0], (-1, 1), (1, 1), [(1, 1, 0), (2, 2, 1)]),
+    ([(1, 1, 0), (2, 2, 1), (3, 1, 2)], [0, 1, 0], (-1, 1), (1, 1), [(1, 1, 0), (3, 1, 2)]),
+    ([(-1, 1, 0), (1, 1, 1)], [0, 0], (0, 1), (2, 1), [(1, 1, 1)]),
+    ([(-1, 1, 0), (1, 1, 1)], [0, 0], (-2, 1), (0, 1), [(-1, 1, 0)]),
+    ([(-1, 1, 0), (1, 1, 1)], [0, 0], (-1, 3), (1, 3), [(-1, 1, 0), (1, 1, 1)]),
+    ([(-1, 1, 0), (0, 1, 1), (1, 1, 2)], [0, 0, 0], (-1, 1), (1, 1), [(-1, 1, 0), (1, 1, 2)]),
+    ([(-1, 2, 0), (0, 4, 1), (1, 2, 2)], [0, -1, 0], (-1, 1), (1, 1),
+     [(-1, 2, 0), (0, 4, 1), (1, 2, 2)]),
+    ([(-1, 1, 0), (1, 1, 1)], [0, 0], (1, 1), (1, 1), []),
+    ([], [], (-1, 1), (1, 1), []),
+]
+
+
+@pytest.mark.parametrize("lines, c, y0, y1, expected", CHAIN_HAND_CASES)
+def test_sweep_chain_hand_cases(lines, c, y0, y1, expected):
+    assert real_chain(lines, c, y0, y1) == expected
+    assert counting._real_chain(lines, c, y0, y1) == expected
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(-6, 6)),
+                max_size=7),
+       st.tuples(st.integers(-8, 8), st.integers(1, 3)),
+       st.tuples(st.integers(-8, 8), st.integers(1, 3)))
+def test_sweep_chain_matches_the_all_pairs_scan(rows, y0, y1):
+    # Small coefficients make parallel and identical lines, three lines
+    # through one point and crossings on the interval's ends common.
+    lines, _ = counting._halves([(A, B) for A, B, _ in rows])
+    c = [C for _, _, C in rows]
+    assert counting._real_chain(lines, c, y0, y1) == real_chain(lines, c, y0, y1)
+
+
+def test_sweep_chain_matches_the_scan_on_every_trapezoid(monkeypatch, fixtures, theorem_pool,
+                                                         control_pool):
+    # Every chain of every chamber table of the catalog, both pools, one
+    # bound-1 4D draw of each kind and the 4D rational draw of seed 8200, in
+    # the given frame and in the walk's, is the all-pairs scan's chain.
+    sweep, calls = counting._real_chain, []
+
+    def checked(lines, c, y0, y1):
+        chain = sweep(lines, c, y0, y1)
+        assert chain == real_chain(lines, c, y0, y1), (lines, c, y0, y1)
+        calls.append(len(lines) - len(chain))
+        return chain
+
+    monkeypatch.setattr(counting, "_real_chain", checked)
+    polytopes = [P for P in [*fixtures.values(), *theorem_pool, *control_pool]
+                 if P.ambient_dim == 3]
+    polytopes += [instances(GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 1, kind)[0]
+                  for kind in ("lattice", "dual-of-lattice", "rational")]
+    polytopes += instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1, "rational")
+    for P in polytopes:
+        for Q in {P, counting._frame(P)}:
+            counting._chamber_table(_Kernel(Q))
+    assert len(polytopes) == 2 + 33 + 16 + 4 and len(calls) > 3000
+    assert sum(map(bool, calls)) > 2500  # chains that drop lines
+
+
 # At m = 1, x1 spans -4..2 and x2 spans -3..6, and the least interior-shift
 # witness is (-2, 1, -1, 1): a witness search that clipped x2 at the clip of
 # x1 while it bisects x1 would miss it at the first clip, x1 <= -1.
@@ -963,6 +1030,32 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
     assert moved >= 30
     for P in [P for P in theorem_pool if P.ambient_dim < 3]:
         assert counting._frame(P) is P
+
+
+def test_a_4d_count_builds_no_incidence(monkeypatch):
+    # A hull hands its polytope the vertex-facet incidence, and a 4D frame
+    # that moves hands the copy P's masks with the bits renumbered, so the
+    # strips of a 4D count read them and no vertex row is scanned against
+    # the facets.  Both equal that scan.
+    def scan(P):
+        return tuple(sum(1 << k for k, (a, b) in enumerate(P.facet_rows)
+                         if sum(map(operator.mul, a, row)) == b) for row in P.rows)
+
+    draws = [instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1, kind)[0]
+             for kind in ("lattice", "dual-of-lattice", "rational") for seed in (8104, 8200)]
+    draws += [frame_draw(name) for name in FRAME_DRAWS]
+    frames = [counting._frame(P) for P in draws]
+    assert sum(Q is not P for P, Q in zip(draws, frames)) >= 4
+    for Q in frames:
+        assert vars(Q)["_incidence"] == scan(Q), Q
+
+    class Unscanned:  # no __set__, so masks handed over in __dict__ still win
+        def __get__(self, P, owner=None):
+            pytest.fail(f"the incidence of {P} was scanned")
+
+    monkeypatch.setattr(Polytope, "_incidence", Unscanned())
+    for P in draws:
+        assert count_points(P, 3) == exact_count(P, 3, False), P
 
 
 def test_interior_shift_search_builds_one_chamber_table(monkeypatch):

@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from ehrhart.geometry import _det as det
-from hull_oracle import affine_rank, hyperplane_through, in_convex_hull, rank
+from ehrhart.geometry import _normal
+from hull_oracle import affine_rank, det, hyperplane_through, in_convex_hull, rank
 
 
 def pt(*coords):
@@ -27,6 +27,20 @@ def test_det_basics():
     assert det([[2, 0, 1], [1, 3, 2], [1, 1, 2]]) == 6
     assert det([[0, 1, 2, 0], [3, 0, 0, 1], [1, 1, 0, 2], [0, 2, 1, 1]]) == -9
     assert det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+
+
+@given(st.sampled_from([3, 4]).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+    min_size=n - 1, max_size=n - 1)))
+def test_normal_is_the_signed_maximal_minors(rows):
+    # Beneath-beyond's start simplex reads its facet normals off _normal:
+    # entry j is (-1)^j times the minor without column j, so <normal, x> is
+    # det(rows + [x]) up to one sign, and the normal is orthogonal to each row.
+    n = len(rows[0])
+    normal = _normal(rows)
+    assert normal == [(-1) ** j * det([row[:j] + row[j + 1:] for row in rows])
+                      for j in range(n)]
+    assert all(sum(a * b for a, b in zip(normal, row)) == 0 for row in rows)
 
 
 def test_affine_rank():
