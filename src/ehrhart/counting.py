@@ -55,16 +55,14 @@ Counts are the same in every order of the axes, but the walk's work is
 not: :func:`count_points` and :func:`count_vector` walk a 3D or 4D polytope
 with its axes permuted into the order that :func:`_frame`'s cost model
 ranks cheapest.  The interior shift is decided by counts too, m by m on
-one kernel (:func:`_first_shift`); only on a mismatch is a witness looked
-for, by galloping and bisection on the counts clipped to a corner of the
-prefix box.  Its "least" point depends on the order of the axes, so the
-interior shift keeps the caller's frame.
+one kernel (:func:`_first_shift`); only on a mismatch is a witness sought,
+by one scan of the prefix slabs in order.  Its "least" point depends on
+the order of the axes, so the interior shift keeps the caller's frame.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cmp_to_key
 from itertools import permutations
 from operator import itemgetter
@@ -377,7 +375,7 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] 
     m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
     with ``window`` = [(l1, c1), (l2, c2)], only those whose padded prefix
     has l1 <= x1 <= c1 and l2 <= x2 <= c2, a bound of None holding
-    everywhere.  The interior-shift witness bounds the prefix from above; a
+    everywhere.  The interior-shift witness holds prefix axes to one layer; a
     count at the kernel's tips bounds axis 0 of P, padded x2 in 3D and x1 in
     4D, and has the count so far appended to ``marks`` at the start of each
     of its units, the trapezoids in 3D and the strips in 4D (:func:`_walk`).
@@ -599,13 +597,13 @@ def _first_shift(P: Polytope, dilations: Sequence[int],
 def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     """The least lattice point of int(mP) outside (m-1)P, or None.
 
-    (m-1)P lies in int(mP), so the clipped strict count of mP less the
-    clipped closed count of (m-1)P counts such points under the clip.  Each
-    prefix coordinate in turn is galloped up from the open box's first layer
-    and bisected to the least clip that holds one, the later ones unclipped.
-    In the one section found, the first column whose lengths differ holds
-    the witness: the inner column's least point, or the one just above the
-    outer column when both start there.
+    (m-1)P lies in int(mP), so the strict count of mP less the closed count
+    of (m-1)P over a prefix slab counts such points there.  Each prefix
+    axis in turn, earlier ones held to their layers and later ones free, is
+    scanned up from the open box's first layer to the first slab where the
+    counts differ.  In the one section found, the first column whose
+    lengths differ holds the witness: the inner column's least point, or
+    the one just above the outer column when both start there.
     """
     box = K.box(m)
     if any(lo > hi for lo, hi in box):
@@ -616,22 +614,18 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
         z = lo if olo > ohi or lo < olo else ohi + 1
         return (z,) if z <= hi else None
 
-    def differ(axis: int, t: int) -> bool:  # 0P is the origin, at (x1, x2) = (0, 0)
-        window[axis][1] = t  # the clipped counts leave K.tip_counts alone
-        outer = (_chamber_count(K, m - 1, False, window) if m > 1
-                 else int(min(c for _, c in window) >= 0))
-        return _chamber_count(K, m, True, window) != outer
-
     pad = 4 - K.n  # the prefix axes, padded to (x1, x2) at x1 = 0 in 3D
-    window = [[None, hi] for _, hi in [(0, 0)] * pad + box[:-2]]
+    slab: list[Optional[int]] = [None, None]  # per padded prefix axis, its layer once found
     for axis, (lo, hi) in enumerate(K.box(m, True)[:-2], pad):  # witnesses are interior
-        # Most witnesses lie on the first layers: probe lo, lo+1, lo+3, ...
-        # up to the first clip that holds one, then bisect the last gap.
-        low, t, step = lo, lo, 1
-        while t < hi and not differ(axis, t):
-            low, t, step = t + 1, min(t + step, hi), 2 * step
-        window[axis][1] = low + bisect_left(range(low, t), True, key=lambda u: differ(axis, u))
-    prefix = [c for _, c in window[pad:]]
+        for slab[axis] in range(lo, hi + 1):
+            window = [(t, t) for t in slab]  # the clipped counts leave K.tip_counts alone
+            outer = (_chamber_count(K, m - 1, False, window) if m > 1
+                     else int(all(t in (0, None) for t in slab)))  # 0P is the origin
+            if _chamber_count(K, m, True, window) != outer:
+                break
+        else:
+            return None
+    prefix = slab[pad:]
     dots = [sum(w * x for w, x in zip(weights, prefix)) for weights in K.weights]
     (y0, y1), (z0, z1) = box[-2:]
 

@@ -760,8 +760,8 @@ def test_sweep_chain_matches_the_scan_on_every_trapezoid(monkeypatch, fixtures, 
 
 
 # At m = 1, x1 spans -4..2 and x2 spans -3..6, and the least interior-shift
-# witness is (-2, 1, -1, 1): a witness search that clipped x2 at the clip of
-# x1 while it bisects x1 would miss it at the first clip, x1 <= -1.
+# witness is (-2, 1, -1, 1): a witness search that held x2 to the layer it
+# holds x1 to while it scans x1 would miss it at x1 = -2, where x2 = 1.
 UNEVEN4 = [(F(-3, 2), 1, F(-1, 2), 2), (0, -3, F(-3, 2), 1), (-1, 6, F(-1, 2), F(-1, 2)),
            (-3, 0, 2, 2), (2, -3, F(3, 2), -2), (-4, 3, -2, 2)]
 
@@ -780,8 +780,8 @@ def test_clipped_chamber_count_matches_listed_points(build):
     # (x1, x2) has l1 <= x1 <= c1 and l2 <= x2 <= c2, a bound of None
     # holding everywhere: that is (x[0], x[1]) in 4D and (0, x[0]) in 3D.
     # The bounds run below, inside and above the box on each axis: upper
-    # bounds alone, as the interior-shift witness sets them, lower bounds
-    # alone, and both ends.
+    # bounds alone, lower bounds alone, and both ends, l == c as the
+    # interior-shift witness sets them.
     P = build()
     K = _Kernel(P)
     for m in (1, 2, 4):
@@ -1228,7 +1228,7 @@ def test_interior_shift_witness_is_least_listed_difference_generated(seed, dim, 
 
 def test_interior_shift_witness_is_least_listed_difference_deeper():
     # At m = 7..10 the prefix axes of these 4D draws span about 20 values,
-    # so each prefix coordinate of a witness takes several bisection steps.
+    # so the scan for each prefix coordinate of a witness may take many slabs.
     rational = [instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1,
                           "rational")[0] for seed in (8300, 8303)]
     lattice_dual, = instances(GeneratorConfig(seed=8305, dim=4, coordinate_bound=1), 1,
@@ -1244,6 +1244,29 @@ def test_interior_shift_witness_is_least_listed_difference_deeper():
             mismatches += witness is not None
     assert mismatches >= 9
     assert interior_shift_mismatch(from_vertices(UNEVEN4), 1) == (-2, 1, -1, 1)
+
+
+@pytest.mark.parametrize("seed, kind", [(8301, "rational"), (8301, "lattice"),
+                                        (8303, "lattice")])
+def test_the_witness_walks_no_more_sections_than_its_two_counts(monkeypatch, seed, kind):
+    # The witness is charged nothing of its own, only the two counts that
+    # found the mismatch.  The scan walks each section of 2P and 1P at most
+    # twice, and on these 4D draws no more than the two unclipped counts
+    # together: 6, 10 and 14 against 9, 15 and 14.
+    P, = instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1, kind)
+    assert origin_interior(P)
+    sections = []
+    section = counting._section
+    monkeypatch.setattr(counting, "_section", lambda *args: sections.append(args)
+                        or section(*args))
+    K = _Kernel(P)
+    witness = counting._shift_witness(K, 2)
+    walked = len(sections)
+    assert witness == least_listed_difference(P, 2)
+    sections.clear()
+    _chamber_count(K, 2, True)
+    _chamber_count(K, 1, False)
+    assert walked <= len(sections), (walked, len(sections))
 
 
 def test_empty_box_makes_no_sections(monkeypatch):
