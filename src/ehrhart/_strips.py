@@ -12,10 +12,9 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .counting import _by_value
-from .geometry import Polytope
 
 
-def strips(P: Polytope) -> list[tuple]:
+def strips(rows: list[tuple], L: int) -> list[tuple]:
     """The vertical decomposition of the projection of a 4D polytope P to
     its first two axes, in u = x1/m: one (end, middle, edges) per strip
     between consecutive cuts, the first coordinates of the vertices and of
@@ -23,20 +22,21 @@ def strips(P: Polytope) -> list[tuple]:
     denominator) pairs, and ``edges`` are the projected edges that span the
     strip, bottom to top, each x2/m = (p + q*u)/d held as (p, q, d), d > 0.
 
-    Vertices u and v of P span an edge when no third vertex is tight on
-    every facet that is tight at both, as ``P._incidence`` tells.  An edge
-    that projects to a point or to a segment at one u only lies on a cut.
+    ``rows`` holds, sorted, a (row, mask) pair per vertex row of LP, L being
+    P's scale: the row in the walk's axis order and its ``P._incidence``.
+    Vertices u and v span an edge when no third vertex is tight on every
+    facet that is tight at both.  An edge that projects to a point or to a
+    segment at one u only lies on a cut.
     """
-    L, tight = P.scale, P._incidence
     lines = set()  # x2 = (a + b*X)/d on lo <= X <= hi in lowest terms, X = L*x1/m
-    for (u, f), (v, g) in combinations(zip(P.rows, tight), 2):  # rows sorted: u1 <= v1
+    for (u, f), (v, g) in combinations(rows, 2):  # rows sorted: u1 <= v1
         both = f & g
-        if u[0] < v[0] and sum(h & both == both for h in tight) == 2:
+        if u[0] < v[0] and sum(h & both == both for _, h in rows) == 2:
             (u1, u2), (v1, v2) = u[:2], v[:2]
             a, b, d = u2 * (v1 - u1) - u1 * (v2 - u2), v2 - u2, v1 - u1
             r = math.gcd(a, b, d)
             lines.add((a // r, b // r, d // r, u1, v1))
-    cuts = {(row[0], 1) for row in P.rows}
+    cuts = {(row[0], 1) for row, _ in rows}
     for (a, b, d, lo, hi), (e, f, g, lo2, hi2) in combinations(lines, 2):
         den, num = b * g - f * d, e * d - a * g  # where (a + b*X)/d = (e + f*X)/g
         if den < 0:

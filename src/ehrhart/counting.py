@@ -52,12 +52,11 @@ by one :func:`_charge`, at an m that is negative or whose box of mP holds
 over ``budget`` cells (none in 1D), read off one box when the boxes nest.
 
 Counts are the same in every order of the axes, but the walk's work is
-not: :func:`count_points` and :func:`count_vector` walk a 3D or 4D polytope
-with its axes permuted into the order that :func:`_frame`'s cost model
-ranks cheapest.  The interior shift is decided by counts too, m by m on
-one kernel (:func:`_first_shift`); only on a mismatch is a witness sought,
-by one scan of the prefix slabs in order.  Its "least" point depends on
-the order of the axes, so the interior shift keeps the caller's frame.
+not: a 3D or 4D count reads P, row by row, in the axis order that
+:func:`_frame`'s cost model ranks cheapest.  The interior shift is decided
+by counts too, m by m on one kernel (:func:`_first_shift`); only on a
+mismatch is a witness sought, by one scan of the prefix slabs in order, in
+the caller's frame, as its "least" point depends on the order of the axes.
 """
 
 from __future__ import annotations
@@ -83,21 +82,20 @@ IntPoint = tuple[int, ...]
 _FRAME_STEPS = 12
 
 
-def _frame(P: Polytope) -> Polytope:
-    """P with its axes permuted into the order that a cost model of the
-    walk ranks cheapest, or P itself when the given order ties for it.
+def _frame(P: Polytope) -> Optional[tuple[int, ...]]:
+    """The order of P's axes that a cost model of the walk ranks cheapest,
+    or None when the given order ties for it.
 
     The model sums over the facets the product of the extents of the facet's
     vertices (``P._incidence``) on the walked (prefix) axes, each plus one in
     4D, times 1 + the number of Euclid steps of the facet's slope on the last
     two axes, capped at ``_FRAME_STEPS``: about the sections that hold the
     facet times the floor-sum steps of its line there.  Counts are the same in
-    every frame, as the lattice is; a polygon or a segment keeps its own.  A
-    4D copy in another order carries P's incidence, which its strips read.
+    every order, as the lattice is; a polygon or a segment keeps its own.
     """
     n = P.ambient_dim
     if n < 3:
-        return P
+        return None
     tight: list[list] = [[] for _ in P.facet_rows]  # per facet, its vertex rows
     for row, f in zip(P.rows, P._incidence):
         while f:
@@ -119,22 +117,12 @@ def _frame(P: Polytope) -> Polytope:
             total += steps
         return total
 
-    order = min(permutations(range(n)), key=cost)  # the first of equal costs: ties keep P
-    if order == tuple(range(n)):
-        return P
-    permute = itemgetter(*order)
-    rows = sorted(zip(map(permute, P.rows), P._incidence))
-    moved = sorted((permute(a), b, k) for k, (a, b) in enumerate(P.facet_rows))
-    Q = Polytope(n, P.scale, tuple(row for row, _ in rows), tuple((a, b) for a, b, _ in moved))
-    if n == 4:  # the 4D strips read the incidence: P's, its bits renumbered
-        bits = {k: 1 << new for new, (*_, k) in enumerate(moved)}
-        vars(Q)["_incidence"] = tuple(sum(bit for k, bit in bits.items() if f >> k & 1)
-                                      for _, f in rows)
-    return Q
+    order = min(permutations(range(n)), key=cost)  # the first of equal costs: ties keep P's
+    return None if order == tuple(range(n)) else order
 
 
 class _Kernel:
-    """What counting derives from one polytope, for the counts of one request.
+    """What counting derives from P, its axes in ``order`` (None: P's own), for one request.
 
     Facet <a_i, x> <= b_i/L of P, with p_i/q_i = b_i/L in lowest terms, is
     q_i*<a_i, x> <= m*p_i on mP; ``bounds`` holds the p_i, ``ranges`` the
@@ -163,21 +151,23 @@ class _Kernel:
     band may hold it, closed or strict.
     """
 
-    def __init__(self, P: Polytope) -> None:
+    def __init__(self, P: Polytope, order: Optional[Sequence[int]] = None) -> None:
         self.n, self.scale = P.ambient_dim, P.scale
         L = P.scale
+        turn = itemgetter(*order) if order else tuple  # a normal or a row in the order
         self.bounds, self.weights, self.lines = bounds, weights, lines = [], [], []
         for a, b in P.facet_rows:  # q*a and p for p/q = b/L in lowest terms
+            a = turn(a)  # facet i stays bit i of P._incidence
             g = math.gcd(b, L)
             bounds.append(b // g)
             if g != L:
                 a = [L // g * c for c in a]
             weights.append(a[:-2] or (0,))
             lines.append(a[-2:])
-        self.ranges = [(min(column), max(column)) for column in zip(*P.rows)]
+        self.ranges = turn([(min(column), max(column)) for column in zip(*P.rows)])
         self.nested = all(lo <= 0 <= hi for lo, hi in self.ranges)
         if self.n > 2:
-            rows = P.rows  # sorted: rows[0] and rows[-1] are on the extreme levels
+            rows = sorted(map(turn, P.rows))  # rows[0] and rows[-1] are on the extreme levels
             levels = sorted({row[0] for row in rows})
             self.tips = [(sign, r[0], near, L // math.gcd(L, *r))
                          for sign, r, other, near in ((1, rows[0], rows[1], levels[1]),
@@ -186,7 +176,7 @@ class _Kernel:
             self.tip_counts: dict[tuple[int, bool, int], int] = {}
         if self.n == 4:  # a 2D or 3D count does not compile the 4D decomposition
             from ._strips import strips
-            self.strips = strips(P)
+            self.strips = strips(sorted(zip(map(turn, P.rows), P._incidence)), L)
         elif self.n == 3:
             self.strips = [((0, 1), (0, 1), [(t, 0, L) for t in levels])]
         elif self.n == 2:
@@ -539,7 +529,7 @@ def count_points(P: Polytope, m: int, strict: bool = False,
     m = 0 gives the single point at the origin for the closed count and the
     empty set for the strict one, once its one-cell box is charged.
     """
-    K = _Kernel(_frame(P))
+    K = _Kernel(P, _frame(P))
     _charge(K, budget, (m,))
     return _count(K, m, strict)
 
@@ -557,7 +547,7 @@ def count_vector(P: Polytope, closed: Sequence[int], interior: Sequence[int] = (
                     else len(d) for d in (closed, interior))
     if requested > budget:
         raise BudgetExceeded(f"{requested} counts requested, budget is {budget}")
-    K = _Kernel(_frame(P))
+    K = _Kernel(P, _frame(P))
     _charge(K, budget, closed, interior)
     return [_count(K, m, strict)
             for dilations, strict in ((closed, False), (interior, True)) for m in dilations]

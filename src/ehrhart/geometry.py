@@ -12,8 +12,8 @@ off two facets' tight sets.  The denominator, the vertex ranges and the polar
 dual (vertices and facets swapped, no hull) are read off that form.  Views of
 the rows, cached in the instance ``__dict__`` beside the four fields, give
 ``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs, built on
-first use, and the vertex-facet incidence that counting reads, which a 3D or
-4D hull hands over from its tight sets; :mod:`fractions` is imported only
+first use, and the vertex-facet incidence, which a 3D or 4D hull hands over
+from its tight sets and counting only reads; :mod:`fractions` is imported only
 where a point or a ``Fraction`` view is built.  There is no floating point
 anywhere in this package.  A polygon hull takes hundreds of thousands of
 points, a 3D or 4D one hundreds; the counts suit dimension <= 4, which a
@@ -63,8 +63,8 @@ class Polytope:
     ``facet_rows`` (a, b), each <a, x> <= b / L with a primitive.  Build
     instances with :func:`from_vertices`, which establishes these
     invariants.  ``vertices``, ``facets`` and ``_incidence`` are views, built
-    on first use; :func:`from_ratios` hands a 3D or 4D polytope its
-    ``_incidence`` from the hull's tight sets.
+    on first use; only :func:`from_ratios` writes one, handing a 3D or 4D
+    polytope its ``_incidence`` from the hull's tight sets.
     Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
     The fields and views live in ``__dict__``, so pickling and copying use
     the default protocol, which fills it without calling ``__setattr__``.
@@ -101,8 +101,8 @@ class Polytope:
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
         """Per vertex row, the bitmask of the facet rows through it: bit k for
-        row k, by one scan of the rows against the facets where no hull or
-        frame has handed it over."""
+        row k, by one scan of the rows against the facets where no hull has
+        handed it over."""
         return tuple(sum(1 << k for k, (a, b) in enumerate(self.facet_rows)
                          if sum(map(mul, a, row)) == b) for row in self.rows)
 

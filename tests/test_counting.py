@@ -28,6 +28,7 @@ from ehrhart import (
 )
 from ehrhart import counting
 from ehrhart._catalog import VERTICES
+from ehrhart._strips import strips
 from ehrhart.counting import (
     _Kernel,
     _chamber_count,
@@ -197,9 +198,9 @@ def test_report_counts_each_dilation_once(walks, monkeypatch, build):
     kernels = []
     kernel = counting._Kernel
 
-    def counted_kernel(P):
+    def counted_kernel(P, order=None):
         kernels.append(P)
-        return kernel(P)
+        return kernel(P, order)
 
     monkeypatch.setattr(counting, "_Kernel", counted_kernel)
     report = full_report(build())
@@ -753,8 +754,8 @@ def test_sweep_chain_matches_the_scan_on_every_trapezoid(monkeypatch, fixtures, 
                   for kind in ("lattice", "dual-of-lattice", "rational")]
     polytopes += instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1, "rational")
     for P in polytopes:
-        for Q in {P, counting._frame(P)}:
-            counting._chamber_table(_Kernel(Q))
+        for order in {None, counting._frame(P)}:
+            counting._chamber_table(_Kernel(P, order))
     assert len(polytopes) == 2 + 33 + 16 + 4 and len(calls) > 3000
     assert sum(map(bool, calls)) > 2500  # chains that drop lines
 
@@ -931,7 +932,7 @@ def test_reused_tips_equal_single_counts(theorem_pool, control_pool):
     tipped = 0
     for P in polytopes:
         ms = range(9 if P.ambient_dim == 4 else 25)
-        tipped += bool(_Kernel(counting._frame(P)).tips)
+        tipped += bool(_Kernel(P, counting._frame(P)).tips)
         assert count_vector(P, ms, ms[1:]) == single_counts(P, ms, ms[1:]), P
     assert len(polytopes) == 49 + 6 and tipped >= 25
 
@@ -941,7 +942,7 @@ def test_a_gap_or_a_decreasing_order_only_misses():
     octa3 = catalog()["octa3"]
     P4, = instances(GeneratorConfig(seed=8200, dim=4, coordinate_bound=1), 1, "lattice")
     for P in (octa3, rational_3d(), from_vertices(TIP_CASES["third"][0]), P4):
-        assert _Kernel(counting._frame(P)).tips, P
+        assert _Kernel(P, counting._frame(P)).tips, P
         for closed, interior in (([1, 2, 4, 7, 8, 9], [3, 4, 6, 7]),
                                  (range(9, -1, -1), range(9, 0, -1)),
                                  ([5, 5, 2, 6, 6, 8], [2, 2, 5, 1])):
@@ -1000,54 +1001,60 @@ def frame_draw(name):
     return P
 
 
-def axis_orders(P, Q):
-    """The axis orders that take the vertex rows and facet rows of P to Q's."""
-    return [order for order in itertools.permutations(range(P.ambient_dim))
-            if tuple(sorted(tuple(row[j] for j in order) for row in P.rows)) == Q.rows
-            and tuple(sorted((tuple(a[j] for j in order), b) for a, b in P.facet_rows))
-            == Q.facet_rows]
-
-
 def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
     # Counts walk P in the axis order that the cost model ranks cheapest;
     # the lattice is the same in every order, so the closed and strict
-    # counts equal those walked in the given frame.  The frame is a pure
-    # function of P, keeps its scale and its rows up to the order, and is
-    # P itself once P is in it; a polygon or a segment keeps its own.
+    # counts equal those walked in the given frame.  The order is a pure
+    # function of P, a permutation of its axes, or None when P's own order
+    # ties for cheapest, as it does for P rebuilt in its order, whose kernel
+    # derives what P's does read in the order, up to the order of the
+    # facets; a polygon or a segment keeps its own.
     polytopes = [P for P in [*theorem_pool, *control_pool] if P.ambient_dim == 3]
     polytopes += [P for kind in ("lattice", "dual-of-lattice", "rational") for P in
                   instances(GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 2, kind)]
     moved = 0
     for P in [*polytopes, *map(frame_draw, FRAME_DRAWS)]:
-        Q = counting._frame(P)
-        assert Q.scale == P.scale and axis_orders(P, Q), P
-        assert counting._frame(P) == Q and counting._frame(Q) is Q, P
-        moved += Q is not P
+        order = counting._frame(P)
+        assert counting._frame(P) == order, P
+        if order is not None:
+            assert sorted(order) == list(range(P.ambient_dim)), P
+            rebuilt = from_vertices([[v[j] for j in order] for v in P.vertices])
+            assert counting._frame(rebuilt) is None, P
+            K, R = _Kernel(P, order), _Kernel(rebuilt)
+            assert (K.ranges, K.tips, K.strips) == (R.ranges, R.tips, R.strips), P
+            assert sorted(zip(K.bounds, map(tuple, K.weights), map(tuple, K.lines))) \
+                == sorted(zip(R.bounds, map(tuple, R.weights), map(tuple, R.lines))), P
+            moved += 1
         K, ms = _Kernel(P), range(1, 4 if P.ambient_dim == 4 else 7)
         given = [_count(K, m, strict) for strict in (False, True) for m in ms]
         assert count_vector(P, ms, ms) == given, P
         assert [count_points(P, m, strict) for strict in (False, True) for m in ms] == given, P
     assert moved >= 30
+    for name, order in FRAME_ORDERS.items():
+        assert counting._frame(frame_draw(name)) == order, name
     for P in [P for P in theorem_pool if P.ambient_dim < 3]:
-        assert counting._frame(P) is P
+        assert counting._frame(P) is None
 
 
 def test_a_4d_count_builds_no_incidence(monkeypatch):
-    # A hull hands its polytope the vertex-facet incidence, and a 4D frame
-    # that moves hands the copy P's masks with the bits renumbered, so the
-    # strips of a 4D count read them and no vertex row is scanned against
-    # the facets.  Both equal that scan.
-    def scan(P):
-        return tuple(sum(1 << k for k, (a, b) in enumerate(P.facet_rows)
-                         if sum(map(operator.mul, a, row)) == b) for row in P.rows)
-
+    # A hull hands its polytope the vertex-facet incidence, and a 4D kernel
+    # reads it through the walk's axis order, facets in P's order, so the
+    # strips of a 4D count read P's masks and no vertex row is scanned
+    # against the facets.  Where the order moves, those strips equal the
+    # strips of a scan of P's permuted rows against its permuted facets.
     draws = [instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1, kind)[0]
              for kind in ("lattice", "dual-of-lattice", "rational") for seed in (8104, 8200)]
     draws += [frame_draw(name) for name in FRAME_DRAWS]
-    frames = [counting._frame(P) for P in draws]
-    assert sum(Q is not P for P, Q in zip(draws, frames)) >= 4
-    for Q in frames:
-        assert vars(Q)["_incidence"] == scan(Q), Q
+    orders = [counting._frame(P) for P in draws]
+    assert sum(order is not None for order in orders) >= 4
+    for P, order in zip(draws, orders):
+        if order is not None:
+            turn = operator.itemgetter(*order)
+            facets = sorted((turn(a), b) for a, b in P.facet_rows)
+            scanned = sorted((row, sum(1 << k for k, (a, b) in enumerate(facets)
+                                       if sum(map(operator.mul, a, row)) == b))
+                             for row in map(turn, P.rows))
+            assert _Kernel(P, order).strips == strips(scanned, P.scale), P
 
     class Unscanned:  # no __set__, so masks handed over in __dict__ still win
         def __get__(self, P, owner=None):
@@ -1117,9 +1124,9 @@ def test_reciprocity_makes_one_count_request(monkeypatch):
     kernels = []
 
     class CountedKernel(_Kernel):
-        def __init__(self, P):
+        def __init__(self, P, order=None):
             kernels.append(P)
-            super().__init__(P)
+            super().__init__(P, order)
 
     monkeypatch.setattr(counting, "_Kernel", CountedKernel)
     for name in ("square2", "halfdiamond2", "octa3"):
@@ -1139,6 +1146,10 @@ def test_reciprocity_makes_one_count_request(monkeypatch):
 # one of its 4D extents, or caps the Euclid steps at 3.
 TRAPEZOIDS = {"rational 4D, seed 7": (191, 29), "dual-of-lattice 4D, seed 1": (78, 50),
               "rational 4D, seed 8": (252, 119)}
+# The axis order that the counts choose for each of FRAME_DRAWS.
+FRAME_ORDERS = {"rational 4D, seed 7": (2, 3, 0, 1), "rational 4D, seed 8": (1, 3, 0, 2),
+                "dual-of-lattice 4D, seed 1": (1, 3, 0, 2),
+                "dual-of-lattice 4D, seed 0": (0, 2, 1, 3)}
 
 
 def test_counts_walk_the_table_of_their_frame(monkeypatch):
