@@ -208,7 +208,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     finally:
         _set_digits(digits)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -131,7 +131,7 @@ class _Kernel:
     axes, with the first n-2 fixed to a prefix x, facet i is the line
     A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where ``lines[i]`` =
     (A_i, B_i) and ``weights[i]`` are the last two and the other
-    coefficients of q_i*a_i.
+    coefficients of q_i*a_i; a segment's line is (0, B_i), one column at y = 0.
     In 3D and 4D, ``strips`` is the :func:`ehrhart._strips.strips` of the
     projection of P to the prefix axes, and ``chambers`` the
     :func:`_chamber_table` on them and on the lines, built on the first
@@ -163,7 +163,7 @@ class _Kernel:
             if g != L:
                 a = [L // g * c for c in a]
             weights.append(a[:-2] or (0,))
-            lines.append(a[-2:])
+            lines.append(a[-2:] if len(a) > 1 else (0, *a))
         self.ranges = turn([(min(column), max(column)) for column in zip(*P.rows)])
         self.nested = all(lo <= 0 <= hi for lo, hi in self.ranges)
         if self.n > 2:
@@ -362,18 +362,19 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
 def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] = None,
                    marks: Optional[list[int]] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 3 or 4, and
-    m >= 1 whose box holds a cell and has been charged by :func:`_charge`;
-    with ``window`` = [(l1, c1), (l2, c2)], only those whose padded prefix
-    has l1 <= x1 <= c1 and l2 <= x2 <= c2, a bound of None holding
-    everywhere.  The interior-shift witness holds prefix axes to one layer; a
-    count at the kernel's tips bounds axis 0 of P, padded x2 in 3D and x1 in
-    4D, and has the count so far appended to ``marks`` at the start of each
-    of its units, the trapezoids in 3D and the strips in 4D (:func:`_walk`).
-    Per x1 of the closed (strict: open) box of mP, on the rows of the strip
-    that holds x1/m, the x1 terms are added into the forms; then per section
-    x2 between the strip's bottom and top edges (open for a strict count),
-    on the forms of the trapezoid that holds (x1, x2)/m, two cut divisions
-    and one :func:`_section`."""
+    m >= 0 whose box holds a cell and has been charged by :func:`_charge`;
+    at m = 0 every form is 0, so a closed walk counts 1 if the window holds
+    the origin and a strict one 0.  With ``window`` = [(l1, c1), (l2, c2)],
+    only those whose padded prefix has l1 <= x1 <= c1 and l2 <= x2 <= c2, a
+    bound of None holding everywhere.  The interior-shift witness holds
+    prefix axes to one layer; a count at the kernel's tips bounds axis 0 of
+    P, padded x2 in 3D and x1 in 4D, and has the count so far appended to
+    ``marks`` at the start of each of its units, the trapezoids in 3D and
+    the strips in 4D (:func:`_walk`).  Per x1 of the closed (strict: open)
+    box of mP, on the rows of the strip that holds x1/m, the x1 terms are
+    added into the forms; then per section x2 between the strip's bottom
+    and top edges (open for a strict count), on the forms of the trapezoid
+    that holds (x1, x2)/m, two cut divisions and one :func:`_section`."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
@@ -588,36 +589,27 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     """The least lattice point of int(mP) outside (m-1)P, or None.
 
     (m-1)P lies in int(mP), so the strict count of mP less the closed count
-    of (m-1)P over a prefix slab counts such points there.  Each prefix
-    axis in turn, earlier ones held to their layers and later ones free, is
-    scanned up from the open box's first layer to the first slab where the
-    counts differ.  In the one section found, the first column whose
-    lengths differ holds the witness: the inner column's least point, or
-    the one just above the outer column when both start there.
+    of (m-1)P over a prefix slab (of 0P at m = 1) counts such points there.
+    Each prefix axis in turn, earlier ones held to their layers and later
+    ones free, is scanned up from the open box's first layer to the first
+    slab where the counts differ.  In the one section found (a segment's is
+    one column, at y = 0), the first column whose lengths differ holds the
+    witness: the inner column's least point, or the one just above the
+    outer column when both start there.
     """
-    box = K.box(m)
-    if any(lo > hi for lo, hi in box):
+    if any(lo > hi for lo, hi in K.box(m)):
         return None
-    if K.n == 1:
-        (lo, hi), = K.box(m, True)
-        (olo, ohi), = K.box(m - 1)
-        z = lo if olo > ohi or lo < olo else ohi + 1
-        return (z,) if z <= hi else None
-
-    pad = 4 - K.n  # the prefix axes, padded to (x1, x2) at x1 = 0 in 3D
+    pad = 4 - K.n  # the prefix axes, padded to (x1, x2): x1 = 0 in 3D, none below
     slab: list[Optional[int]] = [None, None]  # per padded prefix axis, its layer once found
     for axis, (lo, hi) in enumerate(K.box(m, True)[:-2], pad):  # witnesses are interior
         for slab[axis] in range(lo, hi + 1):
             window = [(t, t) for t in slab]  # the clipped counts leave K.tip_counts alone
-            outer = (_chamber_count(K, m - 1, False, window) if m > 1
-                     else int(all(t in (0, None) for t in slab)))  # 0P is the origin
-            if _chamber_count(K, m, True, window) != outer:
+            if _chamber_count(K, m, True, window) != _chamber_count(K, m - 1, False, window):
                 break
         else:
             return None
-    prefix = slab[pad:]
-    dots = [sum(w * x for w, x in zip(weights, prefix)) for weights in K.weights]
-    (y0, y1), (z0, z1) = box[-2:]
+    dots = [sum(w * x for w, x in zip(weights, slab[pad:])) for weights in K.weights]
+    *_, (y0, y1), (z0, z1) = (0, 0), *K.box(m)  # a segment's y is 0
 
     def column(M: int, s: int, y: int) -> tuple[int, int]:  # z range of MP, s = 1: int(MP)
         lo, hi = z0, z1
@@ -634,5 +626,5 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     for y in range(y0, y1 + 1):
         (lo, hi), (olo, ohi) = column(m, 1, y), column(m - 1, 0, y)
         if max(hi - lo, -1) != max(ohi - olo, -1):
-            return (*prefix, y, lo if olo > ohi or lo < olo else ohi + 1)
+            return (*slab, y, lo if olo > ohi or lo < olo else ohi + 1)[-K.n:]
     return None

@@ -93,6 +93,49 @@ MUTANTS = (
            (C + "test_framed_counts_match_the_given_frame",
             C + "test_a_4d_count_builds_no_incidence",
             C + "test_counts_walk_the_table_of_their_frame")),
+    # The remainder tables: one per residue (a, B) of a piece's first
+    # Euclid step, keyed there by the piece's length and residue of b.
+    Mutant("remainder table keyed on B alone", "ehrhart/counting.py",
+           "tables.setdefault((a, B), {})", "tables.setdefault(B, {})",
+           (C + "test_a_piece_splits_its_floor_sum_at_the_first_euclid_step",
+            C + "test_chamber_walk_matches_scan_in_4d[lattice]")),
+    Mutant("remainder table keyed on a alone", "ehrhart/counting.py",
+           "tables.setdefault((a, B), {})", "tables.setdefault(a, {})",
+           (C + "test_a_piece_splits_its_floor_sum_at_the_first_euclid_step",
+            C + "test_chamber_walk_matches_scan_in_4d[lattice]",
+            V + "test_reports_stay_byte_identical")),
+    Mutant("remainder keyed on the piece's length alone", "ehrhart/counting.py",
+           "key = n * B + r", "key = n",
+           (C + "test_a_piece_splits_its_floor_sum_at_the_first_euclid_step",)),
+    Mutant("remainder keyed on b mod B alone", "ehrhart/counting.py",
+           "key = n * B + r", "key = r",
+           (C + "test_a_piece_splits_its_floor_sum_at_the_first_euclid_step",
+            V + "test_reports_stay_byte_identical")),
+    # The walk's window, and the tips whose counts set it.
+    Mutant("window lower bound on x1 off by one", "ehrhart/counting.py",
+           "lo = max(lo, l1)", "lo = max(lo, l1 + 1)",
+           (C + "test_clipped_chamber_count_matches_listed_points",
+            C + "test_reused_tips_equal_single_counts")),
+    Mutant("window lower bound on x2 off by one", "ehrhart/counting.py",
+           "                x2 = l2\n", "                x2 = l2 + 1\n",
+           (C + "test_clipped_chamber_count_matches_listed_points",
+            A + "test_criterion_2_theorem_suite")),
+    Mutant("tip on a level that two vertices hold", "ehrhart/counting.py",
+           "if r[0] != other[0] and len(levels) > 2]", "if len(levels) > 2]",
+           (C + "test_reused_tips_equal_single_counts_on_hand_cases[two lowest]",)),
+    Mutant("tip on a polytope of two levels", "ehrhart/counting.py",
+           "if r[0] != other[0] and len(levels) > 2]", "if r[0] != other[0]]",
+           (C + "test_reused_tips_equal_single_counts_on_hand_cases[pyramid]",)),
+    Mutant("chain sweep drops the second of two identical lines", "ehrhart/counting.py",
+           "                if not f:\n                    piece.append(line)\n",
+           "",
+           (C + "test_sweep_chain_hand_cases",
+            C + "test_sweep_chain_matches_the_all_pairs_scan")),
+    # The interior-shift witness compares int(mP) with the closed (m-1)P.
+    Mutant("witness slab scan counts (m-1)P strict", "ehrhart/counting.py",
+           "_chamber_count(K, m - 1, False, window)", "_chamber_count(K, m - 1, True, window)",
+           (C + "test_interior_shift_witness_is_least_listed_difference_deeper",
+            C + "test_the_witness_walks_no_more_sections_than_its_two_counts")),
 )
 
 
@@ -115,7 +158,8 @@ def run(mutant: Mutant, scratch: Path) -> tuple[str, str]:
     if child.returncode > 1:  # 4: a node id was not found; 5: none collected
         last = (child.stderr.strip() or child.stdout.strip()).splitlines()[-1:]
         return "stale", f"pytest exited {child.returncode}: {' '.join(last)}"
-    failed = [line.split()[1] for line in child.stdout.splitlines()
+    # "FAILED <node id> - <message>": a parameter id may hold spaces.
+    failed = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in child.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
     passed = [test for test in mutant.tests
               if not any(case == test or case.startswith(test + "[") for case in failed)]

@@ -261,7 +261,8 @@ def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
     # by raising the strict count of 2P by one.  The row is fatal at m = 2,
     # and its witness comes from clipped counts on a kernel of its own: no
     # count of the request is made again.  The point sets still agree, so
-    # the witness names no point.
+    # the witness names no point: in 3D its slab scan finds no slab, and in
+    # 2D and 1D, one section, its column scan finds no column.
     walks = []
     count = counting._count
 
@@ -278,10 +279,12 @@ def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
 
     monkeypatch.setattr(counting, "_count", counted_count)
     monkeypatch.setattr(verify, "count_vector", poisoned_count_vector)
-    report = full_report(catalog()["octa3"], "octa3")
-    shift, = [c for c in report.checks if c.name == "interior_shift"]
-    assert shift.fatal and shift.witness == {"m": 2, "point": None}
-    assert len(walks) == len(set(walks))
+    for name in ("octa3", "square2", "seg_mhalf_1"):
+        walks.clear()
+        report = full_report(catalog()[name], name)
+        shift, = [c for c in report.checks if c.name == "interior_shift"]
+        assert shift.fatal and shift.witness == {"m": 2, "point": None}, name
+        assert len(walks) == len(set(walks)), name
 
 
 def test_full_report_reads_the_dual_once_and_never_builds_it(monkeypatch):
