@@ -6,18 +6,19 @@ integer rows; and its facets as sorted rows (a, b) with a primitive integer
 normal a, each meaning <a, x> <= b / L.  :func:`from_ratios` builds that form
 in integers, with no linear program and no ``fractions.Fraction``: its hull is
 a segment's two extreme points, a polygon's monotone chain, or in dimensions 3
-and 4 an incremental beneath-beyond hull, whose start simplex takes all its
-facet normals from one set of signed minors and whose horizon ridges are read
-off two facets' tight sets.  The denominator, the vertex ranges and the polar
-dual (vertices and facets swapped, no hull) are read off that form.  Views of
-the rows, cached in the instance ``__dict__`` beside the four fields, give
-``Fraction`` vertices and (normal, bound) ``Fraction`` facet pairs, built on
-first use, and the vertex-facet incidence, which a 3D or 4D hull hands over
-from its tight sets and counting only reads; :mod:`fractions` is imported only
-where a point or a ``Fraction`` view is built.  There is no floating point
-anywhere in this package.  A polygon hull takes hundreds of thousands of
-points, a 3D or 4D one hundreds; the counts suit dimension <= 4, which a
-fixed ambient-dimension cap guards.
+and 4 an incremental beneath-beyond hull, which starts from the first n + 1
+affinely independent points, each start facet's normal the signed minors of
+its own points, and reads its horizon ridges off two facets' tight sets.
+The denominator, the vertex ranges and the polar dual (vertices and facets
+swapped, no hull) are read off that form.  Views of the rows, cached in the
+instance ``__dict__`` beside the four fields, give ``Fraction`` vertices and
+(normal, bound) ``Fraction`` facet pairs, built on first use, and the
+vertex-facet incidence, which a 3D or 4D hull hands over from its tight sets
+and counting only reads; :mod:`fractions` is imported only where a point or a
+``Fraction`` view is built.  There is no floating point anywhere in this
+package.  A polygon hull takes hundreds of thousands of points, a 3D or 4D one
+hundreds; the counts suit dimension <= 4, which a fixed ambient-dimension cap
+guards.
 """
 
 from __future__ import annotations
@@ -228,20 +229,18 @@ def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[
     (a, b, tight): <a, p> <= b for every point p, equality exactly at the
     indices in tight, and a primitive; or None when the points do not span
     R^n.  Beneath-beyond (Seidel 1981) inserts the points in the order
-    given: from a start simplex, each point p joins every facet whose plane
-    holds it, and the facets it sees (v = <a, p> - b > 0) give way to
-    v_u (a_w, b_w) - v_w (a_u, b_u), through p, across each ridge between a
-    seen u and a w with v_w < 0.  The meet of two facets' tight sets is a
-    ridge exactly when n - 1 of its points are affinely independent, as a
-    lower face has fewer, so each ridge is read off the two tight sets alone.
+    given: from the simplex on the first n + 1 affinely independent points,
+    each point p joins every facet whose plane holds it, and the facets it
+    sees (v = <a, p> - b > 0) give way to v_u (a_w, b_w) - v_w (a_u, b_u),
+    through p, across each ridge between a seen u and a w with v_w < 0.
+    The meet of two facets' tight sets is a ridge exactly when n - 1 of its
+    points are affinely independent, as a lower face has fewer, so each
+    ridge is read off the two tight sets alone.
     """
-    start: Sequence[int] = range(n + 1)  # the first points, else the first that span
-    facets = len(points) > n and _simplex(points, start)
-    if not facets:
-        start = _spanning(points, range(len(points)), n + 1)
-        if len(start) <= n:
-            return None
-        facets = _simplex(points, start)
+    start = _spanning(points, range(len(points)), n + 1)
+    if len(start) <= n:
+        return None
+    facets = _simplex(points, start)
     for i, p in enumerate(points):
         if i in start:
             continue
@@ -270,30 +269,22 @@ def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[
     return [(a, b, on) for (a, b), on in facets.items()]
 
 
-def _simplex(points: Sequence[tuple[int, ...]], start: Sequence[int]) -> Optional[dict]:
-    """The facets of the simplex on the n + 1 points at ``start``, as
-    :func:`_beneath_beyond` holds them, or None when the points do not span.
-    With o the first point and d_k = p_k - o, the facet opposite p_k holds
-    o, and the signed maximal minors of the other d_j are normal to it;
-    their inner product with d_k is +-det for every k.  Turned away from
-    p_k, they sum to minus the outer normal of the facet opposite o."""
-    (origin, *others), o = start, points[start[0]]
-    rows = [[c - d for c, d in zip(points[i], o)] for i in others]
-    facets, far = {}, [0] * len(o)
-    for k, row in enumerate(rows):
-        normal = _normal(rows[:k] + rows[k + 1:])
-        det = sum(map(mul, normal, row))
-        if not det:
-            return None
-        if det > 0:
+def _simplex(points: Sequence[tuple[int, ...]], start: Sequence[int]) -> dict:
+    """The facets of the simplex on the n + 1 affinely independent points
+    at ``start``, as :func:`_beneath_beyond` holds them.  The facet opposite
+    each point holds the n others; with q the first of them, the signed
+    maximal minors of their differences from q are normal to it, turned
+    away from the point left out."""
+    facets = {}
+    for k, left in enumerate(start):
+        first, *rest = on = [*start[:k], *start[k + 1:]]
+        q = points[first]
+        normal = _normal([[c - d for c, d in zip(points[i], q)] for i in rest])
+        if sum(map(mul, normal, points[left])) > sum(map(mul, normal, q)):
             normal = [-c for c in normal]
-        far = [x - y for x, y in zip(far, normal)]
         g = math.gcd(*normal)
         a = tuple(c // g for c in normal)
-        facets[a, sum(map(mul, a, o))] = {origin, *others[:k], *others[k + 1:]}
-    g = math.gcd(*far)
-    a = tuple(c // g for c in far)
-    facets[a, sum(map(mul, a, points[others[0]]))] = set(others)
+        facets[a, sum(map(mul, a, q))] = set(on)
     return facets
 
 

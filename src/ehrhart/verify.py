@@ -19,9 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import counting, quasipoly
 from .counting import DEFAULT_BUDGET, count_vector
-from .errors import OriginNotInterior
-from .geometry import (Polytope, denominator, dual_denominator, has_lattice_dual,
-                       origin_interior)
+from .geometry import Polytope, denominator, dual_denominator, has_lattice_dual
 from .quasipoly import ResidueDeltaTable, delta_vector
 
 
@@ -172,14 +170,12 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     a kernel of its own.  Reciprocity and the theorem row read the fitted
     table, the other rows and ``delta`` the series route, and the
     equivalence row compares the two.  Raises, before any count,
-    ``ValueError`` when m_max < 1 and ``OriginNotInterior`` when the
-    origin is not strictly inside ``P``, as the polar dual and the interior
-    shift need it there.
+    ``ValueError`` when m_max < 1 and, from :func:`has_lattice_dual`,
+    ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
+    the polar dual and the interior shift need it there.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    if not origin_interior(P):
-        raise OriginNotInterior("a report needs the origin strictly inside")
     n, k, dual_lattice = P.ambient_dim, denominator(P), has_lattice_dual(P)
     # The interior shift compares the strict count of mP with the closed
     # count of (m-1)P, m = 1..m_max, which may run past k(n+1).

@@ -19,6 +19,11 @@ def dilate(P, m):
     return from_vertices([[m * c for c in v] for v in P.vertices])
 
 
+def segment(a, b):
+    """The segment [a, b] in R^1."""
+    return from_vertices([(a,), (b,)])
+
+
 def build_theorem_pool():
     pool = []
     for dim, count, bound in THEOREM_POOL_SPEC:

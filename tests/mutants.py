@@ -43,8 +43,9 @@ class Mutant(NamedTuple):
     survives: Optional[str] = None  # why the mutant is known to survive
 
 
-# Node-id prefixes of the three test modules that the table names.
+# Node-id prefixes of the four test modules that the table names.
 C, A, V = "tests/test_counting.py::", "tests/test_acceptance.py::", "tests/test_verify.py::"
+G = "tests/test_geometry.py::"
 MUTANTS = (
     # The five mutants of ROADMAP item 29, one from each of PRs 37-40 and
     # item 20's L(m) + 1.
@@ -136,6 +137,25 @@ MUTANTS = (
            "_chamber_count(K, m - 1, False, window)", "_chamber_count(K, m - 1, True, window)",
            (C + "test_interior_shift_witness_is_least_listed_difference_deeper",
             C + "test_the_witness_walks_no_more_sections_than_its_two_counts")),
+    # The 3D/4D hull's start: the first n + 1 affinely independent points,
+    # each facet turned away from the start point it leaves out.
+    Mutant("start facets turned towards the point left out", "ehrhart/geometry.py",
+           "if sum(map(mul, normal, points[left])) > sum(map(mul, normal, q)):",
+           "if sum(map(mul, normal, points[left])) < sum(map(mul, normal, q)):",
+           (G + "test_hulls_stay_byte_identical",
+            G + "test_from_vertices_matches_oracle_on_hand_cases",
+            G + "test_insertion_matches_oracle")),
+    Mutant("start facets turned away on a tie as well", "ehrhart/geometry.py",
+           "if sum(map(mul, normal, points[left])) > sum(map(mul, normal, q)):",
+           "if sum(map(mul, normal, points[left])) >= sum(map(mul, normal, q)):",
+           (G + "test_hulls_stay_byte_identical",),
+           "the point left out is off the plane of an independent simplex's other "
+           "points, so the two sides never tie"),
+    Mutant("start takes a dependent point", "ehrhart/geometry.py",
+           "        if any(v):\n", "        if True:\n",
+           (G + "test_hulls_stay_byte_identical",
+            G + "test_insertion_matches_oracle[dependent-start]",
+            G + "test_flat_clouds_are_dimension_deficient")),
 )
 
 

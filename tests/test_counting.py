@@ -40,7 +40,7 @@ from ehrhart.counting import (
     interior_shift_mismatch,
 )
 from ehrhart.geometry import Polytope, dual_denominator
-from conftest import dilate
+from conftest import dilate, segment
 from chain_oracle import real_chain
 from listing_oracle import contains, lattice_points
 import scan_oracle
@@ -57,10 +57,6 @@ def section_count(lines, y0, y1):
     every line (A, B, C)."""
     return _section_count(_section_plan([(A, B) for A, B, _ in lines]),
                           [C for _, _, C in lines], y0, y1)
-
-
-def segment(a, b):
-    return from_vertices([(a,), (b,)])
 
 
 def box_polytope(*intervals):

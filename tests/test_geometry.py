@@ -29,13 +29,9 @@ from ehrhart import (
     polytope_to_json_dict,
 )
 from ehrhart.geometry import _beneath_beyond, _hull, dual_denominator, vertex_ranges
-from conftest import THEOREM_POOL_SPEC, dilate
+from conftest import THEOREM_POOL_SPEC, dilate, segment
 from hull_oracle import affine_rank, in_convex_hull, oracle_hull, primitive
 from listing_oracle import contains
-
-
-def segment(a, b):
-    return from_vertices([(a,), (b,)])
 
 
 def facet_set(P):

@@ -19,10 +19,7 @@ from ehrhart import (
     instances,
 )
 from ehrhart.quasipoly import series_counts
-
-
-def segment(a, b):
-    return from_vertices([(a,), (b,)])
+from conftest import segment
 
 
 # ---------------------------------------------------------------- binomial

@@ -30,10 +30,7 @@ from ehrhart import (
     report_to_json_dict,
 )
 from ehrhart import counting, geometry, verify
-
-
-def segment(a, b):
-    return from_vertices([(a,), (b,)])
+from conftest import segment
 
 
 # ------------------------------------------------------------- reciprocity
