@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ._catalog import VERTICES
-from .counting import DEFAULT_BUDGET
+from .counting import DEFAULT_BUDGET, count_vector
 from .errors import EhrhartError
 from .geometry import Polytope, denominator, dual, is_lattice, origin_interior
 from .serialization import load_polytope, polytope_from_json_dict, polytope_to_json_dict
@@ -82,7 +82,6 @@ def _yes_no(value: object) -> object:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from .counting import count_vector
     name, P = _resolve_input(args.input)
     closed, interior = count_vector(P, (args.m,), (args.m,), args.budget)
     doc = {"polytope": name, "m": args.m,

@@ -38,11 +38,11 @@ at a tip of axis 0, a vertex v alone on its lowest (or highest) level: up
 to the next vertex level, P equals v + T_v, the vertex figure of Brion's
 theorem (Brion 1988; Beck-Robins, ch. 9), so for the least d >= 1 with
 d*v integral, the points of mP in that band are those of (m-d)P in its
-band shifted by d*v, and the count's window on axis 0 skips all but the
-band's last layers.  All that does not depend on m is derived from the
-integer rows of P into one kernel, which each request builds for itself
-and drops when it returns, remainder tables and tip counts included:
-nothing is kept between calls.
+band shifted by d*v, and the count's own window on axis 0 skips all but
+the band's last layers.  All that does not depend on m is derived from
+the integer rows of P into one kernel, which each request builds for
+itself and drops when it returns, remainder tables and tip counts
+included: nothing is kept between calls.
 
 A delta-vector or a report asks for all its counts, closed and strict, in
 one request, :func:`count_vector`, on one kernel.  It is refused before
@@ -145,10 +145,10 @@ class _Kernel:
     and d = L / gcd(L, *r).  Up to near/L, P is its tangent cone at r/L
     (Brion 1988).  ``tip_counts`` keeps, by (sign, strict, m), the points of
     mP (strict: of its interior) in the band L*x0 <= m*near at the bottom
-    or L*x0 > m*near at the top, for m + d, two at most per count.  The
-    bands are the first and last units of the walk, which gives each inner
-    level to the unit below; an inner level bounds no facet, so the bottom
-    band may hold it, closed or strict.
+    or L*x0 > m*near at the top, for m + d, two at most per unclipped
+    :func:`_chamber_count`.  The bands are the first and last units of the
+    walk, which gives each inner level to the unit below; an inner level
+    bounds no facet, so the bottom band may hold it, closed or strict.
     """
 
     def __init__(self, P: Polytope, order: Optional[Sequence[int]] = None) -> None:
@@ -359,36 +359,46 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     return table
 
 
-def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] = None,
-                   marks: Optional[list[int]] = None) -> int:
+def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] = None) -> int:
     """Lattice points of mP (strict: of its interior) for n = 3 or 4, and
     m >= 0 whose box holds a cell and has been charged by :func:`_charge`;
     at m = 0 every form is 0, so a closed walk counts 1 if the window holds
     the origin and a strict one 0.  With ``window`` = [(l1, c1), (l2, c2)],
     only those whose padded prefix has l1 <= x1 <= c1 and l2 <= x2 <= c2, a
-    bound of None holding everywhere.  The interior-shift witness holds
-    prefix axes to one layer; a count at the kernel's tips bounds axis 0 of
-    P, padded x2 in 3D and x1 in 4D, and has the count so far appended to
-    ``marks`` at the start of each of its units, the trapezoids in 3D and
-    the strips in 4D (:func:`_walk`).  Per x1 of the closed (strict: open)
-    box of mP, on the rows of the strip that holds x1/m, the x1 terms are
-    added into the forms; then per section x2 between the strip's bottom
-    and top edges (open for a strict count), on the forms of the trapezoid
-    that holds (x1, x2)/m, two cut divisions and one :func:`_section`."""
+    bound of None holding everywhere, as the interior-shift witness holds
+    prefix axes to one layer, and no tip count is read or kept.  Without
+    one, a band whose tip count at m - d the request holds adds it, as the
+    points of (m-d)P there shifted by d*r/L, and bounds axis 0 of P (padded
+    x2 in 3D, x1 in 4D) to L*x0 > (m-d)*near + d*t at the bottom (< at the
+    top); the bands' counts at m are read off the count so far at the start
+    of each unit, the trapezoids in 3D and the strips in 4D.  Per x1 of the
+    closed (strict: open) box of mP, on the rows of the strip that holds
+    x1/m, the x1 terms are added into the forms; then per section x2
+    between the strip's bottom and top edges (open for a strict count), on
+    the forms of the trapezoid that holds (x1, x2)/m, two cut divisions and
+    one :func:`_section`."""
     if K.chambers is None:
         K.chambers = _chamber_table(K)
+    tips = () if window else K.tips
+    window = window or [[None, None], [None, None]]
+    before = []  # per tip, its band's count at m - d, or 0
+    for sign, t, near, d in tips:
+        count = K.tip_counts.get((sign, strict, m - d))
+        if count is not None:
+            window[4 - K.n][sign < 0] = ((m - d) * near + d * t) // K.scale + (sign > 0)
+        before.append(count or 0)
+    (l1, c1), (l2, c2) = window
     lo, hi = K.box(m, strict)[0] if K.n == 4 else (0, 0)
-    (l1, c1), (l2, c2) = window or ((None, None), (None, None))
     if c1 is not None:
         hi = min(hi, c1)
     if l1 is not None:
         lo = max(lo, l1)
-    strip_marks, row_marks = (marks, None) if K.n == 4 else (None, marks)
+    marks = []  # the count so far at the start of each unit
     s = int(strict)
     total = 0
     for un, ud, lp, lq, ld, hp, hq, hd, rows in K.chambers:
-        if strip_marks is not None:
-            strip_marks.append(total)
+        if K.n == 4:
+            marks.append(total)
         last = min(hi, m * un // ud)  # the last x1 with x1/m in the strip
         for x1 in range(lo, last + 1):
             x2 = -((-m * lp - lq * x1 - s) // ld)
@@ -398,8 +408,8 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] 
             if l2 is not None and x2 < l2:
                 x2 = l2
             for ep, eq, ed, tp, tv, tw, td, bp, bv, bw, bd, chains, x1s in rows:
-                if row_marks is not None:
-                    row_marks.append(total)
+                if K.n == 3:
+                    marks.append(total)
                 stop = (m * ep + eq * x1) // ed  # the last x2 in the trapezoid
                 if stop > top:
                     stop = top
@@ -424,7 +434,9 @@ def _chamber_count(K: _Kernel, m: int, strict: bool, window: Optional[Sequence] 
                         total += _section(chains, M, s, x, y0, y1)
                 x2 = stop + 1
         lo = max(lo, last + 1)  # a strip below the window leaves lo at its low end
-    return total
+    for (sign, *_), count in zip(tips, before):  # the bands are the first and last units
+        K.tip_counts[sign, strict, m] = count + (marks[1] if sign > 0 else total - marks[-1])
+    return total + sum(before)
 
 
 def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1: int) -> int:
@@ -463,35 +475,6 @@ def _section(chains: Sequence[list[tuple]], M: int, s: int, x: int, y0: int, y1:
     return total
 
 
-def _polygon_count(K: _Kernel, m: int, strict: bool) -> int:
-    """Lattice points of mP (strict: of its interior) for n = 2 and m >= 1:
-    the one section at x = 0, over the closed (strict: open) box of mP on axis 0."""
-    (lo, hi), s, L = K.ranges[0], int(strict), K.scale
-    return _section(K.chains, m, s, 0, -((-m * lo - s) // L), (m * hi - s) // L)
-
-
-def _walk(K: _Kernel, m: int, strict: bool) -> int:
-    """The count of :func:`_chamber_count`, in one walk that keeps the tip
-    counts at m: a band whose tip count at m - d the request holds adds it,
-    as the points of (m-d)P there shifted by d*r/L, and is walked only past
-    them, its window on axis 0 kept to L*x0 > (m-d)*near + d*t at the
-    bottom (< at the top)."""
-    tips = K.tips
-    if not tips:
-        return _chamber_count(K, m, strict)
-    L, kept, axis = K.scale, K.tip_counts, 4 - K.n
-    window, marks, before = [[None, None], [None, None]], [], []
-    for sign, t, near, d in tips:
-        count = kept.get((sign, strict, m - d))
-        if count is not None:
-            window[axis][sign < 0] = ((m - d) * near + d * t) // L + (sign > 0)
-        before.append(count or 0)
-    total = _chamber_count(K, m, strict, window, marks)
-    for (sign, *_), count in zip(tips, before):  # the bands are the first and last units
-        kept[sign, strict, m] = count + (marks[1] if sign > 0 else total - marks[-1])
-    return total + sum(before)
-
-
 def _charge(K: _Kernel, budget: int, *requests: Sequence[int]) -> None:
     """Refuses a request before its first count, at the first m of the
     ``requests`` in order that is negative (``ValueError``) or whose box of
@@ -512,15 +495,17 @@ def _charge(K: _Kernel, budget: int, *requests: Sequence[int]) -> None:
 
 
 def _count(K: _Kernel, m: int, strict: bool) -> int:
-    """Lattice points of mP (strict: of its interior), m cleared by :func:`_charge`."""
-    if K.n == 1:  # the box of a segment is its lattice points
-        (lo, hi), = K.box(m, strict)
-        return max(0, hi - lo + 1)
+    """Lattice points of mP (strict: of its interior), m cleared by :func:`_charge`:
+    a segment's closed (strict: open) box, or a polygon's one section over it on axis 0."""
     if not m:  # 0P is the origin, and its interior is empty
         return int(not strict)
     if not K.nested and any(lo > hi for lo, hi in K.box(m)):  # an empty box holds no point
         return 0
-    return (_polygon_count if K.n == 2 else _walk)(K, m, strict)
+    if K.n > 2:
+        return _chamber_count(K, m, strict)
+    (lo, hi), s, L = K.ranges[0], int(strict), K.scale  # as K.box(m, strict)[0]
+    lo, hi = -((-m * lo - s) // L), (m * hi - s) // L
+    return _section(K.chains, m, s, 0, lo, hi) if K.n == 2 else max(0, hi - lo + 1)
 
 
 def count_points(P: Polytope, m: int, strict: bool = False,

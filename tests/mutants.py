@@ -4,20 +4,24 @@ tier-1 tests that must catch it.
     python tests/mutants.py
 
 For each mutant, copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a fresh temporary directory, replaces the mutant's
-old text, which must occur exactly once in its module, by the new text,
-and runs the mutant's tests there in a child pytest.  One line per mutant:
+``pyproject.toml`` into a fresh temporary directory, makes the mutant's
+edits there, each replacing an old text that must occur exactly once in
+its module by a new text, and runs the mutant's tests in a child pytest,
+for at most ``TIMEOUT`` seconds.  One line per mutant:
 
 - ``caught``: every named test failed or errored (a test function named
   without a parameter id fails when one of its cases does);
 - ``survived``: some named test passed (they are listed); an entry with a
   reason is known to survive, for that reason;
-- ``stale``: the old text is not in its module exactly once, or a named
+- ``stale``: an old text is not in its module exactly once, or a named
   test was not found, so the entry must be rewritten with the code.  A
-  mutant that stops a test module from importing shows as stale too.
+  mutant that stops a test module from importing shows as stale too;
+- ``timed out``: the child pytest ran past ``TIMEOUT`` and was killed, as
+  a mutant that never ends a loop would; it is never counted as caught.
 
-Exits 1 if a mutant without a reason survives or any entry is stale, else
-0.  Nothing is written outside the temporary directory, which is removed.
+Exits 1 if a mutant without a reason survives, any entry is stale or any
+child timed out, else 0.  Nothing is written outside the temporary
+directory, which is removed.
 """
 
 from __future__ import annotations
@@ -29,18 +33,28 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Seconds a mutant's child pytest may run, well above the slowest row's 5 s.
+TIMEOUT = 120
 
 
 class Mutant(NamedTuple):
     name: str
     module: str  # a path under src/
-    old: str
-    new: str
+    old: Union[str, tuple[str, ...]]  # one text, or one per edit
+    new: Union[str, tuple[str, ...]]  # its replacement, or one per edit
     tests: tuple[str, ...]  # pytest node ids, from the repository root
     survives: Optional[str] = None  # why the mutant is known to survive
+
+    @property
+    def edits(self) -> list[tuple[str, str]]:
+        """The (old, new) text of each edit, in order."""
+        if isinstance(self.old, str):
+            return [(self.old, self.new)]
+        return list(zip(self.old, self.new, strict=True))
 
 
 # Node-id prefixes of the four test modules that the table names.
@@ -60,7 +74,7 @@ MUTANTS = (
             C + "test_a_gap_or_a_decreasing_order_only_misses",
             C + "test_reused_tips_equal_single_counts")),
     Mutant("tip window bound off by one", "ehrhart/counting.py",
-           "// L + (sign > 0)", "// L + (sign > 0) + 1",
+           "// K.scale + (sign > 0)", "// K.scale + (sign > 0) + 1",
            (C + "test_reused_tips_equal_single_counts_on_hand_cases[half]",
             C + "test_a_gap_or_a_decreasing_order_only_misses")),
     Mutant("chain clip keeps pieces of length 0", "ehrhart/counting.py",
@@ -73,8 +87,10 @@ MUTANTS = (
            "the piece it keeps under the new one has length 0, and the clip drops it, "
            "so every chain is the same"),
     Mutant("every count L(m) + 1", "ehrhart/counting.py",
-           "return (_polygon_count if K.n == 2 else _walk)(K, m, strict)",
-           "return (_polygon_count if K.n == 2 else _walk)(K, m, strict) + 1",
+           ("return _chamber_count(K, m, strict)\n",
+            "return _section(K.chains, m, s, 0, lo, hi) if"),
+           ("return _chamber_count(K, m, strict) + 1\n",
+            "return _section(K.chains, m, s, 0, lo, hi) + 1 if"),
            (A + "test_criterion_1_fixture_delta_vectors",
             C + "test_square_counts_match_closed_form",
             C + "test_chamber_walk_hand_cases[cube4]")),
@@ -132,7 +148,21 @@ MUTANTS = (
            "",
            (C + "test_sweep_chain_hand_cases",
             C + "test_sweep_chain_matches_the_all_pairs_scan")),
-    # The interior-shift witness compares int(mP) with the closed (m-1)P.
+    # Closed and strict counts keep their tip counts apart.
+    Mutant("closed and strict counts share one tip table", "ehrhart/counting.py",
+           ("K.tip_counts.get((sign, strict, m - d))", "K.tip_counts[sign, strict, m]"),
+           ("K.tip_counts.get((sign, m - d))", "K.tip_counts[sign, m]"),
+           (C + "test_reused_tips_equal_single_counts_on_hand_cases[half]",
+            C + "test_a_gap_or_a_decreasing_order_only_misses")),
+    # The interior-shift witness compares int(mP) with the closed (m-1)P,
+    # in clipped counts that neither read nor keep a tip count; the search
+    # over every m of a report runs on one kernel, which holds tip counts.
+    Mutant("clipped counts use the tips", "ehrhart/counting.py",
+           "tips = () if window else K.tips", "tips = K.tips",
+           (C + "test_the_witness_neither_reads_nor_writes_the_tip_counts[3]",
+            C + "test_the_witness_neither_reads_nor_writes_the_tip_counts[4]",
+            C + "test_interior_shift_search_builds_one_chamber_table",
+            C + "test_clipped_chamber_count_matches_listed_points")),
     Mutant("witness slab scan counts (m-1)P strict", "ehrhart/counting.py",
            "_chamber_count(K, m - 1, False, window)", "_chamber_count(K, m - 1, True, window)",
            (C + "test_interior_shift_witness_is_least_listed_difference_deeper",
@@ -168,13 +198,18 @@ def run(mutant: Mutant, scratch: Path) -> tuple[str, str]:
     shutil.copy(ROOT / "pyproject.toml", tree)
     path = tree / "src" / mutant.module
     text = path.read_text()
-    if text.count(mutant.old) != 1:
-        return "stale", f"old text occurs {text.count(mutant.old)} times in {mutant.module}"
-    path.write_text(text.replace(mutant.old, mutant.new))
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            return "stale", f"old text {old!r} occurs {text.count(old)} times in {mutant.module}"
+        text = text.replace(old, new)
+    path.write_text(text)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
-        cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant.tests], cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timed out", f"killed after {TIMEOUT} s"
     if child.returncode > 1:  # 4: a node id was not found; 5: none collected
         last = (child.stderr.strip() or child.stdout.strip()).splitlines()[-1:]
         return "stale", f"pytest exited {child.returncode}: {' '.join(last)}"
@@ -195,9 +230,9 @@ def main() -> int:
         for mutant in MUTANTS:
             start = time.perf_counter()
             outcome, note = run(mutant, Path(scratch))
-            print(f"{outcome:8}  {mutant.name}  ({note}; {time.perf_counter() - start:.1f} s)",
+            print(f"{outcome:9}  {mutant.name}  ({note}; {time.perf_counter() - start:.1f} s)",
                   flush=True)
-            bad += outcome == "stale" or outcome == "survived" and not mutant.survives
+            bad += outcome != "caught" and not (outcome == "survived" and mutant.survives)
     return int(bad > 0)
 
 

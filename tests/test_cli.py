@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ehrhart
 from ehrhart import catalog, dumps_polytope
 from ehrhart.cli import build_parser, main
+import ehrhart.cli as cli_module
 import ehrhart.counting as counting_module
 import ehrhart.quasipoly as quasipoly_module
 import ehrhart.verify as verify_module
@@ -221,7 +222,7 @@ def test_unexpected_error_exit_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(counting_module, "count_vector", broken)
+    monkeypatch.setattr(cli_module, "count_vector", broken)
     code, out, err = run(capsys, "count", "square2", "--m", "2")
     assert code == 3
     assert out == ""

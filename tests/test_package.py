@@ -294,16 +294,19 @@ def test_no_private_helper_is_left_unread():
 
 
 def test_each_mutant_names_one_text_of_src_and_tests_that_exist():
-    # tests/mutants.py replaces each mutant's old text where it occurs
-    # exactly once in its module, so an edit of src that rewrites a mutated
-    # line must rewrite the table's entry too; each named test must exist.
+    # tests/mutants.py replaces the old text of each of a mutant's edits
+    # where it occurs exactly once in its module, so an edit of src that
+    # rewrites a mutated line must rewrite the table's entry too; each named
+    # test must exist.
     from pathlib import Path
 
     from mutants import MUTANTS
 
     root = Path(__file__).parent.parent
     for mutant in MUTANTS:
-        assert (root / "src" / mutant.module).read_text().count(mutant.old) == 1, mutant.name
+        text = (root / "src" / mutant.module).read_text()
+        for old, _ in mutant.edits:
+            assert text.count(old) == 1, (mutant.name, old)
         for test in mutant.tests:
             path, _, name = test.partition("::")
             assert f"\ndef {name.split('[')[0]}(" in (root / path).read_text(), test
