@@ -16,7 +16,7 @@ from importlib import import_module
 # Public name -> the submodule that defines it; each submodule is also a
 # public name, mapped to itself.
 _EXPORTS = {name: module for module, names in {
-    "counting": "count_points interior_shift_mismatch",
+    "counting": "count_points find_interior_shift_violation interior_shift_mismatch",
     "errors": "AmbientDimensionCap BudgetExceeded DimensionDeficient "
               "DimensionMismatch EhrhartError EmptyInput GenerationExhausted "
               "OriginNotInterior ParseError",
@@ -29,8 +29,7 @@ _EXPORTS = {name: module for module, names in {
                      "polytope_from_json_dict polytope_to_json_dict",
     "verify": "CheckResult VerificationReport check_characterization "
               "check_equivalence check_palindrome check_reciprocity check_theorem "
-              "find_interior_shift_violation full_report render_text "
-              "report_to_json_dict",
+              "full_report render_text report_to_json_dict",
 }.items() for name in (module, *names.split())}
 
 __all__ = sorted(_EXPORTS)

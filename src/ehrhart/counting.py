@@ -53,10 +53,10 @@ over ``budget`` cells (none in 1D), read off one box when the boxes nest.
 
 Counts are the same in every order of the axes, but the walk's work is
 not: a 3D or 4D count reads P, row by row, in the axis order that
-:func:`_frame`'s cost model ranks cheapest.  The interior shift is decided
-by counts too, m by m on one kernel (:func:`_first_shift`); only on a
-mismatch is a witness sought, by one scan of the prefix slabs in order, in
-the caller's frame, as its "least" point depends on the order of the axes.
+:func:`_frame`'s cost model ranks cheapest.  The interior shift's search
+and single-m check count m by m on one kernel (:func:`_first_shift`); on
+a mismatch, theirs or a report's, :func:`shift_witness` scans the prefix
+slabs in order, in P's own frame, as its "least" depends on the axis order.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
-from .geometry import Polytope, origin_interior
+from .geometry import Polytope, dual_denominator, origin_interior
 
 #: Maximum number of bounding-box cells a count may touch, and of counts a
 #: vector request may hold.
@@ -551,27 +551,37 @@ def interior_shift_mismatch(P: Polytope, m: int,
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    if not origin_interior(P):
+        raise OriginNotInterior("the interior shift needs the origin strictly inside")
     found = _first_shift(P, (m,), budget)
     return None if found is None else found[1]
 
 
+def find_interior_shift_violation(P: Polytope) -> Optional[tuple[int, IntPoint]]:
+    """Smallest dilation where interior(mP) and (m-1)P disagree on points,
+    as (m, witness point), or None up to m = denominator(dual) + n, by when
+    a polytope whose dual is not a lattice polytope shows a violation.
+    Requires the origin strictly inside P, as :func:`dual_denominator` does.
+    """
+    return _first_shift(P, range(1, dual_denominator(P) + P.ambient_dim + 1))
+
+
 def _first_shift(P: Polytope, dilations: Sequence[int],
                  budget: int = DEFAULT_BUDGET) -> Optional[tuple[int, IntPoint]]:
-    """(m, :func:`_shift_witness`) at the first m >= 1 of ``dilations`` whose
-    int(mP) and (m-1)P differ in count, or None, on one kernel of P in the
-    caller's frame, each m charged with m - 1 before its counts."""
-    if not origin_interior(P):
-        raise OriginNotInterior("the interior shift needs the origin strictly inside")
+    """(m, :func:`shift_witness`) at the first m >= 1 of ``dilations`` whose
+    int(mP) and (m-1)P differ in count, or None, on one kernel of P in its
+    own frame, each m charged with m - 1 before its counts."""
     K = _Kernel(P)
     for m in dilations:
         _charge(K, budget, (m, m - 1))
         if _count(K, m, True) != _count(K, m - 1, False):
-            return m, _shift_witness(K, m)
+            return m, shift_witness(P, m, K)
     return None
 
 
-def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
-    """The least lattice point of int(mP) outside (m-1)P, or None.
+def shift_witness(P: Polytope, m: int, K: Optional[_Kernel] = None) -> Optional[IntPoint]:
+    """The least lattice point of int(mP) outside (m-1)P, or None, on ``K``,
+    a kernel of P in P's own axis order, built here unless given.
 
     (m-1)P lies in int(mP), so the strict count of mP less the closed count
     of (m-1)P over a prefix slab (of 0P at m = 1) counts such points there.
@@ -582,6 +592,7 @@ def _shift_witness(K: _Kernel, m: int) -> Optional[IntPoint]:
     witness: the inner column's least point, or the one just above the
     outer column when both start there.
     """
+    K = _Kernel(P) if K is None else K
     if any(lo > hi for lo, hi in K.box(m)):
         return None
     pad = 4 - K.n  # the prefix axes, padded to (x1, x2): x1 = 0 in 3D, none below

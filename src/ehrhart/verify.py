@@ -8,18 +8,19 @@ report is FATAL exactly when a check fails that a correct implementation
 can never fail: reciprocity, the fitted table against the series
 delta-vector, and non-negativity, for any polytope, and, for a polytope
 with a lattice polar dual, the residue-table symmetry, the palindrome
-check, the interior shift, or the characterization.  The flag exists so that downstream
-tooling treats such an outcome as a build-stopping inconsistency instead
-of an ordinary failed property, whose row still carries its witness.
+check, the interior shift, or the characterization.  The flag exists so
+that downstream tooling treats such an outcome as a build-stopping
+inconsistency instead of an ordinary failed property, whose row still
+carries its witness.  :mod:`ehrhart.counting` decides the interior shift.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from . import counting, quasipoly
-from .counting import DEFAULT_BUDGET, count_vector
-from .geometry import Polytope, denominator, dual_denominator, has_lattice_dual
+from . import quasipoly
+from .counting import DEFAULT_BUDGET, count_vector, shift_witness
+from .geometry import Polytope, denominator, has_lattice_dual
 from .quasipoly import ResidueDeltaTable, delta_vector
 
 
@@ -147,18 +148,6 @@ def check_non_negativity(d: Sequence[int]) -> CheckResult:
     return CheckResult("non_negativity", True)
 
 
-def find_interior_shift_violation(P: Polytope) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Smallest dilation where interior(mP) and (m-1)P disagree on points.
-
-    For a polytope whose dual is not a lattice polytope a violation shows
-    up by m <= denominator(dual) + n, the limit of the search; returns
-    (m, witness point), or None if no violation exists up to it.  Requires
-    the origin strictly inside P; it is the search of
-    :func:`interior_shift_mismatch` on one kernel of P, over every m up to it.
-    """
-    return counting._first_shift(P, range(1, dual_denominator(P) + P.ambient_dim + 1))
-
-
 def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
                 budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every check on one polytope and aggregate the outcomes.
@@ -166,13 +155,13 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     All counts are one request on one kernel: the closed L(0..k(n+1)-1) of
     both delta-vector routes, run on to L(m_max - 1) for the interior shift
     when the dual is a lattice polytope, then the strict counts of mP for
-    m = 1..m_max; a mismatch of the interior shift takes its witness from
-    a kernel of its own.  Reciprocity and the theorem row read the fitted
-    table, the other rows and ``delta`` the series route, and the
-    equivalence row compares the two.  Raises, before any count,
-    ``ValueError`` when m_max < 1 and, from :func:`has_lattice_dual`,
-    ``OriginNotInterior`` when the origin is not strictly inside ``P``, as
-    the polar dual and the interior shift need it there.
+    m = 1..m_max; an interior-shift mismatch takes its witness from
+    :func:`~ehrhart.counting.shift_witness`, on a kernel of its own.
+    Reciprocity and the theorem row read the fitted table, the other rows
+    and ``delta`` the series route, and the equivalence row compares the
+    two.  Raises, before any count, ``ValueError`` when m_max < 1 and,
+    from :func:`has_lattice_dual`, ``OriginNotInterior`` unless the origin
+    is strictly inside ``P``, as the polar dual and the shift need it there.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
@@ -190,8 +179,7 @@ def full_report(P: Polytope, polytope_id: str = "polytope", m_max: int = 6,
     if dual_lattice:
         m = next((m for m, (a, b) in enumerate(zip(interior, closed), 1) if a != b), None)
         checks.append(CheckResult("interior_shift", True) if m is None else
-                      CheckResult("interior_shift", False, {
-                          "m": m, "point": counting._shift_witness(counting._Kernel(P), m)}))
+                      CheckResult("interior_shift", False, {"m": m, "point": shift_witness(P, m)}))
     checks += [check_theorem(qp), palindrome, check_equivalence(qp, d),
                check_non_negativity(d), _characterization(dual_lattice, palindrome.passed)]
 

@@ -167,6 +167,14 @@ MUTANTS = (
            "_chamber_count(K, m - 1, False, window)", "_chamber_count(K, m - 1, True, window)",
            (C + "test_interior_shift_witness_is_least_listed_difference_deeper",
             C + "test_the_witness_walks_no_more_sections_than_its_two_counts")),
+    # A report's witness is sought on a kernel in P's own axis order, and
+    # the search hands the witness the kernel, and the table, of its counts.
+    Mutant("report's witness kernel in the walk's frame", "ehrhart/counting.py",
+           "K = _Kernel(P) if K is None else K", "K = _Kernel(P, _frame(P)) if K is None else K",
+           (V + "test_full_report_names_the_least_shift_witness_in_p_s_own_frame",)),
+    Mutant("search's witness builds a kernel of its own", "ehrhart/counting.py",
+           "return m, shift_witness(P, m, K)", "return m, shift_witness(P, m)",
+           (C + "test_interior_shift_search_builds_one_chamber_table",)),
     # The 3D/4D hull's start: the first n + 1 affinely independent points,
     # each facet turned away from the start point it leaves out.
     Mutant("start facets turned towards the point left out", "ehrhart/geometry.py",

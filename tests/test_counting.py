@@ -978,7 +978,7 @@ def test_the_witness_neither_reads_nor_writes_the_tip_counts(dim):
     assert K.tip_counts
     K.tip_counts = {key: count + 1000 for key, count in K.tip_counts.items()}
     poisoned = dict(K.tip_counts)
-    assert counting._shift_witness(K, m) == witness
+    assert counting.shift_witness(P, m, K) == witness
     assert K.tip_counts == poisoned
 
 
@@ -1268,7 +1268,7 @@ def test_the_witness_walks_no_more_sections_than_its_two_counts(monkeypatch, see
     monkeypatch.setattr(counting, "_section", lambda *args: sections.append(args)
                         or section(*args))
     K = _Kernel(P)
-    witness = counting._shift_witness(K, 2)
+    witness = counting.shift_witness(P, 2, K)
     walked = len(sections)
     assert witness == least_listed_difference(P, 2)
     sections.clear()
@@ -1293,7 +1293,7 @@ def test_empty_box_makes_no_sections(monkeypatch):
               box_polytope((F(-3000), F(3000)), (F(-1), F(1)), (F(-1), F(1)),
                            (F(1, 3), F(2, 3)))):
         assert count_points(P, 1, budget=1) == 0
-        assert counting._shift_witness(_Kernel(P), 1) is None
+        assert counting.shift_witness(P, 1) is None
     assert calls == []
 
 

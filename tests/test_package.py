@@ -310,3 +310,25 @@ def test_each_mutant_names_one_text_of_src_and_tests_that_exist():
         for test in mutant.tests:
             path, _, name = test.partition("::")
             assert f"\ndef {name.split('[')[0]}(" in (root / path).read_text(), test
+
+
+def test_no_module_reaches_into_the_privates_of_counting():
+    # Outside counting, no module of the package names a private of it, as
+    # an attribute of the module or as an imported name: the interior
+    # shift's search and witness, like every count, go through public
+    # entries.  _strips, counting's own sub-module, is exempt.
+    import ast
+    from pathlib import Path
+
+    reached = []
+    for path in sorted(Path(ehrhart.__file__).parent.glob("*.py")):
+        if path.stem in ("counting", "_strips"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "counting" and node.attr.startswith("_"):
+                reached.append(f"{path.stem}: counting.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "counting":
+                reached += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert reached == []

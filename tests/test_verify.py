@@ -26,11 +26,13 @@ from ehrhart import (
     from_vertices,
     full_report,
     instances,
+    interior_shift_mismatch,
     render_text,
     report_to_json_dict,
 )
 from ehrhart import counting, geometry, verify
 from conftest import segment
+from test_counting import least_listed_difference
 
 
 # ------------------------------------------------------------- reciprocity
@@ -244,10 +246,10 @@ def test_full_report_sixth_segment_all_pass():
 def test_full_report_checks_interior_shift_from_counts(monkeypatch):
     # (m-1)P lies inside the interior of mP, so equal counts already mean
     # equal point sets: the witness walk runs only on a count mismatch.
-    def walk(K, m):
+    def walk(P, m):
         raise AssertionError(f"walked for a witness at m={m} without a count mismatch")
 
-    monkeypatch.setattr(counting, "_shift_witness", walk)
+    monkeypatch.setattr(verify, "shift_witness", walk)
     for name in ("square2", "halfdiamond2", "seg_mhalf_third", "octa3"):
         checks = full_report(catalog()[name], name).checks
         assert [c.passed for c in checks if c.name == "interior_shift"] == [True]
@@ -282,6 +284,19 @@ def test_full_report_names_the_shift_witness_without_recounting(monkeypatch):
         shift, = [c for c in report.checks if c.name == "interior_shift"]
         assert shift.fatal and shift.witness == {"m": 2, "point": None}, name
         assert len(walks) == len(set(walks)), name
+
+
+def test_full_report_names_the_least_shift_witness_in_p_s_own_frame(monkeypatch):
+    # A rational 3D draw whose walk's frame is (1, 2, 0), taken for a
+    # lattice-dual one so that its report checks the interior shift.  Its
+    # first mismatch is at m = 2, and its least witness, in P's own axis
+    # order, is (0, 1, -1); a kernel in the frame's order finds another.
+    P, = instances(GeneratorConfig(3, 3, coordinate_bound=1), 1, "rational")
+    assert counting._frame(P) == (1, 2, 0)
+    monkeypatch.setattr(verify, "has_lattice_dual", lambda P: True)
+    shift, = [c for c in full_report(P).checks if c.name == "interior_shift"]
+    assert shift.witness == {"m": 2, "point": (0, 1, -1)}
+    assert interior_shift_mismatch(P, 2) == least_listed_difference(P, 2) == (0, 1, -1)
 
 
 def test_full_report_reads_the_dual_once_and_never_builds_it(monkeypatch):
