@@ -13,8 +13,8 @@ The denominator, the vertex ranges and the polar dual (vertices and facets
 swapped, no hull) are read off that form.  Views of the rows, cached in the
 instance ``__dict__`` beside the four fields, give ``Fraction`` vertices and
 (normal, bound) ``Fraction`` facet pairs, built on first use, and the
-vertex-facet incidence, which a 3D or 4D hull hands over from its tight sets
-and counting only reads; :mod:`fractions` is imported only where a point or a
+vertex-facet incidence, one scan of the rows against the facets, which
+counting only reads; :mod:`fractions` is imported only where a point or a
 ``Fraction`` view is built.  There is no floating point anywhere in this
 package.  A polygon hull takes hundreds of thousands of points, a 3D or 4D one
 hundreds; the counts suit dimension <= 4, which a fixed ambient-dimension cap
@@ -64,8 +64,7 @@ class Polytope:
     ``facet_rows`` (a, b), each <a, x> <= b / L with a primitive.  Build
     instances with :func:`from_vertices`, which establishes these
     invariants.  ``vertices``, ``facets`` and ``_incidence`` are views, built
-    on first use; only :func:`from_ratios` writes one, handing a 3D or 4D
-    polytope its ``_incidence`` from the hull's tight sets.
+    on first use.
     Immutable; equal when the dimensions and vertices are, that is (n, L, rows).
     The fields and views live in ``__dict__``, so pickling and copying use
     the default protocol, which fills it without calling ``__setattr__``.
@@ -102,8 +101,7 @@ class Polytope:
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
         """Per vertex row, the bitmask of the facet rows through it: bit k for
-        row k, by one scan of the rows against the facets where no hull has
-        handed it over."""
+        row k, by one scan of the rows against the facets."""
         return tuple(sum(1 << k for k, (a, b) in enumerate(self.facet_rows)
                          if sum(map(mul, a, row)) == b) for row in self.rows)
 
@@ -139,8 +137,7 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     pairs, denominators positive: the points, scaled to integers by the lcm
     L of their denominators and deduplicated in one pass, then sorted, go to
     :func:`_hull` for the vertices and the facets <a, x> <= b / L, a
-    primitive, and L then drops the factor the vertices do not need; in 3D
-    and 4D each facet's vertices give the incidence.  Raises
+    primitive, and L then drops the factor the vertices do not need.  Raises
     ``DimensionDeficient`` when the points do not span the ambient space,
     and ``AmbientDimensionCap`` when it has more than ``MAX_DIM`` dimensions.
     """
@@ -162,15 +159,8 @@ def from_ratios(points: Sequence[Sequence[tuple[int, int]]]) -> Polytope:
     facets.sort()  # by (a, b), which no two facets share
     # Every facet holds a vertex, so g divides each facet bound too.
     g = math.gcd(scale, *(c for row in rows for c in row)) if scale > 1 else 1
-    P = Polytope(n, scale // g, tuple(tuple([c // g for c in row]) for row in rows) if g > 1
-                 else tuple(rows), tuple((a, b // g) for a, b, *_ in facets))
-    if n > 2:  # the incidence, from the vertex rows on each facet
-        index, masks = {row: r for r, row in enumerate(rows)}, [0] * len(rows)
-        for k, (_, _, tight) in enumerate(facets):
-            for row in tight:
-                masks[index[row]] |= 1 << k
-        vars(P)["_incidence"] = tuple(masks)
-    return P
+    return Polytope(n, scale // g, tuple(tuple([c // g for c in row]) for row in rows) if g > 1
+                    else tuple(rows), tuple((a, b // g) for a, b in facets))
 
 
 def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, list]]:
@@ -180,9 +170,8 @@ def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, lis
     monotone chain (1979), counter-clockwise with strict left turns only, so
     that it holds vertices only.  For n >= 3 :func:`_beneath_beyond` inserts
     the per-axis extreme points first, as in sorted order each point would
-    lie beyond the hull so far, a point is a vertex when no other point
-    lies on every facet through it, and each facet (a, b, rows) also holds
-    the vertex rows on it.
+    lie beyond the hull so far, and a point is a vertex when no other point
+    lies on every facet through it.
     """
     if n == 1:
         lo, hi = points[0], points[-1]
@@ -219,9 +208,8 @@ def _hull(points: Sequence[tuple[int, ...]], n: int) -> Optional[tuple[list, lis
     for _, _, on in planes:
         for i in on:
             common[i] = on if common[i] is None else common[i] & on
-    vertices = {i for i, c in enumerate(common) if c is not None and len(c) == 1}
-    return ([points[i] for i in vertices],
-            [(a, b, [points[i] for i in on & vertices]) for a, b, on in planes])
+    return ([p for p, c in zip(points, common) if c is not None and len(c) == 1],
+            [(a, b) for a, b, _ in planes])
 
 
 def _beneath_beyond(points: Sequence[tuple[int, ...]], n: int) -> Optional[list[tuple]]:

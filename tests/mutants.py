@@ -108,7 +108,7 @@ MUTANTS = (
            "strips(sorted(zip(map(turn, P.rows), P._incidence)), L)",
            "strips(sorted(zip(P.rows, P._incidence)), L)",
            (C + "test_framed_counts_match_the_given_frame",
-            C + "test_a_4d_count_builds_no_incidence",
+            C + "test_a_count_builds_the_incidence_once",
             C + "test_counts_walk_the_table_of_their_frame")),
     # The remainder tables: one per residue (a, B) of a piece's first
     # Euclid step, keyed there by the piece's length and residue of b.
@@ -175,6 +175,13 @@ MUTANTS = (
     Mutant("search's witness builds a kernel of its own", "ehrhart/counting.py",
            "return m, shift_witness(P, m, K)", "return m, shift_witness(P, m)",
            (C + "test_interior_shift_search_builds_one_chamber_table",)),
+    # The vertex-facet incidence has one producer, the cached scan of P's
+    # rows against its facets, which the frame and the 4D strips read.
+    Mutant("incidence marks every facet above a vertex", "ehrhart/geometry.py",
+           "if sum(map(mul, a, row)) == b)", "if sum(map(mul, a, row)) <= b)",
+           (G + "test_incidence_is_the_vertex_facet_scan",
+            C + "test_chamber_walk_matches_scan_in_4d[lattice]",
+            C + "test_a_count_builds_the_incidence_once")),
     # The 3D/4D hull's start: the first n + 1 affinely independent points,
     # each facet turned away from the start point it leaves out.
     Mutant("start facets turned towards the point left out", "ehrhart/geometry.py",

@@ -1033,33 +1033,41 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
         assert counting._frame(P) is None
 
 
-def test_a_4d_count_builds_no_incidence(monkeypatch):
-    # A hull hands its polytope the vertex-facet incidence, and a 4D kernel
-    # reads it through the walk's axis order, facets in P's order, so the
-    # strips of a 4D count read P's masks and no vertex row is scanned
-    # against the facets.  Where the order moves, those strips equal the
-    # strips of a scan of P's permuted rows against its permuted facets.
-    draws = [instances(GeneratorConfig(seed=seed, dim=4, coordinate_bound=1), 1, kind)[0]
-             for kind in ("lattice", "dual-of-lattice", "rational") for seed in (8104, 8200)]
+def test_a_count_builds_the_incidence_once(monkeypatch):
+    # The vertex-facet incidence is one cached scan of P's rows against its
+    # facets, and no hull hands it over: one count of a fresh 3D or 4D
+    # polytope builds it once, for the frame and the kernel both, whichever
+    # order it walks.  A 4D kernel reads the masks through the walk's axis
+    # order, facets in P's order, so where the order moves its strips equal
+    # the strips of a scan of P's permuted rows against its permuted facets.
+    draws = [instances(GeneratorConfig(seed=seed, dim=dim, coordinate_bound=1), 1, kind)[0]
+             for dim in (3, 4) for kind in ("lattice", "dual-of-lattice", "rational")
+             for seed in (8104, 8200)]
     draws += [frame_draw(name) for name in FRAME_DRAWS]
+    scans, scan = [], Polytope._incidence.func
+
+    def counted_scan(P):
+        scans.append(P)
+        return scan(P)
+
+    monkeypatch.setattr(Polytope._incidence, "func", counted_scan)
+    for P in draws:
+        scans.clear()
+        count = count_points(P, 3)
+        assert len(scans) == 1 and scans[0] is P, P
+        assert count == exact_count(P, 3, False), P
     orders = [counting._frame(P) for P in draws]
-    assert sum(order is not None for order in orders) >= 4
+    for n, least in ((3, 3), (4, 4)):
+        assert sum(order is not None for P, order in zip(draws, orders)
+                   if P.ambient_dim == n) >= least, n
     for P, order in zip(draws, orders):
-        if order is not None:
+        if P.ambient_dim == 4 and order is not None:
             turn = operator.itemgetter(*order)
             facets = sorted((turn(a), b) for a, b in P.facet_rows)
             scanned = sorted((row, sum(1 << k for k, (a, b) in enumerate(facets)
                                        if sum(map(operator.mul, a, row)) == b))
                              for row in map(turn, P.rows))
             assert _Kernel(P, order).strips == strips(scanned, P.scale), P
-
-    class Unscanned:  # no __set__, so masks handed over in __dict__ still win
-        def __get__(self, P, owner=None):
-            pytest.fail(f"the incidence of {P} was scanned")
-
-    monkeypatch.setattr(Polytope, "_incidence", Unscanned())
-    for P in draws:
-        assert count_points(P, 3) == exact_count(P, 3, False), P
 
 
 def test_interior_shift_search_builds_one_chamber_table(monkeypatch):

@@ -332,3 +332,31 @@ def test_no_module_reaches_into_the_privates_of_counting():
                 reached += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert reached == []
+
+
+def test_no_module_writes_a_polytope_s_dict_but_polytope():
+    # Only Polytope stores into its own __dict__, in __init__ and through
+    # its cached views: no other code of the package stores an item of
+    # vars(...) or of a __dict__, or updates either, so each view has one
+    # producer.
+    import ast
+    from pathlib import Path
+
+    def is_dict(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+
+    writes = []
+    for path in sorted(Path(ehrhart.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef) and top.name == "Polytope":
+                continue
+            for node in ast.walk(top):
+                stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+                if (stored and isinstance(node, ast.Subscript) and is_dict(node.value)
+                        or stored and isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("update", "setdefault")
+                        and is_dict(node.func.value)):
+                    writes.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert writes == []
