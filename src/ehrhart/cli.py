@@ -129,7 +129,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import full_report, render_text, report_to_json_dict
     name, P = _resolve_input(args.input)
     report = full_report(P, polytope_id=name, m_max=args.m_max, budget=args.budget)
-    _emit(report_to_json_dict(report), render_text(report), args.format)
+    print(json.dumps(report_to_json_dict(report), indent=2) if args.format == "json"
+          else render_text(report))  # the one output asked for, rendered once
     return 1 if report.fatal else 0
 
 

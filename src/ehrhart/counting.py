@@ -87,23 +87,19 @@ def _frame(P: Polytope) -> Optional[tuple[int, ...]]:
     or None when the given order ties for it.
 
     The model sums over the facets the product of the extents of the facet's
-    vertices (``P._incidence``) on the walked (prefix) axes, each plus one in
-    4D, times 1 + the number of Euclid steps of the facet's slope on the last
-    two axes, capped at ``_FRAME_STEPS``: about the sections that hold the
-    facet times the floor-sum steps of its line there.  Counts are the same in
-    every order, as the lattice is; a polygon or a segment keeps its own.
+    vertices on the walked (prefix) axes, each plus one in 4D, times 1 + the
+    number of Euclid steps of the facet's slope on the last two axes, capped
+    at ``_FRAME_STEPS``: about the sections that hold the facet times the
+    floor-sum steps of its line there.  Facet k's vertices are the rows whose
+    ``P._incidence`` mask has bit k.  Counts are the same in every order, as
+    the lattice is; a polygon or a segment keeps its own.
     """
     n = P.ambient_dim
     if n < 3:
         return None
-    tight: list[list] = [[] for _ in P.facet_rows]  # per facet, its vertex rows
-    for row, f in zip(P.rows, P._incidence):
-        while f:
-            bit = f & -f
-            tight[bit.bit_length() - 1].append(row)
-            f ^= bit
-    facets = [(a, [max(c) - min(c) + (n == 4) for c in zip(*rows)])
-              for (a, _), rows in zip(P.facet_rows, tight)]
+    facets = [(a, [max(c) - min(c) + (n == 4)
+                   for c in zip(*[row for row, f in zip(P.rows, P._incidence) if f >> k & 1])])
+              for k, (a, _) in enumerate(P.facet_rows)]
 
     def cost(order: tuple[int, ...]) -> int:
         *walked, y, z = order
@@ -128,16 +124,16 @@ class _Kernel:
     q_i*<a_i, x> <= m*p_i on mP; ``bounds`` holds the p_i, ``ranges`` the
     per-axis (min, max) of the vertex rows, over ``scale``, and ``nested``
     whether each holds 0, so that the boxes of mP nest.  On the last two
-    axes, with the first n-2 fixed to a prefix x, facet i is the line
-    A_i*y + B_i*z <= m*p_i - strict - <weights[i], x>, where ``lines[i]`` =
-    (A_i, B_i) and ``weights[i]`` are the last two and the other
-    coefficients of q_i*a_i; a segment's line is (0, B_i), one column at y = 0.
-    In 3D and 4D, ``strips`` is the :func:`ehrhart._strips.strips` of the
-    projection of P to the prefix axes, and ``chambers`` the
-    :func:`_chamber_table` on them and on the lines, built on the first
-    count, closed, strict or clipped, that walks a section; a 3D kernel's
-    prefix is padded to (x1, x2) by a zero-weight axis at x1 = 0, in one
-    strip whose edges are its vertex levels x2/m = t/L.  A polygon is one
+    axes, with the prefix padded to (x1, x2) by zero-weight axes at 0, facet
+    i is the line A_i*y + B_i*z <= m*p_i - strict - v_i*x1 - w_i*x2, where
+    ``lines[i]`` = (A_i, B_i) are the last two coefficients of q_i*a_i and
+    ``weights[i]`` = (v_i, w_i) the others, 0 where P has no such axis; a
+    segment's line is (0, B_i), one column at y = 0.  In 3D and 4D,
+    ``strips`` is the :func:`ehrhart._strips.strips` of the projection of P
+    to the prefix axes, and ``chambers`` the :func:`_chamber_table` on them
+    and on the lines, built on the first count, closed, strict or clipped,
+    that walks a section; a 3D kernel's prefix is at x1 = 0, in one strip
+    whose edges are its vertex levels x2/m = t/L.  A polygon is one
     :func:`_section` on ``chains``, the :func:`_forms` of its lines with B > 0, then B < 0.
     In 3D and 4D, ``tips`` holds (sign, t, near, d) for the lowest (sign =
     1) and the highest (sign = -1) level t/L of axis 0 that one vertex row
@@ -162,7 +158,7 @@ class _Kernel:
             bounds.append(b // g)
             if g != L:
                 a = [L // g * c for c in a]
-            weights.append(a[:-2] or (0,))
+            weights.append((0, 0, *a[:-2])[-2:])
             lines.append(a[-2:] if len(a) > 1 else (0, *a))
         self.ranges = turn([(min(column), max(column)) for column in zip(*P.rows)])
         self.nested = all(lo <= 0 <= hi for lo, hi in self.ranges)
@@ -315,8 +311,8 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
     step -A = qa*B + a, 0 <= a < B, the remainder table of (a, B), and, as
     the next line (a', b, j) passes below it at y <= (C_j*B - C_i*b) /
     (a'*B - A*b), the p_j*B - p_i*b, w_j*B - w_i*b, a'*B - A*b of that
-    bound, all 0 for the last line.  In 4D, ``x1s`` holds the line's x1
-    weights (v_i, v_j*B - v_i*b); a 3D kernel's x1 is 0, and its ``x1s`` None.
+    bound, all 0 for the last line.  With (v_i, w_i) = ``K.weights[i]``,
+    ``x1s`` holds each chain line's x1 weights (v_i, v_j*B - v_i*b), 0 in 3D.
     """
     # The Fourier-Motzkin cuts D*y <= s*C[i] + t*C[j], as (D, i, s, j, t), of
     # the B = 0 rows and the lower-upper pairs, by the sign of D, negative D
@@ -327,8 +323,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
              for Au, Bu, i in uppers for Al, Bl, j in lowers]
     above = [c for c in cuts if c[0] > 0]
     below = [(-D, i, s, j, t) for D, i, s, j, t in cuts if D < 0]
-    p, w = K.bounds, [weight[-1] for weight in K.weights]
-    v = [weight[0] for weight in K.weights] if K.n == 4 else [0] * len(p)
+    p, (v, w) = K.bounds, zip(*K.weights)
 
     def cut(D: int, i: int, s: int, j: int, t: int) -> tuple[int, int, int, int]:
         return s * p[i] + t * p[j], s * v[i] + t * v[j], s * w[i] + t * w[j], D
@@ -354,7 +349,7 @@ def _chamber_table(K: _Kernel) -> list[tuple]:
             rows.append((p1, q1, d1, *cut(*top), *cut(*bottom),
                          [forms.get(tuple(chain)) or forms.setdefault(
                              tuple(chain), _forms(chain, p, w, tables)) for chain in chains],
-                         [*map(x1_forms, chains)] if K.n == 4 else None))
+                         [*map(x1_forms, chains)]))
         table.append((*end, *edges[0], *edges[-1], rows))
     return table
 
@@ -604,7 +599,7 @@ def shift_witness(P: Polytope, m: int, K: Optional[_Kernel] = None) -> Optional[
                 break
         else:
             return None
-    dots = [sum(w * x for w, x in zip(weights, slab[pad:])) for weights in K.weights]
+    dots = [sum(w * x for w, x in zip(weights[pad:], slab[pad:])) for weights in K.weights]
     *_, (y0, y1), (z0, z1) = (0, 0), *K.box(m)  # a segment's y is 0
 
     def column(M: int, s: int, y: int) -> tuple[int, int]:  # z range of MP, s = 1: int(MP)

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Seconds a mutant's child pytest may run, well above the slowest row's 5 s.
+#: Seconds a mutant's child pytest may run, well above the slowest row's 15 s.
 TIMEOUT = 120
 
 
@@ -110,6 +110,12 @@ MUTANTS = (
            (C + "test_framed_counts_match_the_given_frame",
             C + "test_a_count_builds_the_incidence_once",
             C + "test_counts_walk_the_table_of_their_frame")),
+    # Every kernel holds each facet's prefix weights as an (x1, x2) pair,
+    # 0 on an axis that P lacks, so a 3D kernel's x1 weight is 0.
+    Mutant("3D prefix weights padded on the wrong side", "ehrhart/counting.py",
+           "(0, 0, *a[:-2])[-2:]", "(*a[:-2], 0, 0)[:2]",
+           (C + "test_count_matches_listed_points",
+            C + "test_count_matches_listed_points_generated")),
     # The remainder tables: one per residue (a, B) of a piece's first
     # Euclid step, keyed there by the piece's length and residue of b.
     Mutant("remainder table keyed on B alone", "ehrhart/counting.py",
@@ -182,6 +188,11 @@ MUTANTS = (
            (G + "test_incidence_is_the_vertex_facet_scan",
             C + "test_chamber_walk_matches_scan_in_4d[lattice]",
             C + "test_a_count_builds_the_incidence_once")),
+    # The frame reads facet k's vertex rows off bit k of the masks.
+    Mutant("frame reads the next facet's vertices too", "ehrhart/counting.py",
+           "if f >> k & 1]", "if f >> k & 3]",
+           (C + "test_frame_is_the_first_cheapest_order_of_the_cost_model",
+            C + "test_framed_counts_match_the_given_frame")),
     # The 3D/4D hull's start: the first n + 1 affinely independent points,
     # each facet turned away from the start point it leaves out.
     Mutant("start facets turned towards the point left out", "ehrhart/geometry.py",

@@ -108,6 +108,21 @@ def test_verify_expected_failures_still_exit_zero(capsys):
     assert by_name["characterization"]["passed"] is True
 
 
+@pytest.mark.parametrize("fmt, unasked", [("text", "report_to_json_dict"),
+                                            ("json", "render_text")])
+def test_verify_renders_only_the_format_it_prints(capsys, monkeypatch, fmt, unasked):
+    # A report can hold hundreds of thousands of counts, so ``verify``
+    # builds the one output it prints and never the other.
+    expected = run(capsys, "verify", "halfdiamond2", "--format", fmt)
+
+    def refused(report):
+        raise AssertionError(f"{unasked} ran for --format {fmt}")
+
+    monkeypatch.setattr(verify_module, unasked, refused)
+    assert run(capsys, "verify", "halfdiamond2", "--format", fmt) == expected
+    assert expected[0] == 0
+
+
 def test_verify_fatal_exit_one(capsys, monkeypatch):
     # A lattice-dual polytope failing the symmetry cannot be constructed,
     # so fake the report to pin the exit-code contract.

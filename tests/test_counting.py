@@ -42,6 +42,7 @@ from ehrhart.counting import (
 from ehrhart.geometry import Polytope, dual_denominator
 from conftest import dilate, segment
 from chain_oracle import real_chain
+import frame_oracle
 from listing_oracle import contains, lattice_points
 import scan_oracle
 from scan_oracle import _section_count, _section_plan, scan_count
@@ -1031,6 +1032,19 @@ def test_framed_counts_match_the_given_frame(theorem_pool, control_pool):
         assert counting._frame(frame_draw(name)) == order, name
     for P in [P for P in theorem_pool if P.ambient_dim < 3]:
         assert counting._frame(P) is None
+
+
+def test_frame_is_the_first_cheapest_order_of_the_cost_model(fixtures, theorem_pool,
+                                                             control_pool):
+    # The frame against the cost model priced from dot products, with no
+    # incidence mask, on the catalog, both pools and the 4D draws above.
+    polytopes = [*fixtures.values(), *theorem_pool, *control_pool]
+    polytopes += [P for kind in ("lattice", "dual-of-lattice", "rational") for P in
+                  instances(GeneratorConfig(seed=8104, dim=4, coordinate_bound=1), 2, kind)]
+    polytopes += map(frame_draw, FRAME_DRAWS)
+    for P in polytopes:
+        assert counting._frame(P) == frame_oracle.frame(P), P
+    assert sum(frame_oracle.frame(P) is not None for P in polytopes) >= 30
 
 
 def test_a_count_builds_the_incidence_once(monkeypatch):
