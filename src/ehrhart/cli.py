@@ -1,12 +1,13 @@
 """Command-line interface.
 
-One JSON document on stdout in json mode, human-readable text otherwise;
-diagnostics go to stderr.  Exit codes: 0 success, 1 fatal inconsistency
-(a failed reciprocity or equivalence check or negative delta-vector entry;
-a lattice-dual polytope failing the theorem, palindrome, interior-shift or
-characterization check), 2 usage, parse, input, or budget errors, 3 any
-other (unexpected) error.  Input is parsed under the interpreter's limit
-on the digits of int <-> str, and results are printed past it.
+One JSON document on stdout in json mode, human-readable text otherwise, and
+a command renders only the format it prints; diagnostics go to stderr.  Exit
+codes: 0 success, 1 fatal inconsistency (a failed reciprocity or equivalence
+check or negative delta-vector entry; a lattice-dual polytope failing the
+theorem, palindrome, interior-shift or characterization check), 2 usage,
+parse, input, budget or out-of-memory errors, 3 any other (unexpected) error.
+Input is parsed under the interpreter's limit on the digits of int <-> str,
+and results are printed past it.
 
 A command imports the delta-vector, verification and generator modules
 only when it runs and needs them, so a ``count`` never loads them.  A
@@ -52,10 +53,6 @@ def _resolve_input(name: str) -> tuple[str, Polytope]:
     return name, P
 
 
-def _emit(doc: dict, text: str, fmt: str) -> None:
-    print(json.dumps(doc, indent=2) if fmt == "json" else text)
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     name, P = _resolve_input(args.input)
     doc = {
@@ -69,9 +66,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     }
     labels = ("polytope", "dim", "vertices", "denominator", "lattice",
               "origin interior", "facets")
-    text = "\n".join(f"{label}: {_yes_no(value)}"
-                     for label, value in zip(labels, doc.values()))
-    _emit(doc, text, args.format)
+    print(json.dumps(doc, indent=2) if args.format == "json" else
+          "\n".join(f"{label}: {_yes_no(value)}" for label, value in zip(labels, doc.values())))
     return 0
 
 
@@ -86,14 +82,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
     closed, interior = count_vector(P, (args.m,), (args.m,), args.budget)
     doc = {"polytope": name, "m": args.m,
            "closed": str(closed), "interior": str(interior)}
-    text = f"{name}: |{args.m}P| = {closed} lattice points, interior {interior}"
-    _emit(doc, text, args.format)
+    print(json.dumps(doc, indent=2) if args.format == "json" else
+          f"{name}: |{args.m}P| = {closed} lattice points, interior {interior}")
     return 0
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     from .quasipoly import closed_counts, fit_counts, series_counts
-    from .verify import check_equivalence, check_palindrome, render_delta
+    from .verify import check_equivalence, check_palindrome, delta_fields, delta_lines
     name, P = _resolve_input(args.input)
     counts = closed_counts(P, budget=args.budget)
     qp, delta = fit_counts(*counts), series_counts(*counts)
@@ -103,20 +99,19 @@ def _cmd_delta(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     palindromic = check_palindrome(delta).passed
-    fields, lines = render_delta(delta, qp)
-    doc = {"polytope": name, "n": qp.n, "k": str(qp.k), **fields,
-           "palindromic": palindromic}
-    lines = [f"polytope: {name}", f"n = {qp.n}, k = {qp.k}", *lines,
-             f"palindromic: {_yes_no(palindromic)}"]
-    _emit(doc, "\n".join(lines), args.format)
+    print(json.dumps({"polytope": name, "n": qp.n, "k": str(qp.k), **delta_fields(delta, qp),
+                      "palindromic": palindromic}, indent=2) if args.format == "json" else
+          "\n".join([f"polytope: {name}", f"n = {qp.n}, k = {qp.k}", *delta_lines(delta, qp),
+                     f"palindromic: {_yes_no(palindromic)}"]))
     return 0
 
 
 def _show_polytope(P: Polytope, title: str, fmt: str) -> None:
     """Print ``P`` as one JSON document, or as one line of its vertices."""
     doc = polytope_to_json_dict(P)
-    pts = ", ".join("(" + ", ".join(v) + ")" for v in doc["vertices"])
-    _emit(doc, f"{title}: dim {P.ambient_dim}, vertices {pts}", fmt)
+    print(json.dumps(doc, indent=2) if fmt == "json" else
+          f"{title}: dim {P.ambient_dim}, vertices "
+          + ", ".join("(" + ", ".join(v) + ")" for v in doc["vertices"]))
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
@@ -130,7 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     name, P = _resolve_input(args.input)
     report = full_report(P, polytope_id=name, m_max=args.m_max, budget=args.budget)
     print(json.dumps(report_to_json_dict(report), indent=2) if args.format == "json"
-          else render_text(report))  # the one output asked for, rendered once
+          else render_text(report))
     return 1 if report.fatal else 0
 
 
@@ -202,6 +197,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (EhrhartError, ValueError, OSError) as exc:
         print(f"ehrhart: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its message is empty
+        print("ehrhart: error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a fault of the input
         print(f"ehrhart: internal error: {exc!r}", file=sys.stderr)

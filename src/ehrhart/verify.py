@@ -201,7 +201,7 @@ def report_to_json_dict(report: VerificationReport) -> dict:
         "n": report.residue_table.n,
         "k": str(report.residue_table.k),
         "dual_is_lattice": report.dual_is_lattice,
-        **render_delta(report.delta, report.residue_table)[0],
+        **delta_fields(report.delta, report.residue_table),
         "fatal": report.fatal,
         "checks": [
             {
@@ -237,28 +237,26 @@ def render_text(report: VerificationReport) -> str:
         f"polytope: {report.polytope_id}",
         f"n = {report.residue_table.n}, k = {report.residue_table.k}",
         f"dual is lattice: {'yes' if report.dual_is_lattice else 'no'}",
-        *render_delta(report.delta, report.residue_table)[1],
+        *delta_lines(report.delta, report.residue_table),
         "checks:",
     ]
     for c in report.checks:
-        status = "PASS" if c.passed else "FAIL"
-        suffix = ""
-        if c.witness is not None:
-            suffix = "  witness: " + ", ".join(
-                f"{key}={value}" for key, value in c.witness.items())
-        if c.fatal:
-            suffix += "  [FATAL]"
-        lines.append(f"  {status} {c.name}{suffix}")
+        witness = "" if c.witness is None else "  witness: " + ", ".join(
+            f"{key}={value}" for key, value in c.witness.items())
+        fatal = "  [FATAL]" if c.fatal else ""
+        lines.append(f"  {'PASS' if c.passed else 'FAIL'} {c.name}{witness}{fatal}")
     lines.append("FATAL: inconsistency detected" if report.fatal else "result: ok")
     return "\n".join(lines)
 
 
-def render_delta(d: Sequence[int], table: ResidueDeltaTable) -> tuple[dict, list[str]]:
-    """A delta-vector and its residue table as JSON fields, every entry a
-    string, and as text lines."""
-    doc = {"delta": [str(v) for v in d],
-           "residue_table": [[str(v) for v in row] for row in table.delta]}
-    lines = ["delta-vector: (" + ", ".join(doc["delta"]) + ")",
-             "residue table (row i, column r):"]
-    lines += [f"  i={i}: " + " ".join(row) for i, row in enumerate(doc["residue_table"])]
-    return doc, lines
+def delta_fields(d: Sequence[int], table: ResidueDeltaTable) -> dict:
+    """A delta-vector and its residue table as JSON fields, every entry a string."""
+    return {"delta": [str(v) for v in d],
+            "residue_table": [[str(v) for v in row] for row in table.delta]}
+
+
+def delta_lines(d: Sequence[int], table: ResidueDeltaTable) -> list[str]:
+    """A delta-vector and its residue table as text lines."""
+    return ["delta-vector: (" + ", ".join(map(str, d)) + ")",
+            "residue table (row i, column r):",
+            *(f"  i={i}: " + " ".join(map(str, row)) for i, row in enumerate(table.delta))]

@@ -57,9 +57,9 @@ class Mutant(NamedTuple):
         return list(zip(self.old, self.new, strict=True))
 
 
-# Node-id prefixes of the four test modules that the table names.
+# Node-id prefixes of the five test modules that the table names.
 C, A, V = "tests/test_counting.py::", "tests/test_acceptance.py::", "tests/test_verify.py::"
-G = "tests/test_geometry.py::"
+G, CLI = "tests/test_geometry.py::", "tests/test_cli.py::"
 MUTANTS = (
     # The five mutants of ROADMAP item 29, one from each of PRs 37-40 and
     # item 20's L(m) + 1.
@@ -212,6 +212,16 @@ MUTANTS = (
            (G + "test_hulls_stay_byte_identical",
             G + "test_insertion_matches_oracle[dependent-start]",
             G + "test_flat_clouds_are_dimension_deficient")),
+    # A command renders the delta-vector only in the format it prints.
+    Mutant("delta renders both formats", "ehrhart/cli.py",
+           "    palindromic = check_palindrome(delta).passed\n",
+           "    palindromic = check_palindrome(delta).passed\n"
+           "    delta_fields(delta, qp), delta_lines(delta, qp)\n",
+           (CLI + "test_delta_renders_only_the_format_it_prints",)),
+    Mutant("verify's JSON renders the text delta too", "ehrhart/verify.py",
+           '"fatal": report.fatal,',
+           '"fatal": report.fatal or not delta_lines(report.delta, report.residue_table),',
+           (CLI + "test_verify_renders_only_the_format_it_prints[json-render_text]",)),
 )
 
 

@@ -108,18 +108,34 @@ def test_verify_expected_failures_still_exit_zero(capsys):
     assert by_name["characterization"]["passed"] is True
 
 
+# The delta-vector renderer that each format leaves unused.
+UNASKED_DELTA = {"text": "delta_fields", "json": "delta_lines"}
+
+
+def refuse(monkeypatch, fmt, *names):
+    """Make each named renderer of ``verify`` raise if it runs."""
+    for name in names:
+        def refused(*args, name=name):
+            raise AssertionError(f"{name} ran for --format {fmt}")
+        monkeypatch.setattr(verify_module, name, refused)
+
+
 @pytest.mark.parametrize("fmt, unasked", [("text", "report_to_json_dict"),
                                             ("json", "render_text")])
 def test_verify_renders_only_the_format_it_prints(capsys, monkeypatch, fmt, unasked):
     # A report can hold hundreds of thousands of counts, so ``verify``
-    # builds the one output it prints and never the other.
+    # builds the one output it prints and never the other, nor its delta.
     expected = run(capsys, "verify", "halfdiamond2", "--format", fmt)
-
-    def refused(report):
-        raise AssertionError(f"{unasked} ran for --format {fmt}")
-
-    monkeypatch.setattr(verify_module, unasked, refused)
+    refuse(monkeypatch, fmt, unasked, UNASKED_DELTA[fmt])
     assert run(capsys, "verify", "halfdiamond2", "--format", fmt) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_delta_renders_only_the_format_it_prints(capsys, monkeypatch, fmt):
+    expected = run(capsys, "delta", "halfdiamond2", "--format", fmt)
+    refuse(monkeypatch, fmt, UNASKED_DELTA[fmt])
+    assert run(capsys, "delta", "halfdiamond2", "--format", fmt) == expected
     assert expected[0] == 0
 
 
@@ -242,6 +258,19 @@ def test_unexpected_error_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "ehrhart: internal error: RuntimeError('boom')\n"
+
+
+def test_out_of_memory_exit_two(capsys, monkeypatch):
+    # A request too large for the memory it may take is refused, as one
+    # over the budget is: a fault of the input, not a bug.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "count_vector", exhausted)
+    code, out, err = run(capsys, "count", "square2", "--m", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "ehrhart: error: out of memory\n"
 
 
 def child_imports(*argv):
