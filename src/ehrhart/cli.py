@@ -26,7 +26,8 @@ from ._catalog import VERTICES
 from .counting import DEFAULT_BUDGET, count_vector
 from .errors import EhrhartError
 from .geometry import Polytope, denominator, dual, is_lattice, origin_interior
-from .serialization import load_polytope, polytope_from_json_dict, polytope_to_json_dict
+from .serialization import (dumps_polytope, load_polytope, polytope_from_json_dict,
+                            polytope_to_json_dict)
 
 # The interpreter's limit on the digits of int <-> str (from 3.10.7 and 3.11).
 _get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -108,10 +109,9 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 def _show_polytope(P: Polytope, title: str, fmt: str) -> None:
     """Print ``P`` as one JSON document, or as one line of its vertices."""
-    doc = polytope_to_json_dict(P)
-    print(json.dumps(doc, indent=2) if fmt == "json" else
+    print(dumps_polytope(P) if fmt == "json" else
           f"{title}: dim {P.ambient_dim}, vertices "
-          + ", ".join("(" + ", ".join(v) + ")" for v in doc["vertices"]))
+          + ", ".join("(" + ", ".join(v) + ")" for v in polytope_to_json_dict(P)["vertices"]))
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:

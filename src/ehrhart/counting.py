@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from itertools import permutations
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, OriginNotInterior
@@ -475,11 +475,13 @@ def _charge(K: _Kernel, budget: int, *requests: Sequence[int]) -> None:
     ``requests`` in order that is negative (``ValueError``) or whose box of
     mP holds more than ``budget`` cells (``BudgetExceeded``; none in 1D).
     Nested boxes are cleared by one box, that of the largest m, read off a
-    range's ends."""
+    range's ends.  Each m is read through ``operator.index``, so a float or
+    ``Fraction`` raises ``TypeError``."""
     def cells(m: int) -> int:
         return math.prod(max(0, hi - lo + 1) for lo, hi in K.box(m))
 
-    ends = [m for d in requests for m in ((*d[:1], *d[-1:]) if isinstance(d, range) else d)]
+    ends = [index(m) for d in requests
+            for m in ((*d[:1], *d[-1:]) if isinstance(d, range) else d)]
     if not ends or min(ends) >= 0 and (K.n == 1 or K.nested and cells(max(ends)) <= budget):
         return
     for m in (m for dilations in requests for m in dilations):

@@ -208,27 +208,20 @@ def report_to_json_dict(report: VerificationReport) -> dict:
                 "name": c.name,
                 "passed": c.passed,
                 "fatal": c.fatal,
-                "witness": _witness_json(c.witness),
+                "witness": _strings(c.witness),
             }
             for c in report.checks
         ],
     }
 
 
-def _witness_json(witness: Optional[dict]) -> Optional[dict]:
-    if witness is None:
-        return None
-    out = {}
-    for key, value in witness.items():
-        if isinstance(value, bool):
-            out[key] = value
-        elif isinstance(value, int):
-            out[key] = str(value)
-        elif isinstance(value, tuple):
-            out[key] = [str(v) for v in value]
-        else:
-            out[key] = value
-    return out
+def _strings(value: object) -> object:
+    """``value`` with each int but a bool as its decimal string, each tuple or list a list."""
+    if isinstance(value, dict):
+        return {key: _strings(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return list(map(_strings, value))
+    return str(value) if isinstance(value, int) and not isinstance(value, bool) else value
 
 
 def render_text(report: VerificationReport) -> str:
@@ -251,8 +244,7 @@ def render_text(report: VerificationReport) -> str:
 
 def delta_fields(d: Sequence[int], table: ResidueDeltaTable) -> dict:
     """A delta-vector and its residue table as JSON fields, every entry a string."""
-    return {"delta": [str(v) for v in d],
-            "residue_table": [[str(v) for v in row] for row in table.delta]}
+    return {"delta": _strings(d), "residue_table": _strings(table.delta)}
 
 
 def delta_lines(d: Sequence[int], table: ResidueDeltaTable) -> list[str]:

@@ -57,9 +57,9 @@ class Mutant(NamedTuple):
         return list(zip(self.old, self.new, strict=True))
 
 
-# Node-id prefixes of the five test modules that the table names.
+# Node-id prefixes of the six test modules that the table names.
 C, A, V = "tests/test_counting.py::", "tests/test_acceptance.py::", "tests/test_verify.py::"
-G, CLI = "tests/test_geometry.py::", "tests/test_cli.py::"
+G, CLI, PKG = "tests/test_geometry.py::", "tests/test_cli.py::", "tests/test_package.py::"
 MUTANTS = (
     # The five mutants of ROADMAP item 29, one from each of PRs 37-40 and
     # item 20's L(m) + 1.
@@ -222,6 +222,19 @@ MUTANTS = (
            '"fatal": report.fatal,',
            '"fatal": report.fatal or not delta_lines(report.delta, report.residue_table),',
            (CLI + "test_verify_renders_only_the_format_it_prints[json-render_text]",)),
+    # A report's JSON writes every integer as a decimal string, by one rule.
+    Mutant("report integers left as ints", "ehrhart/verify.py",
+           "return str(value) if isinstance(value, int)", "return value if isinstance(value, int)",
+           (V + "test_fatal_witnesses_render",
+            V + "test_report_json_values_are_strings",
+            V + "test_reports_stay_byte_identical")),
+    # A dilation is read as an integer before any count.
+    Mutant("a float dilation is charged", "ehrhart/counting.py",
+           "ends = [index(m) for d in requests", "ends = [m for d in requests",
+           (PKG + "test_input_guards[float_dilation_2d]",
+            PKG + "test_input_guards[float_dilation_1d]",
+            PKG + "test_input_guards[fraction_dilation]",
+            PKG + "test_input_guards[float_shift]")),
 )
 
 

@@ -86,6 +86,7 @@ def test_bad_gen_dimension_exit_two(capsys):
 def test_dual_json_is_pipeable(capsys):
     code, out, _ = run(capsys, "dual", "cube3", "--format", "json")
     assert code == 0
+    assert out == dumps_polytope(catalog()["octa3"]) + "\n"  # the one writer
     doc = json.loads(out)
     assert doc == {"dim": 3, "vertices": [[str(c) for c in v]
                                           for v in catalog()["octa3"].vertices]}

@@ -2,6 +2,7 @@ import copy
 import inspect
 import os
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -139,10 +140,17 @@ def test_polytope_copies_keep_fields_and_views():
     (lambda: ehrhart.from_vertices([(-0.1,), (1,)]), TypeError),
     (lambda: ehrhart.ResidueDeltaTable(1, 2, ((1, 2), (2, 1)))._replace(k=0), ValueError),
     (lambda: ehrhart.GeneratorConfig(1, 2)._replace(dim=9), ValueError),
+    # A dilation is an integer: the counts refuse a float or a Fraction.
+    (lambda: ehrhart.count_points(catalog()["halfdiamond2"], 2.5), TypeError),
+    (lambda: ehrhart.count_points(catalog()["seg_mhalf_third"], 1.5), TypeError),
+    (lambda: ehrhart.counting.count_vector(catalog()["halfdiamond2"], [Fraction(2)]),
+     TypeError),
+    (lambda: ehrhart.interior_shift_mismatch(catalog()["halfdiamond2"], 2.0), TypeError),
 ], ids=["polytope_without_rows", "polytope_short_row", "table_missing_row",
         "table_short_row", "table_zero_period", "table_negative_dimension",
         "shift_at_zero", "empty_integer_range", "point_without_coordinates",
-        "float_coordinate", "table_replaced_zero_period", "config_replaced_dimension"])
+        "float_coordinate", "table_replaced_zero_period", "config_replaced_dimension",
+        "float_dilation_2d", "float_dilation_1d", "fraction_dilation", "float_shift"])
 def test_input_guards(build, error):
     with pytest.raises(error):
         build()
